@@ -102,12 +102,23 @@ def compute_rank(dag: AppDag, ready_servers: Sequence[ServerId], weights,
     Execution term averages the weighted run cost across candidates;
     the transfer term averages pairwise transfer cost over all ordered
     candidate pairs, counting same-server pairs as zero.
+
+    Ranks over fog servers only are memoized in `topology.rank_cache` until
+    the fog structure changes; a device's routes move with its handovers, so
+    candidate lists holding a device are always recomputed.
     """
     from . import cost_model  # local import: cost_model depends on topology only
 
     servers = list(ready_servers)
     if not servers:
         raise ValueError("rank needs at least one candidate server")
+    key = None
+    if all(sid.level > 0 for sid in servers):
+        key = (tuple(servers), tuple(m.id for m in dag.modules), tuple(dag.flows),
+               weights, profile)
+        cached = topology.rank_cache.get(key)
+        if cached is not None:
+            return dict(cached)
     n = len(servers)
 
     def exec_cost(module_id: str) -> float:
@@ -138,6 +149,8 @@ def compute_rank(dag: AppDag, ready_servers: Sequence[ServerId], weights,
             for flow in dag.succs[mid]:
                 best_succ = max(best_succ, transfer_cost(flow) + rank[flow.dst])
             rank[mid] = exec_cost(mid) + best_succ
+    if key is not None:
+        topology.rank_cache[key] = dict(rank)
     return rank
 
 

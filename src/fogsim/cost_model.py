@@ -131,25 +131,62 @@ def route(topology: Topology, src: ServerId, dest: ServerId) -> List[Tuple[str, 
     return hops
 
 
-def _hop_level(kind: str, frm: ServerId, to: ServerId) -> int:
-    if kind == "up":
-        return frm.level
+def _hop_constant(kind: str, frm: ServerId, to: ServerId,
+                  up: Dict[int, float], down: Dict[int, float],
+                  cluster: Dict[int, float]) -> float:
+    """The link constant of one hop from its kind's table.
+
+    Down hops are keyed by the lower endpoint (the hop's destination), up and
+    cluster hops by the level the hop leaves from.
+    """
     if kind == "down":
-        return to.level
-    return frm.level  # cluster
+        return down[to.level]
+    if kind == "cluster":
+        return cluster[frm.level]
+    return up[frm.level]
+
+
+def _uplink(topology: Topology, device: ServerId) -> Optional[ServerId]:
+    """The fog server a device's routes pass through, when composition is exact.
+
+    A device relays nothing, and a node at level >= 1 holds the device in its
+    descendant closure exactly when it holds the device's parent, so every
+    routing rule picks the same next hop toward both. Unusual devices (dead,
+    clustered, detached, or under a dead parent) return None and are routed
+    step by step.
+    """
+    node = topology.nodes.get(device)
+    if node is None or not node.alive or node.cluster_members or node.parent is None:
+        return None
+    parent = topology.nodes.get(node.parent)
+    if parent is None or not parent.alive:
+        return None
+    return node.parent
 
 
 def _cached_route(topology: Topology, src: ServerId, dest: ServerId):
-    cache = getattr(topology, "_route_cache", None)
-    if cache is None or getattr(topology, "_route_cache_rev", -1) != topology.revision:
-        cache = {}
-        topology._route_cache = cache
-        topology._route_cache_rev = topology.revision
-    key = (src, dest)
-    hops = cache.get(key)
-    if hops is None:
+    """`route(src, dest)` through the topology's route cache.
+
+    Routes ending at a device D under parent P are composed from cached fog
+    routes: route(x, D) = route(x, P) + down(P, D) and route(D, x) =
+    up(D, P) + route(P, x), which are the same hop tuples in the same order.
+    """
+    hops = topology.route_cache.get((src, dest))
+    if hops is not None:
+        return hops
+    parent = None
+    if src != dest:
+        if dest.level == 0:
+            parent = _uplink(topology, dest)
+            if parent is not None:
+                hops = _cached_route(topology, src, parent) + [("down", parent, dest)]
+        elif src.level == 0:
+            parent = _uplink(topology, src)
+            if parent is not None:
+                hops = [("up", src, parent)] + _cached_route(topology, parent, dest)
+    if parent is None:
         hops = route(topology, src, dest)
-        cache[key] = hops
+    topology.cache_route(src, dest, hops)
     return hops
 
 
@@ -159,14 +196,8 @@ def transmission_time(topology: Topology, payload_bits: float,
     total = 0.0
     links = topology.links
     for kind, frm, to in _cached_route(topology, src, dest):
-        lvl = _hop_level(kind, frm, to)
-        if kind == "down":
-            bw = links.bw_down[lvl]
-        elif kind == "cluster":
-            bw = links.bw_cluster[lvl]
-        else:
-            bw = links.bw_up[lvl]
-        total += payload_bits / bw
+        total += payload_bits / _hop_constant(kind, frm, to, links.bw_up,
+                                              links.bw_down, links.bw_cluster)
     return total
 
 
@@ -175,13 +206,8 @@ def internodal_latency(topology: Topology, src: ServerId, dest: ServerId) -> flo
     total = 0.0
     links = topology.links
     for kind, frm, to in _cached_route(topology, src, dest):
-        lvl = _hop_level(kind, frm, to)
-        if kind == "down":
-            total += links.lat_down[lvl]
-        elif kind == "cluster":
-            total += links.lat_cluster[lvl]
-        else:
-            total += links.lat_up[lvl]
+        total += _hop_constant(kind, frm, to, links.lat_up, links.lat_down,
+                               links.lat_cluster)
     return total
 
 
@@ -201,14 +227,8 @@ def transmission_energy(topology: Topology, profile: DeviceEnergyProfile,
     links = topology.links
     energy = 0.0
     for pos, (kind, frm, to) in enumerate(hops):
-        lvl = _hop_level(kind, frm, to)
-        if kind == "down":
-            bw = links.bw_down[lvl]
-        elif kind == "cluster":
-            bw = links.bw_cluster[lvl]
-        else:
-            bw = links.bw_up[lvl]
-        seconds = payload_bits / bw
+        seconds = payload_bits / _hop_constant(kind, frm, to, links.bw_up,
+                                               links.bw_down, links.bw_cluster)
         device_hop = (pos == 0 and src.level == 0) or (pos == len(hops) - 1 and dest.level == 0)
         energy += seconds * (profile.p_tx_w if device_hop else profile.p_idle_w)
     return energy

@@ -49,9 +49,13 @@ class CapacityLedger:
         return True
 
     def release(self, sid: ServerId, template: str, module_id: str):
-        self.used[sid] = self.used.get(sid, 0) - 1
+        """Free one container; raises PlacementError when the server holds none of that type."""
         key = (sid, template, module_id)
-        self.active_types[key] = self.active_types.get(key, 0) - 1
+        if self.active_types.get(key, 0) <= 0:
+            raise PlacementError(
+                f"release of {template}/{module_id} at {sid}, which holds no such container")
+        self.used[sid] -= 1
+        self.active_types[key] -= 1
         if self.active_types[key] <= 0:
             del self.active_types[key]
         self.topology.node(sid).active_containers = self.used[sid]

@@ -73,8 +73,19 @@ class Topology:
     """Mutable forest of fog servers plus cluster edges.
 
     Structural mutations (reparent, add, remove, cluster changes) must go
-    through the mutator methods so the revision counter invalidates the
-    descendant-closure cache.
+    through the mutator methods, which call `bump()`. Two counters drive the
+    caches:
+
+    - `revision` advances on every mutation and invalidates the `omega`
+      descendant-closure cache.
+    - `fog_revision` advances on every mutation except reparenting a device
+      (a level-0 node), and empties `route_cache` and `rank_cache`. A device
+      never relays traffic, so its handover changes only the routes that end
+      at it; `set_parent` drops exactly those (indexed per device).
+
+    Direct edits of node state that routing or costs read (`alive`,
+    `cpu_mips`) must be followed by `bump()`, or cached routes and ranks go
+    stale.
     """
 
     def __init__(self, nodes: Iterable[ServerNode], links: LinkParams, max_fog_level: int):
@@ -90,8 +101,15 @@ class Topology:
             raise TopologyError(f"missing cloud node {self.cloud_id}")
         links.validate(max_fog_level)
         self.revision = 0
+        self.fog_revision = 0
         self._omega_cache: Dict[ServerId, frozenset] = {}
         self._omega_rev = -1
+        # (src, dest) -> hop list; filled by cost_model, valid for fog_revision.
+        self.route_cache: Dict[Tuple[ServerId, ServerId], list] = {}
+        # device -> keys of its cached routes, dropped when it reparents.
+        self._device_routes: Dict[ServerId, Set[Tuple[ServerId, ServerId]]] = {}
+        # upward-rank memo of app_model.compute_rank, valid for fog_revision.
+        self.rank_cache: Dict[tuple, Dict[str, float]] = {}
         self._wire_children()
         self._check_levels()
 
@@ -117,8 +135,22 @@ class Topology:
 
     # -- mutation ---------------------------------------------------------
 
-    def bump(self):
+    def bump(self, fog: bool = True):
+        """Record a mutation; `fog=False` only for a device's reparent."""
         self.revision += 1
+        if fog:
+            self.fog_revision += 1
+            self.route_cache.clear()
+            self._device_routes.clear()
+            self.rank_cache.clear()
+
+    def cache_route(self, src: ServerId, dest: ServerId, hops: list):
+        """Store a route, indexed under each device endpoint for `set_parent`."""
+        key = (src, dest)
+        self.route_cache[key] = hops
+        for end in key:
+            if end.level == 0:
+                self._device_routes.setdefault(end, set()).add(key)
 
     def add_node(self, node: ServerNode):
         if node.id in self.nodes:
@@ -149,7 +181,12 @@ class Topology:
             if self.nodes[parent].id.level != child.level + 1:
                 raise TopologyError(f"cannot parent {child} under {parent}")
             self.nodes[parent].children.add(child)
-        self.bump()
+        if child.level == 0:
+            for key in self._device_routes.pop(child, ()):
+                self.route_cache.pop(key, None)
+            self.bump(fog=False)
+        else:
+            self.bump()
 
     def link_cluster(self, a: ServerId, b: ServerId):
         if a.level != b.level:

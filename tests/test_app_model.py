@@ -110,3 +110,33 @@ def test_incoming_mi_sums_predecessor_flows():
     assert dag.incoming_mi("sensor") == 0.0
     assert set(dag.unpinned()) == {"filter", "hr_analyzer",
                                    "arrhythmia_detector", "aggregator"}
+
+
+def test_rank_memo_follows_cluster_changes():
+    # The cluster edge (2,2)-(2,1) turns (2,2)'s up-up-down trip to (1,1)
+    # into a lateral hop, so the memoized rank must not survive it.
+    servers = [S(1, 1), S(1, 4), S(2, 2)]
+    weights, profile = CostWeights(), DeviceEnergyProfile()
+    dag = build_app("ECGMH", "ecg:1")
+    topo = make_small_topology()
+    before = compute_rank(dag, servers, weights, topo, profile)
+    topo.link_cluster(S(2, 2), S(2, 1))
+    after = compute_rank(dag, servers, weights, topo, profile)
+    fresh = make_small_topology()
+    fresh.link_cluster(S(2, 2), S(2, 1))
+    assert after == compute_rank(dag, servers, weights, fresh, profile)
+    assert after != before
+
+
+def test_rank_memo_hands_out_copies():
+    topo = make_small_topology()
+    dag = build_app("ECGMH", "ecg:1")
+
+    def rank():
+        return compute_rank(dag, [S(1, 1), S(1, 2)], CostWeights(), topo,
+                            DeviceEnergyProfile())
+
+    computed, memoized = rank(), rank()
+    assert memoized == computed
+    computed["filter"] = memoized["filter"] = -1.0
+    assert rank()["filter"] != -1.0

@@ -1,0 +1,57 @@
+"""Golden byte-identity gate.
+
+Pins the sha256 of `metrics.csv` + `events.log`, written through
+`cli.write_outputs`, for a small cut of the reference matrix and for one
+oracle-study seed. Performance changes must leave these bytes untouched;
+a change that moves them on purpose re-records the hashes and says why.
+"""
+import hashlib
+
+import pytest
+
+from fogsim import cli, experiments, scenario, sim_engine
+
+GOLDEN_SIM = {
+    # (policy, migration_failure_p): sha256 of metrics.csv + events.log
+    ("proposed", 0.0):
+        "03589f8c23428aa51667c2e92ede59027f716c7fc9182e603a880b39f12ea752",
+    ("maas", 0.0):
+        "a8391577d5b3d9f7d902eeb018517c8c2e0a7ad674ec958d13b04cdecb94842b",
+    ("urmila", 0.0):
+        "2372747a6d0cefab78217c9f4f60d46df16844d84e358d307a2a3b85fb24f57c",
+    ("proposed", 0.5):
+        "f294cfb337eae6cca8033bb0cdda56fad1ca8eccc51765672eca76596e6f1704",
+}
+GOLDEN_ORACLE = "cd19f2301ddd2570e3de1b1f49b3704d29e3dbd9b7d063480b48ca69f66e3298"
+ORACLE_SEED = 1
+ORACLE_COLUMNS = ["dapt_cost", "oracle_cost", "oracle_gap", "complete"]
+
+
+def _digest(out_dir) -> str:
+    digest = hashlib.sha256()
+    for name in ("metrics.csv", "events.log"):
+        digest.update((out_dir / name).read_bytes())
+    return digest.hexdigest()
+
+
+@pytest.mark.parametrize("policy,failure_p", sorted(GOLDEN_SIM))
+def test_simulation_output_matches_golden(tmp_path, policy, failure_p):
+    config = scenario.load_scenario(cli.resolve_scenario("urban_80dev"), {
+        "policy": policy, "seed": 3, "horizon_s": 60.0,
+        "devices": {"count": 24},
+        "failure": {"migration_failure_p": failure_p}})
+    result = sim_engine.run_simulation(config, horizons=[30.0, 60.0])
+    cli.write_outputs(result.rows, result.events, str(tmp_path))
+    assert _digest(tmp_path) == GOLDEN_SIM[(policy, failure_p)]
+
+
+def test_oracle_study_output_matches_golden(tmp_path):
+    config = scenario.load_scenario(cli.resolve_scenario("desk_optimality"),
+                                    {"seed": ORACLE_SEED})
+    study = experiments.optimality_study(config, [ORACLE_SEED])
+    rows = [{"technique": "oracle", "app": "all", "horizon_s": 0.0,
+             "seed": r.seed, "dapt_cost": r.dapt_cost,
+             "oracle_cost": r.oracle_cost, "oracle_gap": r.gap,
+             "complete": r.complete} for r in study]
+    cli.write_outputs(rows, [], str(tmp_path), ORACLE_COLUMNS)
+    assert _digest(tmp_path) == GOLDEN_ORACLE

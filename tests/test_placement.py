@@ -184,3 +184,17 @@ def test_constraints_hold_after_full_cascade():
     used = ledger.usage_map()
     for sid, count in used.items():
         assert 0 <= count <= topo.node(sid).container_capacity
+
+
+def test_ledger_release_of_unheld_container_raises():
+    topo = make_small_topology(l1_capacity=2)
+    ledger = CapacityLedger(topo)
+    with pytest.raises(PlacementError):
+        ledger.release(S(1, 1), "ECGMH", "filter")
+    ledger.reserve(S(1, 1), "ECGMH", "filter")
+    with pytest.raises(PlacementError):
+        ledger.release(S(1, 1), "ECGMH", "aggregator")
+    ledger.release(S(1, 1), "ECGMH", "filter")
+    with pytest.raises(PlacementError):
+        ledger.release(S(1, 1), "ECGMH", "filter")
+    assert ledger.free(S(1, 1)) == 2

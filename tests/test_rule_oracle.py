@@ -150,3 +150,38 @@ def test_costs_are_nonnegative_and_asymmetry_is_allowed():
         a, b = rng.choice(servers), rng.choice(servers)
         assert cost_model.internodal_latency(topo, a, b) >= 0.0
         assert cost_model.transmission_time(topo, 1e6, a, b) >= 0.0
+
+
+def test_device_routes_match_interpreter_across_reparenting():
+    # Devices hang under random level-1 servers and hop between them with
+    # set_parent between queries, so a route cached for a device's old
+    # attachment would show up as a mismatch after its next handover.
+    rng = random.Random(20261018)
+    checked = 0
+    for _ in range(300):
+        topo = random_topology(rng)
+        l1 = topo.fog_servers(level=1)
+        devices = [ServerId(0, i) for i in range(1, rng.randint(2, 3) + 1)]
+        for dev in devices:
+            topo.add_node(ServerNode(dev, cpu_mips=500, container_capacity=2,
+                                     parent=rng.choice(l1)))
+        servers = topo.fog_servers()
+        for _ in range(3):
+            for dev in devices:
+                fog = rng.choice(servers)
+                other = rng.choice([d for d in devices if d != dev])
+                for src, dest in ((fog, dev), (dev, fog), (dev, other)):
+                    lat_ref, per_bit_ref, hops = interp_costs(topo, src, dest)
+                    assert cost_model.internodal_latency(topo, src, dest) == lat_ref
+                    got = cost_model.transmission_time(topo, 1e6, src, dest)
+                    assert abs(got - 1e6 * per_bit_ref) <= 1e-9 * max(1.0, got)
+                    assert cost_model._cached_route(topo, src, dest) \
+                        == cost_model.route(topo, src, dest)
+                    assert len(cost_model.route(topo, src, dest)) == hops
+                    checked += 1
+            fog_revision = topo.fog_revision
+            for dev in devices:
+                topo.set_parent(dev, rng.choice(l1))
+            assert topo.fog_revision == fog_revision
+    # 300 topologies x 3 rounds x at least 2 devices x 3 directions.
+    assert checked >= 5400

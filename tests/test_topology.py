@@ -149,3 +149,29 @@ def test_omega_cache_invalidated_on_mutation(topo):
     topo.set_parent(S(1, 3), S(2, 2))
     assert topo.omega(S(2, 2)) == {S(2, 2), S(1, 3)}
     assert S(1, 3) not in topo.omega(S(2, 1))
+
+
+def test_device_reparent_keeps_fog_revision():
+    topo = make_small_topology(with_device=True)
+    revision, fog_revision = topo.revision, topo.fog_revision
+    topo.set_parent(S(0, 5), S(1, 2))
+    assert topo.revision == revision + 1
+    assert topo.fog_revision == fog_revision
+
+
+@pytest.mark.parametrize("mutate", [
+    lambda t: t.link_cluster(S(1, 1), S(1, 2)),
+    lambda t: t.unlink_cluster(S(1, 4), S(1, 5)),
+    lambda t: t.set_parent(S(1, 3), S(2, 2)),
+    lambda t: t.add_node(ServerNode(S(1, 7), 3000, 4, parent=S(2, 2))),
+    lambda t: t.remove_node(S(1, 6)),
+    lambda t: t.bump(),
+], ids=["link_cluster", "unlink_cluster", "fog_set_parent", "add_node",
+        "remove_node", "bump"])
+def test_fog_mutations_advance_fog_revision(mutate):
+    topo = make_small_topology(with_device=True)
+    topo.link_cluster(S(1, 4), S(1, 5))
+    revision, fog_revision = topo.revision, topo.fog_revision
+    mutate(topo)
+    assert topo.revision == revision + 1
+    assert topo.fog_revision == fog_revision + 1
