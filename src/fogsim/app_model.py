@@ -3,7 +3,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Sequence
 
 from .topology import ServerId, Topology
 
@@ -30,7 +30,6 @@ class Module:
     id: str
     pinned_to_device: bool = False
     container_ram_mb: float = 64.0
-    max_tolerable_delay_s: Optional[float] = None
 
 
 @dataclass

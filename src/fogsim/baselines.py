@@ -8,7 +8,7 @@ request.
 """
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
 from .app_model import AppDag, ScheduleSet
 from .cost_model import CostWeights, DeviceEnergyProfile, Placement

@@ -1,8 +1,8 @@
 """Distributed cluster membership protocol for same-level fog servers.
 
-Each fog server keeps its own view of cluster members, candidate parents,
-and neighbour container maps. Handlers are pure bookkeeping: they mutate the
-owner's state (and the shared topology's structural links) and return the
+Each fog server keeps its own candidate parents; cluster membership lives on
+the shared topology's cluster edges. Handlers are pure bookkeeping: they
+mutate the owner's state (and the topology's structural links) and return the
 messages to send next; delivery timing belongs to the simulation kernel.
 """
 from __future__ import annotations
@@ -35,22 +35,10 @@ class ControlMessage:
 
 
 @dataclass
-class MemberInfo:
-    position: Tuple[float, float]
-    coverage_radius: float
-    active_containers: int = 0
-    capacity: int = 0
-
-
-@dataclass
 class ClusterState:
     """Per-node protocol state."""
     owner: ServerId
-    member_info: Dict[ServerId, MemberInfo] = field(default_factory=dict)
     candidate_parents: Dict[ServerId, float] = field(default_factory=dict)
-
-    def members(self) -> List[ServerId]:
-        return sorted(self.member_info)
 
 
 def select_parent(topology: Topology, owner: ServerId,
@@ -94,10 +82,7 @@ def handle_cluster_message(topology: Topology, state: ClusterState,
     if msg.kind is MessageKind.CANDID_PARENT:
         state.candidate_parents[msg.source] = msg.payload["latency_s"]
         select_parent(topology, owner, state.candidate_parents)
-        joining = ControlMessage(MessageKind.FOG_JOINING, owner, {
-            "position": topology.node(owner).position,
-            "coverage_radius": topology.node(owner).coverage_radius,
-        })
+        joining = ControlMessage(MessageKind.FOG_JOINING, owner, {})
         for dest in broadcast_targets(topology, state):
             out.append((dest, joining))
         return out
@@ -108,28 +93,14 @@ def handle_cluster_message(topology: Topology, state: ClusterState,
             return out
         if msg.source.level != owner.level or not topology.in_mutual_range(owner, msg.source):
             return out
-        state.member_info[msg.source] = MemberInfo(
-            position=tuple(msg.payload["position"]),
-            coverage_radius=msg.payload["coverage_radius"])
         topology.link_cluster(owner, msg.source)
-        me = topology.node(owner)
-        out.append((msg.source, ControlMessage(MessageKind.REPLY_NEW_FOG, owner, {
-            "position": me.position,
-            "coverage_radius": me.coverage_radius,
-            "active_containers": me.active_containers,
-            "capacity": me.container_capacity,
-        })))
+        out.append((msg.source, ControlMessage(MessageKind.REPLY_NEW_FOG, owner, {})))
         return out
 
     if msg.kind is MessageKind.REPLY_NEW_FOG:
         if msg.source not in topology.nodes or not topology.nodes[msg.source].alive:
             log.warning("%s dropped ReplyNewFog from unknown/dead %s", owner, msg.source)
             return out
-        state.member_info[msg.source] = MemberInfo(
-            position=tuple(msg.payload["position"]),
-            coverage_radius=msg.payload["coverage_radius"],
-            active_containers=msg.payload.get("active_containers", 0),
-            capacity=msg.payload.get("capacity", 0))
         topology.link_cluster(owner, msg.source)
         return out
 
@@ -166,7 +137,6 @@ def handle_cluster_message(topology: Topology, state: ClusterState,
 
 
 def _purge(topology: Topology, state: ClusterState, gone: ServerId):
-    state.member_info.pop(gone, None)
     state.candidate_parents.pop(gone, None)
     owner_node = topology.node(state.owner)
     if gone in owner_node.cluster_members:

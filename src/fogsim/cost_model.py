@@ -40,7 +40,6 @@ class MigrationParams:
     i_mig_s: float = 0.05
     epsilon_frac: float = 0.05
     dump_fraction: Tuple[float, float] = (0.05, 0.10)
-    notification_timeout_s: float = 1.0
 
 
 @dataclass

@@ -45,7 +45,6 @@ class CapacityLedger:
         self.used[sid] = self.used.get(sid, 0) + 1
         key = (sid, template, module_id)
         self.active_types[key] = self.active_types.get(key, 0) + 1
-        self.topology.node(sid).active_containers = self.used[sid]
         return True
 
     def release(self, sid: ServerId, template: str, module_id: str):
@@ -58,7 +57,6 @@ class CapacityLedger:
         self.active_types[key] -= 1
         if self.active_types[key] <= 0:
             del self.active_types[key]
-        self.topology.node(sid).active_containers = self.used[sid]
 
     def usage_map(self) -> Dict[ServerId, int]:
         return dict(self.used)
@@ -142,24 +140,32 @@ def dapt_place(topology: Topology, ledger: CapacityLedger, controller: ServerId,
                weights: CostWeights, profile: DeviceEnergyProfile) -> PlacementPlan:
     """Place the given modules from this controller; mutates `placement`.
 
+    Modules go in rank order, then any unranked leftovers by name.
+    """
+    todo_set = set(todo)
+    ordered = []
+    for pos in sorted(ranked):
+        ordered.extend(m for m in ranked[pos] if m in todo_set)
+    ordered.extend(sorted(todo_set.difference(ordered)))
+    return _greedy(topology, ledger, controller, ready_servers(topology, controller),
+                   dag, placement, ordered, weights, profile)
+
+
+def _greedy(topology: Topology, ledger: CapacityLedger, controller: ServerId,
+            candidates: Sequence[ServerId], dag: AppDag, placement: Placement,
+            ordered: Sequence[str], weights: CostWeights,
+            profile: DeviceEnergyProfile) -> PlacementPlan:
+    """Put each module, in the given order, on its cheapest candidate.
+
     Local decisions reserve capacity immediately; remote decisions are
     tentative (confirmed by handle_remote_placement). Modules that fit
-    nowhere in the ready-server list are escalated, together with everything
+    nowhere among the candidates are escalated, together with everything
     not yet decided, so the parent sees a consistent prefix.
     """
     plan = PlacementPlan(controller=controller)
     node = topology.node(controller)
     parent = node.parent if node.parent is not None and topology.nodes[node.parent].alive else None
-    candidates = ready_servers(topology, controller)
-    todo_set = set(todo)
     pending: Dict[ServerId, int] = {}
-
-    ordered = []
-    for pos in sorted(ranked):
-        ordered.extend(m for m in ranked[pos] if m in todo_set)
-    leftover = sorted(m for m in todo_set if m not in set(ordered))
-    ordered.extend(leftover)
-
     for idx, module_id in enumerate(ordered):
         choice = find_min_cost(topology, ledger, candidates, dag, placement,
                                module_id, weights, profile, pending, parent)
@@ -173,10 +179,10 @@ def dapt_place(topology: Topology, ledger: CapacityLedger, controller: ServerId,
         warm = ledger.is_warm(choice, dag.template, module_id)
         if choice == controller:
             ledger.reserve(choice, dag.template, module_id)
-            plan.decisions.append(PlacementDecision(module_id, choice, warm, remote=False))
         else:
             pending[choice] = pending.get(choice, 0) + 1
-            plan.decisions.append(PlacementDecision(module_id, choice, warm, remote=True))
+        plan.decisions.append(PlacementDecision(module_id, choice, warm,
+                                                remote=choice != controller))
     return plan
 
 
@@ -205,31 +211,10 @@ def dapt_failure_recovery(topology: Topology, ledger: CapacityLedger,
                           placement: Placement, schedule_set: ScheduleSet,
                           ranked: Dict[int, List[str]], modules: Sequence[str],
                           weights: CostWeights, profile: DeviceEnergyProfile) -> PlacementPlan:
-    """Re-home modules whose target failed, excluding that target.
+    """Re-home modules whose target failed, in the given order, excluding that target.
 
     Falls back to escalation when the surviving ready servers are exhausted.
     """
-    node = topology.node(controller)
-    parent = node.parent if node.parent is not None and topology.nodes[node.parent].alive else None
     candidates = [c for c in ready_servers(topology, controller) if c != failed]
-    plan = PlacementPlan(controller=controller)
-    pending: Dict[ServerId, int] = {}
-    remaining = list(modules)
-    for idx, module_id in enumerate(remaining):
-        choice = find_min_cost(topology, ledger, candidates, dag, placement,
-                               module_id, weights, profile, pending, parent)
-        if choice is None:
-            if parent is None:
-                raise PlacementError(
-                    f"failure recovery exhausted all servers for {module_id}")
-            plan.escalated.extend(remaining[idx:])
-            break
-        placement.assignment[module_id] = choice
-        warm = ledger.is_warm(choice, dag.template, module_id)
-        if choice == controller:
-            ledger.reserve(choice, dag.template, module_id)
-            plan.decisions.append(PlacementDecision(module_id, choice, warm, remote=False))
-        else:
-            pending[choice] = pending.get(choice, 0) + 1
-            plan.decisions.append(PlacementDecision(module_id, choice, warm, remote=True))
-    return plan
+    return _greedy(topology, ledger, controller, candidates, dag, placement,
+                   modules, weights, profile)

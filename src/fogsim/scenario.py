@@ -27,8 +27,7 @@ DEFAULTS: Dict = {
     "area": {"width_m": 2000.0, "height_m": 1000.0},
     "weights": {"w1": 0.5, "w2": 0.5},
     "energy": {"p_cpu_w": 0.9, "p_idle_w": 0.3, "p_tx_w": 1.3},
-    "migration": {"i_mig_s": 0.05, "epsilon_frac": 0.05,
-                  "dump_fraction": [0.05, 0.10], "notification_timeout_s": 1.0},
+    "migration": {"i_mig_s": 0.05, "epsilon_frac": 0.05, "dump_fraction": [0.05, 0.10]},
     "mobility": {"tick_s": 0.1, "speed_min_mps": 0.5, "speed_max_mps": 4.0,
                  "leg_min_m": 100.0, "leg_max_m": 600.0, "departure_margin": 0.05},
     "failure": {"migration_failure_p": 0.0},
@@ -96,7 +95,6 @@ def stream(seed, label: str) -> random.Random:
 @dataclass
 class DeviceSetup:
     sid: ServerId
-    position: Tuple[float, float]
     template: str
     dag: app_model.AppDag
 
@@ -196,8 +194,7 @@ def build_world(config: Dict) -> World:
         nodes.append(ServerNode(id=sid, cpu_mips=500.0,
                                 container_capacity=len(dag.modules),
                                 position=pos, parent=home.id))
-        device_setups.append(DeviceSetup(sid=sid, position=pos,
-                                         template=template, dag=dag))
+        device_setups.append(DeviceSetup(sid=sid, template=template, dag=dag))
 
     topology = Topology(nodes, _link_params(config["links"]), max_level)
     weights = CostWeights(**{k: float(v) for k, v in config["weights"].items()})
@@ -206,7 +203,6 @@ def build_world(config: Dict) -> World:
     migration = MigrationParams(
         i_mig_s=float(mig_cfg["i_mig_s"]),
         epsilon_frac=float(mig_cfg["epsilon_frac"]),
-        dump_fraction=tuple(float(x) for x in mig_cfg["dump_fraction"]),
-        notification_timeout_s=float(mig_cfg["notification_timeout_s"]))
+        dump_fraction=tuple(float(x) for x in mig_cfg["dump_fraction"]))
     return World(config=config, topology=topology, devices=device_setups,
                  weights=weights, profile=profile, migration=migration)

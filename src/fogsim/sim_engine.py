@@ -189,7 +189,6 @@ class SimDevice:
     schedule_set: ScheduleSet
     placement: Placement
     controller: ServerId
-    position: Tuple[float, float]
     acc: TaskAccumulator
     rng_mob: object
     leg: Optional[tuple] = None
@@ -246,9 +245,7 @@ class Simulation:
         self.central = ServerId(int(config["fog_levels"]), 1)
         self.queue = baselines.CentralQueue(float(config["urmila"]["service_time_s"]))
         if self.policy == "proposed":
-            self.cluster_states = bootstrap_clusters(self.topology)
-        else:
-            self.cluster_states = {}
+            bootstrap_clusters(self.topology)
         mob = config["mobility"]
         self.tick_s = float(mob["tick_s"])
         self.speed_range = (float(mob["speed_min_mps"]), float(mob["speed_max_mps"]))
@@ -266,7 +263,6 @@ class Simulation:
             self.devices.append(SimDevice(
                 setup=setup, schedule_set=schedule_set, placement=plc,
                 controller=self.topology.node(setup.sid).parent,
-                position=setup.position,
                 acc=TaskAccumulator(setup.dag.sensor_interval_s, mode),
                 rng_mob=stream(seed, f"mob:{setup.sid.index}")))
 
@@ -409,36 +405,36 @@ class Simulation:
     def _tick(self, event: Event):
         dt = self.tick_s
         for dev in self.devices:
-            dev.position, dev.leg, dev.velocity = random_walk_step(
-                dev.position, dev.leg, self.area, dev.rng_mob, dt,
+            node = self.topology.node(dev.sid)
+            node.position, dev.leg, dev.velocity = random_walk_step(
+                node.position, dev.leg, self.area, dev.rng_mob, dt,
                 self.speed_range, self.leg_range)
-            self.topology.node(dev.sid).position = dev.position
             if dev.service_start is None:
                 continue
             ctrl = self.topology.node(dev.controller)
             if dev.mmt_busy:
                 # Only a confirmed exit latches a follow-up handover; margin
                 # wobble during coordination resolves by itself.
-                if math.hypot(dev.position[0] - ctrl.position[0],
-                              dev.position[1] - ctrl.position[1]) > ctrl.coverage_radius:
+                if ctrl.distance_to(node.position) > ctrl.coverage_radius:
                     dev.pending_departure = True
                 continue
             if migration.departure_imminent(ctrl.position, ctrl.coverage_radius,
-                                            dev.position, dev.velocity, self.margin):
+                                            node.position, dev.velocity, self.margin):
                 self._start_departure(dev)
         self.kernel.schedule(self.kernel.now + dt, "tick", self._tick)
 
     def _start_departure(self, dev: SimDevice):
         now = self.kernel.now
         old = dev.controller
-        sensed = self.topology.sensed_by(dev.position)
+        position = self.topology.node(dev.sid).position
+        sensed = self.topology.sensed_by(position)
         cands = [s for s in sensed if s != old]
         if not cands:
             return
         if self.policy == "proposed":
             required = sum(1 for sid in dev.placement.assignment.values() if sid == old)
             dest = migration.analyze_mobility(
-                self.topology, old, dev.position, dev.velocity, sensed,
+                self.topology, old, position, dev.velocity, sensed,
                 required, self.ledger, self.rng_unreach)
         else:
             dest = baselines.nearest_controller(cands)
@@ -510,73 +506,62 @@ class Simulation:
                            decider: ServerId, modules: List[str],
                            working: Placement, t: float):
         """Returns per-module (notify_time, window_len, energy, moved)."""
-        outs = []
-        if self.policy == "urmila":
-            # Central relocation along the new serving chain. The controller
-            # commits the cheapest candidate outright: the admissibility
-            # handshake is part of the distributed protocol, not the baseline.
-            t_dec = self.queue.admit(t + self.lat(new_ctrl, decider))
-            for module_id in modules:
-                prev = working.assignment[module_id]
-                anchor = self.topology.ancestor_at_level(new_ctrl, max(prev.level, 1) + 1) \
-                    or self.topology.cloud_id
-                outs.append(self._decide_one(dev, new_ctrl, decider, anchor, module_id,
-                                             working, t_dec, exclude=[prev]))
-            return outs
-        # Distributed deciders escalate whole subsets up the chain.
         t_dec = t + self.lat(new_ctrl, decider)
-        use_cluster = self.policy == "proposed"
+        if self.policy != "urmila":
+            # Distributed deciders escalate whole subsets up the chain.
+            return self._escalate(dev, new_ctrl, decider, modules, working, t_dec)
+        # Central relocation along the new serving chain, one module at a time.
+        t_dec = self.queue.admit(t_dec)
+        outs = []
+        for module_id in modules:
+            prev = working.assignment[module_id]
+            anchor = self.topology.ancestor_at_level(new_ctrl, max(prev.level, 1) + 1) \
+                or self.topology.cloud_id
+            outs.extend(self._escalate(dev, new_ctrl, anchor, [module_id], working,
+                                       t_dec, exclude=[prev]))
+        return outs
+
+    def _escalate(self, dev: SimDevice, new_ctrl: ServerId, cur: ServerId,
+                  modules: List[str], working: Placement, t_dec: float, exclude=()):
+        """Decide the modules among `cur`'s ready servers, escalating misses upward.
+
+        Distributed deciders are the level's server itself, and each step up
+        costs the hop latency. Under urmila the central server decides every
+        level and commits the cheapest candidate outright: the admissibility
+        handshake is part of the distributed protocol, not the baseline.
+        """
+        central = self.policy == "urmila"
+        outs = []
         pending = list(modules)
-        cur = decider
-        while pending:
+        while True:
+            decider = self.central if central else cur
+            cands = migration.migration_candidates(self.topology, cur,
+                                                   use_cluster=self.policy == "proposed")
             decisions = migration.handle_migration_req(
-                self.topology, self.ledger, cur, dev.dag, working,
+                self.topology, self.ledger, decider, dev.dag, working,
                 dev.schedule_set, pending, self.weights, self.profile,
                 self.mig_params,
                 lambda m: self._dump_bits(dev, m),
                 lambda m: self._remaining_mi(dev, m, t_dec),
-                use_cluster=use_cluster)
-            nxt = []
+                candidates=cands, exclude=exclude, check_admissibility=not central)
+            pending = []
             for dec in decisions:
                 if dec.escalate:
-                    nxt.append(dec.module)
-                    continue
-                outs.append(self._commit_migration(dev, new_ctrl, cur, dec, working, t_dec))
-            pending = nxt
-            if pending:
-                parent = self.topology.node(cur).parent
-                if parent is None:
-                    for module_id in pending:
-                        # Nothing above the cloud: the module stays in place.
-                        self.log("migration_stay", device=dev.sid.index, module=module_id)
-                        outs.append((t_dec + self.lat(cur, new_ctrl), 0.0, 0.0, False))
-                    break
-                t_dec = t_dec + self.lat(cur, parent)
-                cur = parent
-        return outs
-
-    def _decide_one(self, dev: SimDevice, new_ctrl: ServerId, decider: ServerId,
-                    anchor: ServerId, module_id: str, working: Placement,
-                    t_dec: float, exclude=()):
-        """Central single-module decision anchored on the serving chain."""
-        cur = anchor
-        while True:
-            cands = migration.migration_candidates(self.topology, cur, use_cluster=False)
-            decisions = migration.handle_migration_req(
-                self.topology, self.ledger, decider, dev.dag, working,
-                dev.schedule_set, [module_id], self.weights, self.profile,
-                self.mig_params,
-                lambda m: self._dump_bits(dev, m),
-                lambda m: self._remaining_mi(dev, m, t_dec),
-                use_cluster=False, candidates=cands, exclude=exclude,
-                check_admissibility=False)
-            dec = decisions[0]
-            if not dec.escalate:
-                return self._commit_migration(dev, new_ctrl, decider, dec, working, t_dec)
+                    pending.append(dec.module)
+                else:
+                    outs.append(self._commit_migration(dev, new_ctrl, decider, dec,
+                                                       working, t_dec))
+            if not pending:
+                return outs
             parent = self.topology.node(cur).parent
             if parent is None:
-                self.log("migration_stay", device=dev.sid.index, module=module_id)
-                return (t_dec + self.lat(decider, new_ctrl), 0.0, 0.0, False)
+                for module_id in pending:
+                    # Nothing above the cloud: the module stays in place.
+                    self.log("migration_stay", device=dev.sid.index, module=module_id)
+                    outs.append((t_dec + self.lat(decider, new_ctrl), 0.0, 0.0, False))
+                return outs
+            if not central:
+                t_dec = t_dec + self.lat(cur, parent)
             cur = parent
 
     def _commit_migration(self, dev: SimDevice, new_ctrl: ServerId,

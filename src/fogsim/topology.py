@@ -59,7 +59,6 @@ class ServerNode:
     parent: Optional[ServerId] = None
     children: Set[ServerId] = field(default_factory=set)
     cluster_members: Set[ServerId] = field(default_factory=set)
-    active_containers: int = 0
     alive: bool = True
 
     def distance_to(self, point: Tuple[float, float]) -> float:

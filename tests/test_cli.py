@@ -1,6 +1,7 @@
 """Scenario loading, CLI entry points, CSV output and reproducibility."""
 import csv
 import os
+from importlib import resources
 
 import pytest
 import yaml
@@ -49,6 +50,30 @@ def test_bundled_desk_scenario_has_small_oracle_footprint():
     servers = world.topology.fog_servers()
     assert len(servers) == 15  # 10 + 3 + 1 + cloud
     assert len(world.devices) == 20
+
+
+def _stale_keys(mapping, defaults, path=()):
+    """Keys of `mapping`, at any depth of nested mappings, missing from `defaults`."""
+    out = []
+    for key, val in mapping.items():
+        if key not in defaults:
+            out.append(path + (key,))
+        elif isinstance(val, dict) and isinstance(defaults[key], dict):
+            out.extend(_stale_keys(val, defaults[key], path + (key,)))
+    return out
+
+
+def test_bundled_scenarios_hold_only_known_keys():
+    files = sorted(f for f in resources.files("fogsim").joinpath("scenarios").iterdir()
+                   if f.name.endswith(".yaml"))
+    assert len(files) >= 2
+    for f in files:
+        assert _stale_keys(yaml.safe_load(f.read_text()), scenario.DEFAULTS) == [], f.name
+
+
+def test_stale_key_check_reports_nested_keys():
+    stale = {"seed": 2, "migration": {"i_mig_s": 0.1, "gone_s": 1.0}, "bogus": [1]}
+    assert _stale_keys(stale, scenario.DEFAULTS) == [("migration", "gone_s"), ("bogus",)]
 
 
 def test_unknown_scenario_exits(tmp_path):

@@ -30,12 +30,11 @@ def test_join_builds_symmetric_views():
     states = fresh_states(topo)
     for idx in (1, 2, 3):
         join(topo, states, S(1, idx))
-    assert S(1, 2) in states[S(1, 1)].member_info
-    assert S(1, 1) in states[S(1, 2)].member_info
+    assert S(1, 2) in topo.node(S(1, 1)).cluster_members
+    assert S(1, 1) in topo.node(S(1, 2)).cluster_members
     for a in topo.fog_servers(1):
         for b in topo.node(a).cluster_members:
             assert a in topo.node(b).cluster_members
-            assert b in states[a].member_info
 
 
 def test_out_of_range_peers_never_cluster():
@@ -45,7 +44,6 @@ def test_out_of_range_peers_never_cluster():
         join(topo, states, S(1, idx))
     # The two groups of three sit ~700 m apart.
     assert S(1, 4) not in topo.node(S(1, 3)).cluster_members
-    assert S(1, 4) not in states[S(1, 3)].member_info
 
 
 def test_empty_neighborhood_still_selects_parent():
@@ -53,7 +51,7 @@ def test_empty_neighborhood_still_selects_parent():
     # (2,2) is 500 m from both L2 neighbours with 400 m coverage: no peers.
     states = fresh_states(topo)
     join(topo, states, S(2, 2))
-    assert states[S(2, 2)].member_info == {}
+    assert topo.node(S(2, 2)).cluster_members == set()
     assert topo.node(S(2, 2)).parent == S(3, 1)
 
 
@@ -65,8 +63,7 @@ def test_leave_purges_member_everywhere():
     start = ControlMessage(MessageKind.START_FOG_LEAVING, S(1, 2), {})
     deliver_all(topo, states, [(S(1, 2), start)])
     assert S(1, 2) not in topo.node(S(1, 1)).cluster_members
-    assert S(1, 2) not in states[S(1, 1)].member_info
-    assert S(1, 2) not in states[S(1, 3)].member_info
+    assert S(1, 2) not in topo.node(S(1, 3)).cluster_members
 
 
 def test_failure_recovery_fans_out_from_parent():
@@ -79,8 +76,7 @@ def test_failure_recovery_fans_out_from_parent():
                            {"failed": (1, 2)})
     deliver_all(topo, states, [(S(2, 1), start)])
     assert S(1, 2) not in topo.node(S(1, 1)).cluster_members
-    assert S(1, 2) not in states[S(1, 1)].member_info
-    assert S(1, 2) not in states[S(1, 3)].member_info
+    assert S(1, 2) not in topo.node(S(1, 3)).cluster_members
 
 
 def test_parent_crash_triggers_reselection():
@@ -124,11 +120,10 @@ def test_join_from_dead_node_is_dropped():
     topo = make_small_topology()
     states = fresh_states(topo)
     topo.nodes[S(1, 2)].alive = False
-    msg = ControlMessage(MessageKind.FOG_JOINING, S(1, 2),
-                         {"position": (150.0, 0.0), "coverage_radius": 200.0})
+    msg = ControlMessage(MessageKind.FOG_JOINING, S(1, 2), {})
     out = handle_cluster_message(topo, states[S(1, 1)], msg)
     assert out == []
-    assert S(1, 2) not in states[S(1, 1)].member_info
+    assert S(1, 2) not in topo.node(S(1, 1)).cluster_members
 
 
 def test_bootstrap_clusters_symmetric_in_range_groups():

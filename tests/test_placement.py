@@ -165,6 +165,25 @@ def test_failure_recovery_escalates_when_survivors_full():
     assert plan.escalated == ["filter"]
 
 
+def test_failure_recovery_keeps_caller_order_and_skips_failed_server():
+    topo, dag, plc, ledger, sched, ranked = make_world()
+    plc.assignment["filter"] = S(1, 1)
+    while ledger.free(S(1, 1)) > 0:
+        ledger.reserve(S(1, 1), "other", "pad")
+    rank_order = [m for pos in sorted(ranked) for m in ranked[pos]]
+    modules = ["hr_analyzer", "arrhythmia_detector"]
+    assert rank_order.index(modules[0]) > rank_order.index(modules[1])
+    # With the controller full, the failed peer (1,2) is the cheapest server.
+    first = dapt_place(topo, ledger, S(1, 1), dag, plc.copy(), sched, ranked,
+                       modules, WEIGHTS, PROFILE)
+    assert [d.server for d in first.decisions] == [S(1, 2), S(1, 2)]
+    plan = dapt_failure_recovery(topo, ledger, S(1, 1), S(1, 2), dag, plc,
+                                 sched, ranked, modules, WEIGHTS, PROFILE)
+    assert [d.module for d in plan.decisions] == modules
+    assert all(d.server != S(1, 2) for d in plan.decisions)
+    assert plan.escalated == []
+
+
 def test_constraints_hold_after_full_cascade():
     topo, dag, plc, ledger, sched, ranked = make_world(l1_capacity=2)
     controller = S(1, 1)
