@@ -71,9 +71,9 @@ def urmila_place(topology: Topology, ledger: CapacityLedger, central: ServerId,
                 best = cand
         if best is None:
             raise PlacementError(f"no capacity anywhere for {module_id} (central)")
+        warm = ledger.is_warm(best, dag.template, module_id)
         ledger.reserve(best, dag.template, module_id)
         placement.assignment[module_id] = best
-        warm = ledger.is_warm(best, dag.template, module_id)
         plan.decisions.append(PlacementDecision(module_id, best, warm, remote=(best != central)))
     return plan
 

@@ -68,6 +68,20 @@ def test_urmila_central_greedy_places_globally_cheapest():
     assert all(d.remote for d in plan.decisions)
 
 
+def test_urmila_first_placement_is_cold_and_repeat_is_warm():
+    topo = make_small_topology(with_device=True)
+    dag, plc, sched = ecg_setup(topo)
+    ledger = CapacityLedger(topo)
+    ranked = rank_modules(dag, topo.fog_servers(), WEIGHTS, topo, PROFILE)
+    first = urmila_place(topo, ledger, S(3, 1), dag, plc, sched, ranked,
+                         dag.unpinned(), WEIGHTS, PROFILE)
+    assert first.decisions and not any(d.warm for d in first.decisions)
+    again = urmila_place(topo, ledger, S(3, 1), dag, plc.copy(), sched, ranked,
+                         dag.unpinned(), WEIGHTS, PROFILE)
+    assert [d.server for d in again.decisions] == [d.server for d in first.decisions]
+    assert all(d.warm for d in again.decisions)
+
+
 def test_urmila_raises_when_every_server_is_full():
     topo = make_small_topology(with_device=True, l1_capacity=0)
     for sid in topo.fog_servers():

@@ -18,15 +18,15 @@ GOLDEN_SIM = {
     ("maas", 0.0):
         "a8391577d5b3d9f7d902eeb018517c8c2e0a7ad674ec958d13b04cdecb94842b",
     ("urmila", 0.0):
-        "2372747a6d0cefab78217c9f4f60d46df16844d84e358d307a2a3b85fb24f57c",
+        "98b278c62bc3dbbd432f95ad9bc01d6f3d074937f1615b9190b801e68548216f",
     ("proposed", 0.5):
         "f294cfb337eae6cca8033bb0cdda56fad1ca8eccc51765672eca76596e6f1704",
     ("maas", 0.5):
         "50b7701c6b1c7e7ad4676fe181b750ae8367db5c03db8d9d75efd79058eb2859",
     ("urmila", 0.5):
-        "3d64782f183547489d4e05f7c30981b02e55fdc3c8fa18f77eec23e825bb2dc6",
+        "4809d2c4fd60c7ac18194643350f1a03b0b9001316292bf70b8f2da0b000c9ff",
     ("urmila", 1.0):
-        "4c96722f45f1af86cf9c8ddd218a7e5fecce1e47f13ceea709fb7faed4b70a9d",
+        "eb76529f2c7811ab6ae9af0bb1ac958f107ccd8bc6c015c1e1815e6b20b6918b",
 }
 GOLDEN_ORACLE = "cd19f2301ddd2570e3de1b1f49b3704d29e3dbd9b7d063480b48ca69f66e3298"
 ORACLE_SEED = 1
