@@ -164,6 +164,14 @@ def rank_modules(dag: AppDag, ready_servers: Sequence[ServerId], weights,
     return out
 
 
+def rank_order(ranked: Dict[int, List[str]], todo: Sequence[str]) -> List[str]:
+    """The `todo` modules position by position in `ranked` order, then unranked ones by id."""
+    todo_set = set(todo)
+    ordered = [m for pos in sorted(ranked) for m in ranked[pos] if m in todo_set]
+    ordered.extend(sorted(todo_set.difference(ordered)))
+    return ordered
+
+
 # -- bundled application templates ---------------------------------------
 
 def _ecg_modules(ram):

@@ -10,10 +10,9 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence
 
-from .app_model import AppDag, ScheduleSet
+from .app_model import AppDag, ScheduleSet, rank_order
 from .cost_model import CostWeights, DeviceEnergyProfile, Placement
-from .placement import (CapacityLedger, PlacementDecision, PlacementError,
-                        PlacementPlan, marginal_cost)
+from .placement import CapacityLedger, PlacementError, PlacementPlan, _greedy
 from .topology import ServerId, Topology
 
 
@@ -24,57 +23,27 @@ def nearest_controller(sensed: Sequence[ServerId]) -> Optional[ServerId]:
 
 def maas_place(topology: Topology, ledger: CapacityLedger, controller: ServerId,
                dag: AppDag, placement: Placement, schedule_set: ScheduleSet,
-               todo: Sequence[str]) -> PlacementPlan:
-    """Edgeward placement: fill this server, escalate the rest to the parent."""
-    plan = PlacementPlan(controller=controller)
-    todo_set = set(todo)
-    ordered = []
-    for group in schedule_set.schedules:
-        ordered.extend(m for m in group if m in todo_set)
-    node = topology.node(controller)
-    for idx, module_id in enumerate(ordered):
-        if ledger.free(controller) > 0:
-            warm = ledger.is_warm(controller, dag.template, module_id)
-            ledger.reserve(controller, dag.template, module_id)
-            placement.assignment[module_id] = controller
-            plan.decisions.append(PlacementDecision(module_id, controller, warm, remote=False))
-        else:
-            if node.parent is None:
-                raise PlacementError(f"no capacity anywhere for {module_id} at {controller}")
-            plan.escalated.extend(ordered[idx:])
-            break
-    return plan
+               todo: Sequence[str], weights: CostWeights,
+               profile: DeviceEnergyProfile) -> PlacementPlan:
+    """Edgeward placement: fill this server in schedule order, escalate the rest upward."""
+    ordered = rank_order(dict(enumerate(schedule_set.schedules)), todo)
+    return _greedy(topology, ledger, controller, [controller], dag, placement,
+                   ordered, weights, profile)
 
 
 def urmila_place(topology: Topology, ledger: CapacityLedger, central: ServerId,
-                 dag: AppDag, placement: Placement, schedule_set: ScheduleSet,
-                 ranked: Dict[int, List[str]], todo: Sequence[str],
-                 weights: CostWeights, profile: DeviceEnergyProfile) -> PlacementPlan:
-    """Central greedy: cheapest capacity-holding server anywhere, per module."""
-    plan = PlacementPlan(controller=central)
-    todo_set = set(todo)
-    ordered = []
-    for pos in sorted(ranked):
-        ordered.extend(m for m in ranked[pos] if m in todo_set)
-    servers = topology.fog_servers()
-    for module_id in ordered:
-        best = None
-        best_key = None
-        for cand in servers:
-            if ledger.free(cand) <= 0:
-                continue
-            cost = marginal_cost(topology, dag, placement, module_id, cand,
-                                 weights, profile)
-            key = (cost, cand.level, cand.index)
-            if best_key is None or key < best_key:
-                best_key = key
-                best = cand
-        if best is None:
-            raise PlacementError(f"no capacity anywhere for {module_id} (central)")
-        warm = ledger.is_warm(best, dag.template, module_id)
-        ledger.reserve(best, dag.template, module_id)
-        placement.assignment[module_id] = best
-        plan.decisions.append(PlacementDecision(module_id, best, warm, remote=(best != central)))
+                 dag: AppDag, placement: Placement, ranked: Dict[int, List[str]],
+                 todo: Sequence[str], weights: CostWeights,
+                 profile: DeviceEnergyProfile) -> PlacementPlan:
+    """Central greedy: cheapest capacity-holding server anywhere, per module in rank order.
+
+    Decisions off the central server are tentative until the target confirms
+    them, as in the distributed placement.
+    """
+    plan = _greedy(topology, ledger, central, topology.fog_servers(), dag, placement,
+                   rank_order(ranked, todo), weights, profile)
+    if plan.escalated:
+        raise PlacementError(f"no capacity anywhere for {plan.escalated[0]} (central)")
     return plan
 
 

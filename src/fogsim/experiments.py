@@ -52,20 +52,19 @@ class OptimalityResult:
         return (self.dapt_cost - self.oracle_cost) / self.oracle_cost
 
 
-def _place_device_dapt(world, topology, ledger, setup, weights, profile) -> Placement:
+def _place_device_dapt(topology, ledger, setup, weights, profile) -> Placement:
     """Full DAPT cascade for one device without the event kernel."""
     plc = Placement(setup.dag.app_id)
     for m in setup.dag.modules:
         if m.pinned_to_device:
             plc.assignment[m.id] = setup.sid
-    schedule_set = build_schedules(setup.dag)
     controller = topology.node(setup.sid).parent
     ranked = rank_modules(setup.dag, placement.ready_servers(topology, controller),
                           weights, topology, profile)
     todo = setup.dag.unpinned()
     while todo:
         plan = placement.dapt_place(topology, ledger, controller, setup.dag, plc,
-                                    schedule_set, ranked, todo, weights, profile)
+                                    ranked, todo, weights, profile)
         for server, decs in plan.by_server().items():
             if server != controller:
                 placement.handle_remote_placement(topology, ledger, server,
@@ -95,8 +94,8 @@ def optimality_study(config: dict, seeds: Sequence[int],
         ledger = CapacityLedger(topology)
         dapt_placements = []
         for setup in world.devices:
-            plc = _place_device_dapt(world, topology, ledger, setup,
-                                     world.weights, world.profile)
+            plc = _place_device_dapt(topology, ledger, setup, world.weights,
+                                     world.profile)
             dapt_placements.append((setup, plc))
         dapt_cost = 0.0
         for setup, plc in dapt_placements:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import cost_model
-from .app_model import AppDag, ScheduleSet, build_schedules, rank_modules
+from .app_model import AppDag, ScheduleSet, build_schedules, rank_modules, rank_order
 from .cost_model import CostWeights, DeviceEnergyProfile, Placement
 from .topology import ServerId, Topology
 
@@ -41,14 +41,6 @@ def _exec_only(topology, dag, profile, weights, module_id, sid) -> float:
     return weights.w1 * t + weights.w2 * t * p
 
 
-def _expansion_order(topology, dag, schedule_set, candidates, weights, profile):
-    ranked = rank_modules(dag, candidates, weights, topology, profile)
-    order = []
-    for pos in sorted(ranked):
-        order.extend(m for m in ranked[pos] if not dag.module_map[m].pinned_to_device)
-    return order
-
-
 def optimal_placement(topology: Topology, dag: AppDag, weights: CostWeights,
                       profile: DeviceEnergyProfile,
                       candidates: Sequence[ServerId],
@@ -65,7 +57,8 @@ def optimal_placement(topology: Topology, dag: AppDag, weights: CostWeights,
     if schedule_set is None:
         schedule_set = build_schedules(dag)
     candidates = sorted(set(candidates))
-    order = _expansion_order(topology, dag, schedule_set, candidates, weights, profile)
+    order = rank_order(rank_modules(dag, candidates, weights, topology, profile),
+                       dag.unpinned())
     free = dict(capacity_free) if capacity_free is not None else None
 
     placement = base_placement.copy() if base_placement else Placement(dag.app_id)
@@ -163,7 +156,8 @@ def exhaustive_optimal(topology: Topology, dag: AppDag, weights: CostWeights,
     if schedule_set is None:
         schedule_set = build_schedules(dag)
     candidates = sorted(set(candidates))
-    order = _expansion_order(topology, dag, schedule_set, candidates, weights, profile)
+    order = rank_order(rank_modules(dag, candidates, weights, topology, profile),
+                       dag.unpinned())
     placement = base_placement.copy() if base_placement else Placement(dag.app_id)
     best_cost = float("inf")
     best_assign = None

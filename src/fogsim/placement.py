@@ -4,6 +4,9 @@ A controller places each unpinned module, schedule by schedule in rank order,
 on the cheapest capacity-holding member of its ready-server list (itself, its
 cluster members, its parent). Modules that fit nowhere escalate to the parent,
 which repeats the same procedure one level up.
+
+The baselines run the same greedy loop, `_greedy`, with another decider,
+candidate list and module order (see `baselines`).
 """
 from __future__ import annotations
 
@@ -11,7 +14,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import cost_model
-from .app_model import AppDag, ScheduleSet
+from .app_model import AppDag, rank_order
 from .cost_model import CostWeights, DeviceEnergyProfile, Placement
 from .topology import ServerId, Topology
 
@@ -67,7 +70,6 @@ class PlacementDecision:
     module: str
     server: ServerId
     warm: bool
-    remote: bool
 
 
 @dataclass
@@ -119,36 +121,24 @@ def find_min_cost(topology: Topology, ledger: CapacityLedger,
     """Cheapest capacity-holding candidate for the module, or None.
 
     Ties go to non-parent candidates first, then lower level, then lower index.
+    A lone candidate with room is taken without scoring.
     """
     pending = pending or {}
-    best = None
-    best_key = None
-    for cand in candidates:
-        if ledger.free(cand) - pending.get(cand, 0) <= 0:
-            continue
-        cost = marginal_cost(topology, dag, placement, module_id, cand, weights, profile)
-        key = (cost, cand == parent, cand.level, cand.index)
-        if best_key is None or key < best_key:
-            best_key = key
-            best = cand
-    return best
+    fits = [c for c in candidates if ledger.free(c) - pending.get(c, 0) > 0]
+    if len(fits) < 2:
+        return fits[0] if fits else None
+    return min(fits, key=lambda c: (
+        marginal_cost(topology, dag, placement, module_id, c, weights, profile),
+        c == parent, c.level, c.index))
 
 
 def dapt_place(topology: Topology, ledger: CapacityLedger, controller: ServerId,
-               dag: AppDag, placement: Placement, schedule_set: ScheduleSet,
-               ranked: Dict[int, List[str]], todo: Sequence[str],
-               weights: CostWeights, profile: DeviceEnergyProfile) -> PlacementPlan:
-    """Place the given modules from this controller; mutates `placement`.
-
-    Modules go in rank order, then any unranked leftovers by name.
-    """
-    todo_set = set(todo)
-    ordered = []
-    for pos in sorted(ranked):
-        ordered.extend(m for m in ranked[pos] if m in todo_set)
-    ordered.extend(sorted(todo_set.difference(ordered)))
+               dag: AppDag, placement: Placement, ranked: Dict[int, List[str]],
+               todo: Sequence[str], weights: CostWeights,
+               profile: DeviceEnergyProfile) -> PlacementPlan:
+    """Place the given modules, in rank order, from this controller; mutates `placement`."""
     return _greedy(topology, ledger, controller, ready_servers(topology, controller),
-                   dag, placement, ordered, weights, profile)
+                   dag, placement, rank_order(ranked, todo), weights, profile)
 
 
 def _greedy(topology: Topology, ledger: CapacityLedger, controller: ServerId,
@@ -181,15 +171,13 @@ def _greedy(topology: Topology, ledger: CapacityLedger, controller: ServerId,
             ledger.reserve(choice, dag.template, module_id)
         else:
             pending[choice] = pending.get(choice, 0) + 1
-        plan.decisions.append(PlacementDecision(module_id, choice, warm,
-                                                remote=choice != controller))
+        plan.decisions.append(PlacementDecision(module_id, choice, warm))
     return plan
 
 
 def handle_remote_placement(topology: Topology, ledger: CapacityLedger,
                             server: ServerId, dag: AppDag,
-                            modules: Sequence[str],
-                            force_fail: bool = False) -> List[Tuple[str, bool, bool]]:
+                            modules: Sequence[str]) -> List[Tuple[str, bool, bool]]:
     """Confirm forwarded modules at the target server.
 
     Returns (module, accepted, warm) per module. A rejected module keeps no
@@ -197,7 +185,7 @@ def handle_remote_placement(topology: Topology, ledger: CapacityLedger,
     """
     results = []
     for module_id in modules:
-        if force_fail or not topology.node(server).alive:
+        if not topology.node(server).alive:
             results.append((module_id, False, False))
             continue
         warm = ledger.is_warm(server, dag.template, module_id)
@@ -208,8 +196,7 @@ def handle_remote_placement(topology: Topology, ledger: CapacityLedger,
 
 def dapt_failure_recovery(topology: Topology, ledger: CapacityLedger,
                           controller: ServerId, failed: ServerId, dag: AppDag,
-                          placement: Placement, schedule_set: ScheduleSet,
-                          ranked: Dict[int, List[str]], modules: Sequence[str],
+                          placement: Placement, modules: Sequence[str],
                           weights: CostWeights, profile: DeviceEnergyProfile) -> PlacementPlan:
     """Re-home modules whose target failed, in the given order, excluding that target.
 

@@ -302,31 +302,43 @@ class Simulation:
     # -- placement ---------------------------------------------------------
 
     def _request_placement(self, event: Event):
+        """One request path for every policy: only the decider and its candidates differ.
+
+        Urmila's central server decides over all fog servers behind its FIFO
+        queue; the other policies decide at the device's controller.
+        """
         dev = self.devices[event.payload["device"] - 1]
         t0 = self.kernel.now
-        todo = dev.dag.unpinned()
-        if self.policy == "urmila":
-            self._place_urmila(dev, t0, todo)
-            return
         controller = dev.controller
-        arrival = t0 + self.topology.links.lat_up[0]
-        if self.policy == "proposed":
-            dev.ranked = rank_modules(dev.dag, placement.ready_servers(self.topology, controller),
-                                      self.weights, self.topology, self.profile)
-        last_ack = self._place_cascade(dev, controller, todo, arrival)
-        dev.pdt_s = last_ack - t0
-        service_start = last_ack + self.topology.links.lat_up[0]
-        self._start_service(dev, service_start)
+        urmila = self.policy == "urmila"
+        decider = self.central if urmila else controller
+        arrival = t0 + self.topology.links.lat_up[0] + self.lat(controller, decider)
+        if urmila:
+            arrival = self.queue.admit(arrival)
+        if self.policy != "maas":
+            servers = (self.topology.fog_servers() if urmila
+                       else placement.ready_servers(self.topology, controller))
+            dev.ranked = rank_modules(dev.dag, servers, self.weights, self.topology,
+                                      self.profile)
+        last = self._place_cascade(dev, decider, dev.dag.unpinned(), arrival) \
+            + self.lat(decider, controller)
+        dev.pdt_s = last - t0
+        self._start_service(dev, last + self.topology.links.lat_up[0])
 
     def _place_cascade(self, dev: SimDevice, controller: ServerId,
                        todo: List[str], t: float) -> float:
         if self.policy == "maas":
-            plan = baselines.maas_place(self.topology, self.ledger, controller,
-                                        dev.dag, dev.placement, dev.schedule_set, todo)
+            plan = baselines.maas_place(self.topology, self.ledger, controller, dev.dag,
+                                        dev.placement, dev.schedule_set, todo,
+                                        self.weights, self.profile)
+        elif self.policy == "urmila":
+            plan = baselines.urmila_place(self.topology, self.ledger, controller, dev.dag,
+                                          dev.placement, dev.ranked, todo,
+                                          self.weights, self.profile)
         else:
-            plan = placement.dapt_place(
-                self.topology, self.ledger, controller, dev.dag, dev.placement,
-                dev.schedule_set, dev.ranked or {}, todo, self.weights, self.profile)
+            plan = placement.dapt_place(self.topology, self.ledger, controller, dev.dag,
+                                        dev.placement, dev.ranked, todo,
+                                        self.weights, self.profile)
         acks = [t]
         remote = plan.by_server()
         for server in sorted(remote):
@@ -345,8 +357,7 @@ class Simulation:
                 if not ok:
                     rec = placement.dapt_failure_recovery(
                         self.topology, self.ledger, controller, server, dev.dag,
-                        dev.placement, dev.schedule_set, dev.ranked or {},
-                        [module_id], self.weights, self.profile)
+                        dev.placement, [module_id], self.weights, self.profile)
                     self.log("placement_recovery", device=dev.sid.index,
                              module=module_id, failed=str(server))
                     for rdec in rec.decisions:
@@ -370,26 +381,6 @@ class Simulation:
                                       t + self.lat(controller, parent))
             acks.append(sub + self.lat(parent, controller))
         return max(acks)
-
-    def _place_urmila(self, dev: SimDevice, t0: float, todo: List[str]):
-        controller = dev.controller
-        arrival = t0 + self.topology.links.lat_up[0] + self.lat(controller, self.central)
-        t_dec = self.queue.admit(arrival)
-        dev.ranked = rank_modules(dev.dag, self.topology.fog_servers(),
-                                  self.weights, self.topology, self.profile)
-        plan = baselines.urmila_place(
-            self.topology, self.ledger, self.central, dev.dag, dev.placement,
-            dev.schedule_set, dev.ranked, todo, self.weights, self.profile)
-        acks = [t_dec]
-        for dec in plan.decisions:
-            t_arr = t_dec + self.lat(self.central, dec.server)
-            start = t_arr + (0.0 if dec.warm else self.startup_s)
-            acks.append(start + self.lat(dec.server, self.central))
-            self.log("container_start", device=dev.sid.index, module=dec.module,
-                     server=str(dec.server), warm=dec.warm)
-        last = max(acks) + self.lat(self.central, controller)
-        dev.pdt_s = last - t0
-        self._start_service(dev, last + self.topology.links.lat_up[0])
 
     def _start_service(self, dev: SimDevice, at: float):
         def handler(event: Event):

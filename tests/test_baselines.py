@@ -5,7 +5,8 @@ from fogsim import baselines, scenario
 from fogsim.app_model import build_app, build_schedules, rank_modules
 from fogsim.baselines import CentralQueue, maas_place, nearest_controller, urmila_place
 from fogsim.cost_model import CostWeights, DeviceEnergyProfile, Placement
-from fogsim.placement import CapacityLedger, PlacementError, dapt_place, ready_servers
+from fogsim.placement import (CapacityLedger, PlacementError, dapt_place,
+                              handle_remote_placement, ready_servers)
 from fogsim.sim_engine import run_simulation
 
 from conftest import S, make_small_topology
@@ -32,7 +33,8 @@ def test_maas_fills_controller_then_escalates_past_free_sibling():
     topo = make_small_topology(with_device=True, l1_capacity=1)
     dag, plc, sched = ecg_setup(topo)
     ledger = CapacityLedger(topo)
-    plan = maas_place(topo, ledger, S(1, 1), dag, plc, sched, dag.unpinned())
+    plan = maas_place(topo, ledger, S(1, 1), dag, plc, sched, dag.unpinned(),
+                      WEIGHTS, PROFILE)
     assert [d.server for d in plan.decisions] == [S(1, 1)]
     # (1,2) has free slots but the edgeward rule never looks sideways.
     assert len(plan.escalated) == 3
@@ -47,11 +49,11 @@ def test_maas_identical_to_distributed_greedy_with_infinite_capacity():
     dag_a, plc_a, sched_a = ecg_setup(topo_a)
     dag_b, plc_b, sched_b = ecg_setup(topo_b)
     maas_place(topo_a, CapacityLedger(topo_a), S(1, 1), dag_a, plc_a, sched_a,
-               dag_a.unpinned())
+               dag_a.unpinned(), WEIGHTS, PROFILE)
     ranked = rank_modules(dag_b, ready_servers(topo_b, S(1, 1)), WEIGHTS,
                           topo_b, PROFILE)
-    dapt_place(topo_b, CapacityLedger(topo_b), S(1, 1), dag_b, plc_b, sched_b,
-               ranked, dag_b.unpinned(), WEIGHTS, PROFILE)
+    dapt_place(topo_b, CapacityLedger(topo_b), S(1, 1), dag_b, plc_b, ranked,
+               dag_b.unpinned(), WEIGHTS, PROFILE)
     assert plc_a.assignment == plc_b.assignment
 
 
@@ -60,12 +62,12 @@ def test_urmila_central_greedy_places_globally_cheapest():
     dag, plc, sched = ecg_setup(topo)
     ledger = CapacityLedger(topo)
     ranked = rank_modules(dag, topo.fog_servers(), WEIGHTS, topo, PROFILE)
-    plan = urmila_place(topo, ledger, S(3, 1), dag, plc, sched, ranked,
+    plan = urmila_place(topo, ledger, S(3, 1), dag, plc, ranked,
                         dag.unpinned(), WEIGHTS, PROFILE)
     assert len(plan.decisions) == 4
     # The device hangs off (1,1): the per-module global argmin is local to it.
     assert {d.server for d in plan.decisions} == {S(1, 1)}
-    assert all(d.remote for d in plan.decisions)
+    assert all(d.server != plan.controller for d in plan.decisions)
 
 
 def test_urmila_first_placement_is_cold_and_repeat_is_warm():
@@ -73,10 +75,14 @@ def test_urmila_first_placement_is_cold_and_repeat_is_warm():
     dag, plc, sched = ecg_setup(topo)
     ledger = CapacityLedger(topo)
     ranked = rank_modules(dag, topo.fog_servers(), WEIGHTS, topo, PROFILE)
-    first = urmila_place(topo, ledger, S(3, 1), dag, plc, sched, ranked,
+    first = urmila_place(topo, ledger, S(3, 1), dag, plc, ranked,
                          dag.unpinned(), WEIGHTS, PROFILE)
     assert first.decisions and not any(d.warm for d in first.decisions)
-    again = urmila_place(topo, ledger, S(3, 1), dag, plc.copy(), sched, ranked,
+    # Decisions off the central server hold no slot until the target confirms.
+    for server, decs in first.by_server().items():
+        if server != first.controller:
+            handle_remote_placement(topo, ledger, server, dag, [d.module for d in decs])
+    again = urmila_place(topo, ledger, S(3, 1), dag, plc.copy(), ranked,
                          dag.unpinned(), WEIGHTS, PROFILE)
     assert [d.server for d in again.decisions] == [d.server for d in first.decisions]
     assert all(d.warm for d in again.decisions)
@@ -89,8 +95,8 @@ def test_urmila_raises_when_every_server_is_full():
     dag, plc, sched = ecg_setup(topo)
     ranked = rank_modules(dag, topo.fog_servers(), WEIGHTS, topo, PROFILE)
     with pytest.raises(PlacementError):
-        urmila_place(topo, CapacityLedger(topo), S(3, 1), dag, plc, sched,
-                     ranked, dag.unpinned(), WEIGHTS, PROFILE)
+        urmila_place(topo, CapacityLedger(topo), S(3, 1), dag, plc, ranked,
+                     dag.unpinned(), WEIGHTS, PROFILE)
 
 
 def test_central_queue_is_fifo_with_fixed_service_time():

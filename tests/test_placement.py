@@ -55,11 +55,11 @@ def test_ready_servers_order():
 
 def test_all_modules_fit_on_controller():
     topo, dag, plc, ledger, sched, ranked = make_world()
-    plan = dapt_place(topo, ledger, S(1, 1), dag, plc, sched, ranked,
+    plan = dapt_place(topo, ledger, S(1, 1), dag, plc, ranked,
                       dag.unpinned(), WEIGHTS, PROFILE)
     assert plan.escalated == []
     assert {d.server for d in plan.decisions} == {S(1, 1)}
-    assert all(not d.remote for d in plan.decisions)
+    assert all(d.server == plan.controller for d in plan.decisions)
     assert cost_model.validate_placement(topo, dag, plc, sched,
                                          ledger.usage_map()) == []
 
@@ -69,11 +69,11 @@ def test_full_controller_prefers_cluster_member_over_parent():
     # Exhaust the controller: overflow must go lateral, not upward.
     while ledger.free(S(1, 1)) > 0:
         ledger.reserve(S(1, 1), "other", "pad")
-    plan = dapt_place(topo, ledger, S(1, 1), dag, plc, sched, ranked,
+    plan = dapt_place(topo, ledger, S(1, 1), dag, plc, ranked,
                       dag.unpinned(), WEIGHTS, PROFILE)
     assert plan.escalated == []
     assert {d.server for d in plan.decisions} == {S(1, 2)}
-    assert all(d.remote for d in plan.decisions)
+    assert all(d.server != plan.controller for d in plan.decisions)
 
 
 def test_exhausted_ready_servers_escalate_everything():
@@ -81,7 +81,7 @@ def test_exhausted_ready_servers_escalate_everything():
     for sid in (S(1, 1), S(2, 1)):
         while ledger.free(sid) > 0:
             ledger.reserve(sid, "other", "pad")
-    plan = dapt_place(topo, ledger, S(1, 1), dag, plc, sched, ranked,
+    plan = dapt_place(topo, ledger, S(1, 1), dag, plc, ranked,
                       dag.unpinned(), WEIGHTS, PROFILE)
     assert plan.decisions == []
     assert sorted(plan.escalated) == sorted(dag.unpinned())
@@ -92,7 +92,7 @@ def test_placement_error_when_nothing_above():
     cloud = topo.cloud_id
     topo.node(cloud).container_capacity = 0
     with pytest.raises(PlacementError):
-        dapt_place(topo, ledger, cloud, dag, plc, sched, ranked,
+        dapt_place(topo, ledger, cloud, dag, plc, ranked,
                    dag.unpinned(), WEIGHTS, PROFILE)
 
 
@@ -126,15 +126,15 @@ def test_find_min_cost_tie_prefers_lower_level():
     assert choice == S(2, 1)
 
 
-def test_remote_placement_confirmation_and_forced_failure():
+def test_remote_placement_confirmation_and_dead_target():
     topo, dag, plc, ledger, sched, ranked = make_world()
     results = handle_remote_placement(topo, ledger, S(1, 2), dag,
                                       ["filter", "aggregator"])
     assert [(m, ok) for m, ok, _ in results] == [("filter", True),
                                                  ("aggregator", True)]
     assert ledger.free(S(1, 2)) == 8
-    failed = handle_remote_placement(topo, ledger, S(1, 2), dag, ["filter"],
-                                     force_fail=True)
+    topo.node(S(1, 2)).alive = False
+    failed = handle_remote_placement(topo, ledger, S(1, 2), dag, ["filter"])
     assert failed == [("filter", False, False)]
     assert ledger.free(S(1, 2)) == 8  # no reservation kept
 
@@ -142,7 +142,7 @@ def test_remote_placement_confirmation_and_forced_failure():
 def test_warm_container_detected_on_repeat_placement():
     topo, dag, plc, ledger, sched, ranked = make_world()
     handle_remote_placement(topo, ledger, S(1, 1), dag, ["filter"])
-    plan = dapt_place(topo, ledger, S(1, 1), dag, plc, sched, ranked,
+    plan = dapt_place(topo, ledger, S(1, 1), dag, plc, ranked,
                       ["filter"], WEIGHTS, PROFILE)
     assert plan.decisions[0].warm
 
@@ -150,7 +150,7 @@ def test_warm_container_detected_on_repeat_placement():
 def test_failure_recovery_rehomes_to_survivor():
     topo, dag, plc, ledger, sched, ranked = make_world()
     plan = dapt_failure_recovery(topo, ledger, S(1, 1), S(1, 2), dag, plc,
-                                 sched, ranked, ["filter"], WEIGHTS, PROFILE)
+                                 ["filter"], WEIGHTS, PROFILE)
     assert plan.decisions[0].server != S(1, 2)
     assert plan.escalated == []
 
@@ -161,7 +161,7 @@ def test_failure_recovery_escalates_when_survivors_full():
         while ledger.free(sid) > 0:
             ledger.reserve(sid, "other", "pad")
     plan = dapt_failure_recovery(topo, ledger, S(1, 1), S(1, 2), dag, plc,
-                                 sched, ranked, ["filter"], WEIGHTS, PROFILE)
+                                 ["filter"], WEIGHTS, PROFILE)
     assert plan.escalated == ["filter"]
 
 
@@ -174,11 +174,11 @@ def test_failure_recovery_keeps_caller_order_and_skips_failed_server():
     modules = ["hr_analyzer", "arrhythmia_detector"]
     assert rank_order.index(modules[0]) > rank_order.index(modules[1])
     # With the controller full, the failed peer (1,2) is the cheapest server.
-    first = dapt_place(topo, ledger, S(1, 1), dag, plc.copy(), sched, ranked,
+    first = dapt_place(topo, ledger, S(1, 1), dag, plc.copy(), ranked,
                        modules, WEIGHTS, PROFILE)
     assert [d.server for d in first.decisions] == [S(1, 2), S(1, 2)]
     plan = dapt_failure_recovery(topo, ledger, S(1, 1), S(1, 2), dag, plc,
-                                 sched, ranked, modules, WEIGHTS, PROFILE)
+                                 modules, WEIGHTS, PROFILE)
     assert [d.module for d in plan.decisions] == modules
     assert all(d.server != S(1, 2) for d in plan.decisions)
     assert plan.escalated == []
@@ -189,7 +189,7 @@ def test_constraints_hold_after_full_cascade():
     controller = S(1, 1)
     todo = dag.unpinned()
     while todo:
-        plan = dapt_place(topo, ledger, controller, dag, plc, sched, ranked,
+        plan = dapt_place(topo, ledger, controller, dag, plc, ranked,
                           todo, WEIGHTS, PROFILE)
         for server, decs in plan.by_server().items():
             if server != controller:

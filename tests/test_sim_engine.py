@@ -168,8 +168,9 @@ def test_zero_horizon_zero_devices_is_empty():
     assert result.events == []
 
 
-def test_every_device_gets_service_and_full_placement():
-    cfg = tiny_config(policy="proposed", seed=1)
+@pytest.mark.parametrize("policy", POLICIES)
+def test_every_device_gets_service_and_full_placement(policy):
+    cfg = tiny_config(policy=policy, seed=1)
     sim = Simulation(cfg)
     sim.run([5.0])
     for dev in sim.devices:
@@ -177,6 +178,10 @@ def test_every_device_gets_service_and_full_placement():
         assert dev.service_start is not None
         for module in dev.dag.modules:
             assert module.id in dev.placement.assignment
+        for module_id in dev.dag.unpinned():
+            # The serving server holds a confirmed container for the module.
+            assert sim.ledger.is_warm(dev.placement.assignment[module_id],
+                                      dev.dag.template, module_id)
     for sid, used in sim.ledger.usage_map().items():
         assert 0 <= used <= sim.topology.node(sid).container_capacity
 
