@@ -51,7 +51,7 @@ def _overrides(args) -> dict:
         overrides["horizon_s"] = args.horizon
     if args.failure_p is not None:
         overrides["failure"] = {"migration_failure_p": args.failure_p}
-    if getattr(args, "devices", None) is not None and not isinstance(args.devices, list):
+    if args.devices is not None:
         overrides["devices"] = {"count": args.devices}
     return overrides
 

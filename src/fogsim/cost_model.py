@@ -8,7 +8,7 @@ resort. Same-level traffic prefers the cluster, falling back upward.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from .app_model import AppDag, ScheduleSet
 from .topology import RoutingError, ServerId, Topology
@@ -52,31 +52,17 @@ class Placement:
         return Placement(self.app_id, dict(self.assignment))
 
 
-class ConstraintViolation(ValueError):
-    def __init__(self, violations: List[str]):
-        super().__init__("; ".join(violations))
-        self.violations = violations
-
-
 # -- next-hop routing ------------------------------------------------------
 
-def _child_toward(topology: Topology, node, dest: ServerId) -> Optional[ServerId]:
+def _toward(topology: Topology, ids: Iterable[ServerId],
+            dest: ServerId) -> Optional[ServerId]:
+    """Lowest alive id among `ids` whose descendant closure holds dest, or None."""
     best = None
-    for child in node.children:
-        if child in topology.nodes and topology.nodes[child].alive \
-                and dest in topology.omega(child):
-            if best is None or child < best:
-                best = child
-    return best
-
-
-def _cluster_toward(topology: Topology, node, dest: ServerId) -> Optional[ServerId]:
-    best = None
-    for member in node.cluster_members:
-        if member in topology.nodes and topology.nodes[member].alive \
-                and dest in topology.omega(member):
-            if best is None or member < best:
-                best = member
+    for sid in ids:
+        if sid in topology.nodes and topology.nodes[sid].alive \
+                and dest in topology.omega(sid):
+            if best is None or sid < best:
+                best = sid
     return best
 
 
@@ -102,15 +88,15 @@ def next_hop(topology: Topology, current: ServerId, dest: ServerId) -> Tuple[str
     if current.level < dest.level:
         return up()
     if current.level > dest.level:
-        child = _child_toward(topology, node, dest)
+        child = _toward(topology, node.children, dest)
         if child is not None:
             return ("down", child)
-        member = _cluster_toward(topology, node, dest)
+        member = _toward(topology, node.cluster_members, dest)
         if member is not None:
             return ("cluster", member)
         return up()
     # same level, different index
-    member = _cluster_toward(topology, node, dest)
+    member = _toward(topology, node.cluster_members, dest)
     if member is not None:
         return ("cluster", member)
     return up()
@@ -331,13 +317,8 @@ def app_cost_breakdown(topology: Topology, dag: AppDag, placement: Placement,
 
 def app_cost(topology: Topology, dag: AppDag, placement: Placement,
              schedule_set: ScheduleSet, weights: CostWeights,
-             profile: DeviceEnergyProfile, validate: bool = False,
-             capacity_used: Optional[Dict[ServerId, int]] = None) -> float:
+             profile: DeviceEnergyProfile) -> float:
     """Weighted application cost: w1 * total time + w2 * total energy."""
-    if validate:
-        violations = validate_placement(topology, dag, placement, schedule_set, capacity_used)
-        if violations:
-            raise ConstraintViolation(violations)
     t, e = app_cost_breakdown(topology, dag, placement, schedule_set, profile)
     return weights.w1 * t + weights.w2 * e
 

@@ -6,18 +6,13 @@ import copy
 from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
-from . import cost_model, oracle, placement
-from .app_model import build_schedules, rank_modules
-from .clustering import bootstrap_clusters
-from .cost_model import Placement
-from .placement import CapacityLedger
-from .scenario import build_world
-from .sim_engine import run_simulation
+from . import cost_model, oracle
+from .sim_engine import Simulation, run_simulation
 
 
 def run_matrix(base_config: dict, policies: Sequence[str], seeds: Sequence[int],
-               horizons: Sequence[float], devices: Optional[Sequence[int]] = None,
-               failure_p: Optional[float] = None) -> List[dict]:
+               horizons: Sequence[float],
+               devices: Optional[Sequence[int]] = None) -> List[dict]:
     """Run every (policy, seed[, device count]) cell; horizons come from
     checkpoints of a single run per cell."""
     rows = []
@@ -30,8 +25,6 @@ def run_matrix(base_config: dict, policies: Sequence[str], seeds: Sequence[int],
                 config["seed"] = seed
                 if count is not None:
                     config["devices"]["count"] = count
-                if failure_p is not None:
-                    config["failure"]["migration_failure_p"] = failure_p
                 result = run_simulation(config, horizons=list(horizons))
                 for row in result.rows:
                     if count is not None:
@@ -52,78 +45,40 @@ class OptimalityResult:
         return (self.dapt_cost - self.oracle_cost) / self.oracle_cost
 
 
-def _place_device_dapt(topology, ledger, setup, weights, profile) -> Placement:
-    """Full DAPT cascade for one device without the event kernel."""
-    plc = Placement(setup.dag.app_id)
-    for m in setup.dag.modules:
-        if m.pinned_to_device:
-            plc.assignment[m.id] = setup.sid
-    controller = topology.node(setup.sid).parent
-    ranked = rank_modules(setup.dag, placement.ready_servers(topology, controller),
-                          weights, topology, profile)
-    todo = setup.dag.unpinned()
-    while todo:
-        plan = placement.dapt_place(topology, ledger, controller, setup.dag, plc,
-                                    ranked, todo, weights, profile)
-        for server, decs in plan.by_server().items():
-            if server != controller:
-                placement.handle_remote_placement(topology, ledger, server,
-                                                  setup.dag, [d.module for d in decs])
-        todo = plan.escalated
-        if todo:
-            controller = topology.node(controller).parent
-    return plc
-
-
 def optimality_study(config: dict, seeds: Sequence[int],
                      node_budget: int = oracle.DEFAULT_NODE_BUDGET) -> List[OptimalityResult]:
     """Compare sequential DAPT placement cost against the sequential oracle.
 
     Devices are placed one by one in both regimes against the same starting
-    capacity, so the comparison isolates decision quality.
+    capacity, so the comparison isolates decision quality. DAPT runs through
+    the simulation's own placement cascade, without the event kernel.
     """
     results = []
     for seed in seeds:
-        cfg = copy.deepcopy(config)
-        cfg["seed"] = seed
+        cfg = dict(copy.deepcopy(config), seed=seed, policy="proposed")
 
-        # DAPT pass
-        world = build_world(cfg)
-        topology = world.topology
-        bootstrap_clusters(topology)
-        ledger = CapacityLedger(topology)
-        dapt_placements = []
-        for setup in world.devices:
-            plc = _place_device_dapt(topology, ledger, setup, world.weights,
-                                     world.profile)
-            dapt_placements.append((setup, plc))
+        sim = Simulation(cfg)
+        for dev in sim.devices:
+            sim.place(dev, 0.0)
         dapt_cost = 0.0
-        for setup, plc in dapt_placements:
-            schedule_set = build_schedules(setup.dag)
-            dapt_cost += cost_model.app_cost(topology, setup.dag, plc, schedule_set,
-                                             world.weights, world.profile)
+        for dev in sim.devices:
+            dapt_cost += cost_model.app_cost(sim.topology, dev.dag, dev.placement,
+                                             dev.schedule_set, sim.weights, sim.profile)
 
         # Oracle pass on a fresh copy of the same world
-        world2 = build_world(cfg)
-        topo2 = world2.topology
-        bootstrap_clusters(topo2)
-        candidates = topo2.fog_servers()
-        free = {sid: topo2.node(sid).container_capacity for sid in candidates}
+        fresh = Simulation(cfg)
+        candidates = fresh.topology.fog_servers()
+        free = {sid: fresh.topology.node(sid).container_capacity for sid in candidates}
         oracle_cost = 0.0
         complete = True
-        for setup in world2.devices:
-            schedule_set = build_schedules(setup.dag)
-            base = Placement(setup.dag.app_id)
-            for m in setup.dag.modules:
-                if m.pinned_to_device:
-                    base.assignment[m.id] = setup.sid
+        for dev in fresh.devices:
             res = oracle.optimal_placement(
-                topo2, setup.dag, world2.weights, world2.profile, candidates,
-                capacity_free=free, schedule_set=schedule_set,
-                base_placement=base, node_budget=node_budget)
+                fresh.topology, dev.dag, fresh.weights, fresh.profile, candidates,
+                capacity_free=free, schedule_set=dev.schedule_set,
+                base_placement=dev.placement, node_budget=node_budget)
             complete = complete and res.complete
             oracle_cost += res.cost
-            for mid in setup.dag.unpinned():
+            for mid in dev.dag.unpinned():
                 free[res.placement.assignment[mid]] -= 1
         results.append(OptimalityResult(seed=seed, dapt_cost=dapt_cost,
                                         oracle_cost=oracle_cost, complete=complete))

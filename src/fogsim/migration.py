@@ -190,8 +190,7 @@ def handle_migration_req(topology: Topology, ledger: CapacityLedger,
                          weights: CostWeights, profile: DeviceEnergyProfile,
                          params: MigrationParams,
                          dump_bits_of, remaining_mi_of,
-                         use_cluster: bool = True,
-                         candidates: Optional[Sequence[ServerId]] = None,
+                         candidates: Sequence[ServerId],
                          exclude: Sequence[ServerId] = (),
                          check_admissibility: bool = True) -> List[MigrationDecision]:
     """Decide destinations for the given modules at one decider.
@@ -203,8 +202,6 @@ def handle_migration_req(topology: Topology, ledger: CapacityLedger,
     admissibility check off, the cheapest capacity-holding candidate is
     committed outright.
     """
-    if candidates is None:
-        candidates = migration_candidates(topology, decider, use_cluster)
     candidates = [c for c in candidates if c not in set(exclude)]
     decisions = []
     for module_id in modules:
@@ -249,7 +246,7 @@ def mmt_failure_recovery(topology: Topology, ledger: CapacityLedger,
                          failed: ServerId, weights: CostWeights,
                          profile: DeviceEnergyProfile, params: MigrationParams,
                          dump_bits_of, remaining_mi_of,
-                         use_cluster: bool = True,
+                         candidates: Sequence[ServerId],
                          exclude: Sequence[ServerId] = (),
                          check_admissibility: bool = True) -> List[MigrationDecision]:
     """Re-decide one module after its migration target failed.
@@ -261,5 +258,5 @@ def mmt_failure_recovery(topology: Topology, ledger: CapacityLedger,
     return handle_migration_req(
         topology, ledger, decider, dag, working, schedule_set, [module_id],
         weights, profile, params, dump_bits_of, remaining_mi_of,
-        use_cluster=use_cluster, exclude=list(exclude) + [failed],
+        candidates, exclude=list(exclude) + [failed],
         check_admissibility=check_admissibility)

@@ -302,13 +302,20 @@ class Simulation:
     # -- placement ---------------------------------------------------------
 
     def _request_placement(self, event: Event):
-        """One request path for every policy: only the decider and its candidates differ.
-
-        Urmila's central server decides over all fog servers behind its FIFO
-        queue; the other policies decide at the device's controller.
-        """
         dev = self.devices[event.payload["device"] - 1]
         t0 = self.kernel.now
+        last = self.place(dev, t0)
+        dev.pdt_s = last - t0
+        self._start_service(dev, last + self.topology.links.lat_up[0])
+
+    def place(self, dev: SimDevice, t0: float) -> float:
+        """Place the device's unpinned modules for a request sent at t0.
+
+        One path for every policy: only the decider and its candidates
+        differ. Urmila's central server decides over all fog servers behind
+        its FIFO queue; the other policies decide at the device's controller.
+        Returns the time the controller hears back.
+        """
         controller = dev.controller
         urmila = self.policy == "urmila"
         decider = self.central if urmila else controller
@@ -320,14 +327,23 @@ class Simulation:
                        else placement.ready_servers(self.topology, controller))
             dev.ranked = rank_modules(dev.dag, servers, self.weights, self.topology,
                                       self.profile)
-        last = self._place_cascade(dev, decider, dev.dag.unpinned(), arrival) \
+        return self._place_cascade(dev, decider, dev.dag.unpinned(), arrival) \
             + self.lat(decider, controller)
-        dev.pdt_s = last - t0
-        self._start_service(dev, last + self.topology.links.lat_up[0])
 
     def _place_cascade(self, dev: SimDevice, controller: ServerId,
-                       todo: List[str], t: float) -> float:
-        if self.policy == "maas":
+                       todo: List[str], t: float,
+                       failed: Optional[ServerId] = None) -> float:
+        """Decide `todo` at `controller` from time t; returns the last acknowledgement.
+
+        Remote choices are confirmed at their target. A rejected module
+        re-enters the cascade at the controller with the target excluded, and
+        modules that fit nowhere escalate to the controller's parent.
+        """
+        if failed is not None:
+            plan = placement.dapt_failure_recovery(self.topology, self.ledger, controller,
+                                                   failed, dev.dag, dev.placement, todo,
+                                                   self.weights, self.profile)
+        elif self.policy == "maas":
             plan = baselines.maas_place(self.topology, self.ledger, controller, dev.dag,
                                         dev.placement, dev.schedule_set, todo,
                                         self.weights, self.profile)
@@ -353,23 +369,13 @@ class Simulation:
             t_arr = t + self.lat(controller, server)
             results = placement.handle_remote_placement(
                 self.topology, self.ledger, server, dev.dag, [d.module for d in decs])
-            for dec, (module_id, ok, warm) in zip(decs, results):
+            for module_id, ok, warm in results:
                 if not ok:
-                    rec = placement.dapt_failure_recovery(
-                        self.topology, self.ledger, controller, server, dev.dag,
-                        dev.placement, [module_id], self.weights, self.profile)
                     self.log("placement_recovery", device=dev.sid.index,
                              module=module_id, failed=str(server))
-                    for rdec in rec.decisions:
-                        start = t_arr + self.lat(server, controller) \
-                            + self.lat(controller, rdec.server) \
-                            + (0.0 if rdec.warm else self.startup_s)
-                        acks.append(start + self.lat(rdec.server, controller))
-                    if rec.escalated:
-                        parent = self.topology.node(controller).parent
-                        sub = self._place_cascade(dev, parent, rec.escalated,
-                                                  t_arr + self.lat(server, parent))
-                        acks.append(sub + self.lat(parent, controller))
+                    acks.append(self._place_cascade(
+                        dev, controller, [module_id],
+                        t_arr + self.lat(server, controller), failed=server))
                     continue
                 start = t_arr + (0.0 if warm else self.startup_s)
                 acks.append(start + self.lat(server, controller))
@@ -461,6 +467,10 @@ class Simulation:
 
     # -- migration rounds ----------------------------------------------------
 
+    def _migration_candidates(self, decider: ServerId) -> List[ServerId]:
+        return migration.migration_candidates(self.topology, decider,
+                                              use_cluster=self.policy == "proposed")
+
     def _run_round(self, dev: SimDevice, new_ctrl: ServerId,
                    rounds: List[migration.MigrationRound], k: int, t: float):
         if k >= len(rounds):
@@ -526,15 +536,14 @@ class Simulation:
         pending = list(modules)
         while True:
             decider = self.central if central else cur
-            cands = migration.migration_candidates(self.topology, cur,
-                                                   use_cluster=self.policy == "proposed")
             decisions = migration.handle_migration_req(
                 self.topology, self.ledger, decider, dev.dag, working,
                 dev.schedule_set, pending, self.weights, self.profile,
                 self.mig_params,
                 lambda m: self._dump_bits(dev, m),
                 lambda m: self._remaining_mi(dev, m, t_dec),
-                candidates=cands, exclude=exclude, check_admissibility=not central)
+                self._migration_candidates(cur), exclude=exclude,
+                check_admissibility=not central)
             pending = []
             for dec in decisions:
                 if dec.escalate:
@@ -580,7 +589,7 @@ class Simulation:
                 self.mig_params,
                 lambda m: self._dump_bits(dev, m),
                 lambda m: self._remaining_mi(dev, m, t_dec),
-                use_cluster=self.policy == "proposed", exclude=excluded[:-1],
+                self._migration_candidates(decider), exclude=excluded[:-1],
                 check_admissibility=self.policy != "urmila")
             dec2 = rec[0]
             if dec2.escalate or dec2.to == frm:

@@ -1,7 +1,7 @@
 """Edgeward and centralized baseline behaviours."""
 import pytest
 
-from fogsim import baselines, scenario
+from fogsim import scenario
 from fogsim.app_model import build_app, build_schedules, rank_modules
 from fogsim.baselines import CentralQueue, maas_place, nearest_controller, urmila_place
 from fogsim.cost_model import CostWeights, DeviceEnergyProfile, Placement

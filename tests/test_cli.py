@@ -9,8 +9,6 @@ import yaml
 from fogsim import cli, experiments, scenario
 from fogsim.scenario import build_world, effective_config, load_scenario
 
-from conftest import S
-
 TINY_SCENARIO = {
     "name": "tiny",
     "horizon_s": 2.0,

@@ -5,9 +5,9 @@ from hypothesis import strategies as st
 
 from fogsim import cost_model
 from fogsim.app_model import AppDag, DataFlow, Module, build_schedules
-from fogsim.cost_model import (ConstraintViolation, CostWeights,
-                               DeviceEnergyProfile, MigrationParams, Placement,
-                               migration_admissible, module_migration_cost)
+from fogsim.cost_model import (CostWeights, DeviceEnergyProfile,
+                               MigrationParams, Placement, migration_admissible,
+                               module_migration_cost)
 from fogsim.topology import RoutingError
 
 from conftest import S, make_small_topology
@@ -243,9 +243,6 @@ def test_validate_placement_flags_capacity_breach(topo_dev):
     sched = build_schedules(dag)
     violations = cost_model.validate_placement(topo_dev, dag, plc, sched)
     assert len(violations) == 1 and "C2" in violations[0] and "(1,1)" in violations[0]
-    with pytest.raises(ConstraintViolation):
-        cost_model.app_cost(topo_dev, dag, plc, sched, CostWeights(), PROFILE,
-                            validate=True)
 
 
 def test_validate_placement_flags_missing_assignment(topo_dev):

@@ -4,7 +4,6 @@ import random
 
 import pytest
 
-from fogsim import migration
 from fogsim.app_model import AppDag, DataFlow, Module, build_app, build_schedules
 from fogsim.cost_model import (CostWeights, DeviceEnergyProfile,
                                MigrationParams, Placement)
@@ -259,6 +258,7 @@ def test_failure_recovery_excludes_failed_target():
     topo.link_cluster(S(1, 1), S(1, 2))
     decisions = mmt_failure_recovery(
         topo, ledger, S(1, 1), dag, plc, sched, "m", S(1, 2), WEIGHTS,
-        PROFILE, PARAMS, lambda m: 1e6, lambda m: 0.0)
+        PROFILE, PARAMS, lambda m: 1e6, lambda m: 0.0,
+        migration_candidates(topo, S(1, 1)))
     assert decisions[0].to is not None
     assert decisions[0].to != S(1, 2)

@@ -1,7 +1,7 @@
 """Per-controller greedy placement, capacity ledger, failure recovery."""
 import pytest
 
-from fogsim import cost_model, placement
+from fogsim import cost_model
 from fogsim.app_model import build_app, build_schedules, rank_modules
 from fogsim.cost_model import CostWeights, DeviceEnergyProfile, Placement
 from fogsim.placement import (CapacityLedger, PlacementError, dapt_place,

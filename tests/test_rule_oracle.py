@@ -10,8 +10,6 @@ import random
 from fogsim import cost_model
 from fogsim.topology import LinkParams, ServerId, ServerNode, Topology
 
-from conftest import S
-
 
 def _descendants(nodes, sid):
     out = {sid}

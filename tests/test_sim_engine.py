@@ -1,9 +1,10 @@
 """Event kernel, task accounting, mobility stepping, end-to-end determinism."""
 import random
+from collections import Counter
 
 import pytest
 
-from fogsim import scenario
+from fogsim import cli, placement, scenario
 from fogsim.sim_engine import (POLICIES, Kernel, Simulation, TaskAccumulator,
                                random_walk_step, run_simulation)
 
@@ -184,6 +185,34 @@ def test_every_device_gets_service_and_full_placement(policy):
                                       dev.dag.template, module_id)
     for sid, used in sim.ledger.usage_map().items():
         assert 0 <= used <= sim.topology.node(sid).container_capacity
+
+
+def test_rejected_remote_module_is_recovered_with_a_container(monkeypatch):
+    # The first module forwarded to a remote target is rejected there; the
+    # cascade must re-home it and hold a container wherever it lands.
+    real = placement.handle_remote_placement
+    rejected = []
+
+    def reject_first(topology, ledger, server, dag, modules):
+        results = real(topology, ledger, server, dag, modules)
+        if rejected:
+            return results
+        module_id, ok, _ = results[0]
+        if ok:
+            ledger.release(server, dag.template, module_id)
+        rejected.append(module_id)
+        return [(module_id, False, False)] + results[1:]
+
+    monkeypatch.setattr(placement, "handle_remote_placement", reject_first)
+    config = scenario.load_scenario(cli.resolve_scenario("urban_80dev"), {
+        "policy": "proposed", "seed": 3, "horizon_s": 5.0, "devices": {"count": 80}})
+    sim = Simulation(config)
+    result = sim.run()
+    assert sum(ev["kind"] == "placement_recovery" for ev in result.events) == 1
+    assigned = Counter((dev.placement.assignment[m], dev.dag.template, m)
+                       for dev in sim.devices for m in dev.dag.unpinned())
+    for key, count in assigned.items():
+        assert sim.ledger.active_types.get(key, 0) >= count, key
 
 
 def test_no_failure_events_at_probability_zero():

@@ -3,8 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fogsim.topology import (LinkParams, ServerId, ServerNode, Topology,
-                             TopologyError)
+from fogsim.topology import ServerNode, Topology, TopologyError
 
 from conftest import S, make_links, make_small_topology
 
