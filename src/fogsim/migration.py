@@ -128,7 +128,6 @@ class MigrationDecision:
     frm: ServerId
     to: Optional[ServerId]
     cost: Optional[MigrationCost]
-    escalate: bool = False
 
 
 @dataclass
@@ -185,7 +184,7 @@ def migration_candidates(topology: Topology, decider: ServerId,
 
 
 def handle_migration_req(topology: Topology, ledger: CapacityLedger,
-                         decider: ServerId, dag: AppDag, working: Placement,
+                         dag: AppDag, working: Placement,
                          schedule_set: ScheduleSet, modules: Sequence[str],
                          weights: CostWeights, profile: DeviceEnergyProfile,
                          params: MigrationParams,
@@ -198,11 +197,12 @@ def handle_migration_req(topology: Topology, ledger: CapacityLedger,
     Candidates are scored by migration cost ascending; the cheapest one whose
     resulting application cost stays admissible wins. Staying put is a valid
     outcome when the old server is among the candidates. Modules with no
-    admissible capacity-holding candidate are marked for escalation. With the
+    admissible capacity-holding candidate come back with `to` None. With the
     admissibility check off, the cheapest capacity-holding candidate is
     committed outright.
     """
-    candidates = [c for c in candidates if c not in set(exclude)]
+    skip = set(exclude)
+    candidates = [c for c in candidates if c not in skip]
     decisions = []
     for module_id in modules:
         frm = working.assignment[module_id]
@@ -232,7 +232,7 @@ def handle_migration_req(topology: Topology, ledger: CapacityLedger,
                 chosen = (cand, mc)
                 break
         if chosen is None:
-            decisions.append(MigrationDecision(module_id, frm, None, None, escalate=True))
+            decisions.append(MigrationDecision(module_id, frm, None, None))
             continue
         cand, mc = chosen
         working.assignment[module_id] = cand
@@ -241,22 +241,24 @@ def handle_migration_req(topology: Topology, ledger: CapacityLedger,
 
 
 def mmt_failure_recovery(topology: Topology, ledger: CapacityLedger,
-                         decider: ServerId, dag: AppDag, working: Placement,
-                         schedule_set: ScheduleSet, module_id: str,
-                         failed: ServerId, weights: CostWeights,
-                         profile: DeviceEnergyProfile, params: MigrationParams,
+                         dag: AppDag, working: Placement,
+                         schedule_set: ScheduleSet, modules: Sequence[str],
+                         weights: CostWeights, profile: DeviceEnergyProfile,
+                         params: MigrationParams,
                          dump_bits_of, remaining_mi_of,
-                         candidates: Sequence[ServerId],
+                         candidates: Sequence[ServerId], failed: ServerId,
                          exclude: Sequence[ServerId] = (),
                          check_admissibility: bool = True) -> List[MigrationDecision]:
-    """Re-decide one module after its migration target failed.
+    """Re-decide modules after their migration target `failed` did not confirm.
 
-    Same scoring as the original decision with the failed server removed;
-    the caller escalates to the decider's parent when this also fails. The
-    working placement must hold the module at its old server on entry.
+    Same scoring as the original decision with `failed` and `exclude` (the
+    targets that failed before) removed. A module that finds no target here
+    comes back with `to` None and stays at its old server; recovery does
+    not escalate. The working placement must hold the modules at their old
+    servers on entry.
     """
     return handle_migration_req(
-        topology, ledger, decider, dag, working, schedule_set, [module_id],
+        topology, ledger, dag, working, schedule_set, modules,
         weights, profile, params, dump_bits_of, remaining_mi_of,
-        candidates, exclude=list(exclude) + [failed],
+        candidates, exclude=[*exclude, failed],
         check_admissibility=check_admissibility)

@@ -68,17 +68,45 @@ def _deep_merge(base: Dict, override: Dict) -> Dict:
     return out
 
 
+def _stale_keys(mapping: Dict, defaults: Dict, path: Tuple = ()) -> List[Tuple]:
+    """Keys of `mapping`, at any depth of nested mappings, missing from `defaults`.
+
+    A defaults table keyed by level numbers (the `links.*` tables) accepts
+    any integer level. Entries of lists such as `levels` are not checked.
+    """
+    level_keyed = all(isinstance(k, int) for k in defaults)
+    out = []
+    for key, val in mapping.items():
+        if key not in defaults:
+            if not (level_keyed and isinstance(key, int)):
+                out.append(path + (key,))
+        elif isinstance(val, dict) and isinstance(defaults[key], dict):
+            out.extend(_stale_keys(val, defaults[key], path + (key,)))
+    return out
+
+
+def _merge_known(config: Dict, extra: Dict, source: str) -> Dict:
+    stale = _stale_keys(extra, DEFAULTS)
+    if stale:
+        names = ", ".join(".".join(map(str, key)) for key in stale)
+        raise ValueError(f"{source}: unknown scenario key(s) {names}")
+    return _deep_merge(config, extra)
+
+
 def load_scenario(path: Optional[str] = None, overrides: Optional[Dict] = None) -> Dict:
-    """Load a scenario file (YAML) merged over the defaults, then overrides."""
+    """Load a scenario file (YAML) merged over the defaults, then overrides.
+
+    A key that the defaults do not know raises ValueError naming its path.
+    """
     config = copy.deepcopy(DEFAULTS)
     if path is not None:
         with open(path) as fh:
             user = yaml.safe_load(fh) or {}
         if not isinstance(user, dict):
             raise ValueError(f"scenario file {path} must hold a mapping")
-        config = _deep_merge(config, user)
+        config = _merge_known(config, user, f"scenario file {path}")
     if overrides:
-        config = _deep_merge(config, overrides)
+        config = _merge_known(config, overrides, "overrides")
     return config
 
 

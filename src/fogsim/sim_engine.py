@@ -523,40 +523,47 @@ class Simulation:
         return outs
 
     def _escalate(self, dev: SimDevice, new_ctrl: ServerId, cur: ServerId,
-                  modules: List[str], working: Placement, t_dec: float, exclude=()):
+                  modules: List[str], working: Placement, t_dec: float, exclude=(),
+                  failed: Optional[ServerId] = None):
         """Decide the modules among `cur`'s ready servers, escalating misses upward.
 
         Distributed deciders are the level's server itself, and each step up
         costs the hop latency. Under urmila the central server decides every
         level and commits the cheapest candidate outright: the admissibility
         handshake is part of the distributed protocol, not the baseline.
+
+        With `failed` set this is failure recovery: the modules' chosen target
+        `failed` did not confirm, and `exclude` holds the targets that failed
+        before it. The modules are re-decided at `cur` without all of them,
+        and a module with no target left stays where it is instead of climbing.
         """
         central = self.policy == "urmila"
+        tried = [] if failed is None else [*exclude, failed]
         outs = []
         pending = list(modules)
         while True:
             decider = self.central if central else cur
-            decisions = migration.handle_migration_req(
-                self.topology, self.ledger, decider, dev.dag, working,
-                dev.schedule_set, pending, self.weights, self.profile,
-                self.mig_params,
-                lambda m: self._dump_bits(dev, m),
-                lambda m: self._remaining_mi(dev, m, t_dec),
-                self._migration_candidates(cur), exclude=exclude,
-                check_admissibility=not central)
+            args = (self.topology, self.ledger, dev.dag, working, dev.schedule_set,
+                    pending, self.weights, self.profile, self.mig_params,
+                    lambda m: self._dump_bits(dev, m),
+                    lambda m: self._remaining_mi(dev, m, t_dec),
+                    self._migration_candidates(cur))
+            kw = {"exclude": exclude, "check_admissibility": not central}
+            decisions = (migration.handle_migration_req(*args, **kw) if failed is None
+                         else migration.mmt_failure_recovery(*args, failed, **kw))
             pending = []
             for dec in decisions:
-                if dec.escalate:
+                if dec.to is None:
                     pending.append(dec.module)
                 else:
                     outs.append(self._commit_migration(dev, new_ctrl, decider, dec,
-                                                       working, t_dec))
+                                                       working, t_dec, tried))
             if not pending:
                 return outs
             parent = self.topology.node(cur).parent
-            if parent is None:
+            if failed is not None or parent is None:
                 for module_id in pending:
-                    # Nothing above the cloud: the module stays in place.
+                    # Recovery found nothing, or nothing is above the cloud.
                     self.log("migration_stay", device=dev.sid.index, module=module_id)
                     outs.append((t_dec + self.lat(decider, new_ctrl), 0.0, 0.0, False))
                 return outs
@@ -566,37 +573,26 @@ class Simulation:
 
     def _commit_migration(self, dev: SimDevice, new_ctrl: ServerId,
                           decider: ServerId, dec: migration.MigrationDecision,
-                          working: Placement, t_dec: float):
-        module_id = dec.module
-        frm, to = dec.frm, dec.to
+                          working: Placement, t_dec: float, tried: List[ServerId]):
+        """Confirm a decided move at its target; a failed target re-enters `_escalate`.
+
+        `tried` lists the targets that already failed for this module, so a
+        recovered decision to stay put is logged as a stay.
+        """
+        module_id, frm, to, mc = dec.module, dec.frm, dec.to, dec.cost
         if to == frm:
+            if tried:
+                self.log("migration_stay", device=dev.sid.index, module=module_id)
             return (t_dec + self.lat(decider, new_ctrl), 0.0, 0.0, False)
         # Confirmation at the target: capacity reservation plus injected failures.
-        excluded: List[ServerId] = []
-        mc = dec.cost
-        while True:
-            failed = self.failure_p > 0.0 and self.rng_fail.random() < self.failure_p
-            if not failed and self.ledger.reserve(to, dev.dag.template, module_id):
-                break
+        failed = self.failure_p > 0.0 and self.rng_fail.random() < self.failure_p
+        if failed or not self.ledger.reserve(to, dev.dag.template, module_id):
             self.log("migration_failure", device=dev.sid.index, module=module_id,
                      target=str(to))
-            excluded.append(to)
             working.assignment[module_id] = frm
             t_dec = t_dec + self.lat(decider, to) + self.lat(to, decider)
-            rec = migration.mmt_failure_recovery(
-                self.topology, self.ledger, decider, dev.dag, working,
-                dev.schedule_set, module_id, to, self.weights, self.profile,
-                self.mig_params,
-                lambda m: self._dump_bits(dev, m),
-                lambda m: self._remaining_mi(dev, m, t_dec),
-                self._migration_candidates(decider), exclude=excluded[:-1],
-                check_admissibility=self.policy != "urmila")
-            dec2 = rec[0]
-            if dec2.escalate or dec2.to == frm:
-                working.assignment[module_id] = frm
-                self.log("migration_stay", device=dev.sid.index, module=module_id)
-                return (t_dec + self.lat(decider, new_ctrl), 0.0, 0.0, False)
-            to, mc = dec2.to, dec2.cost
+            return self._escalate(dev, new_ctrl, decider, [module_id], working, t_dec,
+                                  exclude=tried, failed=to)[0]
         coord = self.lat(decider, to) + self.lat(to, frm)
         dev.inflight.add(module_id)
         w_start = t_dec

@@ -50,28 +50,40 @@ def test_bundled_desk_scenario_has_small_oracle_footprint():
     assert len(world.devices) == 20
 
 
-def _stale_keys(mapping, defaults, path=()):
-    """Keys of `mapping`, at any depth of nested mappings, missing from `defaults`."""
-    out = []
-    for key, val in mapping.items():
-        if key not in defaults:
-            out.append(path + (key,))
-        elif isinstance(val, dict) and isinstance(defaults[key], dict):
-            out.extend(_stale_keys(val, defaults[key], path + (key,)))
-    return out
-
-
 def test_bundled_scenarios_hold_only_known_keys():
     files = sorted(f for f in resources.files("fogsim").joinpath("scenarios").iterdir()
                    if f.name.endswith(".yaml"))
     assert len(files) >= 2
     for f in files:
-        assert _stale_keys(yaml.safe_load(f.read_text()), scenario.DEFAULTS) == [], f.name
+        stale = scenario._stale_keys(yaml.safe_load(f.read_text()), scenario.DEFAULTS)
+        assert stale == [], f.name
 
 
 def test_stale_key_check_reports_nested_keys():
     stale = {"seed": 2, "migration": {"i_mig_s": 0.1, "gone_s": 1.0}, "bogus": [1]}
-    assert _stale_keys(stale, scenario.DEFAULTS) == [("migration", "gone_s"), ("bogus",)]
+    assert scenario._stale_keys(stale, scenario.DEFAULTS) == [("migration", "gone_s"), ("bogus",)]
+
+
+def test_misspelled_scenario_key_raises(tmp_path):
+    path = tmp_path / "typo.yaml"
+    path.write_text(yaml.safe_dump({"mobilty": {"tick_s": 0.5}}))
+    with pytest.raises(ValueError, match="mobilty"):
+        load_scenario(str(path))
+    with pytest.raises(ValueError, match=r"mobility\.tick"):
+        load_scenario(None, {"mobility": {"tick": 0.5}})
+
+
+def test_extra_link_level_loads(tmp_path):
+    levels = TINY_SCENARIO["levels"] + [
+        {"level": 4, "count": 1, "cols": 1, "rows": 1, "cpu_mips": 20000,
+         "capacity": 80, "coverage_m": 0.0}]
+    path = tmp_path / "four_levels.yaml"
+    path.write_text(yaml.safe_dump(dict(
+        TINY_SCENARIO, fog_levels=4, levels=levels,
+        links={"lat_up_s": {4: 0.2}, "bw_up_bps": {4: 10e9}})))
+    config = load_scenario(str(path))
+    assert config["links"]["lat_up_s"][4] == 0.2
+    assert config["links"]["lat_up_s"][1] == 0.025  # default kept
 
 
 def test_unknown_scenario_exits(tmp_path):

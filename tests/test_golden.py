@@ -25,6 +25,10 @@ GOLDEN_SIM = {
         "50b7701c6b1c7e7ad4676fe181b750ae8367db5c03db8d9d75efd79058eb2859",
     ("urmila", 0.5):
         "4809d2c4fd60c7ac18194643350f1a03b0b9001316292bf70b8f2da0b000c9ff",
+    ("proposed", 1.0):
+        "ecc09e76fc1fa8ddabac6989dd764511fc236b12746b6919eda03bf07e43f91b",
+    ("maas", 1.0):
+        "e7fcabe07281aba4041f28855396e6662814041127ea5259c03424e1145976f1",
     ("urmila", 1.0):
         "eb76529f2c7811ab6ae9af0bb1ac958f107ccd8bc6c015c1e1815e6b20b6918b",
 }

@@ -211,11 +211,11 @@ def test_migration_candidates_cluster_toggle():
 def test_staying_put_is_admissible():
     topo, dag, plc, sched, ledger = decision_world()
     decisions = handle_migration_req(
-        topo, ledger, S(1, 1), dag, plc, sched, ["m"], WEIGHTS, PROFILE,
+        topo, ledger, dag, plc, sched, ["m"], WEIGHTS, PROFILE,
         PARAMS, lambda m: 1e6, lambda m: 0.0,
         candidates=[S(1, 1), S(1, 3)])
     assert decisions[0].to == S(1, 1)
-    assert not decisions[0].escalate
+    assert decisions[0].cost is not None
 
 
 def test_inadmissible_cheapest_falls_through_to_second():
@@ -224,7 +224,7 @@ def test_inadmissible_cheapest_falls_through_to_second():
     # 100 MIPS CPU inflates the application cost far beyond the 5% slack;
     # the up-down neighbour passes.
     decisions = handle_migration_req(
-        topo, ledger, S(1, 1), dag, plc, sched, ["m"], WEIGHTS, PROFILE,
+        topo, ledger, dag, plc, sched, ["m"], WEIGHTS, PROFILE,
         PARAMS, lambda m: 1e6, lambda m: 0.0,
         candidates=[S(1, 3), S(1, 2)], exclude=[S(1, 1)])
     assert decisions[0].to == S(1, 2)
@@ -234,7 +234,7 @@ def test_inadmissible_cheapest_falls_through_to_second():
 def test_admissibility_check_off_commits_cheapest():
     topo, dag, plc, sched, ledger = decision_world()
     decisions = handle_migration_req(
-        topo, ledger, S(1, 1), dag, plc, sched, ["m"], WEIGHTS, PROFILE,
+        topo, ledger, dag, plc, sched, ["m"], WEIGHTS, PROFILE,
         PARAMS, lambda m: 1e6, lambda m: 0.0,
         candidates=[S(1, 3), S(1, 2)], exclude=[S(1, 1)],
         check_admissibility=False)
@@ -246,10 +246,10 @@ def test_escalation_when_no_candidate_has_capacity():
     while ledger.free(S(1, 2)) > 0:
         ledger.reserve(S(1, 2), "pad", "pad")
     decisions = handle_migration_req(
-        topo, ledger, S(1, 1), dag, plc, sched, ["m"], WEIGHTS, PROFILE,
+        topo, ledger, dag, plc, sched, ["m"], WEIGHTS, PROFILE,
         PARAMS, lambda m: 1e6, lambda m: 0.0,
         candidates=[S(1, 2)], exclude=[S(1, 1)])
-    assert decisions[0].escalate
+    assert decisions[0].to is None
     assert plc.assignment["m"] == S(1, 1)
 
 
@@ -257,8 +257,8 @@ def test_failure_recovery_excludes_failed_target():
     topo, dag, plc, sched, ledger = decision_world()
     topo.link_cluster(S(1, 1), S(1, 2))
     decisions = mmt_failure_recovery(
-        topo, ledger, S(1, 1), dag, plc, sched, "m", S(1, 2), WEIGHTS,
-        PROFILE, PARAMS, lambda m: 1e6, lambda m: 0.0,
-        migration_candidates(topo, S(1, 1)))
+        topo, ledger, dag, plc, sched, ["m"], WEIGHTS, PROFILE, PARAMS,
+        lambda m: 1e6, lambda m: 0.0, migration_candidates(topo, S(1, 1)),
+        failed=S(1, 2))
     assert decisions[0].to is not None
     assert decisions[0].to != S(1, 2)

@@ -234,6 +234,39 @@ def test_certain_failure_still_completes():
         assert row["emitted"] >= 0
 
 
+def _urban_levels(**fields):
+    levels = scenario.load_scenario(cli.resolve_scenario("urban_80dev"))["levels"]
+    return [dict(level, **fields) for level in levels]
+
+
+EXTREMES = {
+    "zero_devices": {"devices": {"count": 0}},
+    "failure_p_1": {"failure": {"migration_failure_p": 1.0}},
+    "one_server_per_level": {"levels": _urban_levels(count=1, cols=1, rows=1)},
+    "zero_fog_capacity": {"levels": _urban_levels(capacity=0)},
+}
+
+
+@pytest.mark.parametrize("policy", POLICIES)
+@pytest.mark.parametrize("extreme", sorted(EXTREMES))
+def test_extreme_settings_finish_and_conserve(extreme, policy):
+    config = scenario.load_scenario(cli.resolve_scenario("urban_80dev"), {
+        "policy": policy, "seed": 1, "horizon_s": 60.0, "devices": {"count": 20},
+        **EXTREMES[extreme]})
+    sim = Simulation(config)
+    result = sim.run()
+    assert len(result.rows) == (0 if extreme == "zero_devices" else 2)
+    for row in result.rows:
+        assert row["emitted"] == row["completed"] + row["inflight"] + row["dropped"]
+    for sid, used in sim.ledger.usage_map().items():
+        assert 0 <= used <= sim.topology.node(sid).container_capacity
+    if extreme == "zero_fog_capacity":
+        # Placement escalates every unpinned module to the cloud.
+        for dev in sim.devices:
+            for module_id in dev.dag.unpinned():
+                assert dev.placement.assignment[module_id] == sim.topology.cloud_id
+
+
 def test_metric_row_shape_and_conservation():
     cfg = tiny_config(policy="maas", seed=2)
     result = run_simulation(cfg, horizons=[2.0, 5.0])
