@@ -67,9 +67,6 @@ class ScheduleSet:
     schedules: List[List[str]]
     order_of: Dict[str, int]
 
-    def __iter__(self):
-        return iter(self.schedules)
-
 
 def build_schedules(dag: AppDag) -> ScheduleSet:
     """BFS topological grouping: a module's order is 1 + max order of its predecessors."""
@@ -120,13 +117,10 @@ def compute_rank(dag: AppDag, ready_servers: Sequence[ServerId], weights,
             return dict(cached)
     n = len(servers)
 
-    def exec_cost(module_id: str) -> float:
+    def mean_exec_cost(module_id: str) -> float:
         total = 0.0
         for sid in servers:
-            node = topology.node(sid)
-            t_exe = dag.incoming_mi(module_id) / node.cpu_mips
-            p = profile.p_cpu_w if sid.level == 0 else profile.p_idle_w
-            total += weights.w1 * t_exe + weights.w2 * t_exe * p
+            total += cost_model.exec_cost(topology, dag, weights, profile, module_id, sid)
         return total / n
 
     def transfer_cost(flow: DataFlow) -> float:
@@ -147,7 +141,7 @@ def compute_rank(dag: AppDag, ready_servers: Sequence[ServerId], weights,
             best_succ = 0.0
             for flow in dag.succs[mid]:
                 best_succ = max(best_succ, transfer_cost(flow) + rank[flow.dst])
-            rank[mid] = exec_cost(mid) + best_succ
+            rank[mid] = mean_exec_cost(mid) + best_succ
     if key is not None:
         topology.rank_cache[key] = dict(rank)
     return rank

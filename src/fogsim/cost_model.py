@@ -262,6 +262,14 @@ def module_energy(topology: Topology, dag: AppDag, placement: Placement,
     return e_exe + e_lat + e_tra
 
 
+def exec_cost(topology: Topology, dag: AppDag, weights: CostWeights,
+              profile: DeviceEnergyProfile, module_id: str, sid: ServerId) -> float:
+    """Weighted execution-only cost of a module on one server, transfers ignored."""
+    t = dag.incoming_mi(module_id) / topology.node(sid).cpu_mips
+    p = profile.p_cpu_w if sid.level == 0 else profile.p_idle_w
+    return weights.w1 * t + weights.w2 * t * p
+
+
 def schedule_cost(topology: Topology, dag: AppDag, placement: Placement,
                   profile: DeviceEnergyProfile, modules: List[str]) -> Tuple[float, float]:
     """(time, energy) of one schedule: the max over its modules (they run in parallel)."""

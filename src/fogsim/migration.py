@@ -133,7 +133,6 @@ class MigrationDecision:
 @dataclass
 class MigrationRound:
     """All per-layer decisions of one schedule position."""
-    schedule_pos: int
     by_decider: Dict[ServerId, List[str]] = field(default_factory=dict)
 
 
@@ -149,8 +148,8 @@ def plan_rounds(topology: Topology, new_controller: ServerId, dag: AppDag,
     """
     rounds = []
     skip = set(exclude)
-    for pos, group in enumerate(schedule_set.schedules, start=1):
-        rnd = MigrationRound(schedule_pos=pos)
+    for group in schedule_set.schedules:
+        rnd = MigrationRound()
         movable = [m for m in group
                    if not dag.module_map[m].pinned_to_device and m not in skip]
         movable.sort(key=lambda m: (-dag.module_map[m].container_ram_mb, m))
@@ -169,14 +168,11 @@ def plan_rounds(topology: Topology, new_controller: ServerId, dag: AppDag,
     return rounds
 
 
-def migration_candidates(topology: Topology, decider: ServerId,
-                         use_cluster: bool = True) -> List[ServerId]:
+def migration_candidates(topology: Topology, decider: ServerId) -> List[ServerId]:
     """Ready servers for migration decisions: cluster members, self, children."""
     node = topology.node(decider)
-    out = []
-    if use_cluster:
-        out.extend(sorted(m for m in node.cluster_members
-                          if m in topology.nodes and topology.nodes[m].alive))
+    out = sorted(m for m in node.cluster_members
+                 if m in topology.nodes and topology.nodes[m].alive)
     out.append(decider)
     out.extend(sorted(c for c in node.children
                       if c in topology.nodes and topology.nodes[c].alive and c.level >= 1))

@@ -35,12 +35,6 @@ def _module_weighted(topology, dag, placement, profile, weights, module_id) -> f
     return weights.w1 * t + weights.w2 * e
 
 
-def _exec_only(topology, dag, profile, weights, module_id, sid) -> float:
-    t = dag.incoming_mi(module_id) / topology.node(sid).cpu_mips
-    p = profile.p_cpu_w if sid.level == 0 else profile.p_idle_w
-    return weights.w1 * t + weights.w2 * t * p
-
-
 def optimal_placement(topology: Topology, dag: AppDag, weights: CostWeights,
                       profile: DeviceEnergyProfile,
                       candidates: Sequence[ServerId],
@@ -71,7 +65,7 @@ def optimal_placement(topology: Topology, dag: AppDag, weights: CostWeights,
     per_module_cands = {}
     for mid in order:
         scored = sorted(
-            ((_exec_only(topology, dag, profile, weights, mid, sid), sid)
+            ((cost_model.exec_cost(topology, dag, weights, profile, mid, sid), sid)
              for sid in candidates),
             key=lambda it: (it[0], it[1]))
         min_exec[mid] = scored[0][0] if scored else 0.0

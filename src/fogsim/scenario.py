@@ -72,7 +72,8 @@ def _stale_keys(mapping: Dict, defaults: Dict, path: Tuple = ()) -> List[Tuple]:
     """Keys of `mapping`, at any depth of nested mappings, missing from `defaults`.
 
     A defaults table keyed by level numbers (the `links.*` tables) accepts
-    any integer level. Entries of lists such as `levels` are not checked.
+    any integer level. Each mapping in a list such as `levels` is checked
+    against the keys of the default list's entries, under `levels[i]`.
     """
     level_keyed = all(isinstance(k, int) for k in defaults)
     out = []
@@ -82,6 +83,12 @@ def _stale_keys(mapping: Dict, defaults: Dict, path: Tuple = ()) -> List[Tuple]:
                 out.append(path + (key,))
         elif isinstance(val, dict) and isinstance(defaults[key], dict):
             out.extend(_stale_keys(val, defaults[key], path + (key,)))
+        elif isinstance(val, list) and isinstance(defaults[key], list):
+            known = {k: None for entry in defaults[key] if isinstance(entry, dict)
+                     for k in entry}
+            for i, entry in enumerate(val):
+                if isinstance(entry, dict):
+                    out.extend(_stale_keys(entry, known, path + (f"{key}[{i}]",)))
     return out
 
 
@@ -129,7 +136,6 @@ class DeviceSetup:
 
 @dataclass
 class World:
-    config: Dict
     topology: Topology
     devices: List[DeviceSetup] = field(default_factory=list)
     weights: CostWeights = field(default_factory=CostWeights)
@@ -232,5 +238,5 @@ def build_world(config: Dict) -> World:
         i_mig_s=float(mig_cfg["i_mig_s"]),
         epsilon_frac=float(mig_cfg["epsilon_frac"]),
         dump_fraction=tuple(float(x) for x in mig_cfg["dump_fraction"]))
-    return World(config=config, topology=topology, devices=device_setups,
+    return World(topology=topology, devices=device_setups,
                  weights=weights, profile=profile, migration=migration)

@@ -18,7 +18,7 @@ from .app_model import AppDag, ScheduleSet, build_schedules, rank_modules
 from .clustering import bootstrap_clusters
 from .cost_model import Placement
 from .placement import CapacityLedger
-from .scenario import DeviceSetup, World, build_world, stream
+from .scenario import DeviceSetup, build_world, stream
 from .topology import ServerId, Topology
 
 POLICIES = ("proposed", "maas", "urmila")
@@ -185,16 +185,16 @@ def random_walk_step(position, leg, area, rng, dt, speed_range, leg_range):
 
 @dataclass
 class SimDevice:
+    """Per-device run state; the controller is the topology node's parent and
+    the service start is `acc.t0`."""
     setup: DeviceSetup
     schedule_set: ScheduleSet
     placement: Placement
-    controller: ServerId
     acc: TaskAccumulator
     rng_mob: object
     leg: Optional[tuple] = None
     velocity: Tuple[float, float] = (0.0, 0.0)
     ranked: Optional[Dict[int, List[str]]] = None
-    service_start: Optional[float] = None
     pdt_s: Optional[float] = None
     mmt_busy: bool = False
     pending_departure: bool = False
@@ -213,9 +213,6 @@ class SimDevice:
 
 @dataclass
 class SimResult:
-    policy: str
-    seed: int
-    horizons: List[float]
     rows: List[dict]
     events: List[dict]
     pdt_mean_s: float
@@ -227,11 +224,11 @@ class Simulation:
             raise ValueError(f"unknown policy {config['policy']!r}")
         self.config = config
         self.policy = config["policy"]
-        self.world: World = build_world(config)
-        self.topology: Topology = self.world.topology
-        self.weights = self.world.weights
-        self.profile = self.world.profile
-        self.mig_params = self.world.migration
+        world = build_world(config)
+        self.topology: Topology = world.topology
+        self.weights = world.weights
+        self.profile = world.profile
+        self.mig_params = world.migration
         self.ledger = CapacityLedger(self.topology)
         self.kernel = Kernel()
         self.events: List[dict] = []
@@ -254,7 +251,7 @@ class Simulation:
         self.area = (float(config["area"]["width_m"]), float(config["area"]["height_m"]))
         mode = config["interrupted_mode"]
         self.devices: List[SimDevice] = []
-        for setup in self.world.devices:
+        for setup in world.devices:
             schedule_set = build_schedules(setup.dag)
             plc = Placement(setup.dag.app_id)
             for m in setup.dag.modules:
@@ -262,7 +259,6 @@ class Simulation:
                     plc.assignment[m.id] = setup.sid
             self.devices.append(SimDevice(
                 setup=setup, schedule_set=schedule_set, placement=plc,
-                controller=self.topology.node(setup.sid).parent,
                 acc=TaskAccumulator(setup.dag.sensor_interval_s, mode),
                 rng_mob=stream(seed, f"mob:{setup.sid.index}")))
 
@@ -274,10 +270,11 @@ class Simulation:
     def lat(self, a: ServerId, b: ServerId) -> float:
         return cost_model.internodal_latency(self.topology, a, b)
 
-    def _refresh_cost(self, dev: SimDevice, now: float):
+    def _task_cost(self, dev: SimDevice) -> Tuple[float, float]:
+        """(response time, energy) of one task under the device's current placement."""
         t, e = cost_model.app_cost_breakdown(
             self.topology, dev.dag, dev.placement, dev.schedule_set, self.profile)
-        dev.acc.set_cost(now, t + self.sensor_lat, e)
+        return t + self.sensor_lat, e
 
     def _dump_bits(self, dev: SimDevice, module_id: str) -> float:
         ram_mb = dev.dag.module_map[module_id].container_ram_mb
@@ -297,7 +294,7 @@ class Simulation:
         return migration.remaining_instructions(
             dev.dag.incoming_mi(module_id), self.topology.node(frm).cpu_mips,
             dev.dag.sensor_interval_s, offset, at,
-            dev.service_start if dev.service_start is not None else at)
+            dev.acc.t0 if dev.acc.t0 is not None else at)
 
     # -- placement ---------------------------------------------------------
 
@@ -306,7 +303,12 @@ class Simulation:
         t0 = self.kernel.now
         last = self.place(dev, t0)
         dev.pdt_s = last - t0
-        self._start_service(dev, last + self.topology.links.lat_up[0])
+
+        def start(event: Event):
+            dev.acc.start_service(self.kernel.now, *self._task_cost(dev))
+            self.log("service_start", device=dev.sid.index)
+        self.kernel.schedule(last + self.topology.links.lat_up[0], "service_start", start,
+                             {"device": dev.sid.index})
 
     def place(self, dev: SimDevice, t0: float) -> float:
         """Place the device's unpinned modules for a request sent at t0.
@@ -316,7 +318,7 @@ class Simulation:
         its FIFO queue; the other policies decide at the device's controller.
         Returns the time the controller hears back.
         """
-        controller = dev.controller
+        controller = self.topology.node(dev.sid).parent
         urmila = self.policy == "urmila"
         decider = self.central if urmila else controller
         arrival = t0 + self.topology.links.lat_up[0] + self.lat(controller, decider)
@@ -388,15 +390,6 @@ class Simulation:
             acks.append(sub + self.lat(parent, controller))
         return max(acks)
 
-    def _start_service(self, dev: SimDevice, at: float):
-        def handler(event: Event):
-            dev.service_start = self.kernel.now
-            t, e = cost_model.app_cost_breakdown(
-                self.topology, dev.dag, dev.placement, dev.schedule_set, self.profile)
-            dev.acc.start_service(self.kernel.now, t + self.sensor_lat, e)
-            self.log("service_start", device=dev.sid.index)
-        self.kernel.schedule(at, "service_start", handler, {"device": dev.sid.index})
-
     # -- mobility and handover ----------------------------------------------
 
     def _tick(self, event: Event):
@@ -406,9 +399,9 @@ class Simulation:
             node.position, dev.leg, dev.velocity = random_walk_step(
                 node.position, dev.leg, self.area, dev.rng_mob, dt,
                 self.speed_range, self.leg_range)
-            if dev.service_start is None:
+            if dev.acc.t0 is None:
                 continue
-            ctrl = self.topology.node(dev.controller)
+            ctrl = self.topology.node(node.parent)
             if dev.mmt_busy:
                 # Only a confirmed exit latches a follow-up handover; margin
                 # wobble during coordination resolves by itself.
@@ -422,8 +415,8 @@ class Simulation:
 
     def _start_departure(self, dev: SimDevice):
         now = self.kernel.now
-        old = dev.controller
-        position = self.topology.node(dev.sid).position
+        node = self.topology.node(dev.sid)
+        old, position = node.parent, node.position
         sensed = self.topology.sensed_by(position)
         cands = [s for s in sensed if s != old]
         if not cands:
@@ -449,8 +442,7 @@ class Simulation:
     def _attach(self, dev: SimDevice, dest: ServerId):
         now = self.kernel.now
         self.topology.set_parent(dev.sid, dest)
-        dev.controller = dest
-        self._refresh_cost(dev, now)
+        dev.acc.set_cost(now, *self._task_cost(dev))
         central = self.central if self.policy == "urmila" else None
         rounds = migration.plan_rounds(self.topology, dest, dev.dag,
                                        dev.placement, dev.schedule_set, central,
@@ -466,10 +458,6 @@ class Simulation:
         self._run_round(dev, dest, rounds, 0, now)
 
     # -- migration rounds ----------------------------------------------------
-
-    def _migration_candidates(self, decider: ServerId) -> List[ServerId]:
-        return migration.migration_candidates(self.topology, decider,
-                                              use_cluster=self.policy == "proposed")
 
     def _run_round(self, dev: SimDevice, new_ctrl: ServerId,
                    rounds: List[migration.MigrationRound], k: int, t: float):
@@ -547,7 +535,7 @@ class Simulation:
                     pending, self.weights, self.profile, self.mig_params,
                     lambda m: self._dump_bits(dev, m),
                     lambda m: self._remaining_mi(dev, m, t_dec),
-                    self._migration_candidates(cur))
+                    migration.migration_candidates(self.topology, cur))
             kw = {"exclude": exclude, "check_admissibility": not central}
             decisions = (migration.handle_migration_req(*args, **kw) if failed is None
                          else migration.mmt_failure_recovery(*args, failed, **kw))
@@ -607,7 +595,7 @@ class Simulation:
             dev.inflight.discard(module_id)
             dev.placement.assignment[module_id] = to
             self.ledger.release(frm, dev.dag.template, module_id)
-            self._refresh_cost(dev, self.kernel.now)
+            dev.acc.set_cost(self.kernel.now, *self._task_cost(dev))
 
         self.kernel.schedule(w_end, "migration_commit", commit,
                              {"device": dev.sid.index, "module": module_id})
@@ -673,8 +661,7 @@ class Simulation:
                     "dropped": sum(r["dropped"] for r in sub),
                 })
         pdts = [d.pdt_s for d in self.devices if d.pdt_s is not None]
-        return SimResult(policy=self.policy, seed=self.config["seed"],
-                         horizons=horizons, rows=rows, events=self.events,
+        return SimResult(rows=rows, events=self.events,
                          pdt_mean_s=sum(pdts) / len(pdts) if pdts else 0.0)
 
 

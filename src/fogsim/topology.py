@@ -255,22 +255,3 @@ class Topology:
         radius = min(na.coverage_radius, nb.coverage_radius)
         return radius > 0 and na.distance_to(nb.position) <= radius
 
-
-def build_topology(node_specs: Iterable[dict], links: LinkParams, max_fog_level: int) -> Topology:
-    """Build a topology from plain dict specs.
-
-    Each spec carries: level, index, cpu_mips, capacity, and optionally
-    parent (level, index) tuple, position, coverage_radius.
-    """
-    nodes = []
-    for spec in node_specs:
-        parent = spec.get("parent")
-        nodes.append(ServerNode(
-            id=ServerId(spec["level"], spec["index"]),
-            cpu_mips=float(spec["cpu_mips"]),
-            container_capacity=int(spec["capacity"]),
-            position=tuple(spec.get("position", (0.0, 0.0))),
-            coverage_radius=float(spec.get("coverage_radius", 0.0)),
-            parent=ServerId(*parent) if parent is not None else None,
-        ))
-    return Topology(nodes, links, max_fog_level)

@@ -73,6 +73,17 @@ def test_misspelled_scenario_key_raises(tmp_path):
         load_scenario(None, {"mobility": {"tick": 0.5}})
 
 
+def test_misspelled_level_key_raises(tmp_path):
+    levels = [dict(level) for level in TINY_SCENARIO["levels"]]
+    levels[1]["coverage"] = levels[1].pop("coverage_m")
+    path = tmp_path / "typo.yaml"
+    path.write_text(yaml.safe_dump(dict(TINY_SCENARIO, levels=levels)))
+    with pytest.raises(ValueError, match=r"levels\[1\]\.coverage\b"):
+        load_scenario(str(path))
+    with pytest.raises(ValueError, match=r"levels\[0\]\.cpu\b"):
+        load_scenario(None, {"levels": [{"level": 1, "count": 1, "cpu": 1}]})
+
+
 def test_extra_link_level_loads(tmp_path):
     levels = TINY_SCENARIO["levels"] + [
         {"level": 4, "count": 1, "cols": 1, "rows": 1, "cpu_mips": 20000,

@@ -1,6 +1,8 @@
-"""Static gates: no module imports a name it never uses, and no function in
-the package takes a parameter it never reads."""
+"""Static gates: no module imports a name it never uses, no function in the
+package takes a parameter it never reads, and no module-level definition in
+the package goes unnamed by the rest of the code."""
 import ast
+from collections import Counter
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -73,3 +75,48 @@ def test_no_unused_imports():
                  for path in files if path.name != "__init__.py"
                  for line, name in unused_imports(path.read_text())]
     assert not offenders, "unused imports:\n" + "\n".join(offenders)
+
+
+DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+
+
+def _names(node):
+    """Every identifier a statement mentions: variables, attributes, imported
+    names and strings (the benchmark tracer patches functions by name)."""
+    out = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            out.add(sub.id)
+        elif isinstance(sub, ast.Attribute):
+            out.add(sub.attr)
+        elif isinstance(sub, ast.alias):
+            out.add(sub.name)
+        elif isinstance(sub, ast.Constant) and isinstance(sub.value, str):
+            out.add(sub.value)
+    return out
+
+
+def unreferenced_definitions(sources, package):
+    """(file, name) of each module-level function or class in a `package` file
+    that no top-level statement of `sources` names, apart from its own definition."""
+    trees = {name: ast.parse(text) for name, text in sources.items()}
+    mentions = Counter(n for tree in trees.values() for stmt in tree.body
+                       for n in _names(stmt))
+    return sorted((name, stmt.name) for name in package for stmt in trees[name].body
+                  if isinstance(stmt, DEFINITIONS)
+                  and mentions[stmt.name] == int(stmt.name in _names(stmt)))
+
+
+def test_checker_flags_an_unreferenced_definition():
+    sample = {"m.py": "def f(): return f()\ndef g(): return f()\n"}
+    assert unreferenced_definitions(sample, ["m.py"]) == [("m.py", "g")]
+
+
+def test_no_unreferenced_definitions():
+    files = [path for top in ("src", "tests", "perfbench")
+             for path in sorted((ROOT / top).rglob("*.py"))]
+    sources = {str(path.relative_to(ROOT)): path.read_text() for path in files}
+    package = [name for name in sources if name.startswith("src/fogsim/")]
+    offenders = unreferenced_definitions(sources, package)
+    assert not offenders, "definitions nothing names:\n" + "\n".join(
+        f"{name}: {definition}" for name, definition in offenders)

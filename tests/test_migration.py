@@ -204,7 +204,8 @@ def test_migration_candidates_cluster_toggle():
     topo.link_cluster(S(2, 1), S(2, 2))
     with_cluster = migration_candidates(topo, S(2, 1))
     assert with_cluster == [S(2, 2), S(2, 1), S(1, 1), S(1, 2), S(1, 3)]
-    without = migration_candidates(topo, S(2, 1), use_cluster=False)
+    topo.unlink_cluster(S(2, 1), S(2, 2))
+    without = migration_candidates(topo, S(2, 1))
     assert without == [S(2, 1), S(1, 1), S(1, 2), S(1, 3)]
 
 

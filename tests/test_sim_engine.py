@@ -176,7 +176,7 @@ def test_every_device_gets_service_and_full_placement(policy):
     sim.run([5.0])
     for dev in sim.devices:
         assert dev.pdt_s is not None and dev.pdt_s > 0
-        assert dev.service_start is not None
+        assert dev.acc.t0 is not None
         for module in dev.dag.modules:
             assert module.id in dev.placement.assignment
         for module_id in dev.dag.unpinned():
@@ -265,6 +265,16 @@ def test_extreme_settings_finish_and_conserve(extreme, policy):
         for dev in sim.devices:
             for module_id in dev.dag.unpinned():
                 assert dev.placement.assignment[module_id] == sim.topology.cloud_id
+
+
+@pytest.mark.parametrize("policy", POLICIES)
+def test_only_proposed_builds_cluster_edges(policy):
+    # Migration candidates include cluster members under every policy; the
+    # baselines get none because only proposed bootstraps clusters.
+    sim = Simulation(tiny_config(policy=policy, seed=1))
+    clustered = [sid for sid in sim.topology.fog_servers()
+                 if sim.topology.node(sid).cluster_members]
+    assert bool(clustered) == (policy == "proposed")
 
 
 def test_metric_row_shape_and_conservation():
