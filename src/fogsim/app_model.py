@@ -91,9 +91,12 @@ def build_schedules(dag: AppDag) -> ScheduleSet:
     return ScheduleSet(schedules=schedules, order_of=order)
 
 
-def compute_rank(dag: AppDag, ready_servers: Sequence[ServerId], weights,
+def compute_rank(dag: AppDag, schedule_set: ScheduleSet,
+                 ready_servers: Sequence[ServerId], weights,
                  topology: Topology, profile) -> Dict[str, float]:
     """Weighted upward rank of every module over the candidate server set.
+
+    `schedule_set` is the DAG's `build_schedules` result, which callers hold.
 
     Execution term averages the weighted run cost across candidates;
     the transfer term averages pairwise transfer cost over all ordered
@@ -134,7 +137,6 @@ def compute_rank(dag: AppDag, ready_servers: Sequence[ServerId], weights,
                 total += weights.w1 * t + weights.w2 * e
         return total / (n * n)
 
-    schedule_set = build_schedules(dag)
     rank: Dict[str, float] = {}
     for group in reversed(schedule_set.schedules):
         for mid in group:
@@ -147,11 +149,11 @@ def compute_rank(dag: AppDag, ready_servers: Sequence[ServerId], weights,
     return rank
 
 
-def rank_modules(dag: AppDag, ready_servers: Sequence[ServerId], weights,
+def rank_modules(dag: AppDag, schedule_set: ScheduleSet,
+                 ready_servers: Sequence[ServerId], weights,
                  topology: Topology, profile) -> Dict[int, List[str]]:
     """Per-schedule dispatch order: rank descending, ties broken by module id."""
-    rank = compute_rank(dag, ready_servers, weights, topology, profile)
-    schedule_set = build_schedules(dag)
+    rank = compute_rank(dag, schedule_set, ready_servers, weights, topology, profile)
     out: Dict[int, List[str]] = {}
     for pos, group in enumerate(schedule_set.schedules, start=1):
         out[pos] = sorted(group, key=lambda mid: (-rank[mid], mid))

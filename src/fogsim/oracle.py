@@ -51,8 +51,8 @@ def optimal_placement(topology: Topology, dag: AppDag, weights: CostWeights,
     if schedule_set is None:
         schedule_set = build_schedules(dag)
     candidates = sorted(set(candidates))
-    order = rank_order(rank_modules(dag, candidates, weights, topology, profile),
-                       dag.unpinned())
+    ranked = rank_modules(dag, schedule_set, candidates, weights, topology, profile)
+    order = rank_order(ranked, dag.unpinned())
     free = dict(capacity_free) if capacity_free is not None else None
 
     placement = base_placement.copy() if base_placement else Placement(dag.app_id)
@@ -150,8 +150,8 @@ def exhaustive_optimal(topology: Topology, dag: AppDag, weights: CostWeights,
     if schedule_set is None:
         schedule_set = build_schedules(dag)
     candidates = sorted(set(candidates))
-    order = rank_order(rank_modules(dag, candidates, weights, topology, profile),
-                       dag.unpinned())
+    ranked = rank_modules(dag, schedule_set, candidates, weights, topology, profile)
+    order = rank_order(ranked, dag.unpinned())
     placement = base_placement.copy() if base_placement else Placement(dag.app_id)
     best_cost = float("inf")
     best_assign = None

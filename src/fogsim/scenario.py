@@ -58,6 +58,10 @@ DEFAULTS: Dict = {
 }
 
 
+# Keys every `levels` entry must set; `cols`, `rows` and `coverage_m` may be left out.
+LEVEL_KEYS = ("level", "count", "cpu_mips", "capacity")
+
+
 def _deep_merge(base: Dict, override: Dict) -> Dict:
     out = copy.deepcopy(base)
     for key, val in override.items():
@@ -103,7 +107,8 @@ def _merge_known(config: Dict, extra: Dict, source: str) -> Dict:
 def load_scenario(path: Optional[str] = None, overrides: Optional[Dict] = None) -> Dict:
     """Load a scenario file (YAML) merged over the defaults, then overrides.
 
-    A key that the defaults do not know raises ValueError naming its path.
+    A key that the defaults do not know, or a `levels` entry without one of
+    `LEVEL_KEYS`, raises ValueError naming its path.
     """
     config = copy.deepcopy(DEFAULTS)
     if path is not None:
@@ -114,6 +119,10 @@ def load_scenario(path: Optional[str] = None, overrides: Optional[Dict] = None) 
         config = _merge_known(config, user, f"scenario file {path}")
     if overrides:
         config = _merge_known(config, overrides, "overrides")
+    missing = [f"levels[{i}].{key}" for i, spec in enumerate(config["levels"])
+               for key in LEVEL_KEYS if key not in spec]
+    if missing:
+        raise ValueError(f"missing scenario key(s) {', '.join(missing)}")
     return config
 
 

@@ -155,38 +155,52 @@ class TaskAccumulator:
                 "resp_sum": self.resp_sum, "energy_sum": self.energy_sum}
 
 
-def random_walk_step(position, leg, area, rng, dt, speed_range, leg_range):
-    """Advance one mobility tick; returns (position, leg, velocity).
+def random_walk_step(position, leg, area, rng, dt, speed_range, leg_range, ticks=1):
+    """Advance `ticks` (at least one) mobility ticks; returns (position, leg, velocity).
 
     `leg` is (target, speed) or None; a new leg is drawn when none is active
     or the target is reached. Positions clamp to the area; hitting a wall
-    ends the leg.
+    ends the leg. Each tick runs the same arithmetic in the same order, so
+    one call of n ticks equals n calls of one tick bit for bit.
     """
     width, height = area
-    if leg is None:
-        theta = rng.uniform(0.0, 2.0 * math.pi)
-        dist = rng.uniform(*leg_range)
-        target = (min(max(position[0] + dist * math.cos(theta), 0.0), width),
-                  min(max(position[1] + dist * math.sin(theta), 0.0), height))
-        speed = rng.uniform(*speed_range)
-        leg = (target, speed)
-    target, speed = leg
-    dx = target[0] - position[0]
-    dy = target[1] - position[1]
-    dist = math.hypot(dx, dy)
-    step = speed * dt
-    if dist <= step or dist == 0.0:
-        return target, None, (0.0, 0.0) if dist == 0.0 else (dx / max(dist, 1e-12) * speed,
-                                                             dy / max(dist, 1e-12) * speed)
-    ux, uy = dx / dist, dy / dist
-    new_pos = (position[0] + ux * step, position[1] + uy * step)
-    return new_pos, leg, (ux * speed, uy * speed)
+    uniform, hypot, cos, sin = rng.uniform, math.hypot, math.cos, math.sin
+    x, y = position
+    for _ in range(ticks):
+        if leg is None:
+            theta = uniform(0.0, 2.0 * math.pi)
+            dist = uniform(*leg_range)
+            target = (min(max(x + dist * cos(theta), 0.0), width),
+                      min(max(y + dist * sin(theta), 0.0), height))
+            speed = uniform(*speed_range)
+            leg = (target, speed)
+        target, speed = leg
+        dx = target[0] - x
+        dy = target[1] - y
+        dist = hypot(dx, dy)
+        step = speed * dt
+        if dist <= step or dist == 0.0:
+            velocity = (0.0, 0.0) if dist == 0.0 else (dx / max(dist, 1e-12) * speed,
+                                                       dy / max(dist, 1e-12) * speed)
+            x, y = target
+            leg = None
+        else:
+            ux, uy = dx / dist, dy / dist
+            x, y = x + ux * step, y + uy * step
+            velocity = (ux * speed, uy * speed)
+    return (x, y), leg, velocity
 
 
 @dataclass
 class SimDevice:
     """Per-device run state; the controller is the topology node's parent and
-    the service start is `acc.t0`."""
+    the service start is `acc.t0`.
+
+    The position on the topology node is current as of tick `walked`;
+    `Simulation._walk` brings it up to the kernel's tick count.
+    `check_version` tells the live entry of the departure-check heap from
+    stale ones.
+    """
     setup: DeviceSetup
     schedule_set: ScheduleSet
     placement: Placement
@@ -194,6 +208,8 @@ class SimDevice:
     rng_mob: object
     leg: Optional[tuple] = None
     velocity: Tuple[float, float] = (0.0, 0.0)
+    walked: int = 0
+    check_version: int = 0
     ranked: Optional[Dict[int, List[str]]] = None
     pdt_s: Optional[float] = None
     mmt_busy: bool = False
@@ -248,6 +264,12 @@ class Simulation:
         self.speed_range = (float(mob["speed_min_mps"]), float(mob["speed_max_mps"]))
         self.leg_range = (float(mob["leg_min_m"]), float(mob["leg_max_m"]))
         self.margin = float(mob["departure_margin"])
+        # Farthest a device moves in one tick, and the part of the coverage
+        # radius inside which neither departure test can fire.
+        self.reach = max(abs(v) for v in self.speed_range) * self.tick_s
+        self.quiet = min(1.0 - self.margin, 1.0)
+        self.ticks = 0
+        self.due: List[Tuple[int, int, int]] = []  # (tick, device index, version)
         self.area = (float(config["area"]["width_m"]), float(config["area"]["height_m"]))
         mode = config["interrupted_mode"]
         self.devices: List[SimDevice] = []
@@ -306,6 +328,7 @@ class Simulation:
 
         def start(event: Event):
             dev.acc.start_service(self.kernel.now, *self._task_cost(dev))
+            self._arm(dev)
             self.log("service_start", device=dev.sid.index)
         self.kernel.schedule(last + self.topology.links.lat_up[0], "service_start", start,
                              {"device": dev.sid.index})
@@ -327,8 +350,8 @@ class Simulation:
         if self.policy != "maas":
             servers = (self.topology.fog_servers() if urmila
                        else placement.ready_servers(self.topology, controller))
-            dev.ranked = rank_modules(dev.dag, servers, self.weights, self.topology,
-                                      self.profile)
+            dev.ranked = rank_modules(dev.dag, dev.schedule_set, servers, self.weights,
+                                      self.topology, self.profile)
         return self._place_cascade(dev, decider, dev.dag.unpinned(), arrival) \
             + self.lat(decider, controller)
 
@@ -393,29 +416,65 @@ class Simulation:
     # -- mobility and handover ----------------------------------------------
 
     def _tick(self, event: Event):
-        dt = self.tick_s
-        for dev in self.devices:
-            node = self.topology.node(dev.sid)
-            node.position, dev.leg, dev.velocity = random_walk_step(
-                node.position, dev.leg, self.area, dev.rng_mob, dt,
-                self.speed_range, self.leg_range)
-            if dev.acc.t0 is None:
+        """Check the devices whose departure check is due, in index order.
+
+        A device walks only when its position is read; the heap holds each
+        device's next tick at which it can be in its controller's margin band.
+        """
+        self.ticks += 1
+        due = self.due
+        while due and due[0][0] <= self.ticks:
+            _, index, version = heapq.heappop(due)
+            dev = self.devices[index - 1]
+            if version != dev.check_version:
                 continue
+            node = self._walk(dev)
             ctrl = self.topology.node(node.parent)
             if dev.mmt_busy:
                 # Only a confirmed exit latches a follow-up handover; margin
                 # wobble during coordination resolves by itself.
                 if ctrl.distance_to(node.position) > ctrl.coverage_radius:
                     dev.pending_departure = True
-                continue
-            if migration.departure_imminent(ctrl.position, ctrl.coverage_radius,
-                                            node.position, dev.velocity, self.margin):
+            elif migration.departure_imminent(ctrl.position, ctrl.coverage_radius,
+                                              node.position, dev.velocity, self.margin):
                 self._start_departure(dev)
-        self.kernel.schedule(self.kernel.now + dt, "tick", self._tick)
+            self._arm(dev)
+        self.kernel.schedule(self.kernel.now + self.tick_s, "tick", self._tick)
+
+    def _walk(self, dev: SimDevice):
+        """Bring the device's walk up to the current tick; returns its node."""
+        node = self.topology.node(dev.sid)
+        behind = self.ticks - dev.walked
+        if behind:
+            node.position, dev.leg, dev.velocity = random_walk_step(
+                node.position, dev.leg, self.area, dev.rng_mob, self.tick_s,
+                self.speed_range, self.leg_range, behind)
+            dev.walked = self.ticks
+        return node
+
+    def _arm(self, dev: SimDevice):
+        """Schedule the device's next departure check.
+
+        After k more ticks the device is at most k * reach farther from its
+        controller, so no test can fire while that stays inside the quiet
+        radius; one tick is kept as slack for float error. A device that
+        cannot move and sits inside gets no check until it is re-armed.
+        """
+        node = self._walk(dev)
+        ctrl = self.topology.node(node.parent)
+        room = self.quiet * ctrl.coverage_radius - ctrl.distance_to(node.position)
+        dev.check_version += 1
+        if self.reach > 0.0:
+            ahead = max(1, math.floor(room / self.reach) - 1)
+        elif room > 0.0:
+            return
+        else:
+            ahead = 1
+        heapq.heappush(self.due, (self.ticks + ahead, dev.sid.index, dev.check_version))
 
     def _start_departure(self, dev: SimDevice):
         now = self.kernel.now
-        node = self.topology.node(dev.sid)
+        node = self._walk(dev)
         old, position = node.parent, node.position
         sensed = self.topology.sensed_by(position)
         cands = [s for s in sensed if s != old]
@@ -442,6 +501,7 @@ class Simulation:
     def _attach(self, dev: SimDevice, dest: ServerId):
         now = self.kernel.now
         self.topology.set_parent(dev.sid, dest)
+        self._arm(dev)
         dev.acc.set_cost(now, *self._task_cost(dev))
         central = self.central if self.policy == "urmila" else None
         rounds = migration.plan_rounds(self.topology, dest, dev.dag,
@@ -629,6 +689,8 @@ class Simulation:
         for h in horizons:
             self.kernel.schedule(h, "checkpoint", checkpoint, {"h": h})
         self.kernel.run(end)
+        for dev in self.devices:
+            self._walk(dev)
 
         rows = []
         templates = sorted({dev.setup.template for dev in self.devices})

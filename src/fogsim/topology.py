@@ -78,9 +78,10 @@ class Topology:
     - `revision` advances on every mutation and invalidates the `omega`
       descendant-closure cache.
     - `fog_revision` advances on every mutation except reparenting a device
-      (a level-0 node), and empties `route_cache` and `rank_cache`. A device
-      never relays traffic, so its handover changes only the routes that end
-      at it; `set_parent` drops exactly those (indexed per device).
+      (a level-0 node), and empties `route_cache`, `rank_cache` and the
+      per-level node lists of `sensed_by`. A device never relays traffic, so
+      its handover changes only the routes that end at it; `set_parent`
+      drops exactly those (indexed per device).
 
     Direct edits of node state that routing or costs read (`alive`,
     `cpu_mips`) must be followed by `bump()`, or cached routes and ranks go
@@ -109,6 +110,8 @@ class Topology:
         self._device_routes: Dict[ServerId, Set[Tuple[ServerId, ServerId]]] = {}
         # upward-rank memo of app_model.compute_rank, valid for fog_revision.
         self.rank_cache: Dict[tuple, Dict[str, float]] = {}
+        # level -> its nodes, for sensed_by; valid for fog_revision.
+        self._level_nodes: Dict[int, list] = {}
         self._wire_children()
         self._check_levels()
 
@@ -142,6 +145,7 @@ class Topology:
             self.route_cache.clear()
             self._device_routes.clear()
             self.rank_cache.clear()
+            self._level_nodes.clear()
 
     def cache_route(self, src: ServerId, dest: ServerId, hops: list):
         """Store a route, indexed under each device endpoint for `set_parent`."""
@@ -244,8 +248,11 @@ class Topology:
 
     def sensed_by(self, point: Tuple[float, float], level: int = 1):
         """Alive servers of a level whose coverage contains the point, sorted by distance."""
-        hits = [n for n in self.nodes.values()
-                if n.alive and n.id.level == level and n.covers(point)]
+        nodes = self._level_nodes.get(level)
+        if nodes is None:
+            nodes = self._level_nodes[level] = [
+                n for n in self.nodes.values() if n.id.level == level]
+        hits = [n for n in nodes if n.alive and n.covers(point)]
         hits.sort(key=lambda n: (n.distance_to(point), n.id))
         return [n.id for n in hits]
 

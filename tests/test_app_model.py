@@ -43,7 +43,7 @@ def test_rank_of_exit_module_is_its_execution_cost():
     topo = make_small_topology()
     dag = AppDag("r", "r", [Module("s", pinned_to_device=True), Module("m1")],
                  [DataFlow("s", "m1", 500.0, 0.0)], 0.01)
-    rank = compute_rank(dag, [S(1, 2)], CostWeights(1.0, 0.0),
+    rank = compute_rank(dag, build_schedules(dag), [S(1, 2)], CostWeights(1.0, 0.0),
                         topo, DeviceEnergyProfile())
     assert rank["m1"] == pytest.approx(500.0 / 4000.0)
 
@@ -57,7 +57,7 @@ def test_rank_two_module_chain_on_single_server():
                  [Module("s", pinned_to_device=True), Module("m1"), Module("m2")],
                  [DataFlow("s", "m1", 500.0, 0.0), DataFlow("m1", "m2", 500.0, 0.0)],
                  0.01)
-    rank = compute_rank(dag, [S(1, 1)], CostWeights(1.0, 0.0),
+    rank = compute_rank(dag, build_schedules(dag), [S(1, 1)], CostWeights(1.0, 0.0),
                         topo, DeviceEnergyProfile())
     assert rank["m2"] == pytest.approx(0.5)
     assert rank["m1"] == pytest.approx(1.0)
@@ -66,8 +66,8 @@ def test_rank_two_module_chain_on_single_server():
 def test_heavier_branch_ordered_first_within_schedule():
     topo = make_small_topology()
     dag = build_app("ECGMH", "ecg:1")
-    ranked = rank_modules(dag, [S(1, 1), S(1, 2), S(2, 1)], CostWeights(),
-                          topo, DeviceEnergyProfile())
+    ranked = rank_modules(dag, build_schedules(dag), [S(1, 1), S(1, 2), S(2, 1)],
+                          CostWeights(), topo, DeviceEnergyProfile())
     # arrhythmia_detector carries 30 MI against hr_analyzer's 25 MI.
     assert ranked[3] == ["arrhythmia_detector", "hr_analyzer"]
 
@@ -118,13 +118,14 @@ def test_rank_memo_follows_cluster_changes():
     servers = [S(1, 1), S(1, 4), S(2, 2)]
     weights, profile = CostWeights(), DeviceEnergyProfile()
     dag = build_app("ECGMH", "ecg:1")
+    sched = build_schedules(dag)
     topo = make_small_topology()
-    before = compute_rank(dag, servers, weights, topo, profile)
+    before = compute_rank(dag, sched, servers, weights, topo, profile)
     topo.link_cluster(S(2, 2), S(2, 1))
-    after = compute_rank(dag, servers, weights, topo, profile)
+    after = compute_rank(dag, sched, servers, weights, topo, profile)
     fresh = make_small_topology()
     fresh.link_cluster(S(2, 2), S(2, 1))
-    assert after == compute_rank(dag, servers, weights, fresh, profile)
+    assert after == compute_rank(dag, sched, servers, weights, fresh, profile)
     assert after != before
 
 
@@ -133,8 +134,8 @@ def test_rank_memo_hands_out_copies():
     dag = build_app("ECGMH", "ecg:1")
 
     def rank():
-        return compute_rank(dag, [S(1, 1), S(1, 2)], CostWeights(), topo,
-                            DeviceEnergyProfile())
+        return compute_rank(dag, build_schedules(dag), [S(1, 1), S(1, 2)], CostWeights(),
+                            topo, DeviceEnergyProfile())
 
     computed, memoized = rank(), rank()
     assert memoized == computed

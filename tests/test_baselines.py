@@ -50,7 +50,7 @@ def test_maas_identical_to_distributed_greedy_with_infinite_capacity():
     dag_b, plc_b, sched_b = ecg_setup(topo_b)
     maas_place(topo_a, CapacityLedger(topo_a), S(1, 1), dag_a, plc_a, sched_a,
                dag_a.unpinned(), WEIGHTS, PROFILE)
-    ranked = rank_modules(dag_b, ready_servers(topo_b, S(1, 1)), WEIGHTS,
+    ranked = rank_modules(dag_b, sched_b, ready_servers(topo_b, S(1, 1)), WEIGHTS,
                           topo_b, PROFILE)
     dapt_place(topo_b, CapacityLedger(topo_b), S(1, 1), dag_b, plc_b, ranked,
                dag_b.unpinned(), WEIGHTS, PROFILE)
@@ -61,7 +61,7 @@ def test_urmila_central_greedy_places_globally_cheapest():
     topo = make_small_topology(with_device=True)
     dag, plc, sched = ecg_setup(topo)
     ledger = CapacityLedger(topo)
-    ranked = rank_modules(dag, topo.fog_servers(), WEIGHTS, topo, PROFILE)
+    ranked = rank_modules(dag, sched, topo.fog_servers(), WEIGHTS, topo, PROFILE)
     plan = urmila_place(topo, ledger, S(3, 1), dag, plc, ranked,
                         dag.unpinned(), WEIGHTS, PROFILE)
     assert len(plan.decisions) == 4
@@ -74,7 +74,7 @@ def test_urmila_first_placement_is_cold_and_repeat_is_warm():
     topo = make_small_topology(with_device=True)
     dag, plc, sched = ecg_setup(topo)
     ledger = CapacityLedger(topo)
-    ranked = rank_modules(dag, topo.fog_servers(), WEIGHTS, topo, PROFILE)
+    ranked = rank_modules(dag, sched, topo.fog_servers(), WEIGHTS, topo, PROFILE)
     first = urmila_place(topo, ledger, S(3, 1), dag, plc, ranked,
                          dag.unpinned(), WEIGHTS, PROFILE)
     assert first.decisions and not any(d.warm for d in first.decisions)
@@ -93,7 +93,7 @@ def test_urmila_raises_when_every_server_is_full():
     for sid in topo.fog_servers():
         topo.node(sid).container_capacity = 0
     dag, plc, sched = ecg_setup(topo)
-    ranked = rank_modules(dag, topo.fog_servers(), WEIGHTS, topo, PROFILE)
+    ranked = rank_modules(dag, sched, topo.fog_servers(), WEIGHTS, topo, PROFILE)
     with pytest.raises(PlacementError):
         urmila_place(topo, CapacityLedger(topo), S(3, 1), dag, plc, ranked,
                      dag.unpinned(), WEIGHTS, PROFILE)

@@ -84,6 +84,17 @@ def test_misspelled_level_key_raises(tmp_path):
         load_scenario(None, {"levels": [{"level": 1, "count": 1, "cpu": 1}]})
 
 
+def test_missing_level_key_raises(tmp_path):
+    levels = [dict(level) for level in TINY_SCENARIO["levels"]]
+    del levels[2]["cpu_mips"]
+    path = tmp_path / "no_cpu.yaml"
+    path.write_text(yaml.safe_dump(dict(TINY_SCENARIO, levels=levels)))
+    with pytest.raises(ValueError, match=r"levels\[2\]\.cpu_mips\b"):
+        load_scenario(str(path))
+    with pytest.raises(ValueError, match=r"levels\[0\]\.cpu_mips, levels\[0\]\.capacity$"):
+        load_scenario(None, {"levels": [{"level": 1, "count": 3}]})
+
+
 def test_extra_link_level_loads(tmp_path):
     levels = TINY_SCENARIO["levels"] + [
         {"level": 4, "count": 1, "cols": 1, "rows": 1, "cpu_mips": 20000,

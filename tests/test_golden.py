@@ -32,6 +32,13 @@ GOLDEN_SIM = {
     ("urmila", 1.0):
         "eb76529f2c7811ab6ae9af0bb1ac958f107ccd8bc6c015c1e1815e6b20b6918b",
 }
+# Fast devices and a wide margin band: many handovers, departure checks
+# while coordinating, and walls (40 devices, 0.5-15 m/s, margin 0.2, 120 s).
+GOLDEN_FAST_MOBILITY = {
+    "proposed": "e35eaf6178fcf513eb3907b4954556c758c82420d6128e799cff672de1d9180b",
+    "maas": "820d787a5ceb587d1faa458128151966595eecd8c62b6c9ea1acf370cdf05694",
+    "urmila": "1f8184f42682c8eba51929e7243b205a03cdbd5de099732bbc6532fd85813019",
+}
 GOLDEN_ORACLE = "cd19f2301ddd2570e3de1b1f49b3704d29e3dbd9b7d063480b48ca69f66e3298"
 ORACLE_SEED = 1
 ORACLE_COLUMNS = ["dapt_cost", "oracle_cost", "oracle_gap", "complete"]
@@ -53,6 +60,17 @@ def test_simulation_output_matches_golden(tmp_path, policy, failure_p):
     result = sim_engine.run_simulation(config, horizons=[30.0, 60.0])
     cli.write_outputs(result.rows, result.events, str(tmp_path))
     assert _digest(tmp_path) == GOLDEN_SIM[(policy, failure_p)]
+
+
+@pytest.mark.parametrize("policy", sorted(GOLDEN_FAST_MOBILITY))
+def test_fast_mobility_output_matches_golden(tmp_path, policy):
+    config = scenario.load_scenario(cli.resolve_scenario("urban_80dev"), {
+        "policy": policy, "seed": 3, "horizon_s": 120.0, "devices": {"count": 40},
+        "mobility": {"speed_min_mps": 0.5, "speed_max_mps": 15.0,
+                     "departure_margin": 0.2}})
+    result = sim_engine.run_simulation(config, horizons=[60.0, 120.0])
+    cli.write_outputs(result.rows, result.events, str(tmp_path))
+    assert _digest(tmp_path) == GOLDEN_FAST_MOBILITY[policy]
 
 
 def test_oracle_study_output_matches_golden(tmp_path):

@@ -26,7 +26,7 @@ def make_world(l1_capacity=10, clustered=True):
             plc.assignment[m.id] = S(0, 5)
     ledger = CapacityLedger(topo)
     sched = build_schedules(dag)
-    ranked = rank_modules(dag, ready_servers(topo, S(1, 1)), WEIGHTS, topo, PROFILE)
+    ranked = rank_modules(dag, sched, ready_servers(topo, S(1, 1)), WEIGHTS, topo, PROFILE)
     return topo, dag, plc, ledger, sched, ranked
 
 

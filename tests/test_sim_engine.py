@@ -4,9 +4,10 @@ from collections import Counter
 
 import pytest
 
-from fogsim import cli, placement, scenario
+from fogsim import cli, placement, scenario, sim_engine
 from fogsim.sim_engine import (POLICIES, Kernel, Simulation, TaskAccumulator,
                                random_walk_step, run_simulation)
+from fogsim.topology import ServerId
 
 TINY = {
     "horizon_s": 5.0,
@@ -144,6 +145,124 @@ def test_arrival_ends_leg():
     assert leg is None
 
 
+def _hex(values):
+    return tuple(float.hex(v) for v in values)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_walk_of_n_ticks_equals_n_single_ticks(seed):
+    # A small area with long, fast legs: walls clip targets and legs end often.
+    area, dt, speeds, legs = (100.0, 80.0), 0.5, (2.0, 30.0), (20.0, 300.0)
+    one, many = random.Random(seed), random.Random(seed)
+    pos1 = posn = (50.0, 40.0)
+    leg1 = legn = None
+    chunks = random.Random(-seed)
+    ends = walls = 0
+    for _ in range(40):
+        n = chunks.randint(1, 12)
+        for _ in range(n):
+            pos1, leg1, vel1 = random_walk_step(pos1, leg1, area, one, dt, speeds, legs, 1)
+            ends += leg1 is None
+            walls += pos1[0] in (0.0, area[0]) or pos1[1] in (0.0, area[1])
+        posn, legn, veln = random_walk_step(posn, legn, area, many, dt, speeds, legs, n)
+        assert _hex(posn) == _hex(pos1) and _hex(veln) == _hex(vel1)
+        assert (legn is None) == (leg1 is None)
+        if leg1 is not None:
+            assert _hex(legn[0]) == _hex(leg1[0]) and legn[1].hex() == leg1[1].hex()
+        assert many.getstate() == one.getstate()
+    assert ends > 0 and walls > 0
+
+
+def _script_walk(monkeypatch, points):
+    """Replace the walk by a fixed path, one point per tick, heading +x."""
+    path = iter(points)
+
+    def scripted(position, leg, area, rng, dt, speed_range, leg_range, ticks=1):
+        for _ in range(ticks):
+            point = next(path)
+        return point, leg, (1.0, 0.0)
+
+    monkeypatch.setattr(sim_engine, "random_walk_step", scripted)
+
+
+def _mover(policy):
+    """A tiny-world simulation moving at most 2 m a tick, and its first device
+    parked under (1,1); (1,2) sits 300 m east, both with 300 m coverage."""
+    sim = Simulation(tiny_config(policy=policy, seed=1, mobility={"speed_max_mps": 20.0}))
+    dev = sim.devices[0]
+    sim.topology.set_parent(dev.sid, ServerId(1, 1))
+    return sim, dev, sim.topology.node(ServerId(1, 1)), sim.topology.node(ServerId(1, 2))
+
+
+def test_margin_wobble_while_busy_still_latches_the_exit(monkeypatch):
+    # A device mid-handover wobbles inside its controller's margin band and
+    # then leaves coverage; the lazily scheduled checks must see the exit.
+    sim, dev, ctrl, _ = _mover("proposed")
+    radius = ctrl.coverage_radius
+    band = (1.0 - sim.margin) * radius  # 285 m of 300
+    dists = [band + off for off in (-5.0, -3.0, -1.0, 0.5, 1.0, 0.2, 1.1, 0.3)]
+    dists += [band + 1.5 * k for k in range(1, 12)]  # out past 300 m
+    _script_walk(monkeypatch, [(ctrl.position[0] + d, ctrl.position[1]) for d in dists])
+    sim.topology.node(dev.sid).position = (ctrl.position[0] + band - 7.0, ctrl.position[1])
+    dev.acc.start_service(0.0, 0.01, 0.0)
+    dev.mmt_busy = True
+    sim._arm(dev)
+    for k, dist in enumerate(dists):
+        sim._tick(None)
+        assert dev.pending_departure == (dist > radius), k
+    assert not any(ev["kind"] == "handover" for ev in sim.events)
+
+
+def test_full_speed_exit_is_caught_at_its_first_tick_in_the_band(monkeypatch):
+    # Straight out from (1,1) at the full 2 m a tick: the skipped ticks must
+    # end in time for the check at the first tick inside the margin band.
+    sim, dev, ctrl, _ = _mover("maas")
+    band = (1.0 - sim.margin) * ctrl.coverage_radius
+    x, y = ctrl.position
+    dists = [band - 21.0 + 2.0 * k for k in range(1, 13)]  # band + 1 at the 11th
+    _script_walk(monkeypatch, [(x + d, y) for d in dists])
+    sim.topology.node(dev.sid).position = (x + band - 21.0, y)
+    dev.acc.start_service(0.0, 0.01, 0.0)
+    sim._arm(dev)
+    for dist in dists:
+        sim._tick(None)
+        handovers = sum(ev["kind"] == "handover" for ev in sim.events)
+        assert handovers == (dist >= band), dist
+
+
+def test_attach_checks_the_device_against_its_new_controller(monkeypatch):
+    # 1 m from (1,1)'s centre the next check is 141 ticks off; attached to
+    # (1,2), whose edge it sits on, the device must be checked next tick.
+    sim, dev, old, new = _mover("urmila")
+    x, y = old.position
+    sim.topology.node(dev.sid).position = (x + 1.0, y)
+    _script_walk(monkeypatch, [(x - 1.0, y)])  # 301 m from (1,2)
+    sim.place(dev, 0.0)
+    dev.acc.start_service(0.0, *sim._task_cost(dev))
+    sim._arm(dev)
+    sim._attach(dev, new.id)
+    sim._tick(None)
+    assert [(ev["frm"], ev["to"]) for ev in sim.events if ev["kind"] == "handover"] \
+        == [(str(new.id), str(old.id))]
+
+
+def test_pending_departure_starts_from_the_current_position(monkeypatch):
+    # Unchecked ticks move the device into (1,2)'s coverage; the latched
+    # departure must sense from there, not from the last checked point.
+    sim, dev, old, new = _mover("maas")
+    x, y = old.position
+    sim.topology.node(dev.sid).position = (x - 1.0, y)  # sensed by (1,1) alone
+    _script_walk(monkeypatch, [(x, y), (x + 1.0, y)])
+    dev.acc.start_service(0.0, 0.01, 0.0)
+    sim._arm(dev)
+    sim._tick(None)
+    sim._tick(None)
+    dev.mmt_busy = dev.pending_departure = True
+    sim._run_round(dev, old.id, [], 0, sim.kernel.now)
+    assert [(ev["frm"], ev["to"]) for ev in sim.events if ev["kind"] == "handover"] \
+        == [(str(old.id), str(new.id))]
+
+
 # -- end-to-end runs ---------------------------------------------------------------
 
 @pytest.mark.parametrize("policy", POLICIES)
@@ -244,6 +363,7 @@ EXTREMES = {
     "failure_p_1": {"failure": {"migration_failure_p": 1.0}},
     "one_server_per_level": {"levels": _urban_levels(count=1, cols=1, rows=1)},
     "zero_fog_capacity": {"levels": _urban_levels(capacity=0)},
+    "stationary_devices": {"mobility": {"speed_min_mps": 0.0, "speed_max_mps": 0.0}},
 }
 
 
@@ -254,6 +374,7 @@ def test_extreme_settings_finish_and_conserve(extreme, policy):
         "policy": policy, "seed": 1, "horizon_s": 60.0, "devices": {"count": 20},
         **EXTREMES[extreme]})
     sim = Simulation(config)
+    start = [sim.topology.node(dev.sid).position for dev in sim.devices]
     result = sim.run()
     assert len(result.rows) == (0 if extreme == "zero_devices" else 2)
     for row in result.rows:
@@ -265,6 +386,10 @@ def test_extreme_settings_finish_and_conserve(extreme, policy):
         for dev in sim.devices:
             for module_id in dev.dag.unpinned():
                 assert dev.placement.assignment[module_id] == sim.topology.cloud_id
+    if extreme == "stationary_devices":
+        # Zero reach: a device inside its quiet radius is never checked again.
+        assert [sim.topology.node(dev.sid).position for dev in sim.devices] == start
+        assert not any(ev["kind"] == "handover" for ev in result.events)
 
 
 @pytest.mark.parametrize("policy", POLICIES)

@@ -105,6 +105,18 @@ def test_sensed_by_sorts_by_distance(topo):
     assert sensed == [S(1, 2), S(1, 1), S(1, 3)]
 
 
+def test_sensed_by_follows_added_removed_and_dead_servers(topo):
+    point = (120.0, 0.0)
+    assert topo.sensed_by(point, level=2) == [S(2, 1)]
+    topo.add_node(ServerNode(S(1, 7), 3500, 10, position=(110.0, 0.0),
+                             coverage_radius=50.0, parent=S(2, 1)))
+    assert topo.sensed_by(point) == [S(1, 7), S(1, 2), S(1, 1), S(1, 3)]
+    topo.node(S(1, 2)).alive = False
+    assert topo.sensed_by(point) == [S(1, 7), S(1, 1), S(1, 3)]
+    topo.remove_node(S(1, 7))
+    assert topo.sensed_by(point) == [S(1, 1), S(1, 3)]
+
+
 def _brute_descendants(topo, sid):
     out = {sid}
     frontier = [sid]
