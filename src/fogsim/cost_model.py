@@ -8,7 +8,7 @@ resort. Same-level traffic prefers the cluster, falling back upward.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, NamedTuple, Optional, Tuple
 
 from .app_model import AppDag, ScheduleSet
 from .topology import RoutingError, ServerId, Topology
@@ -149,51 +149,69 @@ def _uplink(topology: Topology, device: ServerId) -> Optional[ServerId]:
     return node.parent
 
 
-def _cached_route(topology: Topology, src: ServerId, dest: ServerId):
-    """`route(src, dest)` through the topology's route cache.
+class Route(NamedTuple):
+    """A cached route with its per-hop link constants read once.
+
+    `lat` is the latency constants summed in hop order and `bws` the per-hop
+    bandwidths, so cost queries need not walk the hops again.
+    """
+    hops: List[Tuple[str, ServerId, ServerId]]
+    lat: float
+    bws: Tuple[float, ...]
+
+
+def _route_record(topology: Topology, hops) -> Route:
+    """The `Route` of a hop list, its constants read from `topology.links`."""
+    links = topology.links
+    lat = 0.0
+    bws = []
+    for kind, frm, to in hops:
+        lat += _hop_constant(kind, frm, to, links.lat_up, links.lat_down,
+                             links.lat_cluster)
+        bws.append(_hop_constant(kind, frm, to, links.bw_up, links.bw_down,
+                                 links.bw_cluster))
+    return Route(hops, lat, tuple(bws))
+
+
+def _cached_route(topology: Topology, src: ServerId, dest: ServerId) -> Route:
+    """The `Route` of `route(src, dest)` through the topology's route cache.
 
     Routes ending at a device D under parent P are composed from cached fog
     routes: route(x, D) = route(x, P) + down(P, D) and route(D, x) =
     up(D, P) + route(P, x), which are the same hop tuples in the same order.
     """
-    hops = topology.route_cache.get((src, dest))
-    if hops is not None:
-        return hops
+    rec = topology.route_cache.get((src, dest))
+    if rec is not None:
+        return rec
     parent = None
     if src != dest:
         if dest.level == 0:
             parent = _uplink(topology, dest)
             if parent is not None:
-                hops = _cached_route(topology, src, parent) + [("down", parent, dest)]
+                hops = _cached_route(topology, src, parent).hops + [("down", parent, dest)]
         elif src.level == 0:
             parent = _uplink(topology, src)
             if parent is not None:
-                hops = [("up", src, parent)] + _cached_route(topology, parent, dest)
+                hops = [("up", src, parent)] + _cached_route(topology, parent, dest).hops
     if parent is None:
         hops = route(topology, src, dest)
-    topology.cache_route(src, dest, hops)
-    return hops
+    rec = _route_record(topology, hops)
+    topology.cache_route(src, dest, rec)
+    return rec
 
 
 def transmission_time(topology: Topology, payload_bits: float,
                       src: ServerId, dest: ServerId) -> float:
     """Sum of payload/bandwidth over every hop of the route; zero when src == dest."""
     total = 0.0
-    links = topology.links
-    for kind, frm, to in _cached_route(topology, src, dest):
-        total += payload_bits / _hop_constant(kind, frm, to, links.bw_up,
-                                              links.bw_down, links.bw_cluster)
+    for bw in _cached_route(topology, src, dest).bws:
+        total += payload_bits / bw
     return total
 
 
 def internodal_latency(topology: Topology, src: ServerId, dest: ServerId) -> float:
     """Sum of per-hop latency constants over the route; zero when src == dest."""
-    total = 0.0
-    links = topology.links
-    for kind, frm, to in _cached_route(topology, src, dest):
-        total += _hop_constant(kind, frm, to, links.lat_up, links.lat_down,
-                               links.lat_cluster)
-    return total
+    return _cached_route(topology, src, dest).lat
 
 
 # -- energy ----------------------------------------------------------------
@@ -208,13 +226,12 @@ def transmission_energy(topology: Topology, profile: DeviceEnergyProfile,
     """
     if src == dest:
         return 0.0
-    hops = _cached_route(topology, src, dest)
-    links = topology.links
+    bws = _cached_route(topology, src, dest).bws
+    last = len(bws) - 1
     energy = 0.0
-    for pos, (kind, frm, to) in enumerate(hops):
-        seconds = payload_bits / _hop_constant(kind, frm, to, links.bw_up,
-                                               links.bw_down, links.bw_cluster)
-        device_hop = (pos == 0 and src.level == 0) or (pos == len(hops) - 1 and dest.level == 0)
+    for pos, bw in enumerate(bws):
+        seconds = payload_bits / bw
+        device_hop = (pos == 0 and src.level == 0) or (pos == last and dest.level == 0)
         energy += seconds * (profile.p_tx_w if device_hop else profile.p_idle_w)
     return energy
 
@@ -227,39 +244,45 @@ def internodal_energy(topology: Topology, profile: DeviceEnergyProfile,
 
 # -- module and application cost -------------------------------------------
 
-def module_time(topology: Topology, dag: AppDag, placement: Placement,
-                module_id: str) -> float:
-    """Execution plus worst incoming latency plus worst incoming transfer time."""
+def module_cost(topology: Topology, dag: AppDag, placement: Placement,
+                profile: DeviceEnergyProfile, module_id: str) -> Tuple[float, float]:
+    """(time, energy) of one module, from one walk over its incoming flows.
+
+    Time is execution plus the worst incoming latency plus the worst incoming
+    transfer time. Energy is device-centric: execution (or idle wait), latency
+    billed at idle power, and transfer.
+    """
     server = placement.assignment[module_id]
-    node = topology.node(server)
-    t_exe = 0.0
-    t_lat = 0.0
-    t_tra = 0.0
+    cpu_mips = topology.node(server).cpu_mips
+    # On the device the CPU burns p_cpu; offloaded work leaves the device
+    # idling for exactly the remote execution time.
+    p_exe = profile.p_cpu_w if server.level == 0 else profile.p_idle_w
+    t_exe = t_lat = t_tra = 0.0
+    e_exe = e_lat = e_tra = 0.0
     for flow in dag.preds[module_id]:
         src = placement.assignment[flow.src]
-        t_exe += flow.instructions_mi / node.cpu_mips
-        t_lat = max(t_lat, internodal_latency(topology, src, server))
+        flow_exe = flow.instructions_mi / cpu_mips
+        lat = internodal_latency(topology, src, server)
+        t_exe += flow_exe
+        t_lat = max(t_lat, lat)
         t_tra = max(t_tra, transmission_time(topology, flow.payload_bits, src, server))
-    return t_exe + t_lat + t_tra
+        e_exe += flow_exe * p_exe
+        e_lat = max(e_lat, lat * profile.p_idle_w)  # internodal_energy of this route
+        e_tra = max(e_tra, transmission_energy(topology, profile, flow.payload_bits,
+                                               src, server))
+    return t_exe + t_lat + t_tra, e_exe + e_lat + e_tra
+
+
+def module_time(topology: Topology, dag: AppDag, placement: Placement,
+                module_id: str) -> float:
+    """Time part of `module_cost`, which no energy profile changes."""
+    return module_cost(topology, dag, placement, DeviceEnergyProfile(), module_id)[0]
 
 
 def module_energy(topology: Topology, dag: AppDag, placement: Placement,
                   profile: DeviceEnergyProfile, module_id: str) -> float:
-    """Device-centric energy: execution (or idle wait), latency idle, transfer."""
-    server = placement.assignment[module_id]
-    node = topology.node(server)
-    e_exe = 0.0
-    e_lat = 0.0
-    e_tra = 0.0
-    for flow in dag.preds[module_id]:
-        src = placement.assignment[flow.src]
-        t_exe = flow.instructions_mi / node.cpu_mips
-        # On the device the CPU burns p_cpu; offloaded work leaves the device
-        # idling for exactly the remote execution time.
-        e_exe += t_exe * (profile.p_cpu_w if server.level == 0 else profile.p_idle_w)
-        e_lat = max(e_lat, internodal_energy(topology, profile, src, server))
-        e_tra = max(e_tra, transmission_energy(topology, profile, flow.payload_bits, src, server))
-    return e_exe + e_lat + e_tra
+    """Energy part of `module_cost`."""
+    return module_cost(topology, dag, placement, profile, module_id)[1]
 
 
 def exec_cost(topology: Topology, dag: AppDag, weights: CostWeights,
@@ -276,8 +299,9 @@ def schedule_cost(topology: Topology, dag: AppDag, placement: Placement,
     t = 0.0
     e = 0.0
     for mid in modules:
-        t = max(t, module_time(topology, dag, placement, mid))
-        e = max(e, module_energy(topology, dag, placement, profile, mid))
+        mt, me = module_cost(topology, dag, placement, profile, mid)
+        t = max(t, mt)
+        e = max(e, me)
     return t, e
 
 

@@ -4,7 +4,10 @@ The search assigns unpinned modules in schedule order (rank-descending inside
 a schedule) so every partial assignment has all predecessors fixed and its
 prefix cost is exact. The lower bound adds, per schedule, the best exact cost
 seen among placed modules and the cheapest possible execution-only cost among
-unplaced ones; both never exceed the true schedule cost.
+unplaced ones; both never exceed the true schedule cost. Each search node
+computes the (time, energy) of the module it places once, memoized per
+(module, server, predecessor servers), and keeps it for both the bound and
+the leaf cost.
 """
 from __future__ import annotations
 
@@ -27,12 +30,6 @@ class OracleResult:
     cost: float
     complete: bool
     nodes_explored: int
-
-
-def _module_weighted(topology, dag, placement, profile, weights, module_id) -> float:
-    t = cost_model.module_time(topology, dag, placement, module_id)
-    e = cost_model.module_energy(topology, dag, placement, profile, module_id)
-    return weights.w1 * t + weights.w2 * e
 
 
 def optimal_placement(topology: Topology, dag: AppDag, weights: CostWeights,
@@ -71,23 +68,65 @@ def optimal_placement(topology: Topology, dag: AppDag, weights: CostWeights,
         min_exec[mid] = scored[0][0] if scored else 0.0
         per_module_cands[mid] = [sid for _, sid in scored]
 
-    sched_of = {mid: schedule_set.order_of[mid] for mid in order}
+    n = len(order)
+    assign = placement.assignment
+    # Schedule slot of each depth, and per depth the cheapest execution-only
+    # cost still to come in each slot (0.0 where none is left).
     sched_positions = sorted({schedule_set.order_of[m.id] for m in dag.modules})
+    slot_of = {pos: i for i, pos in enumerate(sched_positions)}
+    slot = [slot_of[schedule_set.order_of[mid]] for mid in order]
+    suffix_exec = [[0.0] * len(sched_positions) for _ in range(n + 1)]
+    for depth in range(n - 1, -1, -1):
+        row = suffix_exec[depth] = list(suffix_exec[depth + 1])
+        row[slot[depth]] = max(row[slot[depth]], min_exec[order[depth]])
+    # Leaf cost terms per schedule: the depths of its searched modules, and
+    # its other (pinned) modules, whose cost is only known at the leaf.
+    depth_of = {mid: depth for depth, mid in enumerate(order)}
+    leaf_groups = [([depth_of[m] for m in modules if m in depth_of],
+                    [m for m in modules if m not in depth_of])
+                   for modules in schedule_set.schedules]
+
+    # A module's (time, energy) depends only on its own server and those of
+    # its predecessors, so one search computes each combination once: the
+    # memo maps (module, predecessor servers) to {server: (time, energy)}.
+    pred_srcs = {m.id: tuple(flow.src for flow in dag.preds[m.id]) for m in dag.modules}
+    memo: Dict[tuple, Dict[ServerId, Tuple[float, float]]] = {}
+
+    def memo_row(mid: str) -> Dict[ServerId, Tuple[float, float]]:
+        return memo.setdefault((mid, tuple(assign[src] for src in pred_srcs[mid])), {})
+
+    def fill(mid: str, row: Dict[ServerId, Tuple[float, float]]) -> Tuple[float, float]:
+        cost = row[assign[mid]] = cost_model.module_cost(topology, dag, placement,
+                                                          profile, mid)
+        return cost
 
     best_cost = float("inf")
     best_assign: Optional[Tuple[ServerId, ...]] = None
     nodes = 0
     complete = True
-    n = len(order)
-    placed_cost: Dict[int, float] = {pos: 0.0 for pos in sched_positions}
+    placed_cost = [0.0] * len(sched_positions)
+    time_at = [0.0] * n
+    energy_at = [0.0] * n
 
-    def bound(depth: int) -> float:
-        total = 0.0
-        per_sched: Dict[int, float] = dict(placed_cost)
-        for mid in order[depth:]:
-            pos = sched_of[mid]
-            per_sched[pos] = max(per_sched.get(pos, 0.0), min_exec[mid])
-        return sum(per_sched.values())
+    def leaf_cost() -> float:
+        """`cost_model.app_cost` of the full placement from the kept terms:
+        per schedule the max time and max energy, summed in schedule order."""
+        total_t = 0.0
+        total_e = 0.0
+        for depths, others in leaf_groups:
+            t = 0.0
+            e = 0.0
+            for depth in depths:
+                t = max(t, time_at[depth])
+                e = max(e, energy_at[depth])
+            for mid in others:
+                row = memo_row(mid)
+                mt, me = row.get(assign[mid]) or fill(mid, row)
+                t = max(t, mt)
+                e = max(e, me)
+            total_t += t
+            total_e += e
+        return weights.w1 * total_t + weights.w2 * total_e
 
     stack_assign: List[ServerId] = []
 
@@ -96,8 +135,7 @@ def optimal_placement(topology: Topology, dag: AppDag, weights: CostWeights,
         if not complete:
             return
         if depth == n:
-            cost = cost_model.app_cost(topology, dag, placement, schedule_set,
-                                       weights, profile)
+            cost = leaf_cost()
             key = tuple(stack_assign)
             if cost < best_cost - _TIE_EPS or \
                     (abs(cost - best_cost) <= _TIE_EPS and
@@ -106,8 +144,10 @@ def optimal_placement(topology: Topology, dag: AppDag, weights: CostWeights,
                 best_assign = key
             return
         mid = order[depth]
-        pos = sched_of[mid]
+        pos = slot[depth]
         saved = placed_cost[pos]
+        suffix = suffix_exec[depth + 1]
+        row = memo_row(mid)
         for sid in per_module_cands[mid]:
             if free is not None and free.get(sid, 0) <= 0:
                 continue
@@ -115,10 +155,12 @@ def optimal_placement(topology: Topology, dag: AppDag, weights: CostWeights,
             if nodes > node_budget:
                 complete = False
                 return
-            placement.assignment[mid] = sid
-            placed_cost[pos] = max(
-                saved, _module_weighted(topology, dag, placement, profile, weights, mid))
-            if bound(depth + 1) <= best_cost + _TIE_EPS:
+            assign[mid] = sid
+            t, e = row.get(sid) or fill(mid, row)
+            time_at[depth] = t
+            energy_at[depth] = e
+            placed_cost[pos] = max(saved, weights.w1 * t + weights.w2 * e)
+            if sum(map(max, placed_cost, suffix)) <= best_cost + _TIE_EPS:
                 if free is not None:
                     free[sid] -= 1
                 stack_assign.append(sid)
@@ -127,11 +169,14 @@ def optimal_placement(topology: Topology, dag: AppDag, weights: CostWeights,
                 if free is not None:
                     free[sid] += 1
             placed_cost[pos] = saved
-            del placement.assignment[mid]
+            del assign[mid]
             if not complete:
                 return
 
     dfs(0)
+    # `dfs` is a self-referencing closure that only the cycle collector
+    # frees, so drop the memo now rather than keep it alive until then.
+    memo.clear()
     if best_assign is None:
         return OracleResult(None, float("inf"), complete, nodes)
     final = placement.copy()

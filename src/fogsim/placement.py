@@ -103,8 +103,7 @@ def marginal_cost(topology: Topology, dag: AppDag, placement: Placement,
     trial = placement.assignment.get(module_id)
     placement.assignment[module_id] = candidate
     try:
-        t = cost_model.module_time(topology, dag, placement, module_id)
-        e = cost_model.module_energy(topology, dag, placement, profile, module_id)
+        t, e = cost_model.module_cost(topology, dag, placement, profile, module_id)
     finally:
         if trial is None:
             del placement.assignment[module_id]

@@ -85,7 +85,9 @@ class Topology:
 
     Direct edits of node state that routing or costs read (`alive`,
     `cpu_mips`) must be followed by `bump()`, or cached routes and ranks go
-    stale.
+    stale. A cached route also holds its hops' latency and bandwidth
+    constants, read from `links` when it was built, so editing a link table
+    after the first cost query needs `bump()` too.
     """
 
     def __init__(self, nodes: Iterable[ServerNode], links: LinkParams, max_fog_level: int):
@@ -104,8 +106,9 @@ class Topology:
         self.fog_revision = 0
         self._omega_cache: Dict[ServerId, frozenset] = {}
         self._omega_rev = -1
-        # (src, dest) -> hop list; filled by cost_model, valid for fog_revision.
-        self.route_cache: Dict[Tuple[ServerId, ServerId], list] = {}
+        # (src, dest) -> cost_model.Route (hops, latency sum, bandwidths);
+        # filled by cost_model, valid for fog_revision.
+        self.route_cache: Dict[Tuple[ServerId, ServerId], tuple] = {}
         # device -> keys of its cached routes, dropped when it reparents.
         self._device_routes: Dict[ServerId, Set[Tuple[ServerId, ServerId]]] = {}
         # upward-rank memo of app_model.compute_rank, valid for fog_revision.
@@ -147,10 +150,10 @@ class Topology:
             self.rank_cache.clear()
             self._level_nodes.clear()
 
-    def cache_route(self, src: ServerId, dest: ServerId, hops: list):
-        """Store a route, indexed under each device endpoint for `set_parent`."""
+    def cache_route(self, src: ServerId, dest: ServerId, record: tuple):
+        """Store a route record, indexed under each device endpoint for `set_parent`."""
         key = (src, dest)
-        self.route_cache[key] = hops
+        self.route_cache[key] = record
         for end in key:
             if end.level == 0:
                 self._device_routes.setdefault(end, set()).add(key)

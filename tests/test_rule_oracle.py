@@ -7,8 +7,11 @@ population of random hierarchies.
 """
 import random
 
+import pytest
+
 from fogsim import cost_model
-from fogsim.topology import LinkParams, ServerId, ServerNode, Topology
+from fogsim.cost_model import DeviceEnergyProfile
+from fogsim.topology import LinkParams, RoutingError, ServerId, ServerNode, Topology
 
 
 def _descendants(nodes, sid):
@@ -173,7 +176,7 @@ def test_device_routes_match_interpreter_across_reparenting():
                     assert cost_model.internodal_latency(topo, src, dest) == lat_ref
                     got = cost_model.transmission_time(topo, 1e6, src, dest)
                     assert abs(got - 1e6 * per_bit_ref) <= 1e-9 * max(1.0, got)
-                    assert cost_model._cached_route(topo, src, dest) \
+                    assert cost_model._cached_route(topo, src, dest).hops \
                         == cost_model.route(topo, src, dest)
                     assert len(cost_model.route(topo, src, dest)) == hops
                     checked += 1
@@ -183,3 +186,84 @@ def test_device_routes_match_interpreter_across_reparenting():
             assert topo.fog_revision == fog_revision
     # 300 topologies x 3 rounds x at least 2 devices x 3 directions.
     assert checked >= 5400
+
+
+def walked_costs(topo, profile, bits, src, dest):
+    """(latency, transmission time, transmission energy) from a fresh hop walk.
+
+    Reads every link constant from `topo.links` per hop, in hop order, with
+    the device radio billed on the device-facing hop only.
+    """
+    hops = cost_model.route(topo, src, dest)
+    links = topo.links
+    lat = seconds_total = energy = 0.0
+    for pos, (kind, frm, to) in enumerate(hops):
+        if kind == "down":
+            hop_lat, bw = links.lat_down[to.level], links.bw_down[to.level]
+        elif kind == "cluster":
+            hop_lat, bw = links.lat_cluster[frm.level], links.bw_cluster[frm.level]
+        else:
+            hop_lat, bw = links.lat_up[frm.level], links.bw_up[frm.level]
+        lat += hop_lat
+        seconds = bits / bw
+        seconds_total += seconds
+        device_hop = (pos == 0 and src.level == 0) or \
+            (pos == len(hops) - 1 and dest.level == 0)
+        energy += seconds * (profile.p_tx_w if device_hop else profile.p_idle_w)
+    return lat, seconds_total, energy
+
+
+def test_route_records_equal_a_fresh_walk_across_mutations():
+    # Cached route records carry their latency sum and bandwidths; every
+    # mutation between queries (device handover, cluster edges, a dead
+    # server, an edited link table) must leave no stale record behind.
+    rng = random.Random(20261019)
+    profile = DeviceEnergyProfile()
+    checked = raised = 0
+    for _ in range(150):
+        topo = random_topology(rng)
+        l1 = topo.fog_servers(level=1)
+        devices = [ServerId(0, i) for i in range(1, rng.randint(2, 3) + 1)]
+        for dev in devices:
+            topo.add_node(ServerNode(dev, cpu_mips=500, container_capacity=2,
+                                     parent=rng.choice(l1)))
+        fog = [sid for sid in topo.nodes if 1 <= sid.level <= topo.max_fog_level]
+        for _ in range(6):
+            ends = fog + devices
+            for _ in range(6):
+                src, dest = rng.choice(ends), rng.choice(ends)
+                bits = rng.uniform(1e3, 1e8)
+                try:
+                    want = walked_costs(topo, profile, bits, src, dest)
+                except RoutingError:
+                    with pytest.raises(RoutingError):
+                        cost_model.internodal_latency(topo, src, dest)
+                    raised += 1
+                    continue
+                got = (cost_model.internodal_latency(topo, src, dest),
+                       cost_model.transmission_time(topo, bits, src, dest),
+                       cost_model.transmission_energy(topo, profile, bits, src, dest))
+                assert got == want, (src, dest)
+                checked += 1
+            step = rng.randrange(5)
+            if step == 0:
+                for dev in devices:
+                    topo.set_parent(dev, rng.choice(l1))
+            elif step == 1 and len(l1) > 1:
+                a, b = rng.sample(l1, 2)
+                if b in topo.nodes[a].cluster_members:
+                    topo.unlink_cluster(a, b)
+                else:
+                    topo.link_cluster(a, b)
+            elif step == 2:
+                victim = topo.nodes[rng.choice(fog)]
+                victim.alive = not victim.alive
+                topo.bump()
+            elif step == 3:
+                level = rng.randrange(topo.max_fog_level + 1)
+                topo.links.lat_up[level] *= 1.5
+                topo.links.bw_down[level] *= 0.5
+                topo.bump()
+            else:
+                topo.set_parent(rng.choice(devices), rng.choice(l1))
+    assert checked >= 4000 and raised > 0
