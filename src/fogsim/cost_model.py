@@ -34,6 +34,10 @@ class DeviceEnergyProfile:
     p_tx_w: float = 1.3
 
 
+# The profile of time-only queries, whose energy results are discarded.
+_TIME_ONLY = DeviceEnergyProfile()
+
+
 @dataclass(frozen=True)
 class MigrationParams:
     """Migration knobs: stop/resume overhead, admissibility slack, dump size draw."""
@@ -56,11 +60,15 @@ class Placement:
 
 def _toward(topology: Topology, ids: Iterable[ServerId],
             dest: ServerId) -> Optional[ServerId]:
-    """Lowest alive id among `ids` whose descendant closure holds dest, or None."""
+    """Lowest alive id among `ids` whose descendant closure holds dest, or None.
+
+    dest lies in a node's closure exactly when the node is dest's ancestor at
+    its own level, so the parent chain answers without building the closure.
+    """
     best = None
     for sid in ids:
         if sid in topology.nodes and topology.nodes[sid].alive \
-                and dest in topology.omega(sid):
+                and topology.ancestor_at_level(dest, sid.level) == sid:
             if best is None or sid < best:
                 best = sid
     return best
@@ -200,13 +208,34 @@ def _cached_route(topology: Topology, src: ServerId, dest: ServerId) -> Route:
     return rec
 
 
+def _transfer(profile: DeviceEnergyProfile, bws: Tuple[float, ...],
+              payload_bits: float, src: ServerId, dest: ServerId) -> Tuple[float, float]:
+    """(seconds, device energy) of shipping a payload over a route's bandwidths.
+
+    Seconds sum payload/bandwidth over the hops. Energy is device-centric:
+    the device radio (p_tx) is charged only on the device-facing hop, the
+    first hop when the source is a device and the last hop when the
+    destination is one; every other second of transfer is billed at idle
+    power. Both are zero when src == dest.
+    """
+    last = len(bws) - 1
+    from_device = src.level == 0
+    to_device = dest.level == 0
+    seconds = 0.0
+    energy = 0.0
+    for pos, bw in enumerate(bws):
+        hop_s = payload_bits / bw
+        seconds += hop_s
+        device_hop = (pos == 0 and from_device) or (pos == last and to_device)
+        energy += hop_s * (profile.p_tx_w if device_hop else profile.p_idle_w)
+    return seconds, energy
+
+
 def transmission_time(topology: Topology, payload_bits: float,
                       src: ServerId, dest: ServerId) -> float:
     """Sum of payload/bandwidth over every hop of the route; zero when src == dest."""
-    total = 0.0
-    for bw in _cached_route(topology, src, dest).bws:
-        total += payload_bits / bw
-    return total
+    return _transfer(_TIME_ONLY, _cached_route(topology, src, dest).bws,
+                     payload_bits, src, dest)[0]
 
 
 def internodal_latency(topology: Topology, src: ServerId, dest: ServerId) -> float:
@@ -218,22 +247,9 @@ def internodal_latency(topology: Topology, src: ServerId, dest: ServerId) -> flo
 
 def transmission_energy(topology: Topology, profile: DeviceEnergyProfile,
                         payload_bits: float, src: ServerId, dest: ServerId) -> float:
-    """Device-centric transmission energy.
-
-    The device radio (p_tx) is charged only on the device-facing hop: the
-    first hop when the source is a device, the last hop when the destination
-    is one. Every remaining second of transfer is billed at idle power.
-    """
-    if src == dest:
-        return 0.0
-    bws = _cached_route(topology, src, dest).bws
-    last = len(bws) - 1
-    energy = 0.0
-    for pos, bw in enumerate(bws):
-        seconds = payload_bits / bw
-        device_hop = (pos == 0 and src.level == 0) or (pos == last and dest.level == 0)
-        energy += seconds * (profile.p_tx_w if device_hop else profile.p_idle_w)
-    return energy
+    """Device-centric transmission energy of a payload, as in `_transfer`."""
+    return _transfer(profile, _cached_route(topology, src, dest).bws,
+                     payload_bits, src, dest)[1]
 
 
 def internodal_energy(topology: Topology, profile: DeviceEnergyProfile,
@@ -262,21 +278,22 @@ def module_cost(topology: Topology, dag: AppDag, placement: Placement,
     for flow in dag.preds[module_id]:
         src = placement.assignment[flow.src]
         flow_exe = flow.instructions_mi / cpu_mips
-        lat = internodal_latency(topology, src, server)
+        rec = _cached_route(topology, src, server)
+        lat = rec.lat
+        tra_s, tra_e = _transfer(profile, rec.bws, flow.payload_bits, src, server)
         t_exe += flow_exe
         t_lat = max(t_lat, lat)
-        t_tra = max(t_tra, transmission_time(topology, flow.payload_bits, src, server))
+        t_tra = max(t_tra, tra_s)
         e_exe += flow_exe * p_exe
         e_lat = max(e_lat, lat * profile.p_idle_w)  # internodal_energy of this route
-        e_tra = max(e_tra, transmission_energy(topology, profile, flow.payload_bits,
-                                               src, server))
+        e_tra = max(e_tra, tra_e)
     return t_exe + t_lat + t_tra, e_exe + e_lat + e_tra
 
 
 def module_time(topology: Topology, dag: AppDag, placement: Placement,
                 module_id: str) -> float:
     """Time part of `module_cost`, which no energy profile changes."""
-    return module_cost(topology, dag, placement, DeviceEnergyProfile(), module_id)[0]
+    return module_cost(topology, dag, placement, _TIME_ONLY, module_id)[0]
 
 
 def module_energy(topology: Topology, dag: AppDag, placement: Placement,
@@ -382,10 +399,10 @@ def module_migration_cost(topology: Topology, profile: DeviceEnergyProfile,
         e_lat = 0.0
         e_tra = 0.0
     else:
-        t_lat = internodal_latency(topology, frm, to)
-        t_tra = transmission_time(topology, dump_bits, frm, to)
-        e_lat = internodal_energy(topology, profile, frm, to)
-        e_tra = transmission_energy(topology, profile, dump_bits, frm, to)
+        rec = _cached_route(topology, frm, to)
+        t_lat = rec.lat
+        t_tra, e_tra = _transfer(profile, rec.bws, dump_bits, frm, to)
+        e_lat = t_lat * profile.p_idle_w  # internodal_energy of this route
     time_s = t_lat + params.i_mig_s + t_tra + t_exe
     e_exe = t_exe * (profile.p_cpu_w if to.level == 0 else profile.p_idle_w)
     energy_j = e_lat + e_tra + e_exe

@@ -69,17 +69,14 @@ def optimality_study(config: dict, seeds: Sequence[int],
         fresh = Simulation(cfg)
         candidates = fresh.topology.fog_servers()
         free = {sid: fresh.topology.node(sid).container_capacity for sid in candidates}
+        searched = oracle.sequential_placement(
+            fresh.topology,
+            ((dev.dag, dev.schedule_set, dev.placement) for dev in fresh.devices),
+            fresh.weights, fresh.profile, candidates, free, node_budget=node_budget)
         oracle_cost = 0.0
-        complete = True
-        for dev in fresh.devices:
-            res = oracle.optimal_placement(
-                fresh.topology, dev.dag, fresh.weights, fresh.profile, candidates,
-                capacity_free=free, schedule_set=dev.schedule_set,
-                base_placement=dev.placement, node_budget=node_budget)
-            complete = complete and res.complete
+        for res in searched:
             oracle_cost += res.cost
-            for mid in dev.dag.unpinned():
-                free[res.placement.assignment[mid]] -= 1
+        complete = all(res.complete for res in searched)
         results.append(OptimalityResult(seed=seed, dapt_cost=dapt_cost,
                                         oracle_cost=oracle_cost, complete=complete))
     return results

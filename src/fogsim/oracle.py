@@ -6,14 +6,18 @@ prefix cost is exact. The lower bound adds, per schedule, the best exact cost
 seen among placed modules and the cheapest possible execution-only cost among
 unplaced ones; both never exceed the true schedule cost. Each search node
 computes the (time, energy) of the module it places once, memoized per
-(module, server, predecessor servers), and keeps it for both the bound and
-the leaf cost.
+(incoming flows, server, predecessor servers), and keeps it for both the
+bound and the leaf cost.
+
+`sequential_placement` places many applications one after another against
+the capacity the earlier ones left, and every search of that pass shares one
+memo, so applications of one template reuse each other's entries.
 """
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from . import cost_model
 from .app_model import AppDag, ScheduleSet, build_schedules, rank_modules, rank_order
@@ -30,6 +34,35 @@ class OracleResult:
     cost: float
     complete: bool
     nodes_explored: int
+
+
+class _ModuleCosts:
+    """Module (time, energy) memo for searches on one topology and profile.
+
+    `rows` maps (flows id, predecessor servers) to {server: (time, energy)};
+    `flow_ids` interns each module's tuple of incoming flows to a small int,
+    so a search hashes the flows once per module rather than once per node.
+    A module pinned to a device is keyed under the device's own server, so
+    entries of different devices never collide.
+    """
+
+    def __init__(self, topology: Topology, profile: DeviceEnergyProfile):
+        self.topology = topology
+        self.profile = profile
+        self.flow_ids: Dict[tuple, int] = {}
+        self.rows: Dict[tuple, Dict[ServerId, Tuple[float, float]]] = {}
+
+    def flow_id(self, dag: AppDag, module_id: str) -> int:
+        flows = tuple(dag.preds[module_id])
+        return self.flow_ids.setdefault(flows, len(self.flow_ids))
+
+
+# The memo of the `sequential_placement` pass in progress, which each of its
+# `optimal_placement` calls shares; None outside a pass. It is handed over
+# here rather than as an argument so that every search of a pass still runs
+# through `optimal_placement` as public callers see it, and the pass resets
+# it in a `finally`.
+_pass_memo: Optional[_ModuleCosts] = None
 
 
 def optimal_placement(topology: Topology, dag: AppDag, weights: CostWeights,
@@ -86,14 +119,19 @@ def optimal_placement(topology: Topology, dag: AppDag, weights: CostWeights,
                     [m for m in modules if m not in depth_of])
                    for modules in schedule_set.schedules]
 
-    # A module's (time, energy) depends only on its own server and those of
-    # its predecessors, so one search computes each combination once: the
-    # memo maps (module, predecessor servers) to {server: (time, energy)}.
-    pred_srcs = {m.id: tuple(flow.src for flow in dag.preds[m.id]) for m in dag.modules}
-    memo: Dict[tuple, Dict[ServerId, Tuple[float, float]]] = {}
+    # A module's (time, energy) depends only on its incoming flows, its own
+    # server and those of its predecessors, so a search computes each
+    # combination once, and a sequential pass once for all its searches.
+    memo = _pass_memo
+    if memo is None or memo.topology is not topology or memo.profile is not profile:
+        memo = _ModuleCosts(topology, profile)
+    rows = memo.rows
+    row_key = {m.id: (memo.flow_id(dag, m.id), [flow.src for flow in dag.preds[m.id]])
+               for m in dag.modules}
 
     def memo_row(mid: str) -> Dict[ServerId, Tuple[float, float]]:
-        return memo.setdefault((mid, tuple(assign[src] for src in pred_srcs[mid])), {})
+        fid, srcs = row_key[mid]
+        return rows.setdefault((fid, *[assign[src] for src in srcs]), {})
 
     def fill(mid: str, row: Dict[ServerId, Tuple[float, float]]) -> Tuple[float, float]:
         cost = row[assign[mid]] = cost_model.module_cost(topology, dag, placement,
@@ -174,15 +212,49 @@ def optimal_placement(topology: Topology, dag: AppDag, weights: CostWeights,
                 return
 
     dfs(0)
-    # `dfs` is a self-referencing closure that only the cycle collector
-    # frees, so drop the memo now rather than keep it alive until then.
-    memo.clear()
+    # `dfs` refers to itself, a cycle that only the cycle collector would
+    # free along with every memo it holds; break it now.
+    del dfs
     if best_assign is None:
         return OracleResult(None, float("inf"), complete, nodes)
     final = placement.copy()
     for mid, sid in zip(order, best_assign):
         final.assignment[mid] = sid
     return OracleResult(final, best_cost, complete, nodes)
+
+
+def sequential_placement(topology: Topology,
+                         apps: Iterable[Tuple[AppDag, ScheduleSet, Placement]],
+                         weights: CostWeights, profile: DeviceEnergyProfile,
+                         candidates: Sequence[ServerId],
+                         capacity_free: Dict[ServerId, int],
+                         node_budget: int = DEFAULT_NODE_BUDGET) -> List[OracleResult]:
+    """`optimal_placement` of each (dag, schedule set, base placement) in turn,
+    each against the capacity that the placements before it left.
+
+    All searches share one module-cost memo, dropped when the pass ends. The
+    memo is valid only while the topology stays as it is, so a mutation
+    between two applications raises `RuntimeError`.
+    """
+    global _pass_memo
+    free = dict(capacity_free)
+    revision = topology.revision
+    results = []
+    _pass_memo = _ModuleCosts(topology, profile)
+    try:
+        for dag, schedule_set, base in apps:
+            if topology.revision != revision:
+                raise RuntimeError("topology changed during a sequential oracle pass")
+            res = optimal_placement(topology, dag, weights, profile, candidates,
+                                    capacity_free=free, schedule_set=schedule_set,
+                                    base_placement=base, node_budget=node_budget)
+            if res.placement is not None:
+                for mid in dag.unpinned():
+                    free[res.placement.assignment[mid]] -= 1
+            results.append(res)
+    finally:
+        _pass_memo = None
+    return results
 
 
 def exhaustive_optimal(topology: Topology, dag: AppDag, weights: CostWeights,

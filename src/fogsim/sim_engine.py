@@ -166,7 +166,8 @@ def random_walk_step(position, leg, area, rng, dt, speed_range, leg_range, ticks
     width, height = area
     uniform, hypot, cos, sin = rng.uniform, math.hypot, math.cos, math.sin
     x, y = position
-    for _ in range(ticks):
+    left = ticks
+    while left:
         if leg is None:
             theta = uniform(0.0, 2.0 * math.pi)
             dist = uniform(*leg_range)
@@ -174,20 +175,26 @@ def random_walk_step(position, leg, area, rng, dt, speed_range, leg_range, ticks
                       min(max(y + dist * sin(theta), 0.0), height))
             speed = uniform(*speed_range)
             leg = (target, speed)
-        target, speed = leg
-        dx = target[0] - x
-        dy = target[1] - y
-        dist = hypot(dx, dy)
+        (tx, ty), speed = leg
         step = speed * dt
-        if dist <= step or dist == 0.0:
-            velocity = (0.0, 0.0) if dist == 0.0 else (dx / max(dist, 1e-12) * speed,
-                                                       dy / max(dist, 1e-12) * speed)
-            x, y = target
-            leg = None
-        else:
-            ux, uy = dx / dist, dy / dist
-            x, y = x + ux * step, y + uy * step
-            velocity = (ux * speed, uy * speed)
+        while left:
+            left -= 1
+            dx = tx - x
+            dy = ty - y
+            dist = hypot(dx, dy)
+            if dist <= step or dist == 0.0:
+                x, y = tx, ty
+                leg = None
+                break
+            x, y = x + dx / dist * step, y + dy / dist * step
+    # The last tick's velocity, from that tick's terms: zero only when the
+    # tick began on its target.
+    if leg is not None:
+        velocity = (dx / dist * speed, dy / dist * speed)
+    elif dist == 0.0:
+        velocity = (0.0, 0.0)
+    else:
+        velocity = (dx / max(dist, 1e-12) * speed, dy / max(dist, 1e-12) * speed)
     return (x, y), leg, velocity
 
 

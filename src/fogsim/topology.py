@@ -72,11 +72,11 @@ class Topology:
     """Mutable forest of fog servers plus cluster edges.
 
     Structural mutations (reparent, add, remove, cluster changes) must go
-    through the mutator methods, which call `bump()`. Two counters drive the
-    caches:
+    through the mutator methods, which call `bump()`. Two counters record
+    them:
 
-    - `revision` advances on every mutation and invalidates the `omega`
-      descendant-closure cache.
+    - `revision` advances on every mutation; a caller that keeps costs
+      across calls (the oracle's pass memo) checks that it has not moved.
     - `fog_revision` advances on every mutation except reparenting a device
       (a level-0 node), and empties `route_cache`, `rank_cache` and the
       per-level node lists of `sensed_by`. A device never relays traffic, so
@@ -104,8 +104,6 @@ class Topology:
         links.validate(max_fog_level)
         self.revision = 0
         self.fog_revision = 0
-        self._omega_cache: Dict[ServerId, frozenset] = {}
-        self._omega_rev = -1
         # (src, dest) -> cost_model.Route (hops, latency sum, bandwidths);
         # filled by cost_model, valid for fog_revision.
         self.route_cache: Dict[Tuple[ServerId, ServerId], tuple] = {}
@@ -212,13 +210,11 @@ class Topology:
         return self.nodes[sid]
 
     def omega(self, sid: ServerId) -> frozenset:
-        """Descendant closure of a node: itself plus everything reachable downward."""
-        if self._omega_rev != self.revision:
-            self._omega_cache.clear()
-            self._omega_rev = self.revision
-        cached = self._omega_cache.get(sid)
-        if cached is not None:
-            return cached
+        """Descendant closure of a node: itself plus everything reachable downward.
+
+        Routing does not build closures: `ancestor_at_level` answers the same
+        membership question from the parent chain.
+        """
         members = {sid}
         stack = list(self.nodes[sid].children)
         while stack:
@@ -227,9 +223,7 @@ class Topology:
                 continue
             members.add(cur)
             stack.extend(self.nodes[cur].children)
-        result = frozenset(members)
-        self._omega_cache[sid] = result
-        return result
+        return frozenset(members)
 
     def has_hierarchical_path(self, src: ServerId, dest: ServerId) -> bool:
         """True when dest lies inside the descendant closure of src."""

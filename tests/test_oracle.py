@@ -153,3 +153,47 @@ def test_oracle_cost_is_app_cost_bit_for_bit_on_desk_optimality():
             for mid in dev.dag.unpinned():
                 free[res.placement.assignment[mid]] -= 1
     assert nodes == DESK_NODES_SEEDS_1_TO_5
+
+
+def _desk_world(seed):
+    config = scenario.load_scenario(cli.resolve_scenario("desk_optimality"), {})
+    sim = Simulation(dict(copy.deepcopy(config), seed=seed, policy="proposed"))
+    candidates = sim.topology.fog_servers()
+    free = {sid: sim.topology.node(sid).container_capacity for sid in candidates}
+    return sim, candidates, free
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_sequential_placement_equals_one_search_per_device(seed):
+    """The pass's shared module-cost memo gives every device exactly what a
+    search of its own gives against the same remaining capacity."""
+    sim, candidates, free = _desk_world(seed)
+    apps = [(dev.dag, dev.schedule_set, dev.placement) for dev in sim.devices]
+    shared = oracle.sequential_placement(sim.topology, apps, sim.weights, sim.profile,
+                                         candidates, free)
+    assert len(shared) == len(apps)
+    for (dag, schedule_set, base), got in zip(apps, shared):
+        want = oracle.optimal_placement(sim.topology, dag, sim.weights, sim.profile,
+                                        candidates, capacity_free=free,
+                                        schedule_set=schedule_set, base_placement=base)
+        assert got.placement.assignment == want.placement.assignment
+        assert float.hex(got.cost) == float.hex(want.cost)
+        assert (got.complete, got.nodes_explored) == (want.complete, want.nodes_explored)
+        for mid in dag.unpinned():
+            free[want.placement.assignment[mid]] -= 1
+    assert oracle._pass_memo is None
+
+
+def test_sequential_placement_rejects_a_topology_change_between_devices():
+    sim, candidates, free = _desk_world(1)
+
+    def apps():
+        for n, dev in enumerate(sim.devices):
+            if n == 1:
+                sim.topology.bump()
+            yield dev.dag, dev.schedule_set, dev.placement
+
+    with pytest.raises(RuntimeError, match="topology changed"):
+        oracle.sequential_placement(sim.topology, apps(), sim.weights, sim.profile,
+                                    candidates, free)
+    assert oracle._pass_memo is None

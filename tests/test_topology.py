@@ -154,6 +154,36 @@ def test_omega_matches_brute_force_descent(forest):
         assert topo.omega(sid) == _brute_descendants(topo, sid)
 
 
+@st.composite
+def forest_with_devices(draw):
+    """A `random_forest` plus level-0 devices, some reparented after the build."""
+    counts, parents = draw(random_forest())
+    n_devices = draw(st.integers(min_value=1, max_value=5))
+    fog_1 = st.integers(1, counts[0]).map(lambda idx: S(1, idx))
+    for idx in range(1, n_devices + 1):
+        parents[S(0, idx)] = draw(fog_1)
+    moves = draw(st.lists(st.tuples(st.integers(1, n_devices), fog_1), max_size=4))
+    return parents, [(S(0, idx), parent) for idx, parent in moves]
+
+
+@settings(max_examples=100, deadline=None)
+@given(forest_with_devices())
+def test_ancestor_test_equals_omega_membership(forest):
+    """Routing asks `ancestor_at_level(dest, sid.level) == sid` in place of
+    `dest in omega(sid)`; the two agree after any reparenting."""
+    parents, moves = forest
+    nodes = [ServerNode(S(3, 1), 80000, 10)]
+    for sid, parent in parents.items():
+        nodes.append(ServerNode(sid, 3000, 4, parent=parent))
+    topo = Topology(nodes, make_links(), max_fog_level=2)
+    for device, parent in moves:
+        topo.set_parent(device, parent)
+    for sid in topo.nodes:
+        closure = topo.omega(sid)
+        for dest in topo.nodes:
+            assert (topo.ancestor_at_level(dest, sid.level) == sid) == (dest in closure)
+
+
 def test_omega_cache_invalidated_on_mutation(topo):
     before = topo.omega(S(2, 2))
     assert before == {S(2, 2)}
