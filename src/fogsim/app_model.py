@@ -132,8 +132,8 @@ def compute_rank(dag: AppDag, schedule_set: ScheduleSet,
             for b in servers:
                 if a == b:
                     continue
-                t = cost_model.transmission_time(topology, flow.payload_bits, a, b)
-                e = cost_model.transmission_energy(topology, profile, flow.payload_bits, a, b)
+                t, e = cost_model.transmission_cost(topology, profile,
+                                                    flow.payload_bits, a, b)
                 total += weights.w1 * t + weights.w2 * e
         return total / (n * n)
 

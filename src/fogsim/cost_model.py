@@ -231,11 +231,17 @@ def _transfer(profile: DeviceEnergyProfile, bws: Tuple[float, ...],
     return seconds, energy
 
 
+def transmission_cost(topology: Topology, profile: DeviceEnergyProfile,
+                      payload_bits: float, src: ServerId, dest: ServerId) -> Tuple[float, float]:
+    """(seconds, device energy) of a payload over the route, from one `_transfer`."""
+    return _transfer(profile, _cached_route(topology, src, dest).bws,
+                     payload_bits, src, dest)
+
+
 def transmission_time(topology: Topology, payload_bits: float,
                       src: ServerId, dest: ServerId) -> float:
     """Sum of payload/bandwidth over every hop of the route; zero when src == dest."""
-    return _transfer(_TIME_ONLY, _cached_route(topology, src, dest).bws,
-                     payload_bits, src, dest)[0]
+    return transmission_cost(topology, _TIME_ONLY, payload_bits, src, dest)[0]
 
 
 def internodal_latency(topology: Topology, src: ServerId, dest: ServerId) -> float:
@@ -248,8 +254,7 @@ def internodal_latency(topology: Topology, src: ServerId, dest: ServerId) -> flo
 def transmission_energy(topology: Topology, profile: DeviceEnergyProfile,
                         payload_bits: float, src: ServerId, dest: ServerId) -> float:
     """Device-centric transmission energy of a payload, as in `_transfer`."""
-    return _transfer(profile, _cached_route(topology, src, dest).bws,
-                     payload_bits, src, dest)[1]
+    return transmission_cost(topology, profile, payload_bits, src, dest)[1]
 
 
 def internodal_energy(topology: Topology, profile: DeviceEnergyProfile,

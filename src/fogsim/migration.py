@@ -202,9 +202,10 @@ def handle_migration_req(topology: Topology, ledger: CapacityLedger,
     decisions = []
     for module_id in modules:
         frm = working.assignment[module_id]
-        old_cost = cost_model.app_cost(topology, dag, working, schedule_set,
-                                       weights, profile)
-        epsilon = params.epsilon_frac * old_cost
+        if check_admissibility:
+            old_cost = cost_model.app_cost(topology, dag, working, schedule_set,
+                                           weights, profile)
+            epsilon = params.epsilon_frac * old_cost
         dump_bits = dump_bits_of(module_id)
         remaining = remaining_mi_of(module_id)
         scored = []

@@ -22,6 +22,10 @@ from .scenario import DeviceSetup, build_world, stream
 from .topology import ServerId, Topology
 
 POLICIES = ("proposed", "maas", "urmila")
+# Metres a leg-aware departure check keeps clear of the quiet radius, on top
+# of its one tick: positions and crossings carry float error, and a very slow
+# leg's tick is too short to cover it.
+_SLACK_M = 1e-6
 
 
 @dataclass
@@ -31,28 +35,30 @@ class Event:
     kind: str
     payload: dict
 
-    def __lt__(self, other):
-        return (self.timestamp, self.sequence) < (other.timestamp, other.sequence)
-
 
 class Kernel:
-    """Minimal heap-based event kernel with stable FIFO tie-breaking."""
+    """Minimal heap-based event kernel with stable FIFO tie-breaking.
+
+    Heap entries are (timestamp, sequence, event, handler) tuples; sequence
+    numbers are unique, so ordering never compares events or handlers.
+    """
 
     def __init__(self):
         self.now = 0.0
         self._seq = 0
-        self._heap: List[Tuple[Event, Callable]] = []
+        self._heap: List[Tuple[float, int, Event, Callable]] = []
 
     def schedule(self, at: float, kind: str, handler: Callable, payload: Optional[dict] = None):
         if at < self.now - 1e-12:
             raise ValueError(f"cannot schedule {kind} in the past ({at} < {self.now})")
         self._seq += 1
-        heapq.heappush(self._heap, (Event(at, self._seq, kind, payload or {}), handler))
+        heapq.heappush(self._heap,
+                       (at, self._seq, Event(at, self._seq, kind, payload or {}), handler))
 
     def run(self, until: float):
-        while self._heap and self._heap[0][0].timestamp <= until + 1e-12:
-            event, handler = heapq.heappop(self._heap)
-            self.now = event.timestamp
+        heap = self._heap
+        while heap and heap[0][0] <= until + 1e-12:
+            self.now, _, event, handler = heapq.heappop(heap)
             handler(event)
         self.now = until
 
@@ -155,47 +161,55 @@ class TaskAccumulator:
                 "resp_sum": self.resp_sum, "energy_sum": self.energy_sum}
 
 
+def _leg_ticks(length: float, step: float) -> Optional[int]:
+    """The tick on which a leg of `length` metres, walked `step` metres a
+    tick, reaches its target; None when it never does (a standing leg)."""
+    if length <= step or length == 0.0:
+        return 1
+    if step <= 0.0:
+        return None
+    return math.ceil(length / step)
+
+
 def random_walk_step(position, leg, area, rng, dt, speed_range, leg_range, ticks=1):
     """Advance `ticks` (at least one) mobility ticks; returns (position, leg, velocity).
 
-    `leg` is (target, speed) or None; a new leg is drawn when none is active
-    or the target is reached. Positions clamp to the area; hitting a wall
-    ends the leg. Each tick runs the same arithmetic in the same order, so
-    one call of n ticks equals n calls of one tick bit for bit.
+    `leg` is (origin, target, speed, done) or None. Along a leg the device
+    sits at origin + u * (speed * dt * done), u being the unit vector from
+    origin to target, and on the tick `_leg_ticks` names it snaps to the
+    target and the leg ends (None). A new leg is drawn from the current
+    position on the tick after, and its target clamps to the area, so a
+    wall ends it. A position depends only on its leg and tick count, so one
+    call of n ticks equals n calls of one tick bit for bit; `position` is
+    read only to start a leg. The velocity is u * speed, or zero along a
+    zero-length leg.
     """
-    width, height = area
-    uniform, hypot, cos, sin = rng.uniform, math.hypot, math.cos, math.sin
-    x, y = position
     left = ticks
-    while left:
+    while True:
         if leg is None:
-            theta = uniform(0.0, 2.0 * math.pi)
-            dist = uniform(*leg_range)
-            target = (min(max(x + dist * cos(theta), 0.0), width),
-                      min(max(y + dist * sin(theta), 0.0), height))
-            speed = uniform(*speed_range)
-            leg = (target, speed)
-        (tx, ty), speed = leg
+            x, y = position
+            theta = rng.uniform(0.0, 2.0 * math.pi)
+            dist = rng.uniform(*leg_range)
+            target = (min(max(x + dist * math.cos(theta), 0.0), area[0]),
+                      min(max(y + dist * math.sin(theta), 0.0), area[1]))
+            leg = (position, target, rng.uniform(*speed_range), 0)
+        (ox, oy), (tx, ty), speed, done = leg
+        length = math.hypot(tx - ox, ty - oy)
         step = speed * dt
-        while left:
-            left -= 1
-            dx = tx - x
-            dy = ty - y
-            dist = hypot(dx, dy)
-            if dist <= step or dist == 0.0:
-                x, y = tx, ty
-                leg = None
-                break
-            x, y = x + dx / dist * step, y + dy / dist * step
-    # The last tick's velocity, from that tick's terms: zero only when the
-    # tick began on its target.
-    if leg is not None:
-        velocity = (dx / dist * speed, dy / dist * speed)
-    elif dist == 0.0:
-        velocity = (0.0, 0.0)
-    else:
-        velocity = (dx / max(dist, 1e-12) * speed, dy / max(dist, 1e-12) * speed)
-    return (x, y), leg, velocity
+        end = _leg_ticks(length, step)
+        if length == 0.0:
+            velocity = (0.0, 0.0)
+        else:
+            ux, uy = (tx - ox) / length, (ty - oy) / length
+            velocity = (ux * speed, uy * speed)
+        if end is None or done + left < end:
+            done += left
+            walked = step * done
+            return (ox + ux * walked, oy + uy * walked), leg[:3] + (done,), velocity
+        left -= end - done
+        position, leg = leg[1], None
+        if not left:
+            return position, None, velocity
 
 
 @dataclass
@@ -460,24 +474,55 @@ class Simulation:
         return node
 
     def _arm(self, dev: SimDevice):
-        """Schedule the device's next departure check.
-
-        After k more ticks the device is at most k * reach farther from its
-        controller, so no test can fire while that stays inside the quiet
-        radius; one tick is kept as slack for float error. A device that
-        cannot move and sits inside gets no check until it is re-armed.
-        """
+        """Schedule the device's next departure check, `_ticks_ahead` ticks on."""
         node = self._walk(dev)
         ctrl = self.topology.node(node.parent)
-        room = self.quiet * ctrl.coverage_radius - ctrl.distance_to(node.position)
         dev.check_version += 1
-        if self.reach > 0.0:
-            ahead = max(1, math.floor(room / self.reach) - 1)
-        elif room > 0.0:
-            return
-        else:
-            ahead = 1
-        heapq.heappush(self.due, (self.ticks + ahead, dev.sid.index, dev.check_version))
+        ahead = self._ticks_ahead(dev, node.position, ctrl)
+        if ahead is not None:
+            heapq.heappush(self.due, (self.ticks + ahead, dev.sid.index, dev.check_version))
+
+    def _ticks_ahead(self, dev: SimDevice, position, ctrl) -> Optional[int]:
+        """Ticks from now until the device's next departure check; None for never.
+
+        Neither departure test fires inside the quiet radius Q. After k more
+        ticks a device is at most k * reach farther from its controller, so
+        it stays inside while that sum does (the max-speed bound). Along its
+        leg it moves in a straight line: it stays inside until it crosses Q
+        or, if the leg ends first, until its target's room runs out at full
+        reach. Each bound keeps one tick of slack, and the leg bound also
+        `_SLACK_M` metres, against float error. A device that cannot move
+        and sits inside gets no check until it is re-armed.
+        """
+        quiet = self.quiet * ctrl.coverage_radius
+        room = quiet - ctrl.distance_to(position)
+        if self.reach <= 0.0:
+            return None if room > 0.0 else 1
+        ahead = max(1, math.floor(room / self.reach) - 1)
+        if dev.leg is None or room <= 0.0:
+            return ahead
+        (ox, oy), (tx, ty), speed, done = dev.leg
+        step = speed * self.tick_s
+        if step <= 0.0:
+            return ahead
+        limit = quiet - _SLACK_M
+        cx, cy = ctrl.position
+        wx, wy = position[0] - cx, position[1] - cy
+        inside = limit * limit - (wx * wx + wy * wy)
+        if inside <= 0.0:
+            return ahead
+        # Distance s along u to the crossing |w + u s| = limit, in the form
+        # that does not cancel when heading outward.
+        length = math.hypot(tx - ox, ty - oy)
+        ux, uy = (tx - ox) / length, (ty - oy) / length
+        b = wx * ux + wy * uy
+        root = math.sqrt(b * b + inside)
+        s = inside / (b + root) if b > 0.0 else root - b
+        if s < length - step * done:
+            return max(ahead, math.floor(s / step) - 1)
+        end_room = limit - math.hypot(tx - cx, ty - cy)
+        return max(ahead, _leg_ticks(length, step) - done
+                   + math.floor(end_room / self.reach) - 1)
 
     def _start_departure(self, dev: SimDevice):
         now = self.kernel.now

@@ -1,4 +1,5 @@
 """Event kernel, task accounting, mobility stepping, end-to-end determinism."""
+import math
 import random
 from collections import Counter
 
@@ -111,12 +112,12 @@ def test_cost_change_splits_segments():
 # -- mobility -------------------------------------------------------------------
 
 def test_walk_step_kinematics():
-    pos, leg, vel = random_walk_step((0.0, 0.0), ((10.0, 0.0), 2.0),
-                                     (100.0, 100.0), random.Random(0), 1.0,
-                                     (0.5, 4.0), (100.0, 600.0))
+    leg = ((0.0, 0.0), (10.0, 0.0), 2.0, 0)
+    pos, leg, vel = random_walk_step((0.0, 0.0), leg, (100.0, 100.0), random.Random(0),
+                                     1.0, (0.5, 4.0), (100.0, 600.0))
     assert pos == pytest.approx((2.0, 0.0))
     assert vel == pytest.approx((2.0, 0.0))
-    assert leg == ((10.0, 0.0), 2.0)
+    assert leg == ((0.0, 0.0), (10.0, 0.0), 2.0, 1)
 
 
 def test_walk_new_leg_is_seeded():
@@ -138,15 +139,21 @@ def test_walk_stays_inside_area():
 
 
 def test_arrival_ends_leg():
-    pos, leg, _ = random_walk_step((9.0, 0.0), ((10.0, 0.0), 2.0),
-                                   (100.0, 100.0), random.Random(0), 1.0,
-                                   (0.5, 4.0), (100.0, 600.0))
+    # Four ticks of 2 m leave 2 m to go: the fifth reaches the target exactly.
+    leg = ((0.0, 0.0), (10.0, 0.0), 2.0, 4)
+    pos, leg, vel = random_walk_step((8.0, 0.0), leg, (100.0, 100.0), random.Random(0),
+                                     1.0, (0.5, 4.0), (100.0, 600.0))
     assert pos == (10.0, 0.0)
     assert leg is None
+    assert vel == (2.0, 0.0)
 
 
 def _hex(values):
     return tuple(float.hex(v) for v in values)
+
+
+def _leg_hex(leg):
+    return None if leg is None else (_hex(leg[0]), _hex(leg[1]), leg[2].hex(), leg[3])
 
 
 @pytest.mark.parametrize("seed", range(8))
@@ -166,11 +173,55 @@ def test_walk_of_n_ticks_equals_n_single_ticks(seed):
             walls += pos1[0] in (0.0, area[0]) or pos1[1] in (0.0, area[1])
         posn, legn, veln = random_walk_step(posn, legn, area, many, dt, speeds, legs, n)
         assert _hex(posn) == _hex(pos1) and _hex(veln) == _hex(vel1)
-        assert (legn is None) == (leg1 is None)
-        if leg1 is not None:
-            assert _hex(legn[0]) == _hex(leg1[0]) and legn[1].hex() == leg1[1].hex()
+        assert _leg_hex(legn) == _leg_hex(leg1)
         assert many.getstate() == one.getstate()
     assert ends > 0 and walls > 0
+
+
+def _reference_tick(position, leg, area, rng, dt, speed_range, leg_range):
+    """One tick of the per-tick walk the closed form replaced; `leg` is
+    (target, speed). Each tick re-aims at the target from where it stands."""
+    x, y = position
+    if leg is None:
+        theta = rng.uniform(0.0, 2.0 * math.pi)
+        dist = rng.uniform(*leg_range)
+        target = (min(max(x + dist * math.cos(theta), 0.0), area[0]),
+                  min(max(y + dist * math.sin(theta), 0.0), area[1]))
+        leg = (target, rng.uniform(*speed_range))
+    (tx, ty), speed = leg
+    step = speed * dt
+    dx, dy = tx - x, ty - y
+    dist = math.hypot(dx, dy)
+    if dist == 0.0:
+        return (tx, ty), None, (0.0, 0.0)
+    velocity = (dx / dist * speed, dy / dist * speed)
+    if dist <= step:
+        return (tx, ty), None, velocity
+    return (x + dx / dist * step, y + dy / dist * step), leg, velocity
+
+
+@pytest.mark.parametrize("speeds", [(2.0, 30.0), (0.0, 0.0), (0.0, 3.0)])
+def test_closed_form_legs_follow_the_per_tick_walk(speeds):
+    # Start in a corner of a small area with long legs: walls clip targets
+    # and a leg drawn from a corner towards it has length zero.
+    area, dt, legs = (100.0, 80.0), 0.5, (20.0, 300.0)
+    ends = zero = 0
+    for seed in range(30):
+        ref, rng = random.Random(seed), random.Random(seed)
+        pos_ref = pos = (0.0, 0.0)
+        leg_ref = leg = None
+        for tick in range(400):
+            started = leg_ref is None
+            pos_ref, leg_ref, vel_ref = _reference_tick(pos_ref, leg_ref, area, ref, dt,
+                                                        speeds, legs)
+            pos, leg, vel = random_walk_step(pos, leg, area, rng, dt, speeds, legs)
+            assert (leg is None) == (leg_ref is None), (seed, tick)
+            assert rng.getstate() == ref.getstate(), (seed, tick)
+            assert math.dist(pos, pos_ref) <= 1e-9, (seed, tick)
+            assert math.dist(vel, vel_ref) <= 1e-9, (seed, tick)
+            ends += leg is None
+            zero += started and leg is None and vel == (0.0, 0.0)
+    assert ends > 0 and zero > 0
 
 
 def _script_walk(monkeypatch, points):
@@ -261,6 +312,69 @@ def test_pending_departure_starts_from_the_current_position(monkeypatch):
     sim._run_round(dev, old.id, [], 0, sim.kernel.now)
     assert [(ev["frm"], ev["to"]) for ev in sim.events if ev["kind"] == "handover"] \
         == [(str(old.id), str(new.id))]
+
+
+@pytest.mark.parametrize("target_off,first_check", [
+    (40.0, 19),  # reaches the band on tick 21: the last tick inside, less 1
+    (-5.0, 17),  # stops 5 m short of it on tick 16, then 2 ticks at full reach, less 1
+])
+def test_leg_aware_check_stops_short_of_the_band(target_off, first_check):
+    # At 1 m a tick along its leg, from 21 m inside the band, the device is
+    # first checked later than the 2 m-a-tick bound (tick 9) allows.
+    sim, dev, ctrl, _ = _mover("maas")
+    band = (1.0 - sim.margin) * ctrl.coverage_radius
+    x, y = ctrl.position
+    origin = (x + band - 21.0, y)
+    sim.topology.node(dev.sid).position = origin
+    dev.leg = (origin, (x + band + target_off, y), 1.0 / sim.tick_s, 0)
+    dev.acc.start_service(0.0, 0.01, 0.0)
+    sim._arm(dev)
+    assert [tick for tick, _, _ in sim.due] == [first_check]
+
+
+def _near_the_band(sim):
+    """Put each device on the ray from its controller, up to 5 cm inside the
+    quiet radius, so that slow legs cross into the margin band during the run."""
+    offsets = random.Random(7)
+    for dev in sim.devices:
+        node = sim.topology.node(dev.sid)
+        ctrl = sim.topology.node(node.parent)
+        (cx, cy), (x, y) = ctrl.position, node.position
+        dist = math.hypot(x - cx, y - cy) or 1.0
+        to = sim.quiet * ctrl.coverage_radius - offsets.uniform(0.0, 0.05)
+        node.position = (cx + (x - cx) / dist * to, cy + (y - cy) / dist * to)
+
+
+SETTINGS = {
+    "fast": ({"devices": {"count": 40}, "horizon_s": 120.0,
+              "mobility": {"speed_min_mps": 0.5, "speed_max_mps": 15.0,
+                           "departure_margin": 0.2}}, None),
+    "slow": ({"devices": {"count": 40}, "horizon_s": 60.0,
+              "mobility": {"speed_min_mps": 0.001, "speed_max_mps": 0.01}}, _near_the_band),
+}
+
+
+@pytest.mark.parametrize("policy", POLICIES)
+@pytest.mark.parametrize("setting", sorted(SETTINGS))
+def test_leg_aware_arming_misses_no_check(monkeypatch, setting, policy):
+    # Checking every device at every tick is the reference: a check inside
+    # the quiet radius does nothing, so skipping it must change nothing.
+    overrides, prepare = SETTINGS[setting]
+    config = scenario.load_scenario(cli.resolve_scenario("urban_80dev"), {
+        "policy": policy, "seed": 3, **overrides})
+
+    def run():
+        sim = Simulation(config)
+        if prepare:
+            prepare(sim)
+        return sim.run()
+
+    lazy = run()
+    monkeypatch.setattr(Simulation, "_ticks_ahead", lambda self, dev, position, ctrl: 1)
+    eager = run()
+    assert lazy.rows == eager.rows
+    assert lazy.events == eager.events
+    assert sum(ev["kind"] == "handover" for ev in lazy.events) >= 5
 
 
 # -- end-to-end runs ---------------------------------------------------------------
