@@ -257,12 +257,6 @@ def transmission_energy(topology: Topology, profile: DeviceEnergyProfile,
     return transmission_cost(topology, profile, payload_bits, src, dest)[1]
 
 
-def internodal_energy(topology: Topology, profile: DeviceEnergyProfile,
-                      src: ServerId, dest: ServerId) -> float:
-    """Latency seconds billed at device idle power."""
-    return internodal_latency(topology, src, dest) * profile.p_idle_w
-
-
 # -- module and application cost -------------------------------------------
 
 def module_cost(topology: Topology, dag: AppDag, placement: Placement,
@@ -290,7 +284,7 @@ def module_cost(topology: Topology, dag: AppDag, placement: Placement,
         t_lat = max(t_lat, lat)
         t_tra = max(t_tra, tra_s)
         e_exe += flow_exe * p_exe
-        e_lat = max(e_lat, lat * profile.p_idle_w)  # internodal_energy of this route
+        e_lat = max(e_lat, lat * profile.p_idle_w)
         e_tra = max(e_tra, tra_e)
     return t_exe + t_lat + t_tra, e_exe + e_lat + e_tra
 
@@ -407,7 +401,7 @@ def module_migration_cost(topology: Topology, profile: DeviceEnergyProfile,
         rec = _cached_route(topology, frm, to)
         t_lat = rec.lat
         t_tra, e_tra = _transfer(profile, rec.bws, dump_bits, frm, to)
-        e_lat = t_lat * profile.p_idle_w  # internodal_energy of this route
+        e_lat = t_lat * profile.p_idle_w  # latency billed at idle power
     time_s = t_lat + params.i_mig_s + t_tra + t_exe
     e_exe = t_exe * (profile.p_cpu_w if to.level == 0 else profile.p_idle_w)
     energy_j = e_lat + e_tra + e_exe

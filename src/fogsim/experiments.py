@@ -45,8 +45,7 @@ class OptimalityResult:
         return (self.dapt_cost - self.oracle_cost) / self.oracle_cost
 
 
-def optimality_study(config: dict, seeds: Sequence[int],
-                     node_budget: int = oracle.DEFAULT_NODE_BUDGET) -> List[OptimalityResult]:
+def optimality_study(config: dict, seeds: Sequence[int]) -> List[OptimalityResult]:
     """Compare sequential DAPT placement cost against the sequential oracle.
 
     Devices are placed one by one in both regimes against the same starting
@@ -72,7 +71,7 @@ def optimality_study(config: dict, seeds: Sequence[int],
         searched = oracle.sequential_placement(
             fresh.topology,
             ((dev.dag, dev.schedule_set, dev.placement) for dev in fresh.devices),
-            fresh.weights, fresh.profile, candidates, free, node_budget=node_budget)
+            fresh.weights, fresh.profile, candidates, free)
         oracle_cost = 0.0
         for res in searched:
             oracle_cost += res.cost

@@ -9,7 +9,7 @@ within the admissibility slack of the current application cost.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import cost_model
@@ -130,17 +130,12 @@ class MigrationDecision:
     cost: Optional[MigrationCost]
 
 
-@dataclass
-class MigrationRound:
-    """All per-layer decisions of one schedule position."""
-    by_decider: Dict[ServerId, List[str]] = field(default_factory=dict)
-
-
 def plan_rounds(topology: Topology, new_controller: ServerId, dag: AppDag,
                 placement: Placement, schedule_set: ScheduleSet,
                 central: Optional[ServerId] = None,
-                exclude: Sequence[str] = ()) -> List[MigrationRound]:
-    """Group movable modules per schedule, assigning each to its decider.
+                exclude: Sequence[str] = ()) -> List[Dict[ServerId, List[str]]]:
+    """Group movable modules per schedule into one round each, a mapping
+    from decider to the modules it decides.
 
     Modules previously served at layer L are decided by the new controller's
     ancestor at layer L (the controller itself for layer 1). With a central
@@ -149,7 +144,7 @@ def plan_rounds(topology: Topology, new_controller: ServerId, dag: AppDag,
     rounds = []
     skip = set(exclude)
     for group in schedule_set.schedules:
-        rnd = MigrationRound()
+        rnd: Dict[ServerId, List[str]] = {}
         movable = [m for m in group
                    if not dag.module_map[m].pinned_to_device and m not in skip]
         movable.sort(key=lambda m: (-dag.module_map[m].container_ram_mb, m))
@@ -162,8 +157,8 @@ def plan_rounds(topology: Topology, new_controller: ServerId, dag: AppDag,
                 if decider is None:
                     decider = topology.cloud_id if prev.level > topology.max_fog_level \
                         else new_controller
-            rnd.by_decider.setdefault(decider, []).append(mid)
-        if rnd.by_decider:
+            rnd.setdefault(decider, []).append(mid)
+        if rnd:
             rounds.append(rnd)
     return rounds
 

@@ -37,7 +37,7 @@ class OracleResult:
 
 
 class _ModuleCosts:
-    """Module (time, energy) memo for searches on one topology and profile.
+    """Module (time, energy) memo for searches on one unchanged topology and profile.
 
     `rows` maps (flows id, predecessor servers) to {server: (time, energy)};
     `flow_ids` interns each module's tuple of incoming flows to a small int,
@@ -46,9 +46,7 @@ class _ModuleCosts:
     entries of different devices never collide.
     """
 
-    def __init__(self, topology: Topology, profile: DeviceEnergyProfile):
-        self.topology = topology
-        self.profile = profile
+    def __init__(self):
         self.flow_ids: Dict[tuple, int] = {}
         self.rows: Dict[tuple, Dict[ServerId, Tuple[float, float]]] = {}
 
@@ -57,26 +55,20 @@ class _ModuleCosts:
         return self.flow_ids.setdefault(flows, len(self.flow_ids))
 
 
-# The memo of the `sequential_placement` pass in progress, which each of its
-# `optimal_placement` calls shares; None outside a pass. It is handed over
-# here rather than as an argument so that every search of a pass still runs
-# through `optimal_placement` as public callers see it, and the pass resets
-# it in a `finally`.
-_pass_memo: Optional[_ModuleCosts] = None
-
-
 def optimal_placement(topology: Topology, dag: AppDag, weights: CostWeights,
                       profile: DeviceEnergyProfile,
                       candidates: Sequence[ServerId],
                       capacity_free: Optional[Dict[ServerId, int]] = None,
                       schedule_set: Optional[ScheduleSet] = None,
                       base_placement: Optional[Placement] = None,
-                      node_budget: int = DEFAULT_NODE_BUDGET) -> OracleResult:
+                      node_budget: int = DEFAULT_NODE_BUDGET,
+                      memo: Optional[_ModuleCosts] = None) -> OracleResult:
     """Minimum weighted application cost over all feasible assignments.
 
     `capacity_free` caps how many modules may land on each candidate; when
     omitted, capacity is unconstrained. On budget exhaustion the incumbent is
-    returned with complete=False.
+    returned with complete=False. `memo` is the module-cost memo of the
+    sequential pass this search belongs to; a lone search keeps its own.
     """
     if schedule_set is None:
         schedule_set = build_schedules(dag)
@@ -122,9 +114,8 @@ def optimal_placement(topology: Topology, dag: AppDag, weights: CostWeights,
     # A module's (time, energy) depends only on its incoming flows, its own
     # server and those of its predecessors, so a search computes each
     # combination once, and a sequential pass once for all its searches.
-    memo = _pass_memo
-    if memo is None or memo.topology is not topology or memo.profile is not profile:
-        memo = _ModuleCosts(topology, profile)
+    if memo is None:
+        memo = _ModuleCosts()
     rows = memo.rows
     row_key = {m.id: (memo.flow_id(dag, m.id), [flow.src for flow in dag.preds[m.id]])
                for m in dag.modules}
@@ -227,8 +218,7 @@ def sequential_placement(topology: Topology,
                          apps: Iterable[Tuple[AppDag, ScheduleSet, Placement]],
                          weights: CostWeights, profile: DeviceEnergyProfile,
                          candidates: Sequence[ServerId],
-                         capacity_free: Dict[ServerId, int],
-                         node_budget: int = DEFAULT_NODE_BUDGET) -> List[OracleResult]:
+                         capacity_free: Dict[ServerId, int]) -> List[OracleResult]:
     """`optimal_placement` of each (dag, schedule set, base placement) in turn,
     each against the capacity that the placements before it left.
 
@@ -236,24 +226,20 @@ def sequential_placement(topology: Topology,
     memo is valid only while the topology stays as it is, so a mutation
     between two applications raises `RuntimeError`.
     """
-    global _pass_memo
     free = dict(capacity_free)
     revision = topology.revision
     results = []
-    _pass_memo = _ModuleCosts(topology, profile)
-    try:
-        for dag, schedule_set, base in apps:
-            if topology.revision != revision:
-                raise RuntimeError("topology changed during a sequential oracle pass")
-            res = optimal_placement(topology, dag, weights, profile, candidates,
-                                    capacity_free=free, schedule_set=schedule_set,
-                                    base_placement=base, node_budget=node_budget)
-            if res.placement is not None:
-                for mid in dag.unpinned():
-                    free[res.placement.assignment[mid]] -= 1
-            results.append(res)
-    finally:
-        _pass_memo = None
+    memo = _ModuleCosts()
+    for dag, schedule_set, base in apps:
+        if topology.revision != revision:
+            raise RuntimeError("topology changed during a sequential oracle pass")
+        res = optimal_placement(topology, dag, weights, profile, candidates,
+                                capacity_free=free, schedule_set=schedule_set,
+                                base_placement=base, memo=memo)
+        if res.placement is not None:
+            for mid in dag.unpinned():
+                free[res.placement.assignment[mid]] -= 1
+        results.append(res)
     return results
 
 
@@ -261,11 +247,9 @@ def exhaustive_optimal(topology: Topology, dag: AppDag, weights: CostWeights,
                        profile: DeviceEnergyProfile,
                        candidates: Sequence[ServerId],
                        capacity_free: Optional[Dict[ServerId, int]] = None,
-                       schedule_set: Optional[ScheduleSet] = None,
                        base_placement: Optional[Placement] = None) -> OracleResult:
     """Brute-force reference: enumerates every assignment. Test-scale only."""
-    if schedule_set is None:
-        schedule_set = build_schedules(dag)
+    schedule_set = build_schedules(dag)
     candidates = sorted(set(candidates))
     ranked = rank_modules(dag, schedule_set, candidates, weights, topology, profile)
     order = rank_order(ranked, dag.unpinned())

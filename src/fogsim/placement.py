@@ -61,9 +61,6 @@ class CapacityLedger:
         if self.active_types[key] <= 0:
             del self.active_types[key]
 
-    def usage_map(self) -> Dict[ServerId, int]:
-        return dict(self.used)
-
 
 @dataclass
 class PlacementDecision:
@@ -74,7 +71,6 @@ class PlacementDecision:
 
 @dataclass
 class PlacementPlan:
-    controller: ServerId
     decisions: List[PlacementDecision] = field(default_factory=list)
     escalated: List[str] = field(default_factory=list)
 
@@ -151,7 +147,7 @@ def _greedy(topology: Topology, ledger: CapacityLedger, controller: ServerId,
     nowhere among the candidates are escalated, together with everything
     not yet decided, so the parent sees a consistent prefix.
     """
-    plan = PlacementPlan(controller=controller)
+    plan = PlacementPlan()
     node = topology.node(controller)
     parent = node.parent if node.parent is not None and topology.nodes[node.parent].alive else None
     pending: Dict[ServerId, int] = {}

@@ -107,8 +107,9 @@ def _merge_known(config: Dict, extra: Dict, source: str) -> Dict:
 def load_scenario(path: Optional[str] = None, overrides: Optional[Dict] = None) -> Dict:
     """Load a scenario file (YAML) merged over the defaults, then overrides.
 
-    A key that the defaults do not know, or a `levels` entry without one of
-    `LEVEL_KEYS`, raises ValueError naming its path.
+    A key that the defaults do not know, a `levels` entry without one of
+    `LEVEL_KEYS`, a level without servers, a non-positive `mobility.tick_s`
+    or a negative `devices.count` raises ValueError naming its path.
     """
     config = copy.deepcopy(DEFAULTS)
     if path is not None:
@@ -123,6 +124,15 @@ def load_scenario(path: Optional[str] = None, overrides: Optional[Dict] = None) 
                for key in LEVEL_KEYS if key not in spec]
     if missing:
         raise ValueError(f"missing scenario key(s) {', '.join(missing)}")
+    bad = [(f"levels[{i}].count", spec["count"], ">= 1")
+           for i, spec in enumerate(config["levels"]) if int(spec["count"]) < 1]
+    if float(config["mobility"]["tick_s"]) <= 0.0:
+        bad.append(("mobility.tick_s", config["mobility"]["tick_s"], "> 0"))
+    if int(config["devices"]["count"]) < 0:
+        bad.append(("devices.count", config["devices"]["count"], ">= 0"))
+    if bad:
+        raise ValueError("out-of-range scenario value(s) " + ", ".join(
+            f"{key} = {val!r} (must be {need})" for key, val, need in bad))
     return config
 
 
@@ -139,7 +149,6 @@ def stream(seed, label: str) -> random.Random:
 @dataclass
 class DeviceSetup:
     sid: ServerId
-    template: str
     dag: app_model.AppDag
 
 
@@ -237,7 +246,7 @@ def build_world(config: Dict) -> World:
         nodes.append(ServerNode(id=sid, cpu_mips=500.0,
                                 container_capacity=len(dag.modules),
                                 position=pos, parent=home.id))
-        device_setups.append(DeviceSetup(sid=sid, template=template, dag=dag))
+        device_setups.append(DeviceSetup(sid=sid, dag=dag))
 
     topology = Topology(nodes, _link_params(config["links"]), max_level)
     weights = CostWeights(**{k: float(v) for k, v in config["weights"].items()})

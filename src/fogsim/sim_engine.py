@@ -28,38 +28,30 @@ POLICIES = ("proposed", "maas", "urmila")
 _SLACK_M = 1e-6
 
 
-@dataclass
-class Event:
-    timestamp: float
-    sequence: int
-    kind: str
-    payload: dict
-
-
 class Kernel:
     """Minimal heap-based event kernel with stable FIFO tie-breaking.
 
-    Heap entries are (timestamp, sequence, event, handler) tuples; sequence
-    numbers are unique, so ordering never compares events or handlers.
+    Heap entries are (timestamp, sequence, handler, arg) tuples, and dispatch
+    calls handler(arg); sequence numbers are unique, so ordering never
+    compares handlers or arguments.
     """
 
     def __init__(self):
         self.now = 0.0
         self._seq = 0
-        self._heap: List[Tuple[float, int, Event, Callable]] = []
+        self._heap: List[Tuple[float, int, Callable, object]] = []
 
-    def schedule(self, at: float, kind: str, handler: Callable, payload: Optional[dict] = None):
+    def schedule(self, at: float, kind: str, handler: Callable, arg=None):
         if at < self.now - 1e-12:
             raise ValueError(f"cannot schedule {kind} in the past ({at} < {self.now})")
         self._seq += 1
-        heapq.heappush(self._heap,
-                       (at, self._seq, Event(at, self._seq, kind, payload or {}), handler))
+        heapq.heappush(self._heap, (at, self._seq, handler, arg))
 
     def run(self, until: float):
         heap = self._heap
         while heap and heap[0][0] <= until + 1e-12:
-            self.now, _, event, handler = heapq.heappop(heap)
-            handler(event)
+            self.now, _, handler, arg = heapq.heappop(heap)
+            handler(arg)
         self.now = until
 
 
@@ -153,7 +145,8 @@ class TaskAccumulator:
 
     def snapshot(self, at: float) -> dict:
         self.flush(at)
-        inflight, _ = self._count(max(self.t0 or at, at - self.cost_time), at)
+        start = at if self.t0 is None else self.t0
+        inflight, _ = self._count(max(start, at - self.cost_time), at)
         completed = self.emitted - self.dropped - inflight
         return {"emitted": self.emitted, "completed": completed,
                 "inflight": inflight, "dropped": self.dropped,
@@ -341,18 +334,17 @@ class Simulation:
 
     # -- placement ---------------------------------------------------------
 
-    def _request_placement(self, event: Event):
-        dev = self.devices[event.payload["device"] - 1]
+    def _request_placement(self, dev: SimDevice):
         t0 = self.kernel.now
         last = self.place(dev, t0)
         dev.pdt_s = last - t0
+        self.kernel.schedule(last + self.topology.links.lat_up[0], "service_start",
+                             self._start_service, dev)
 
-        def start(event: Event):
-            dev.acc.start_service(self.kernel.now, *self._task_cost(dev))
-            self._arm(dev)
-            self.log("service_start", device=dev.sid.index)
-        self.kernel.schedule(last + self.topology.links.lat_up[0], "service_start", start,
-                             {"device": dev.sid.index})
+    def _start_service(self, dev: SimDevice):
+        dev.acc.start_service(self.kernel.now, *self._task_cost(dev))
+        self._arm(dev)
+        self.log("service_start", device=dev.sid.index)
 
     def place(self, dev: SimDevice, t0: float) -> float:
         """Place the device's unpinned modules for a request sent at t0.
@@ -381,7 +373,8 @@ class Simulation:
                        failed: Optional[ServerId] = None) -> float:
         """Decide `todo` at `controller` from time t; returns the last acknowledgement.
 
-        Remote choices are confirmed at their target. A rejected module
+        Choices at the controller are reserved by the greedy loop already;
+        remote ones are confirmed at their target. A rejected module
         re-enters the cascade at the controller with the target excluded, and
         modules that fit nowhere escalate to the controller's parent.
         """
@@ -402,19 +395,13 @@ class Simulation:
                                         dev.placement, dev.ranked, todo,
                                         self.weights, self.profile)
         acks = [t]
-        remote = plan.by_server()
-        for server in sorted(remote):
-            decs = remote[server]
-            if server == controller:
-                for dec in decs:
-                    start = t + (0.0 if dec.warm else self.startup_s)
-                    acks.append(start)
-                    self.log("container_start", device=dev.sid.index, module=dec.module,
-                             server=str(server), warm=dec.warm)
-                continue
+        for server, decs in sorted(plan.by_server().items()):
             t_arr = t + self.lat(controller, server)
-            results = placement.handle_remote_placement(
-                self.topology, self.ledger, server, dev.dag, [d.module for d in decs])
+            if server == controller:
+                results = [(dec.module, True, dec.warm) for dec in decs]
+            else:
+                results = placement.handle_remote_placement(
+                    self.topology, self.ledger, server, dev.dag, [d.module for d in decs])
             for module_id, ok, warm in results:
                 if not ok:
                     self.log("placement_recovery", device=dev.sid.index,
@@ -436,7 +423,7 @@ class Simulation:
 
     # -- mobility and handover ----------------------------------------------
 
-    def _tick(self, event: Event):
+    def _tick(self, _):
         """Check the devices whose departure check is due, in index order.
 
         A device walks only when its position is read; the heap holds each
@@ -548,7 +535,7 @@ class Simulation:
             attach_at = t_dec + self.lat(self.central, dest)
         else:
             attach_at = now + self.lat(old, dest)
-        self.kernel.schedule(attach_at, "attach", lambda e: self._attach(dev, dest))
+        self.kernel.schedule(attach_at, "attach", lambda _: self._attach(dev, dest))
 
     def _attach(self, dev: SimDevice, dest: ServerId):
         now = self.kernel.now
@@ -560,7 +547,7 @@ class Simulation:
                                        dev.placement, dev.schedule_set, central,
                                        exclude=sorted(dev.inflight | dev.claimed))
         for rnd in rounds:
-            for mods in rnd.by_decider.values():
+            for mods in rnd.values():
                 dev.claimed.update(mods)
         if self.policy == "urmila":
             # Centrally coordinated rounds run in the background: the device
@@ -572,7 +559,7 @@ class Simulation:
     # -- migration rounds ----------------------------------------------------
 
     def _run_round(self, dev: SimDevice, new_ctrl: ServerId,
-                   rounds: List[migration.MigrationRound], k: int, t: float):
+                   rounds: List[Dict[ServerId, List[str]]], k: int, t: float):
         if k >= len(rounds):
             dev.mmt_busy = False
             if dev.pending_departure:
@@ -581,15 +568,14 @@ class Simulation:
                 self._start_departure(dev)
             return
         rnd = rounds[k]
-        for mods in rnd.by_decider.values():
+        for mods in rnd.values():
             dev.claimed.difference_update(mods)
         working = dev.placement.copy()
         completions = [t]
         moves = 0
         cmt = 0.0
         cmec = 0.0
-        for decider in sorted(rnd.by_decider):
-            modules = rnd.by_decider[decider]
+        for decider, modules in sorted(rnd.items()):
             outs = self._decide_migrations(dev, new_ctrl, decider, modules, working, t)
             for notify, window, energy, moved in outs:
                 completions.append(notify)
@@ -601,7 +587,7 @@ class Simulation:
         if moves:
             dev.mig_events.append((done, moves, cmt, cmec))
         self.kernel.schedule(done, "round",
-                             lambda e: self._run_round(dev, new_ctrl, rounds, k + 1, done))
+                             lambda _: self._run_round(dev, new_ctrl, rounds, k + 1, done))
 
     def _decide_migrations(self, dev: SimDevice, new_ctrl: ServerId,
                            decider: ServerId, modules: List[str],
@@ -703,14 +689,13 @@ class Simulation:
         self.log("migration", device=dev.sid.index, module=module_id,
                  frm=str(frm), to=str(to), window_s=round(window_len, 9))
 
-        def commit(event: Event):
+        def commit(_):
             dev.inflight.discard(module_id)
             dev.placement.assignment[module_id] = to
             self.ledger.release(frm, dev.dag.template, module_id)
             dev.acc.set_cost(self.kernel.now, *self._task_cost(dev))
 
-        self.kernel.schedule(w_end, "migration_commit", commit,
-                             {"device": dev.sid.index, "module": module_id})
+        self.kernel.schedule(w_end, "migration_commit", commit)
         notify = w_end + self.lat(to, new_ctrl)
         return (notify, window_len, energy, True)
 
@@ -720,17 +705,15 @@ class Simulation:
         horizons = sorted(horizons or [float(self.config["horizon_s"])])
         end = horizons[-1]
         for i, dev in enumerate(self.devices):
-            self.kernel.schedule(0.001 * i, "placement_request",
-                                 self._request_placement, {"device": dev.sid.index})
+            self.kernel.schedule(0.001 * i, "placement_request", self._request_placement, dev)
         self.kernel.schedule(self.tick_s, "tick", self._tick)
         snapshots: Dict[float, List[dict]] = {}
 
-        def checkpoint(event: Event):
-            h = event.payload["h"]
+        def checkpoint(h: float):
             snap = []
             for dev in self.devices:
                 row = dev.acc.snapshot(h)
-                row["template"] = dev.setup.template
+                row["template"] = dev.dag.template
                 row["pdt_s"] = dev.pdt_s
                 row["migrations"] = sum(m for ts, m, _, _ in dev.mig_events if ts <= h)
                 row["cmt_s"] = sum(c for ts, _, c, _ in dev.mig_events if ts <= h)
@@ -739,13 +722,13 @@ class Simulation:
             snapshots[h] = snap
 
         for h in horizons:
-            self.kernel.schedule(h, "checkpoint", checkpoint, {"h": h})
+            self.kernel.schedule(h, "checkpoint", checkpoint, h)
         self.kernel.run(end)
         for dev in self.devices:
             self._walk(dev)
 
         rows = []
-        templates = sorted({dev.setup.template for dev in self.devices})
+        templates = sorted({dev.dag.template for dev in self.devices})
         fr_mode = "fr" if self.failure_p > 0 else "none"
         for h in horizons:
             for template in templates:

@@ -3,7 +3,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, NamedTuple, Optional, Set, Tuple
+from typing import Dict, Iterable, List, NamedTuple, Optional, Set, Tuple
 
 
 class ServerId(NamedTuple):
@@ -72,16 +72,13 @@ class Topology:
     """Mutable forest of fog servers plus cluster edges.
 
     Structural mutations (reparent, add, remove, cluster changes) must go
-    through the mutator methods, which call `bump()`. Two counters record
-    them:
-
-    - `revision` advances on every mutation; a caller that keeps costs
-      across calls (the oracle's pass memo) checks that it has not moved.
-    - `fog_revision` advances on every mutation except reparenting a device
-      (a level-0 node), and empties `route_cache`, `rank_cache` and the
-      per-level node lists of `sensed_by`. A device never relays traffic, so
-      its handover changes only the routes that end at it; `set_parent`
-      drops exactly those (indexed per device).
+    through the mutator methods, which call `bump()`. `revision` advances on
+    every mutation; a caller that keeps costs across calls (the oracle's
+    sequential pass) checks that it has not moved. Every mutation except
+    reparenting a device (a level-0 node) also empties `route_cache`,
+    `rank_cache` and the level-1 server list of `sensed_by`. A device never
+    relays traffic, so its handover changes only the routes that end at it;
+    `set_parent` drops exactly those (indexed per device).
 
     Direct edits of node state that routing or costs read (`alive`,
     `cpu_mips`) must be followed by `bump()`, or cached routes and ranks go
@@ -103,16 +100,15 @@ class Topology:
             raise TopologyError(f"missing cloud node {self.cloud_id}")
         links.validate(max_fog_level)
         self.revision = 0
-        self.fog_revision = 0
         # (src, dest) -> cost_model.Route (hops, latency sum, bandwidths);
-        # filled by cost_model, valid for fog_revision.
+        # filled by cost_model, emptied by every fog mutation.
         self.route_cache: Dict[Tuple[ServerId, ServerId], tuple] = {}
         # device -> keys of its cached routes, dropped when it reparents.
         self._device_routes: Dict[ServerId, Set[Tuple[ServerId, ServerId]]] = {}
-        # upward-rank memo of app_model.compute_rank, valid for fog_revision.
+        # upward-rank memo of app_model.compute_rank, emptied likewise.
         self.rank_cache: Dict[tuple, Dict[str, float]] = {}
-        # level -> its nodes, for sensed_by; valid for fog_revision.
-        self._level_nodes: Dict[int, list] = {}
+        # level-1 nodes, for sensed_by; emptied likewise.
+        self._level1: List[ServerNode] = []
         self._wire_children()
         self._check_levels()
 
@@ -142,11 +138,10 @@ class Topology:
         """Record a mutation; `fog=False` only for a device's reparent."""
         self.revision += 1
         if fog:
-            self.fog_revision += 1
             self.route_cache.clear()
             self._device_routes.clear()
             self.rank_cache.clear()
-            self._level_nodes.clear()
+            self._level1.clear()
 
     def cache_route(self, src: ServerId, dest: ServerId, record: tuple):
         """Store a route record, indexed under each device endpoint for `set_parent`."""
@@ -225,10 +220,6 @@ class Topology:
             stack.extend(self.nodes[cur].children)
         return frozenset(members)
 
-    def has_hierarchical_path(self, src: ServerId, dest: ServerId) -> bool:
-        """True when dest lies inside the descendant closure of src."""
-        return dest in self.omega(src)
-
     def ancestor_at_level(self, sid: ServerId, level: int) -> Optional[ServerId]:
         cur = sid
         while cur is not None and cur.level < level:
@@ -243,12 +234,11 @@ class Topology:
                if n.alive and n.id.level >= 1 and (level is None or n.id.level == level)]
         return sorted(out)
 
-    def sensed_by(self, point: Tuple[float, float], level: int = 1):
-        """Alive servers of a level whose coverage contains the point, sorted by distance."""
-        nodes = self._level_nodes.get(level)
-        if nodes is None:
-            nodes = self._level_nodes[level] = [
-                n for n in self.nodes.values() if n.id.level == level]
+    def sensed_by(self, point: Tuple[float, float]):
+        """Alive level-1 servers whose coverage contains the point, sorted by distance."""
+        nodes = self._level1
+        if not nodes:
+            nodes.extend(n for n in self.nodes.values() if n.id.level == 1)
         hits = [n for n in nodes if n.alive and n.covers(point)]
         hits.sort(key=lambda n: (n.distance_to(point), n.id))
         return [n.id for n in hits]

@@ -186,7 +186,7 @@ def test_criterion_7_property_suite(urban_runs):
     cfg = urban_config("proposed", 1, horizon_s=20.0, devices={"count": 20})
     sim = Simulation(cfg)
     sim.run([20.0])
-    usage = sim.ledger.usage_map()
+    usage = sim.ledger.used
     for dev in sim.devices:
         violations = cost_model.validate_placement(
             sim.topology, dev.dag, dev.placement, dev.schedule_set, usage)

@@ -67,7 +67,7 @@ def test_urmila_central_greedy_places_globally_cheapest():
     assert len(plan.decisions) == 4
     # The device hangs off (1,1): the per-module global argmin is local to it.
     assert {d.server for d in plan.decisions} == {S(1, 1)}
-    assert all(d.server != plan.controller for d in plan.decisions)
+    assert all(d.server != S(3, 1) for d in plan.decisions)
 
 
 def test_urmila_first_placement_is_cold_and_repeat_is_warm():
@@ -80,7 +80,7 @@ def test_urmila_first_placement_is_cold_and_repeat_is_warm():
     assert first.decisions and not any(d.warm for d in first.decisions)
     # Decisions off the central server hold no slot until the target confirms.
     for server, decs in first.by_server().items():
-        if server != first.controller:
+        if server != S(3, 1):
             handle_remote_placement(topo, ledger, server, dag, [d.module for d in decs])
     again = urmila_place(topo, ledger, S(3, 1), dag, plc.copy(), ranked,
                          dag.unpinned(), WEIGHTS, PROFILE)

@@ -95,6 +95,27 @@ def test_missing_level_key_raises(tmp_path):
         load_scenario(None, {"levels": [{"level": 1, "count": 3}]})
 
 
+def _empty_level(index):
+    levels = [dict(level) for level in TINY_SCENARIO["levels"]]
+    levels[index]["count"] = 0
+    del levels[index]["cols"]
+    return levels
+
+
+@pytest.mark.parametrize("overrides, match", [
+    # A zero tick would re-schedule itself at t = 0 forever.
+    ({"mobility": {"tick_s": 0}}, r"mobility\.tick_s = 0 "),
+    ({"mobility": {"tick_s": -0.1}}, r"mobility\.tick_s = -0\.1 "),
+    ({"levels": _empty_level(0)}, r"levels\[0\]\.count = 0 "),
+    ({"levels": _empty_level(1)}, r"levels\[1\]\.count = 0 "),
+    ({"devices": {"count": -3}}, r"devices\.count = -3 "),
+], ids=["zero_tick", "negative_tick", "empty_level_1", "empty_level_2",
+        "negative_devices"])
+def test_out_of_range_scenario_value_raises(overrides, match):
+    with pytest.raises(ValueError, match=match):
+        load_scenario(None, overrides)
+
+
 def test_extra_link_level_loads(tmp_path):
     levels = TINY_SCENARIO["levels"] + [
         {"level": 4, "count": 1, "cols": 1, "rows": 1, "cpu_mips": 20000,

@@ -141,13 +141,14 @@ def test_transmission_energy_fog_hop_billed_at_idle(topo_dev):
 
 def test_transmission_energy_zero_for_same_server(topo_dev):
     assert cost_model.transmission_energy(topo_dev, PROFILE, 1e9, S(1, 1), S(1, 1)) == 0.0
-    assert cost_model.internodal_energy(topo_dev, PROFILE, S(1, 1), S(1, 1)) == 0.0
+    assert cost_model.internodal_latency(topo_dev, S(1, 1), S(1, 1)) * PROFILE.p_idle_w == 0.0
 
 
 def test_internodal_energy_products(topo_dev):
-    assert cost_model.internodal_energy(topo_dev, PROFILE, S(0, 5), S(1, 1)) \
+    # Latency seconds billed at device idle power.
+    assert cost_model.internodal_latency(topo_dev, S(0, 5), S(1, 1)) * PROFILE.p_idle_w \
         == pytest.approx(1.5e-3)
-    assert cost_model.internodal_energy(topo_dev, PROFILE, S(1, 1), S(1, 2)) \
+    assert cost_model.internodal_latency(topo_dev, S(1, 1), S(1, 2)) * PROFILE.p_idle_w \
         == pytest.approx(15e-3)
 
 

@@ -25,8 +25,7 @@ def unused_imports(source: str):
     return sorted((line, name) for name, line in imported.items() if name not in used)
 
 
-# Kernel handlers receive the event whether or not they read it.
-UNREAD_OK = {"self", "cls", "event", "e"}
+UNREAD_OK = {"self", "cls"}
 
 
 def unused_parameters(source: str):

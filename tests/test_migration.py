@@ -150,12 +150,11 @@ def test_plan_rounds_deciders_follow_previous_levels():
         "arrhythmia_detector": S(2, 1), "aggregator": S(4, 1)})
     rounds = plan_rounds(topo, S(1, 4), dag, plc, sched)
     # filter was at L1: decided by the new controller itself.
-    assert rounds[0].by_decider == {S(1, 4): ["filter"]}
+    assert rounds[0] == {S(1, 4): ["filter"]}
     # L1 and L2 history in one schedule: two deciders along the new chain;
     # the cloud-hosted aggregator is decided by the cloud.
-    assert rounds[1].by_decider == {S(1, 4): ["hr_analyzer"],
-                                    S(2, 3): ["arrhythmia_detector"]}
-    assert rounds[2].by_decider == {S(4, 1): ["aggregator"]}
+    assert rounds[1] == {S(1, 4): ["hr_analyzer"], S(2, 3): ["arrhythmia_detector"]}
+    assert rounds[2] == {S(4, 1): ["aggregator"]}
 
 
 def test_plan_rounds_orders_by_ram_descending():
@@ -168,7 +167,7 @@ def test_plan_rounds_orders_by_ram_descending():
         plc.assignment[m.id] = S(0, 5) if m.pinned_to_device else S(1, 1)
     rounds = plan_rounds(topo, S(1, 4), dag, plc, build_schedules(dag))
     pair_round = rounds[1]
-    assert pair_round.by_decider[S(1, 4)] == ["arrhythmia_detector", "hr_analyzer"]
+    assert pair_round[S(1, 4)] == ["arrhythmia_detector", "hr_analyzer"]
 
 
 def test_plan_rounds_excludes_and_centralizes():
@@ -178,9 +177,9 @@ def test_plan_rounds_excludes_and_centralizes():
         "arrhythmia_detector": S(1, 1), "aggregator": S(1, 1)})
     rounds = plan_rounds(topo, S(1, 4), dag, plc, sched, central=S(3, 1),
                          exclude=["filter"])
-    moved = [m for rnd in rounds for mods in rnd.by_decider.values() for m in mods]
+    moved = [m for rnd in rounds for mods in rnd.values() for m in mods]
     assert "filter" not in moved
-    assert all(set(rnd.by_decider) == {S(3, 1)} for rnd in rounds)
+    assert all(set(rnd) == {S(3, 1)} for rnd in rounds)
 
 
 # -- destination decisions ------------------------------------------------------------

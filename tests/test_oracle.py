@@ -181,7 +181,6 @@ def test_sequential_placement_equals_one_search_per_device(seed):
         assert (got.complete, got.nodes_explored) == (want.complete, want.nodes_explored)
         for mid in dag.unpinned():
             free[want.placement.assignment[mid]] -= 1
-    assert oracle._pass_memo is None
 
 
 def test_sequential_placement_rejects_a_topology_change_between_devices():
@@ -196,4 +195,3 @@ def test_sequential_placement_rejects_a_topology_change_between_devices():
     with pytest.raises(RuntimeError, match="topology changed"):
         oracle.sequential_placement(sim.topology, apps(), sim.weights, sim.profile,
                                     candidates, free)
-    assert oracle._pass_memo is None

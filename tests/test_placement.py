@@ -59,9 +59,7 @@ def test_all_modules_fit_on_controller():
                       dag.unpinned(), WEIGHTS, PROFILE)
     assert plan.escalated == []
     assert {d.server for d in plan.decisions} == {S(1, 1)}
-    assert all(d.server == plan.controller for d in plan.decisions)
-    assert cost_model.validate_placement(topo, dag, plc, sched,
-                                         ledger.usage_map()) == []
+    assert cost_model.validate_placement(topo, dag, plc, sched, ledger.used) == []
 
 
 def test_full_controller_prefers_cluster_member_over_parent():
@@ -73,7 +71,7 @@ def test_full_controller_prefers_cluster_member_over_parent():
                       dag.unpinned(), WEIGHTS, PROFILE)
     assert plan.escalated == []
     assert {d.server for d in plan.decisions} == {S(1, 2)}
-    assert all(d.server != plan.controller for d in plan.decisions)
+    assert all(d.server != S(1, 1) for d in plan.decisions)
 
 
 def test_exhausted_ready_servers_escalate_everything():
@@ -198,10 +196,8 @@ def test_constraints_hold_after_full_cascade():
         todo = plan.escalated
         if todo:
             controller = topo.node(controller).parent
-    assert cost_model.validate_placement(topo, dag, plc, sched,
-                                         ledger.usage_map()) == []
-    used = ledger.usage_map()
-    for sid, count in used.items():
+    assert cost_model.validate_placement(topo, dag, plc, sched, ledger.used) == []
+    for sid, count in ledger.used.items():
         assert 0 <= count <= topo.node(sid).container_capacity
 
 

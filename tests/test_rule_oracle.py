@@ -180,10 +180,13 @@ def test_device_routes_match_interpreter_across_reparenting():
                         == cost_model.route(topo, src, dest)
                     assert len(cost_model.route(topo, src, dest)) == hops
                     checked += 1
-            fog_revision = topo.fog_revision
+            # Handovers keep every cached fog route.
+            fog_routes = {key: rec for key, rec in topo.route_cache.items()
+                          if key[0].level and key[1].level}
+            assert fog_routes
             for dev in devices:
                 topo.set_parent(dev, rng.choice(l1))
-            assert topo.fog_revision == fog_revision
+            assert all(topo.route_cache.get(key) is rec for key, rec in fog_routes.items())
     # 300 topologies x 3 rounds x at least 2 devices x 3 directions.
     assert checked >= 5400
 

@@ -43,6 +43,15 @@ def test_kernel_orders_by_time_then_insertion():
     assert kernel.now == 2.0
 
 
+def test_kernel_hands_each_handler_its_argument():
+    kernel = Kernel()
+    seen = []
+    kernel.schedule(1.0, "x", seen.append, "a")
+    kernel.schedule(1.0, "y", seen.append)
+    kernel.run(1.0)
+    assert seen == ["a", None]
+
+
 def test_kernel_rejects_past_events():
     kernel = Kernel()
     kernel.schedule(1.0, "x", lambda e: None)
@@ -58,6 +67,9 @@ def test_hundred_emissions_per_second_at_10ms_interval():
     acc.start_service(0.0, 0.05, 0.01)
     snap = acc.snapshot(1.0)
     assert snap["emitted"] == 100
+    # Emissions at 0.95 .. 0.99 s are still inside their 50 ms response time,
+    # although service started at t = 0.0.
+    assert (snap["inflight"], snap["completed"]) == (5, 95)
     assert snap["emitted"] == snap["completed"] + snap["inflight"] + snap["dropped"]
 
 
@@ -416,7 +428,7 @@ def test_every_device_gets_service_and_full_placement(policy):
             # The serving server holds a confirmed container for the module.
             assert sim.ledger.is_warm(dev.placement.assignment[module_id],
                                       dev.dag.template, module_id)
-    for sid, used in sim.ledger.usage_map().items():
+    for sid, used in sim.ledger.used.items():
         assert 0 <= used <= sim.topology.node(sid).container_capacity
 
 
@@ -493,7 +505,7 @@ def test_extreme_settings_finish_and_conserve(extreme, policy):
     assert len(result.rows) == (0 if extreme == "zero_devices" else 2)
     for row in result.rows:
         assert row["emitted"] == row["completed"] + row["inflight"] + row["dropped"]
-    for sid, used in sim.ledger.usage_map().items():
+    for sid, used in sim.ledger.used.items():
         assert 0 <= used <= sim.topology.node(sid).container_capacity
     if extreme == "zero_fog_capacity":
         # Placement escalates every unpinned module to the cloud.

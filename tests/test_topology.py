@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fogsim import cost_model
 from fogsim.topology import ServerNode, Topology, TopologyError
 
 from conftest import S, make_links, make_small_topology
@@ -29,10 +30,11 @@ def test_omega_of_l3_covers_all_fog_servers(topo):
 
 
 def test_hierarchical_path_queries(topo):
-    assert topo.has_hierarchical_path(S(2, 1), S(1, 2))
-    assert not topo.has_hierarchical_path(S(2, 2), S(1, 1))
+    # A hierarchical path from src to dest exists when dest is in omega(src).
+    assert S(1, 2) in topo.omega(S(2, 1))
+    assert S(1, 1) not in topo.omega(S(2, 2))
     for sid in topo.nodes:
-        assert topo.has_hierarchical_path(sid, sid)
+        assert sid in topo.omega(sid)
 
 
 def test_removal_purges_every_reference(topo):
@@ -107,7 +109,7 @@ def test_sensed_by_sorts_by_distance(topo):
 
 def test_sensed_by_follows_added_removed_and_dead_servers(topo):
     point = (120.0, 0.0)
-    assert topo.sensed_by(point, level=2) == [S(2, 1)]
+    assert topo.sensed_by(point) == [S(1, 2), S(1, 1), S(1, 3)]
     topo.add_node(ServerNode(S(1, 7), 3500, 10, position=(110.0, 0.0),
                              coverage_radius=50.0, parent=S(2, 1)))
     assert topo.sensed_by(point) == [S(1, 7), S(1, 2), S(1, 1), S(1, 3)]
@@ -193,11 +195,16 @@ def test_omega_cache_invalidated_on_mutation(topo):
 
 
 def test_device_reparent_keeps_fog_revision():
+    # A device handover is not a fog mutation: cached fog routes survive it,
+    # and only the routes that end at the device are dropped.
     topo = make_small_topology(with_device=True)
-    revision, fog_revision = topo.revision, topo.fog_revision
+    fog = cost_model._cached_route(topo, S(1, 1), S(2, 2))
+    cost_model._cached_route(topo, S(0, 5), S(2, 2))
+    revision = topo.revision
     topo.set_parent(S(0, 5), S(1, 2))
     assert topo.revision == revision + 1
-    assert topo.fog_revision == fog_revision
+    assert topo.route_cache == {(S(1, 1), S(2, 2)): fog}
+    assert topo.route_cache[(S(1, 1), S(2, 2))] is fog
 
 
 @pytest.mark.parametrize("mutate", [
@@ -210,9 +217,12 @@ def test_device_reparent_keeps_fog_revision():
 ], ids=["link_cluster", "unlink_cluster", "fog_set_parent", "add_node",
         "remove_node", "bump"])
 def test_fog_mutations_advance_fog_revision(mutate):
+    # Every fog mutation advances the revision and empties the route cache.
     topo = make_small_topology(with_device=True)
     topo.link_cluster(S(1, 4), S(1, 5))
-    revision, fog_revision = topo.revision, topo.fog_revision
+    cost_model._cached_route(topo, S(1, 1), S(2, 2))
+    cost_model._cached_route(topo, S(0, 5), S(1, 4))
+    revision = topo.revision
     mutate(topo)
     assert topo.revision == revision + 1
-    assert topo.fog_revision == fog_revision + 1
+    assert topo.route_cache == {}
