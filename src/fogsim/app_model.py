@@ -1,4 +1,4 @@
-"""Application DAGs, topological schedule sets, and weighted upward ranks."""
+"""Application DAGs with their topological schedules, and weighted upward ranks."""
 from __future__ import annotations
 
 from collections import deque
@@ -43,6 +43,10 @@ class AppDag:
     preds: Dict[str, List[DataFlow]] = field(default_factory=dict, repr=False)
     succs: Dict[str, List[DataFlow]] = field(default_factory=dict, repr=False)
     module_map: Dict[str, Module] = field(default_factory=dict, repr=False)
+    # Modules grouped by topological order value, lowest first, and each
+    # module's order value; computed once, when the DAG is built.
+    schedules: List[List[str]] = field(init=False, repr=False)
+    order_of: Dict[str, int] = field(init=False, repr=False)
 
     def __post_init__(self):
         self.module_map = {m.id: m for m in self.modules}
@@ -53,6 +57,26 @@ class AppDag:
                 raise ValueError(f"flow {flow.src}->{flow.dst} references unknown module")
             self.preds[flow.dst].append(flow)
             self.succs[flow.src].append(flow)
+        # BFS topological grouping: a module's order is 1 + max order of its
+        # predecessors.
+        indeg = {m.id: len(self.preds[m.id]) for m in self.modules}
+        order = self.order_of = {m.id: 1 for m in self.modules}
+        queue = deque(sorted(mid for mid, d in indeg.items() if d == 0))
+        seen = 0
+        while queue:
+            cur = queue.popleft()
+            seen += 1
+            for flow in self.succs[cur]:
+                order[flow.dst] = max(order[flow.dst], order[cur] + 1)
+                indeg[flow.dst] -= 1
+                if indeg[flow.dst] == 0:
+                    queue.append(flow.dst)
+        if seen != len(self.modules):
+            raise CycleError(f"module graph of {self.app_id} contains a cycle")
+        by_order: Dict[int, List[str]] = {}
+        for mid, val in order.items():
+            by_order.setdefault(val, []).append(mid)
+        self.schedules = [sorted(by_order[val]) for val in sorted(by_order)]
 
     def unpinned(self) -> List[str]:
         return [m.id for m in self.modules if not m.pinned_to_device]
@@ -61,42 +85,9 @@ class AppDag:
         return sum(f.instructions_mi for f in self.preds[module_id])
 
 
-@dataclass
-class ScheduleSet:
-    """Modules grouped by topological order value, lowest first."""
-    schedules: List[List[str]]
-    order_of: Dict[str, int]
-
-
-def build_schedules(dag: AppDag) -> ScheduleSet:
-    """BFS topological grouping: a module's order is 1 + max order of its predecessors."""
-    indeg = {m.id: len(dag.preds[m.id]) for m in dag.modules}
-    order = {m.id: 1 for m in dag.modules}
-    queue = deque(sorted(mid for mid, d in indeg.items() if d == 0))
-    seen = 0
-    while queue:
-        cur = queue.popleft()
-        seen += 1
-        for flow in dag.succs[cur]:
-            order[flow.dst] = max(order[flow.dst], order[cur] + 1)
-            indeg[flow.dst] -= 1
-            if indeg[flow.dst] == 0:
-                queue.append(flow.dst)
-    if seen != len(dag.modules):
-        raise CycleError(f"module graph of {dag.app_id} contains a cycle")
-    by_order: Dict[int, List[str]] = {}
-    for mid, val in order.items():
-        by_order.setdefault(val, []).append(mid)
-    schedules = [sorted(by_order[val]) for val in sorted(by_order)]
-    return ScheduleSet(schedules=schedules, order_of=order)
-
-
-def compute_rank(dag: AppDag, schedule_set: ScheduleSet,
-                 ready_servers: Sequence[ServerId], weights,
+def compute_rank(dag: AppDag, ready_servers: Sequence[ServerId], weights,
                  topology: Topology, profile) -> Dict[str, float]:
     """Weighted upward rank of every module over the candidate server set.
-
-    `schedule_set` is the DAG's `build_schedules` result, which callers hold.
 
     Execution term averages the weighted run cost across candidates;
     the transfer term averages pairwise transfer cost over all ordered
@@ -138,7 +129,7 @@ def compute_rank(dag: AppDag, schedule_set: ScheduleSet,
         return total / (n * n)
 
     rank: Dict[str, float] = {}
-    for group in reversed(schedule_set.schedules):
+    for group in reversed(dag.schedules):
         for mid in group:
             best_succ = 0.0
             for flow in dag.succs[mid]:
@@ -149,13 +140,12 @@ def compute_rank(dag: AppDag, schedule_set: ScheduleSet,
     return rank
 
 
-def rank_modules(dag: AppDag, schedule_set: ScheduleSet,
-                 ready_servers: Sequence[ServerId], weights,
+def rank_modules(dag: AppDag, ready_servers: Sequence[ServerId], weights,
                  topology: Topology, profile) -> Dict[int, List[str]]:
     """Per-schedule dispatch order: rank descending, ties broken by module id."""
-    rank = compute_rank(dag, schedule_set, ready_servers, weights, topology, profile)
+    rank = compute_rank(dag, ready_servers, weights, topology, profile)
     out: Dict[int, List[str]] = {}
-    for pos, group in enumerate(schedule_set.schedules, start=1):
+    for pos, group in enumerate(dag.schedules, start=1):
         out[pos] = sorted(group, key=lambda mid: (-rank[mid], mid))
     return out
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence
 
-from .app_model import AppDag, ScheduleSet, rank_order
+from .app_model import AppDag, rank_order
 from .cost_model import CostWeights, DeviceEnergyProfile, Placement
 from .placement import CapacityLedger, PlacementError, PlacementPlan, _greedy
 from .topology import ServerId, Topology
@@ -22,11 +22,10 @@ def nearest_controller(sensed: Sequence[ServerId]) -> Optional[ServerId]:
 
 
 def maas_place(topology: Topology, ledger: CapacityLedger, controller: ServerId,
-               dag: AppDag, placement: Placement, schedule_set: ScheduleSet,
-               todo: Sequence[str], weights: CostWeights,
+               dag: AppDag, placement: Placement, todo: Sequence[str], weights: CostWeights,
                profile: DeviceEnergyProfile) -> PlacementPlan:
     """Edgeward placement: fill this server in schedule order, escalate the rest upward."""
-    ordered = rank_order(dict(enumerate(schedule_set.schedules)), todo)
+    ordered = rank_order(dict(enumerate(dag.schedules)), todo)
     return _greedy(topology, ledger, controller, [controller], dag, placement,
                    ordered, weights, profile)
 

@@ -82,7 +82,8 @@ def cmd_run(args) -> int:
 
 def cmd_sweep(args) -> int:
     path = resolve_scenario(args.scenario)
-    config = scenario.load_scenario(path)
+    config = scenario.load_scenario(path, None if args.failure_p is None else
+                                    {"failure": {"migration_failure_p": args.failure_p}})
     policies = args.policies.split(",")
     for p in policies:
         if p not in POLICIES:
@@ -90,8 +91,6 @@ def cmd_sweep(args) -> int:
     seeds = [int(s) for s in args.seeds.split(",")]
     horizons = [float(h) for h in args.horizons.split(",")]
     devices = [int(d) for d in args.devices.split(",")] if args.devices else None
-    if args.failure_p is not None:
-        config["failure"]["migration_failure_p"] = args.failure_p
     rows = experiments.run_matrix(config, policies, seeds, horizons, devices)
     extra = ["devices"] if devices else []
     write_outputs(rows, [], args.out, extra)

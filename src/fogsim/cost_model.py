@@ -7,10 +7,10 @@ resort. Same-level traffic prefers the cluster, falling back upward.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Iterable, List, NamedTuple, Optional, Tuple
 
-from .app_model import AppDag, ScheduleSet
+from .app_model import AppDag
 from .topology import RoutingError, ServerId, Topology
 
 
@@ -46,14 +46,8 @@ class MigrationParams:
     dump_fraction: Tuple[float, float] = (0.05, 0.10)
 
 
-@dataclass
-class Placement:
-    """Server assignment for one application's modules."""
-    app_id: str
-    assignment: Dict[str, ServerId] = field(default_factory=dict)
-
-    def copy(self) -> "Placement":
-        return Placement(self.app_id, dict(self.assignment))
+# Server assignment of one application's modules: module id -> server.
+Placement = Dict[str, ServerId]
 
 
 # -- next-hop routing ------------------------------------------------------
@@ -267,7 +261,7 @@ def module_cost(topology: Topology, dag: AppDag, placement: Placement,
     transfer time. Energy is device-centric: execution (or idle wait), latency
     billed at idle power, and transfer.
     """
-    server = placement.assignment[module_id]
+    server = placement[module_id]
     cpu_mips = topology.node(server).cpu_mips
     # On the device the CPU burns p_cpu; offloaded work leaves the device
     # idling for exactly the remote execution time.
@@ -275,7 +269,7 @@ def module_cost(topology: Topology, dag: AppDag, placement: Placement,
     t_exe = t_lat = t_tra = 0.0
     e_exe = e_lat = e_tra = 0.0
     for flow in dag.preds[module_id]:
-        src = placement.assignment[flow.src]
+        src = placement[flow.src]
         flow_exe = flow.instructions_mi / cpu_mips
         rec = _cached_route(topology, src, server)
         lat = rec.lat
@@ -322,7 +316,6 @@ def schedule_cost(topology: Topology, dag: AppDag, placement: Placement,
 
 
 def validate_placement(topology: Topology, dag: AppDag, placement: Placement,
-                       schedule_set: ScheduleSet,
                        capacity_used: Optional[Dict[ServerId, int]] = None) -> List[str]:
     """Check the three placement constraints; returns a list of violations.
 
@@ -334,7 +327,7 @@ def validate_placement(topology: Topology, dag: AppDag, placement: Placement,
     violations = []
     counts: Dict[ServerId, int] = dict(capacity_used) if capacity_used else {}
     for module in dag.modules:
-        sid = placement.assignment.get(module.id)
+        sid = placement.get(module.id)
         if sid is None or sid not in topology.nodes:
             violations.append(f"C1: module {module.id} has no valid server")
             continue
@@ -345,18 +338,17 @@ def validate_placement(topology: Topology, dag: AppDag, placement: Placement,
         if used > cap:
             violations.append(f"C2: server {sid} holds {used} containers, capacity {cap}")
     for flow in dag.flows:
-        if schedule_set.order_of[flow.src] >= schedule_set.order_of[flow.dst]:
+        if dag.order_of[flow.src] >= dag.order_of[flow.dst]:
             violations.append(f"C3: {flow.dst} not scheduled after predecessor {flow.src}")
     return violations
 
 
 def app_cost_breakdown(topology: Topology, dag: AppDag, placement: Placement,
-                       schedule_set: ScheduleSet, profile: DeviceEnergyProfile
-                       ) -> Tuple[float, float]:
+                       profile: DeviceEnergyProfile) -> Tuple[float, float]:
     """(total time, total energy) summed over all schedules."""
     total_t = 0.0
     total_e = 0.0
-    for modules in schedule_set.schedules:
+    for modules in dag.schedules:
         t, e = schedule_cost(topology, dag, placement, profile, modules)
         total_t += t
         total_e += e
@@ -364,10 +356,9 @@ def app_cost_breakdown(topology: Topology, dag: AppDag, placement: Placement,
 
 
 def app_cost(topology: Topology, dag: AppDag, placement: Placement,
-             schedule_set: ScheduleSet, weights: CostWeights,
-             profile: DeviceEnergyProfile) -> float:
+             weights: CostWeights, profile: DeviceEnergyProfile) -> float:
     """Weighted application cost: w1 * total time + w2 * total energy."""
-    t, e = app_cost_breakdown(topology, dag, placement, schedule_set, profile)
+    t, e = app_cost_breakdown(topology, dag, placement, profile)
     return weights.w1 * t + weights.w2 * e
 
 

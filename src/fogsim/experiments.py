@@ -6,7 +6,7 @@ import copy
 from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
-from . import cost_model, oracle
+from . import cost_model, oracle, scenario
 from .sim_engine import Simulation, run_simulation
 
 
@@ -25,7 +25,8 @@ def run_matrix(base_config: dict, policies: Sequence[str], seeds: Sequence[int],
                 config["seed"] = seed
                 if count is not None:
                     config["devices"]["count"] = count
-                result = run_simulation(config, horizons=list(horizons))
+                result = run_simulation(scenario.check_config(config),
+                                        horizons=list(horizons))
                 for row in result.rows:
                     if count is not None:
                         row["devices"] = count
@@ -62,7 +63,7 @@ def optimality_study(config: dict, seeds: Sequence[int]) -> List[OptimalityResul
         dapt_cost = 0.0
         for dev in sim.devices:
             dapt_cost += cost_model.app_cost(sim.topology, dev.dag, dev.placement,
-                                             dev.schedule_set, sim.weights, sim.profile)
+                                             sim.weights, sim.profile)
 
         # Oracle pass on a fresh copy of the same world
         fresh = Simulation(cfg)
@@ -70,7 +71,7 @@ def optimality_study(config: dict, seeds: Sequence[int]) -> List[OptimalityResul
         free = {sid: fresh.topology.node(sid).container_capacity for sid in candidates}
         searched = oracle.sequential_placement(
             fresh.topology,
-            ((dev.dag, dev.schedule_set, dev.placement) for dev in fresh.devices),
+            ((dev.dag, dev.placement) for dev in fresh.devices),
             fresh.weights, fresh.profile, candidates, free)
         oracle_cost = 0.0
         for res in searched:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import cost_model
-from .app_model import AppDag, ScheduleSet
+from .app_model import AppDag
 from .cost_model import (CostWeights, DeviceEnergyProfile, MigrationCost,
                          MigrationParams, Placement)
 from .placement import CapacityLedger
@@ -131,8 +131,7 @@ class MigrationDecision:
 
 
 def plan_rounds(topology: Topology, new_controller: ServerId, dag: AppDag,
-                placement: Placement, schedule_set: ScheduleSet,
-                central: Optional[ServerId] = None,
+                placement: Placement, central: Optional[ServerId] = None,
                 exclude: Sequence[str] = ()) -> List[Dict[ServerId, List[str]]]:
     """Group movable modules per schedule into one round each, a mapping
     from decider to the modules it decides.
@@ -143,13 +142,13 @@ def plan_rounds(topology: Topology, new_controller: ServerId, dag: AppDag,
     """
     rounds = []
     skip = set(exclude)
-    for group in schedule_set.schedules:
+    for group in dag.schedules:
         rnd: Dict[ServerId, List[str]] = {}
         movable = [m for m in group
                    if not dag.module_map[m].pinned_to_device and m not in skip]
         movable.sort(key=lambda m: (-dag.module_map[m].container_ram_mb, m))
         for mid in movable:
-            prev = placement.assignment[mid]
+            prev = placement[mid]
             if central is not None:
                 decider = central
             else:
@@ -175,8 +174,7 @@ def migration_candidates(topology: Topology, decider: ServerId) -> List[ServerId
 
 
 def handle_migration_req(topology: Topology, ledger: CapacityLedger,
-                         dag: AppDag, working: Placement,
-                         schedule_set: ScheduleSet, modules: Sequence[str],
+                         dag: AppDag, working: Placement, modules: Sequence[str],
                          weights: CostWeights, profile: DeviceEnergyProfile,
                          params: MigrationParams,
                          dump_bits_of, remaining_mi_of,
@@ -196,10 +194,9 @@ def handle_migration_req(topology: Topology, ledger: CapacityLedger,
     candidates = [c for c in candidates if c not in skip]
     decisions = []
     for module_id in modules:
-        frm = working.assignment[module_id]
+        frm = working[module_id]
         if check_admissibility:
-            old_cost = cost_model.app_cost(topology, dag, working, schedule_set,
-                                           weights, profile)
+            old_cost = cost_model.app_cost(topology, dag, working, weights, profile)
             epsilon = params.epsilon_frac * old_cost
         dump_bits = dump_bits_of(module_id)
         remaining = remaining_mi_of(module_id)
@@ -216,10 +213,9 @@ def handle_migration_req(topology: Topology, ledger: CapacityLedger,
             if not check_admissibility:
                 chosen = (cand, mc)
                 break
-            working.assignment[module_id] = cand
-            new_cost = cost_model.app_cost(topology, dag, working, schedule_set,
-                                           weights, profile)
-            working.assignment[module_id] = frm
+            working[module_id] = cand
+            new_cost = cost_model.app_cost(topology, dag, working, weights, profile)
+            working[module_id] = frm
             if cost_model.migration_admissible(old_cost, new_cost, epsilon):
                 chosen = (cand, mc)
                 break
@@ -227,14 +223,13 @@ def handle_migration_req(topology: Topology, ledger: CapacityLedger,
             decisions.append(MigrationDecision(module_id, frm, None, None))
             continue
         cand, mc = chosen
-        working.assignment[module_id] = cand
+        working[module_id] = cand
         decisions.append(MigrationDecision(module_id, frm, cand, mc))
     return decisions
 
 
 def mmt_failure_recovery(topology: Topology, ledger: CapacityLedger,
-                         dag: AppDag, working: Placement,
-                         schedule_set: ScheduleSet, modules: Sequence[str],
+                         dag: AppDag, working: Placement, modules: Sequence[str],
                          weights: CostWeights, profile: DeviceEnergyProfile,
                          params: MigrationParams,
                          dump_bits_of, remaining_mi_of,
@@ -250,7 +245,7 @@ def mmt_failure_recovery(topology: Topology, ledger: CapacityLedger,
     servers on entry.
     """
     return handle_migration_req(
-        topology, ledger, dag, working, schedule_set, modules,
+        topology, ledger, dag, working, modules,
         weights, profile, params, dump_bits_of, remaining_mi_of,
         candidates, exclude=[*exclude, failed],
         check_admissibility=check_admissibility)

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from . import cost_model
-from .app_model import AppDag, ScheduleSet, build_schedules, rank_modules, rank_order
+from .app_model import AppDag, rank_modules, rank_order
 from .cost_model import CostWeights, DeviceEnergyProfile, Placement
 from .topology import ServerId, Topology
 
@@ -59,7 +59,6 @@ def optimal_placement(topology: Topology, dag: AppDag, weights: CostWeights,
                       profile: DeviceEnergyProfile,
                       candidates: Sequence[ServerId],
                       capacity_free: Optional[Dict[ServerId, int]] = None,
-                      schedule_set: Optional[ScheduleSet] = None,
                       base_placement: Optional[Placement] = None,
                       node_budget: int = DEFAULT_NODE_BUDGET,
                       memo: Optional[_ModuleCosts] = None) -> OracleResult:
@@ -70,16 +69,14 @@ def optimal_placement(topology: Topology, dag: AppDag, weights: CostWeights,
     returned with complete=False. `memo` is the module-cost memo of the
     sequential pass this search belongs to; a lone search keeps its own.
     """
-    if schedule_set is None:
-        schedule_set = build_schedules(dag)
     candidates = sorted(set(candidates))
-    ranked = rank_modules(dag, schedule_set, candidates, weights, topology, profile)
+    ranked = rank_modules(dag, candidates, weights, topology, profile)
     order = rank_order(ranked, dag.unpinned())
     free = dict(capacity_free) if capacity_free is not None else None
 
-    placement = base_placement.copy() if base_placement else Placement(dag.app_id)
+    assign = dict(base_placement or {})
     for m in dag.modules:
-        if m.pinned_to_device and m.id not in placement.assignment:
+        if m.pinned_to_device and m.id not in assign:
             raise ValueError(f"pinned module {m.id} needs a preset server")
 
     # Cheapest execution-only cost per unplaced module, for the bound.
@@ -94,12 +91,11 @@ def optimal_placement(topology: Topology, dag: AppDag, weights: CostWeights,
         per_module_cands[mid] = [sid for _, sid in scored]
 
     n = len(order)
-    assign = placement.assignment
     # Schedule slot of each depth, and per depth the cheapest execution-only
     # cost still to come in each slot (0.0 where none is left).
-    sched_positions = sorted({schedule_set.order_of[m.id] for m in dag.modules})
+    sched_positions = sorted({dag.order_of[m.id] for m in dag.modules})
     slot_of = {pos: i for i, pos in enumerate(sched_positions)}
-    slot = [slot_of[schedule_set.order_of[mid]] for mid in order]
+    slot = [slot_of[dag.order_of[mid]] for mid in order]
     suffix_exec = [[0.0] * len(sched_positions) for _ in range(n + 1)]
     for depth in range(n - 1, -1, -1):
         row = suffix_exec[depth] = list(suffix_exec[depth + 1])
@@ -109,7 +105,7 @@ def optimal_placement(topology: Topology, dag: AppDag, weights: CostWeights,
     depth_of = {mid: depth for depth, mid in enumerate(order)}
     leaf_groups = [([depth_of[m] for m in modules if m in depth_of],
                     [m for m in modules if m not in depth_of])
-                   for modules in schedule_set.schedules]
+                   for modules in dag.schedules]
 
     # A module's (time, energy) depends only on its incoming flows, its own
     # server and those of its predecessors, so a search computes each
@@ -125,7 +121,7 @@ def optimal_placement(topology: Topology, dag: AppDag, weights: CostWeights,
         return rows.setdefault((fid, *[assign[src] for src in srcs]), {})
 
     def fill(mid: str, row: Dict[ServerId, Tuple[float, float]]) -> Tuple[float, float]:
-        cost = row[assign[mid]] = cost_model.module_cost(topology, dag, placement,
+        cost = row[assign[mid]] = cost_model.module_cost(topology, dag, assign,
                                                           profile, mid)
         return cost
 
@@ -208,18 +204,16 @@ def optimal_placement(topology: Topology, dag: AppDag, weights: CostWeights,
     del dfs
     if best_assign is None:
         return OracleResult(None, float("inf"), complete, nodes)
-    final = placement.copy()
-    for mid, sid in zip(order, best_assign):
-        final.assignment[mid] = sid
-    return OracleResult(final, best_cost, complete, nodes)
+    return OracleResult({**assign, **dict(zip(order, best_assign))}, best_cost,
+                        complete, nodes)
 
 
 def sequential_placement(topology: Topology,
-                         apps: Iterable[Tuple[AppDag, ScheduleSet, Placement]],
+                         apps: Iterable[Tuple[AppDag, Placement]],
                          weights: CostWeights, profile: DeviceEnergyProfile,
                          candidates: Sequence[ServerId],
                          capacity_free: Dict[ServerId, int]) -> List[OracleResult]:
-    """`optimal_placement` of each (dag, schedule set, base placement) in turn,
+    """`optimal_placement` of each (dag, base placement) in turn,
     each against the capacity that the placements before it left.
 
     All searches share one module-cost memo, dropped when the pass ends. The
@@ -230,15 +224,14 @@ def sequential_placement(topology: Topology,
     revision = topology.revision
     results = []
     memo = _ModuleCosts()
-    for dag, schedule_set, base in apps:
+    for dag, base in apps:
         if topology.revision != revision:
             raise RuntimeError("topology changed during a sequential oracle pass")
         res = optimal_placement(topology, dag, weights, profile, candidates,
-                                capacity_free=free, schedule_set=schedule_set,
-                                base_placement=base, memo=memo)
+                                capacity_free=free, base_placement=base, memo=memo)
         if res.placement is not None:
             for mid in dag.unpinned():
-                free[res.placement.assignment[mid]] -= 1
+                free[res.placement[mid]] -= 1
         results.append(res)
     return results
 
@@ -249,11 +242,10 @@ def exhaustive_optimal(topology: Topology, dag: AppDag, weights: CostWeights,
                        capacity_free: Optional[Dict[ServerId, int]] = None,
                        base_placement: Optional[Placement] = None) -> OracleResult:
     """Brute-force reference: enumerates every assignment. Test-scale only."""
-    schedule_set = build_schedules(dag)
     candidates = sorted(set(candidates))
-    ranked = rank_modules(dag, schedule_set, candidates, weights, topology, profile)
+    ranked = rank_modules(dag, candidates, weights, topology, profile)
     order = rank_order(ranked, dag.unpinned())
-    placement = base_placement.copy() if base_placement else Placement(dag.app_id)
+    placement = dict(base_placement or {})
     best_cost = float("inf")
     best_assign = None
     nodes = 0
@@ -269,20 +261,14 @@ def exhaustive_optimal(topology: Topology, dag: AppDag, weights: CostWeights,
                     break
             if not ok:
                 continue
-        for mid, sid in zip(order, combo):
-            placement.assignment[mid] = sid
-        cost = cost_model.app_cost(topology, dag, placement, schedule_set,
-                                   weights, profile)
+        placement.update(zip(order, combo))
+        cost = cost_model.app_cost(topology, dag, placement, weights, profile)
         if cost < best_cost - _TIE_EPS or \
                 (abs(cost - best_cost) <= _TIE_EPS and
                  (best_assign is None or combo < best_assign)):
             best_cost = cost
             best_assign = combo
-    for mid in order:
-        placement.assignment.pop(mid, None)
     if best_assign is None:
         return OracleResult(None, float("inf"), True, nodes)
-    final = placement.copy()
-    for mid, sid in zip(order, best_assign):
-        final.assignment[mid] = sid
-    return OracleResult(final, best_cost, True, nodes)
+    return OracleResult({**placement, **dict(zip(order, best_assign))}, best_cost,
+                        True, nodes)

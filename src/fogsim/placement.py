@@ -96,15 +96,15 @@ def marginal_cost(topology: Topology, dag: AppDag, placement: Placement,
                   module_id: str, candidate: ServerId, weights: CostWeights,
                   profile: DeviceEnergyProfile) -> float:
     """Weighted cost the module adds when run on the candidate, predecessors fixed."""
-    trial = placement.assignment.get(module_id)
-    placement.assignment[module_id] = candidate
+    trial = placement.get(module_id)
+    placement[module_id] = candidate
     try:
         t, e = cost_model.module_cost(topology, dag, placement, profile, module_id)
     finally:
         if trial is None:
-            del placement.assignment[module_id]
+            del placement[module_id]
         else:
-            placement.assignment[module_id] = trial
+            placement[module_id] = trial
     return weights.w1 * t + weights.w2 * e
 
 
@@ -160,7 +160,7 @@ def _greedy(topology: Topology, ledger: CapacityLedger, controller: ServerId,
                     f"no capacity anywhere for module {module_id} at {controller}")
             plan.escalated.extend(ordered[idx:])
             break
-        placement.assignment[module_id] = choice
+        placement[module_id] = choice
         warm = ledger.is_warm(choice, dag.template, module_id)
         if choice == controller:
             ledger.reserve(choice, dag.template, module_id)

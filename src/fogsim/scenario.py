@@ -35,7 +35,6 @@ DEFAULTS: Dict = {
     "sensor_attach_latency_s": 0.002,
     "interrupted_mode": "delay",
     "urmila": {"service_time_s": 0.001},
-    "fog_levels": 3,
     "levels": [
         {"level": 1, "count": 30, "cols": 6, "rows": 5, "cpu_mips": [3000, 4000],
          "capacity": 10, "coverage_m": 200.0},
@@ -107,9 +106,8 @@ def _merge_known(config: Dict, extra: Dict, source: str) -> Dict:
 def load_scenario(path: Optional[str] = None, overrides: Optional[Dict] = None) -> Dict:
     """Load a scenario file (YAML) merged over the defaults, then overrides.
 
-    A key that the defaults do not know, a `levels` entry without one of
-    `LEVEL_KEYS`, a level without servers, a non-positive `mobility.tick_s`
-    or a negative `devices.count` raises ValueError naming its path.
+    A key that the defaults do not know raises ValueError naming its path,
+    and so does every value that `check_config` rejects.
     """
     config = copy.deepcopy(DEFAULTS)
     if path is not None:
@@ -120,16 +118,40 @@ def load_scenario(path: Optional[str] = None, overrides: Optional[Dict] = None) 
         config = _merge_known(config, user, f"scenario file {path}")
     if overrides:
         config = _merge_known(config, overrides, "overrides")
-    missing = [f"levels[{i}].{key}" for i, spec in enumerate(config["levels"])
+    return check_config(config)
+
+
+def check_config(config: Dict) -> Dict:
+    """Returns `config` if its values are usable, else raises ValueError naming them.
+
+    Rejected: a `levels` entry without one of `LEVEL_KEYS`, a level without
+    servers, levels not numbered 1 to n once each (n >= 1, the fog depth), a
+    non-positive `mobility.tick_s` or area side, a negative `devices.count`,
+    a `failure.migration_failure_p` outside [0, 1] and an `interrupted_mode`
+    other than delay or drop. A sweep checks each cell it edits again.
+    """
+    levels = config["levels"]
+    missing = [f"levels[{i}].{key}" for i, spec in enumerate(levels)
                for key in LEVEL_KEYS if key not in spec]
     if missing:
         raise ValueError(f"missing scenario key(s) {', '.join(missing)}")
     bad = [(f"levels[{i}].count", spec["count"], ">= 1")
-           for i, spec in enumerate(config["levels"]) if int(spec["count"]) < 1]
-    if float(config["mobility"]["tick_s"]) <= 0.0:
-        bad.append(("mobility.tick_s", config["mobility"]["tick_s"], "> 0"))
-    if int(config["devices"]["count"]) < 0:
-        bad.append(("devices.count", config["devices"]["count"], ">= 0"))
+           for i, spec in enumerate(levels) if int(spec["count"]) < 1]
+    numbers = sorted(int(spec["level"]) for spec in levels)
+    if not numbers or numbers != list(range(1, len(numbers) + 1)):
+        bad.append(("levels[*].level", numbers, "1 to n once each, n >= 1"))
+    for key, ok, need in (
+            ("mobility.tick_s", lambda v: float(v) > 0.0, "> 0"),
+            ("devices.count", lambda v: int(v) >= 0, ">= 0"),
+            ("area.width_m", lambda v: float(v) > 0.0, "> 0"),
+            ("area.height_m", lambda v: float(v) > 0.0, "> 0"),
+            ("failure.migration_failure_p", lambda v: 0.0 <= float(v) <= 1.0, "in [0, 1]"),
+            ("interrupted_mode", lambda v: v in ("delay", "drop"), "delay or drop")):
+        val = config
+        for part in key.split("."):
+            val = val[part]
+        if not ok(val):
+            bad.append((key, val, need))
     if bad:
         raise ValueError("out-of-range scenario value(s) " + ", ".join(
             f"{key} = {val!r} (must be {need})" for key, val, need in bad))
@@ -147,15 +169,10 @@ def stream(seed, label: str) -> random.Random:
 
 
 @dataclass
-class DeviceSetup:
-    sid: ServerId
-    dag: app_model.AppDag
-
-
-@dataclass
 class World:
     topology: Topology
-    devices: List[DeviceSetup] = field(default_factory=list)
+    # (device id, its application) per device
+    devices: List[Tuple[ServerId, app_model.AppDag]] = field(default_factory=list)
     weights: CostWeights = field(default_factory=CostWeights)
     profile: DeviceEnergyProfile = field(default_factory=DeviceEnergyProfile)
     migration: MigrationParams = field(default_factory=MigrationParams)
@@ -189,7 +206,7 @@ def build_world(config: Dict) -> World:
     rng_dev = stream(seed, "devices")
     area = config["area"]
     width, height = float(area["width_m"]), float(area["height_m"])
-    max_level = int(config["fog_levels"])
+    max_level = max(int(spec["level"]) for spec in config["levels"])
 
     nodes: List[ServerNode] = []
     by_level: Dict[int, List[ServerNode]] = {}
@@ -246,7 +263,7 @@ def build_world(config: Dict) -> World:
         nodes.append(ServerNode(id=sid, cpu_mips=500.0,
                                 container_capacity=len(dag.modules),
                                 position=pos, parent=home.id))
-        device_setups.append(DeviceSetup(sid=sid, dag=dag))
+        device_setups.append((sid, dag))
 
     topology = Topology(nodes, _link_params(config["links"]), max_level)
     weights = CostWeights(**{k: float(v) for k, v in config["weights"].items()})

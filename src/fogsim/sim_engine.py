@@ -14,11 +14,11 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
 
 from . import baselines, cost_model, migration, placement
-from .app_model import AppDag, ScheduleSet, build_schedules, rank_modules
+from .app_model import AppDag, rank_modules
 from .clustering import bootstrap_clusters
 from .cost_model import Placement
 from .placement import CapacityLedger
-from .scenario import DeviceSetup, build_world, stream
+from .scenario import build_world, stream
 from .topology import ServerId, Topology
 
 POLICIES = ("proposed", "maas", "urmila")
@@ -215,8 +215,8 @@ class SimDevice:
     `check_version` tells the live entry of the departure-check heap from
     stale ones.
     """
-    setup: DeviceSetup
-    schedule_set: ScheduleSet
+    sid: ServerId
+    dag: AppDag
     placement: Placement
     acc: TaskAccumulator
     rng_mob: object
@@ -231,14 +231,6 @@ class SimDevice:
     inflight: set = field(default_factory=set)
     claimed: set = field(default_factory=set)
     mig_events: List[tuple] = field(default_factory=list)  # (ts, moves, cmt, cmec)
-
-    @property
-    def sid(self) -> ServerId:
-        return self.setup.sid
-
-    @property
-    def dag(self) -> AppDag:
-        return self.setup.dag
 
 
 @dataclass
@@ -269,7 +261,7 @@ class Simulation:
         self.failure_p = float(config["failure"]["migration_failure_p"])
         self.startup_s = float(config["container_startup_s"])
         self.sensor_lat = float(config["sensor_attach_latency_s"])
-        self.central = ServerId(int(config["fog_levels"]), 1)
+        self.central = ServerId(self.topology.max_fog_level, 1)
         self.queue = baselines.CentralQueue(float(config["urmila"]["service_time_s"]))
         if self.policy == "proposed":
             bootstrap_clusters(self.topology)
@@ -285,18 +277,12 @@ class Simulation:
         self.ticks = 0
         self.due: List[Tuple[int, int, int]] = []  # (tick, device index, version)
         self.area = (float(config["area"]["width_m"]), float(config["area"]["height_m"]))
-        mode = config["interrupted_mode"]
-        self.devices: List[SimDevice] = []
-        for setup in world.devices:
-            schedule_set = build_schedules(setup.dag)
-            plc = Placement(setup.dag.app_id)
-            for m in setup.dag.modules:
-                if m.pinned_to_device:
-                    plc.assignment[m.id] = setup.sid
-            self.devices.append(SimDevice(
-                setup=setup, schedule_set=schedule_set, placement=plc,
-                acc=TaskAccumulator(setup.dag.sensor_interval_s, mode),
-                rng_mob=stream(seed, f"mob:{setup.sid.index}")))
+        self.devices: List[SimDevice] = [
+            SimDevice(sid=sid, dag=dag,
+                      placement={m.id: sid for m in dag.modules if m.pinned_to_device},
+                      acc=TaskAccumulator(dag.sensor_interval_s, config["interrupted_mode"]),
+                      rng_mob=stream(seed, f"mob:{sid.index}"))
+            for sid, dag in world.devices]
 
     # -- helpers -----------------------------------------------------------
 
@@ -308,8 +294,8 @@ class Simulation:
 
     def _task_cost(self, dev: SimDevice) -> Tuple[float, float]:
         """(response time, energy) of one task under the device's current placement."""
-        t, e = cost_model.app_cost_breakdown(
-            self.topology, dev.dag, dev.placement, dev.schedule_set, self.profile)
+        t, e = cost_model.app_cost_breakdown(self.topology, dev.dag, dev.placement,
+                                             self.profile)
         return t + self.sensor_lat, e
 
     def _dump_bits(self, dev: SimDevice, module_id: str) -> float:
@@ -318,10 +304,10 @@ class Simulation:
         return frac * ram_mb * 8e6
 
     def _remaining_mi(self, dev: SimDevice, module_id: str, at: float) -> float:
-        frm = dev.placement.assignment[module_id]
+        frm = dev.placement[module_id]
         offset = 0.0
-        pos = dev.schedule_set.order_of[module_id]
-        for p, group in enumerate(dev.schedule_set.schedules, start=1):
+        pos = dev.dag.order_of[module_id]
+        for p, group in enumerate(dev.dag.schedules, start=1):
             if p >= pos:
                 break
             t, _ = cost_model.schedule_cost(self.topology, dev.dag, dev.placement,
@@ -363,8 +349,8 @@ class Simulation:
         if self.policy != "maas":
             servers = (self.topology.fog_servers() if urmila
                        else placement.ready_servers(self.topology, controller))
-            dev.ranked = rank_modules(dev.dag, dev.schedule_set, servers, self.weights,
-                                      self.topology, self.profile)
+            dev.ranked = rank_modules(dev.dag, servers, self.weights, self.topology,
+                                      self.profile)
         return self._place_cascade(dev, decider, dev.dag.unpinned(), arrival) \
             + self.lat(decider, controller)
 
@@ -384,8 +370,7 @@ class Simulation:
                                                    self.weights, self.profile)
         elif self.policy == "maas":
             plan = baselines.maas_place(self.topology, self.ledger, controller, dev.dag,
-                                        dev.placement, dev.schedule_set, todo,
-                                        self.weights, self.profile)
+                                        dev.placement, todo, self.weights, self.profile)
         elif self.policy == "urmila":
             plan = baselines.urmila_place(self.topology, self.ledger, controller, dev.dag,
                                           dev.placement, dev.ranked, todo,
@@ -520,7 +505,7 @@ class Simulation:
         if not cands:
             return
         if self.policy == "proposed":
-            required = sum(1 for sid in dev.placement.assignment.values() if sid == old)
+            required = sum(1 for sid in dev.placement.values() if sid == old)
             dest = migration.analyze_mobility(
                 self.topology, old, position, dev.velocity, sensed,
                 required, self.ledger, self.rng_unreach)
@@ -543,8 +528,7 @@ class Simulation:
         self._arm(dev)
         dev.acc.set_cost(now, *self._task_cost(dev))
         central = self.central if self.policy == "urmila" else None
-        rounds = migration.plan_rounds(self.topology, dest, dev.dag,
-                                       dev.placement, dev.schedule_set, central,
+        rounds = migration.plan_rounds(self.topology, dest, dev.dag, dev.placement, central,
                                        exclude=sorted(dev.inflight | dev.claimed))
         for rnd in rounds:
             for mods in rnd.values():
@@ -601,7 +585,7 @@ class Simulation:
         t_dec = self.queue.admit(t_dec)
         outs = []
         for module_id in modules:
-            prev = working.assignment[module_id]
+            prev = working[module_id]
             anchor = self.topology.ancestor_at_level(new_ctrl, max(prev.level, 1) + 1) \
                 or self.topology.cloud_id
             outs.extend(self._escalate(dev, new_ctrl, anchor, [module_id], working,
@@ -629,8 +613,8 @@ class Simulation:
         pending = list(modules)
         while True:
             decider = self.central if central else cur
-            args = (self.topology, self.ledger, dev.dag, working, dev.schedule_set,
-                    pending, self.weights, self.profile, self.mig_params,
+            args = (self.topology, self.ledger, dev.dag, working, pending,
+                    self.weights, self.profile, self.mig_params,
                     lambda m: self._dump_bits(dev, m),
                     lambda m: self._remaining_mi(dev, m, t_dec),
                     migration.migration_candidates(self.topology, cur))
@@ -675,7 +659,7 @@ class Simulation:
         if failed or not self.ledger.reserve(to, dev.dag.template, module_id):
             self.log("migration_failure", device=dev.sid.index, module=module_id,
                      target=str(to))
-            working.assignment[module_id] = frm
+            working[module_id] = frm
             t_dec = t_dec + self.lat(decider, to) + self.lat(to, decider)
             return self._escalate(dev, new_ctrl, decider, [module_id], working, t_dec,
                                   exclude=tried, failed=to)[0]
@@ -691,7 +675,7 @@ class Simulation:
 
         def commit(_):
             dev.inflight.discard(module_id)
-            dev.placement.assignment[module_id] = to
+            dev.placement[module_id] = to
             self.ledger.release(frm, dev.dag.template, module_id)
             dev.acc.set_cost(self.kernel.now, *self._task_cost(dev))
 

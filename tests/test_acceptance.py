@@ -9,8 +9,7 @@ import time
 import pytest
 
 from fogsim import cli, cost_model, experiments, scenario
-from fogsim.app_model import build_schedules
-from fogsim.cost_model import CostWeights, DeviceEnergyProfile, Placement
+from fogsim.cost_model import CostWeights, DeviceEnergyProfile
 from fogsim.sim_engine import POLICIES, Simulation, run_simulation
 
 import test_rule_oracle as rule_oracle
@@ -145,7 +144,7 @@ def test_criterion_6_failure_recovery(urban_runs):
             assert result.rows, f"no output for {policy}, seed {seed}"
             for dev in sim.devices:
                 for module in dev.dag.modules:
-                    sid = dev.placement.assignment.get(module.id)
+                    sid = dev.placement.get(module.id)
                     assert sid is not None and sid in sim.topology.nodes, \
                         f"{module.id} unplaced at horizon ({policy}, seed {seed})"
             with_fr = sum(row["migrations"] for row in result.rows
@@ -171,15 +170,12 @@ def test_criterion_7_property_suite(urban_runs):
     # Weight degeneracies: pure-time and pure-energy objectives.
     from fogsim.app_model import build_app
     dag = build_app("ECGMH", "ecg:1")
-    plc = Placement(dag.app_id)
-    for m in dag.modules:
-        plc.assignment[m.id] = S(0, 5) if m.pinned_to_device else S(1, 1)
-    sched = build_schedules(dag)
+    plc = {m.id: S(0, 5) if m.pinned_to_device else S(1, 1) for m in dag.modules}
     profile = DeviceEnergyProfile()
-    t, e = cost_model.app_cost_breakdown(topo, dag, plc, sched, profile)
-    assert cost_model.app_cost(topo, dag, plc, sched, CostWeights(1.0, 0.0),
+    t, e = cost_model.app_cost_breakdown(topo, dag, plc, profile)
+    assert cost_model.app_cost(topo, dag, plc, CostWeights(1.0, 0.0),
                                profile) == pytest.approx(t)
-    assert cost_model.app_cost(topo, dag, plc, sched, CostWeights(0.0, 1.0),
+    assert cost_model.app_cost(topo, dag, plc, CostWeights(0.0, 1.0),
                                profile) == pytest.approx(e)
 
     # C1-C3 hold on every placement a full run accepts.
@@ -189,7 +185,7 @@ def test_criterion_7_property_suite(urban_runs):
     usage = sim.ledger.used
     for dev in sim.devices:
         violations = cost_model.validate_placement(
-            sim.topology, dev.dag, dev.placement, dev.schedule_set, usage)
+            sim.topology, dev.dag, dev.placement, usage)
         assert violations == [], violations
 
     # Branch and bound equals exhaustive enumeration on random instances

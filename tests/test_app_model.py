@@ -2,7 +2,7 @@
 import pytest
 
 from fogsim.app_model import (AppDag, CycleError, DataFlow, Module, build_app,
-                              build_schedules, compute_rank, rank_modules)
+                              compute_rank, rank_modules)
 from fogsim.cost_model import CostWeights, DeviceEnergyProfile
 
 from conftest import S, make_small_topology
@@ -16,12 +16,11 @@ def chain_dag(k: int) -> AppDag:
 
 def test_single_module_single_schedule():
     dag = AppDag("one", "one", [Module("m1")], [], 0.01)
-    assert build_schedules(dag).schedules == [["m1"]]
+    assert dag.schedules == [["m1"]]
 
 
 def test_chain_gives_singleton_schedules():
-    sched = build_schedules(chain_dag(5))
-    assert sched.schedules == [["m1"], ["m2"], ["m3"], ["m4"], ["m5"]]
+    assert chain_dag(5).schedules == [["m1"], ["m2"], ["m3"], ["m4"], ["m5"]]
 
 
 def test_diamond_groups_parallel_branches():
@@ -29,21 +28,20 @@ def test_diamond_groups_parallel_branches():
                  [DataFlow("m1", "m2", 1, 1), DataFlow("m1", "m3", 1, 1),
                   DataFlow("m2", "m4", 1, 1), DataFlow("m3", "m4", 1, 1),
                   DataFlow("m4", "m5", 1, 1)], 0.01)
-    assert build_schedules(dag).schedules == [["m1"], ["m2", "m3"], ["m4"], ["m5"]]
+    assert dag.schedules == [["m1"], ["m2", "m3"], ["m4"], ["m5"]]
 
 
 def test_cycle_raises():
-    dag = AppDag("c", "c", [Module("m1"), Module("m2")],
-                 [DataFlow("m1", "m2", 1, 1), DataFlow("m2", "m1", 1, 1)], 0.01)
     with pytest.raises(CycleError):
-        build_schedules(dag)
+        AppDag("c", "c", [Module("m1"), Module("m2")],
+               [DataFlow("m1", "m2", 1, 1), DataFlow("m2", "m1", 1, 1)], 0.01)
 
 
 def test_rank_of_exit_module_is_its_execution_cost():
     topo = make_small_topology()
     dag = AppDag("r", "r", [Module("s", pinned_to_device=True), Module("m1")],
                  [DataFlow("s", "m1", 500.0, 0.0)], 0.01)
-    rank = compute_rank(dag, build_schedules(dag), [S(1, 2)], CostWeights(1.0, 0.0),
+    rank = compute_rank(dag, [S(1, 2)], CostWeights(1.0, 0.0),
                         topo, DeviceEnergyProfile())
     assert rank["m1"] == pytest.approx(500.0 / 4000.0)
 
@@ -57,7 +55,7 @@ def test_rank_two_module_chain_on_single_server():
                  [Module("s", pinned_to_device=True), Module("m1"), Module("m2")],
                  [DataFlow("s", "m1", 500.0, 0.0), DataFlow("m1", "m2", 500.0, 0.0)],
                  0.01)
-    rank = compute_rank(dag, build_schedules(dag), [S(1, 1)], CostWeights(1.0, 0.0),
+    rank = compute_rank(dag, [S(1, 1)], CostWeights(1.0, 0.0),
                         topo, DeviceEnergyProfile())
     assert rank["m2"] == pytest.approx(0.5)
     assert rank["m1"] == pytest.approx(1.0)
@@ -66,7 +64,7 @@ def test_rank_two_module_chain_on_single_server():
 def test_heavier_branch_ordered_first_within_schedule():
     topo = make_small_topology()
     dag = build_app("ECGMH", "ecg:1")
-    ranked = rank_modules(dag, build_schedules(dag), [S(1, 1), S(1, 2), S(2, 1)],
+    ranked = rank_modules(dag, [S(1, 1), S(1, 2), S(2, 1)],
                           CostWeights(), topo, DeviceEnergyProfile())
     # arrhythmia_detector carries 30 MI against hr_analyzer's 25 MI.
     assert ranked[3] == ["arrhythmia_detector", "hr_analyzer"]
@@ -74,7 +72,7 @@ def test_heavier_branch_ordered_first_within_schedule():
 
 def test_ecg_template_schedule_grouping():
     dag = build_app("ECGMH", "ecg:1")
-    assert build_schedules(dag).schedules == [
+    assert dag.schedules == [
         ["sensor"], ["filter"], ["arrhythmia_detector", "hr_analyzer"],
         ["aggregator"], ["display"]]
     assert dag.sensor_interval_s == pytest.approx(0.010)
@@ -82,7 +80,7 @@ def test_ecg_template_schedule_grouping():
 
 def test_eeg_template_schedule_grouping():
     dag = build_app("EEGTBG", "eeg:1")
-    assert build_schedules(dag).schedules == [
+    assert dag.schedules == [
         ["sensor"], ["client_filter"], ["concentration_calculator"],
         ["game_state"], ["display"]]
     assert dag.sensor_interval_s == pytest.approx(0.015)
@@ -118,14 +116,13 @@ def test_rank_memo_follows_cluster_changes():
     servers = [S(1, 1), S(1, 4), S(2, 2)]
     weights, profile = CostWeights(), DeviceEnergyProfile()
     dag = build_app("ECGMH", "ecg:1")
-    sched = build_schedules(dag)
     topo = make_small_topology()
-    before = compute_rank(dag, sched, servers, weights, topo, profile)
+    before = compute_rank(dag, servers, weights, topo, profile)
     topo.link_cluster(S(2, 2), S(2, 1))
-    after = compute_rank(dag, sched, servers, weights, topo, profile)
+    after = compute_rank(dag, servers, weights, topo, profile)
     fresh = make_small_topology()
     fresh.link_cluster(S(2, 2), S(2, 1))
-    assert after == compute_rank(dag, sched, servers, weights, fresh, profile)
+    assert after == compute_rank(dag, servers, weights, fresh, profile)
     assert after != before
 
 
@@ -134,7 +131,7 @@ def test_rank_memo_hands_out_copies():
     dag = build_app("ECGMH", "ecg:1")
 
     def rank():
-        return compute_rank(dag, build_schedules(dag), [S(1, 1), S(1, 2)], CostWeights(),
+        return compute_rank(dag, [S(1, 1), S(1, 2)], CostWeights(),
                             topo, DeviceEnergyProfile())
 
     computed, memoized = rank(), rank()

@@ -2,9 +2,9 @@
 import pytest
 
 from fogsim import scenario
-from fogsim.app_model import build_app, build_schedules, rank_modules
+from fogsim.app_model import build_app, rank_modules
 from fogsim.baselines import CentralQueue, maas_place, nearest_controller, urmila_place
-from fogsim.cost_model import CostWeights, DeviceEnergyProfile, Placement
+from fogsim.cost_model import CostWeights, DeviceEnergyProfile
 from fogsim.placement import (CapacityLedger, PlacementError, dapt_place,
                               handle_remote_placement, ready_servers)
 from fogsim.sim_engine import run_simulation
@@ -17,11 +17,7 @@ PROFILE = DeviceEnergyProfile()
 
 def ecg_setup(topo):
     dag = build_app("ECGMH", "ecg:1")
-    plc = Placement(dag.app_id)
-    for m in dag.modules:
-        if m.pinned_to_device:
-            plc.assignment[m.id] = S(0, 5)
-    return dag, plc, build_schedules(dag)
+    return dag, {m.id: S(0, 5) for m in dag.modules if m.pinned_to_device}
 
 
 def test_nearest_controller_takes_first_sensed():
@@ -31,9 +27,9 @@ def test_nearest_controller_takes_first_sensed():
 
 def test_maas_fills_controller_then_escalates_past_free_sibling():
     topo = make_small_topology(with_device=True, l1_capacity=1)
-    dag, plc, sched = ecg_setup(topo)
+    dag, plc = ecg_setup(topo)
     ledger = CapacityLedger(topo)
-    plan = maas_place(topo, ledger, S(1, 1), dag, plc, sched, dag.unpinned(),
+    plan = maas_place(topo, ledger, S(1, 1), dag, plc, dag.unpinned(),
                       WEIGHTS, PROFILE)
     assert [d.server for d in plan.decisions] == [S(1, 1)]
     # (1,2) has free slots but the edgeward rule never looks sideways.
@@ -46,22 +42,22 @@ def test_maas_identical_to_distributed_greedy_with_infinite_capacity():
     # module on the controller.
     topo_a = make_small_topology(with_device=True, l1_capacity=100)
     topo_b = make_small_topology(with_device=True, l1_capacity=100)
-    dag_a, plc_a, sched_a = ecg_setup(topo_a)
-    dag_b, plc_b, sched_b = ecg_setup(topo_b)
-    maas_place(topo_a, CapacityLedger(topo_a), S(1, 1), dag_a, plc_a, sched_a,
+    dag_a, plc_a = ecg_setup(topo_a)
+    dag_b, plc_b = ecg_setup(topo_b)
+    maas_place(topo_a, CapacityLedger(topo_a), S(1, 1), dag_a, plc_a,
                dag_a.unpinned(), WEIGHTS, PROFILE)
-    ranked = rank_modules(dag_b, sched_b, ready_servers(topo_b, S(1, 1)), WEIGHTS,
+    ranked = rank_modules(dag_b, ready_servers(topo_b, S(1, 1)), WEIGHTS,
                           topo_b, PROFILE)
     dapt_place(topo_b, CapacityLedger(topo_b), S(1, 1), dag_b, plc_b, ranked,
                dag_b.unpinned(), WEIGHTS, PROFILE)
-    assert plc_a.assignment == plc_b.assignment
+    assert plc_a == plc_b
 
 
 def test_urmila_central_greedy_places_globally_cheapest():
     topo = make_small_topology(with_device=True)
-    dag, plc, sched = ecg_setup(topo)
+    dag, plc = ecg_setup(topo)
     ledger = CapacityLedger(topo)
-    ranked = rank_modules(dag, sched, topo.fog_servers(), WEIGHTS, topo, PROFILE)
+    ranked = rank_modules(dag, topo.fog_servers(), WEIGHTS, topo, PROFILE)
     plan = urmila_place(topo, ledger, S(3, 1), dag, plc, ranked,
                         dag.unpinned(), WEIGHTS, PROFILE)
     assert len(plan.decisions) == 4
@@ -72,9 +68,9 @@ def test_urmila_central_greedy_places_globally_cheapest():
 
 def test_urmila_first_placement_is_cold_and_repeat_is_warm():
     topo = make_small_topology(with_device=True)
-    dag, plc, sched = ecg_setup(topo)
+    dag, plc = ecg_setup(topo)
     ledger = CapacityLedger(topo)
-    ranked = rank_modules(dag, sched, topo.fog_servers(), WEIGHTS, topo, PROFILE)
+    ranked = rank_modules(dag, topo.fog_servers(), WEIGHTS, topo, PROFILE)
     first = urmila_place(topo, ledger, S(3, 1), dag, plc, ranked,
                          dag.unpinned(), WEIGHTS, PROFILE)
     assert first.decisions and not any(d.warm for d in first.decisions)
@@ -92,8 +88,8 @@ def test_urmila_raises_when_every_server_is_full():
     topo = make_small_topology(with_device=True, l1_capacity=0)
     for sid in topo.fog_servers():
         topo.node(sid).container_capacity = 0
-    dag, plc, sched = ecg_setup(topo)
-    ranked = rank_modules(dag, sched, topo.fog_servers(), WEIGHTS, topo, PROFILE)
+    dag, plc = ecg_setup(topo)
+    ranked = rank_modules(dag, topo.fog_servers(), WEIGHTS, topo, PROFILE)
     with pytest.raises(PlacementError):
         urmila_place(topo, CapacityLedger(topo), S(3, 1), dag, plc, ranked,
                      dag.unpinned(), WEIGHTS, PROFILE)

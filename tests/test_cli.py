@@ -8,6 +8,7 @@ import yaml
 
 from fogsim import cli, experiments, scenario
 from fogsim.scenario import build_world, effective_config, load_scenario
+from fogsim.sim_engine import Simulation
 
 TINY_SCENARIO = {
     "name": "tiny",
@@ -102,6 +103,11 @@ def _empty_level(index):
     return levels
 
 
+def _levels(*numbers):
+    base = TINY_SCENARIO["levels"][0]
+    return [dict(base, level=n, count=1, cols=1, rows=1) for n in numbers]
+
+
 @pytest.mark.parametrize("overrides, match", [
     # A zero tick would re-schedule itself at t = 0 forever.
     ({"mobility": {"tick_s": 0}}, r"mobility\.tick_s = 0 "),
@@ -109,11 +115,44 @@ def _empty_level(index):
     ({"levels": _empty_level(0)}, r"levels\[0\]\.count = 0 "),
     ({"levels": _empty_level(1)}, r"levels\[1\]\.count = 0 "),
     ({"devices": {"count": -3}}, r"devices\.count = -3 "),
+    # A zero area side divides by zero when a level leaves out `cols`.
+    ({"area": {"height_m": 0}}, r"area\.height_m = 0 "),
+    ({"area": {"width_m": -5.0}}, r"area\.width_m = -5\.0 "),
+    ({"interrupted_mode": "dorp"}, r"interrupted_mode = 'dorp' "),
+    ({"failure": {"migration_failure_p": 1.5}}, r"failure\.migration_failure_p = 1\.5 "),
+    ({"failure": {"migration_failure_p": -0.1}}, r"failure\.migration_failure_p = -0\.1 "),
+    ({"levels": []}, r"levels\[\*\]\.level = \[\] "),
+    ({"levels": _levels(1, 3)}, r"levels\[\*\]\.level = \[1, 3\] "),
+    ({"levels": _levels(1, 2, 2)}, r"levels\[\*\]\.level = \[1, 2, 2\] "),
+    ({"levels": _levels(2, 3)}, r"levels\[\*\]\.level = \[2, 3\] "),
 ], ids=["zero_tick", "negative_tick", "empty_level_1", "empty_level_2",
-        "negative_devices"])
+        "negative_devices", "zero_height", "negative_width", "unknown_interrupted_mode",
+        "failure_p_above_1", "negative_failure_p", "no_levels", "skipped_level",
+        "repeated_level", "no_level_1"])
 def test_out_of_range_scenario_value_raises(overrides, match):
     with pytest.raises(ValueError, match=match):
         load_scenario(None, overrides)
+
+
+def test_fog_depth_comes_from_the_deepest_level(tmp_path):
+    levels = TINY_SCENARIO["levels"] + [
+        {"level": 4, "count": 1, "cols": 1, "rows": 1, "cpu_mips": 20000,
+         "capacity": 80, "coverage_m": 0.0}]
+    links = {name: {4: 0.2 if name.startswith("lat") else 10e9}
+             for name in ("lat_up_s", "lat_down_s", "bw_up_bps", "bw_down_bps")}
+    path = tmp_path / "four_levels.yaml"
+    path.write_text(yaml.safe_dump(dict(TINY_SCENARIO, levels=levels, links=links)))
+    sim = Simulation(load_scenario(str(path)))
+    assert sim.topology.max_fog_level == 4
+    assert sim.topology.cloud_id == (5, 1)
+    assert sim.central == (4, 1)
+
+
+def test_fog_levels_key_is_rejected(tmp_path):
+    path = tmp_path / "old.yaml"
+    path.write_text(yaml.safe_dump(dict(TINY_SCENARIO, fog_levels=3)))
+    with pytest.raises(ValueError, match=r"unknown scenario key\(s\) fog_levels$"):
+        load_scenario(str(path))
 
 
 def test_extra_link_level_loads(tmp_path):
@@ -122,7 +161,7 @@ def test_extra_link_level_loads(tmp_path):
          "capacity": 80, "coverage_m": 0.0}]
     path = tmp_path / "four_levels.yaml"
     path.write_text(yaml.safe_dump(dict(
-        TINY_SCENARIO, fog_levels=4, levels=levels,
+        TINY_SCENARIO, levels=levels,
         links={"lat_up_s": {4: 0.2}, "bw_up_bps": {4: 10e9}})))
     config = load_scenario(str(path))
     assert config["links"]["lat_up_s"][4] == 0.2
@@ -229,3 +268,12 @@ def test_run_matrix_device_sweep_tags_rows(tiny_scenario):
                                   devices=[2, 4])
     assert {r["devices"] for r in rows} == {2, 4}
     assert len(rows) == 4  # 2 device counts x 2 apps
+
+
+def test_sweep_cells_are_checked_like_loaded_scenarios(tiny_scenario, tmp_path):
+    config = load_scenario(tiny_scenario)
+    with pytest.raises(ValueError, match=r"devices\.count = -3 "):
+        experiments.run_matrix(config, ["proposed"], [1], [1.0], devices=[-3])
+    with pytest.raises(ValueError, match=r"failure\.migration_failure_p = 1\.5 "):
+        cli.main(["sweep", tiny_scenario, "--policies", "proposed", "--seeds", "1",
+                  "--horizons", "1", "--failure-p", "1.5", "--out", str(tmp_path / "x")])

@@ -4,9 +4,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fogsim import cost_model
-from fogsim.app_model import AppDag, DataFlow, Module, build_schedules
+from fogsim.app_model import AppDag, DataFlow, Module
 from fogsim.cost_model import (CostWeights, DeviceEnergyProfile,
-                               MigrationParams, Placement, migration_admissible,
+                               MigrationParams, migration_admissible,
                                module_migration_cost)
 from fogsim.topology import RoutingError
 
@@ -162,13 +162,13 @@ def _toy_dag():
 
 def test_module_time_colocated_is_pure_execution(topo_dev):
     dag = _toy_dag()
-    plc = Placement("t", {"s": S(1, 2), "m": S(1, 2)})
+    plc = {"s": S(1, 2), "m": S(1, 2)}
     assert cost_model.module_time(topo_dev, dag, plc, "m") == pytest.approx(0.25)
 
 
 def test_module_time_source_module_is_zero(topo_dev):
     dag = _toy_dag()
-    plc = Placement("t", {"s": S(1, 2), "m": S(1, 2)})
+    plc = {"s": S(1, 2), "m": S(1, 2)}
     assert cost_model.module_time(topo_dev, dag, plc, "s") == 0.0
     assert cost_model.module_energy(topo_dev, dag, plc, PROFILE, "s") == 0.0
 
@@ -178,7 +178,7 @@ def test_module_time_takes_max_over_incoming_flows(topo_dev):
                  [Module("a", pinned_to_device=True), Module("b"), Module("c")],
                  [DataFlow("a", "c", 0.0, 10e6), DataFlow("b", "c", 350.0, 0.0)],
                  0.01)
-    plc = Placement("t", {"a": S(0, 5), "b": S(1, 1), "c": S(1, 1)})
+    plc = {"a": S(0, 5), "b": S(1, 1), "c": S(1, 1)}
     # exe: 350/3500 = 0.1; lat: max(0.005, 0) = 0.005; tra: max(0.1, 0) = 0.1.
     assert cost_model.module_time(topo_dev, dag, plc, "c") \
         == pytest.approx(0.1 + 0.005 + 0.1)
@@ -189,14 +189,14 @@ def test_module_energy_execution_branches(topo_dev):
                  [Module("s", pinned_to_device=True), Module("m")],
                  [DataFlow("s", "m", 125.0, 0.0)], 0.01)
     # On the device (500 MIPS): 0.25 s at 0.9 W.
-    plc = Placement("t", {"s": S(0, 5), "m": S(0, 5)})
+    plc = {"s": S(0, 5), "m": S(0, 5)}
     assert cost_model.module_energy(topo_dev, dag, plc, PROFILE, "m") \
         == pytest.approx(0.225)
     # Offloaded: the device idles for the remote execution time.
     dag2 = AppDag("t", "t",
                   [Module("s", pinned_to_device=True), Module("m")],
                   [DataFlow("s", "m", 875.0, 0.0)], 0.01)
-    plc2 = Placement("t", {"s": S(0, 5), "m": S(1, 1)})
+    plc2 = {"s": S(0, 5), "m": S(1, 1)}
     assert cost_model.module_energy(topo_dev, dag2, plc2, PROFILE, "m") \
         == pytest.approx(0.25 * 0.3 + 0.005 * 0.3)
 
@@ -206,7 +206,7 @@ def test_schedule_cost_is_max_over_parallel_modules(topo_dev):
                  [Module("s", pinned_to_device=True), Module("b"), Module("c")],
                  [DataFlow("s", "b", 700.0, 0.0), DataFlow("s", "c", 1050.0, 0.0)],
                  0.01)
-    plc = Placement("t", {"s": S(1, 1), "b": S(1, 1), "c": S(1, 1)})
+    plc = {"s": S(1, 1), "b": S(1, 1), "c": S(1, 1)}
     t, e = cost_model.schedule_cost(topo_dev, dag, plc, PROFILE, ["b", "c"])
     assert t == pytest.approx(0.3)  # max(0.2, 0.3)
     assert e == pytest.approx(0.3 * 0.3)
@@ -217,9 +217,8 @@ def test_chain_app_cost_sums_singleton_schedules(topo_dev):
                  [Module("s", pinned_to_device=True), Module("m1"), Module("m2")],
                  [DataFlow("s", "m1", 350.0, 0.0), DataFlow("m1", "m2", 700.0, 0.0)],
                  0.01)
-    plc = Placement("t", {"s": S(1, 1), "m1": S(1, 1), "m2": S(1, 1)})
-    sched = build_schedules(dag)
-    t, e = cost_model.app_cost_breakdown(topo_dev, dag, plc, sched, PROFILE)
+    plc = {"s": S(1, 1), "m1": S(1, 1), "m2": S(1, 1)}
+    t, e = cost_model.app_cost_breakdown(topo_dev, dag, plc, PROFILE)
     per_module = sum(cost_model.module_time(topo_dev, dag, plc, m)
                      for m in ("s", "m1", "m2"))
     assert t == pytest.approx(per_module)
@@ -227,12 +226,11 @@ def test_chain_app_cost_sums_singleton_schedules(topo_dev):
 
 def test_app_cost_weight_degeneracies(topo_dev):
     dag = _toy_dag()
-    plc = Placement("t", {"s": S(0, 5), "m": S(1, 1)})
-    sched = build_schedules(dag)
-    t, e = cost_model.app_cost_breakdown(topo_dev, dag, plc, sched, PROFILE)
-    assert cost_model.app_cost(topo_dev, dag, plc, sched, CostWeights(1.0, 0.0),
+    plc = {"s": S(0, 5), "m": S(1, 1)}
+    t, e = cost_model.app_cost_breakdown(topo_dev, dag, plc, PROFILE)
+    assert cost_model.app_cost(topo_dev, dag, plc, CostWeights(1.0, 0.0),
                                PROFILE) == pytest.approx(t)
-    assert cost_model.app_cost(topo_dev, dag, plc, sched, CostWeights(0.0, 1.0),
+    assert cost_model.app_cost(topo_dev, dag, plc, CostWeights(0.0, 1.0),
                                PROFILE) == pytest.approx(e)
     assert t >= 0.0 and e >= 0.0
 
@@ -240,25 +238,22 @@ def test_app_cost_weight_degeneracies(topo_dev):
 def test_validate_placement_flags_capacity_breach(topo_dev):
     topo_dev.node(S(1, 1)).container_capacity = 1
     dag = AppDag("t", "t", [Module("m1"), Module("m2")], [], 0.01)
-    plc = Placement("t", {"m1": S(1, 1), "m2": S(1, 1)})
-    sched = build_schedules(dag)
-    violations = cost_model.validate_placement(topo_dev, dag, plc, sched)
+    plc = {"m1": S(1, 1), "m2": S(1, 1)}
+    violations = cost_model.validate_placement(topo_dev, dag, plc)
     assert len(violations) == 1 and "C2" in violations[0] and "(1,1)" in violations[0]
 
 
 def test_validate_placement_flags_missing_assignment(topo_dev):
     dag = AppDag("t", "t", [Module("m1")], [], 0.01)
-    plc = Placement("t", {})
-    violations = cost_model.validate_placement(topo_dev, dag, plc,
-                                               build_schedules(dag))
+    plc = {}
+    violations = cost_model.validate_placement(topo_dev, dag, plc)
     assert violations and "C1" in violations[0]
 
 
 def test_validate_placement_clean(topo_dev):
     dag = _toy_dag()
-    plc = Placement("t", {"s": S(0, 5), "m": S(1, 1)})
-    assert cost_model.validate_placement(topo_dev, dag, plc,
-                                         build_schedules(dag)) == []
+    plc = {"s": S(0, 5), "m": S(1, 1)}
+    assert cost_model.validate_placement(topo_dev, dag, plc) == []
 
 
 # -- migration cost ---------------------------------------------------------------

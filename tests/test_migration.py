@@ -4,9 +4,8 @@ import random
 
 import pytest
 
-from fogsim.app_model import AppDag, DataFlow, Module, build_app, build_schedules
-from fogsim.cost_model import (CostWeights, DeviceEnergyProfile,
-                               MigrationParams, Placement)
+from fogsim.app_model import AppDag, DataFlow, Module, build_app
+from fogsim.cost_model import CostWeights, DeviceEnergyProfile, MigrationParams
 from fogsim.migration import (analyze_mobility, cluster_reachable,
                               departure_imminent, estimate_sojourn,
                               handle_migration_req, migration_candidates,
@@ -137,18 +136,15 @@ def test_remaining_instructions_phases():
 
 def ecg_state(topo, where):
     dag = build_app("ECGMH", "ecg:1")
-    plc = Placement(dag.app_id)
-    for m in dag.modules:
-        plc.assignment[m.id] = S(0, 5) if m.pinned_to_device else where[m.id]
-    return dag, plc, build_schedules(dag)
+    return dag, {m.id: S(0, 5) if m.pinned_to_device else where[m.id] for m in dag.modules}
 
 
 def test_plan_rounds_deciders_follow_previous_levels():
     topo = make_small_topology()
-    dag, plc, sched = ecg_state(topo, {
+    dag, plc = ecg_state(topo, {
         "filter": S(1, 1), "hr_analyzer": S(1, 1),
         "arrhythmia_detector": S(2, 1), "aggregator": S(4, 1)})
-    rounds = plan_rounds(topo, S(1, 4), dag, plc, sched)
+    rounds = plan_rounds(topo, S(1, 4), dag, plc)
     # filter was at L1: decided by the new controller itself.
     assert rounds[0] == {S(1, 4): ["filter"]}
     # L1 and L2 history in one schedule: two deciders along the new chain;
@@ -162,20 +158,18 @@ def test_plan_rounds_orders_by_ram_descending():
     dag = build_app("ECGMH", "ecg:1")
     dag.module_map["hr_analyzer"].container_ram_mb = 50.0
     dag.module_map["arrhythmia_detector"].container_ram_mb = 75.0
-    plc = Placement(dag.app_id)
-    for m in dag.modules:
-        plc.assignment[m.id] = S(0, 5) if m.pinned_to_device else S(1, 1)
-    rounds = plan_rounds(topo, S(1, 4), dag, plc, build_schedules(dag))
+    plc = {m.id: S(0, 5) if m.pinned_to_device else S(1, 1) for m in dag.modules}
+    rounds = plan_rounds(topo, S(1, 4), dag, plc)
     pair_round = rounds[1]
     assert pair_round[S(1, 4)] == ["arrhythmia_detector", "hr_analyzer"]
 
 
 def test_plan_rounds_excludes_and_centralizes():
     topo = make_small_topology()
-    dag, plc, sched = ecg_state(topo, {
+    dag, plc = ecg_state(topo, {
         "filter": S(1, 1), "hr_analyzer": S(1, 1),
         "arrhythmia_detector": S(1, 1), "aggregator": S(1, 1)})
-    rounds = plan_rounds(topo, S(1, 4), dag, plc, sched, central=S(3, 1),
+    rounds = plan_rounds(topo, S(1, 4), dag, plc, central=S(3, 1),
                          exclude=["filter"])
     moved = [m for rnd in rounds for mods in rnd.values() for m in mods]
     assert "filter" not in moved
@@ -193,9 +187,9 @@ def decision_world():
     dag = AppDag("t", "t",
                  [Module("s", pinned_to_device=True), Module("m")],
                  [DataFlow("s", "m", 1000.0, 8e3)], 0.01)
-    plc = Placement("t", {"s": S(0, 5), "m": S(1, 1)})
+    plc = {"s": S(0, 5), "m": S(1, 1)}
     ledger = CapacityLedger(topo)
-    return topo, dag, plc, build_schedules(dag), ledger
+    return topo, dag, plc, ledger
 
 
 def test_migration_candidates_cluster_toggle():
@@ -209,9 +203,9 @@ def test_migration_candidates_cluster_toggle():
 
 
 def test_staying_put_is_admissible():
-    topo, dag, plc, sched, ledger = decision_world()
+    topo, dag, plc, ledger = decision_world()
     decisions = handle_migration_req(
-        topo, ledger, dag, plc, sched, ["m"], WEIGHTS, PROFILE,
+        topo, ledger, dag, plc, ["m"], WEIGHTS, PROFILE,
         PARAMS, lambda m: 1e6, lambda m: 0.0,
         candidates=[S(1, 1), S(1, 3)])
     assert decisions[0].to == S(1, 1)
@@ -219,22 +213,22 @@ def test_staying_put_is_admissible():
 
 
 def test_inadmissible_cheapest_falls_through_to_second():
-    topo, dag, plc, sched, ledger = decision_world()
+    topo, dag, plc, ledger = decision_world()
     # Migrating to (1,3) is the cheapest move (one 4 ms lateral hop) but its
     # 100 MIPS CPU inflates the application cost far beyond the 5% slack;
     # the up-down neighbour passes.
     decisions = handle_migration_req(
-        topo, ledger, dag, plc, sched, ["m"], WEIGHTS, PROFILE,
+        topo, ledger, dag, plc, ["m"], WEIGHTS, PROFILE,
         PARAMS, lambda m: 1e6, lambda m: 0.0,
         candidates=[S(1, 3), S(1, 2)], exclude=[S(1, 1)])
     assert decisions[0].to == S(1, 2)
-    assert plc.assignment["m"] == S(1, 2)
+    assert plc["m"] == S(1, 2)
 
 
 def test_admissibility_check_off_commits_cheapest():
-    topo, dag, plc, sched, ledger = decision_world()
+    topo, dag, plc, ledger = decision_world()
     decisions = handle_migration_req(
-        topo, ledger, dag, plc, sched, ["m"], WEIGHTS, PROFILE,
+        topo, ledger, dag, plc, ["m"], WEIGHTS, PROFILE,
         PARAMS, lambda m: 1e6, lambda m: 0.0,
         candidates=[S(1, 3), S(1, 2)], exclude=[S(1, 1)],
         check_admissibility=False)
@@ -242,22 +236,22 @@ def test_admissibility_check_off_commits_cheapest():
 
 
 def test_escalation_when_no_candidate_has_capacity():
-    topo, dag, plc, sched, ledger = decision_world()
+    topo, dag, plc, ledger = decision_world()
     while ledger.free(S(1, 2)) > 0:
         ledger.reserve(S(1, 2), "pad", "pad")
     decisions = handle_migration_req(
-        topo, ledger, dag, plc, sched, ["m"], WEIGHTS, PROFILE,
+        topo, ledger, dag, plc, ["m"], WEIGHTS, PROFILE,
         PARAMS, lambda m: 1e6, lambda m: 0.0,
         candidates=[S(1, 2)], exclude=[S(1, 1)])
     assert decisions[0].to is None
-    assert plc.assignment["m"] == S(1, 1)
+    assert plc["m"] == S(1, 1)
 
 
 def test_failure_recovery_excludes_failed_target():
-    topo, dag, plc, sched, ledger = decision_world()
+    topo, dag, plc, ledger = decision_world()
     topo.link_cluster(S(1, 1), S(1, 2))
     decisions = mmt_failure_recovery(
-        topo, ledger, dag, plc, sched, ["m"], WEIGHTS, PROFILE, PARAMS,
+        topo, ledger, dag, plc, ["m"], WEIGHTS, PROFILE, PARAMS,
         lambda m: 1e6, lambda m: 0.0, migration_candidates(topo, S(1, 1)),
         failed=S(1, 2))
     assert decisions[0].to is not None

@@ -5,8 +5,8 @@ import random
 import pytest
 
 from fogsim import cli, cost_model, oracle, scenario
-from fogsim.app_model import AppDag, DataFlow, Module, build_schedules
-from fogsim.cost_model import CostWeights, DeviceEnergyProfile, Placement
+from fogsim.app_model import AppDag, DataFlow, Module
+from fogsim.cost_model import CostWeights, DeviceEnergyProfile
 from fogsim.sim_engine import Simulation
 
 from conftest import S, make_small_topology
@@ -16,11 +16,7 @@ PROFILE = DeviceEnergyProfile()
 
 
 def pinned_base(dag, device=S(0, 5)):
-    base = Placement(dag.app_id)
-    for m in dag.modules:
-        if m.pinned_to_device:
-            base.assignment[m.id] = device
-    return base
+    return {m.id: device for m in dag.modules if m.pinned_to_device}
 
 
 def single_module_dag():
@@ -32,17 +28,16 @@ def single_module_dag():
 def test_single_module_is_argmin_over_candidates():
     topo = make_small_topology(with_device=True)
     dag = single_module_dag()
-    sched = build_schedules(dag)
     candidates = [S(1, 1), S(1, 2), S(2, 1)]
     costs = {}
     for sid in candidates:
         plc = pinned_base(dag)
-        plc.assignment["m"] = sid
-        costs[sid] = cost_model.app_cost(topo, dag, plc, sched, WEIGHTS, PROFILE)
+        plc["m"] = sid
+        costs[sid] = cost_model.app_cost(topo, dag, plc, WEIGHTS, PROFILE)
     res = oracle.optimal_placement(topo, dag, WEIGHTS, PROFILE, candidates,
                                    base_placement=pinned_base(dag))
     best = min(candidates, key=lambda sid: (costs[sid], sid))
-    assert res.placement.assignment["m"] == best
+    assert res.placement["m"] == best
     assert res.cost == pytest.approx(costs[best])
     assert res.complete
 
@@ -80,9 +75,8 @@ def test_branch_and_bound_matches_exhaustive_enumeration():
                                        capacity_free=free, base_placement=base)
         assert bb.complete
         assert bb.cost == ex.cost
-        assert bb.cost == cost_model.app_cost(topo, dag, bb.placement,
-                                              build_schedules(dag), WEIGHTS, PROFILE)
-        assert bb.placement.assignment == ex.placement.assignment
+        assert bb.cost == cost_model.app_cost(topo, dag, bb.placement, WEIGHTS, PROFILE)
+        assert bb.placement == ex.placement
 
 
 def test_capacity_limits_are_respected():
@@ -95,7 +89,7 @@ def test_capacity_limits_are_respected():
                                    base_placement=pinned_base(dag))
     used = {}
     for mid in dag.unpinned():
-        sid = res.placement.assignment[mid]
+        sid = res.placement[mid]
         used[sid] = used.get(sid, 0) + 1
     assert used.get(S(1, 1), 0) <= 1
 
@@ -143,15 +137,13 @@ def test_oracle_cost_is_app_cost_bit_for_bit_on_desk_optimality():
         for dev in sim.devices:
             res = oracle.optimal_placement(
                 sim.topology, dev.dag, sim.weights, sim.profile, candidates,
-                capacity_free=free, schedule_set=dev.schedule_set,
-                base_placement=dev.placement)
+                capacity_free=free, base_placement=dev.placement)
             assert res.complete
             assert res.cost == cost_model.app_cost(sim.topology, dev.dag, res.placement,
-                                                   dev.schedule_set, sim.weights,
-                                                   sim.profile)
+                                                   sim.weights, sim.profile)
             nodes += res.nodes_explored
             for mid in dev.dag.unpinned():
-                free[res.placement.assignment[mid]] -= 1
+                free[res.placement[mid]] -= 1
     assert nodes == DESK_NODES_SEEDS_1_TO_5
 
 
@@ -168,19 +160,19 @@ def test_sequential_placement_equals_one_search_per_device(seed):
     """The pass's shared module-cost memo gives every device exactly what a
     search of its own gives against the same remaining capacity."""
     sim, candidates, free = _desk_world(seed)
-    apps = [(dev.dag, dev.schedule_set, dev.placement) for dev in sim.devices]
+    apps = [(dev.dag, dev.placement) for dev in sim.devices]
     shared = oracle.sequential_placement(sim.topology, apps, sim.weights, sim.profile,
                                          candidates, free)
     assert len(shared) == len(apps)
-    for (dag, schedule_set, base), got in zip(apps, shared):
+    for (dag, base), got in zip(apps, shared):
         want = oracle.optimal_placement(sim.topology, dag, sim.weights, sim.profile,
                                         candidates, capacity_free=free,
-                                        schedule_set=schedule_set, base_placement=base)
-        assert got.placement.assignment == want.placement.assignment
+                                        base_placement=base)
+        assert got.placement == want.placement
         assert float.hex(got.cost) == float.hex(want.cost)
         assert (got.complete, got.nodes_explored) == (want.complete, want.nodes_explored)
         for mid in dag.unpinned():
-            free[want.placement.assignment[mid]] -= 1
+            free[want.placement[mid]] -= 1
 
 
 def test_sequential_placement_rejects_a_topology_change_between_devices():
@@ -190,7 +182,7 @@ def test_sequential_placement_rejects_a_topology_change_between_devices():
         for n, dev in enumerate(sim.devices):
             if n == 1:
                 sim.topology.bump()
-            yield dev.dag, dev.schedule_set, dev.placement
+            yield dev.dag, dev.placement
 
     with pytest.raises(RuntimeError, match="topology changed"):
         oracle.sequential_placement(sim.topology, apps(), sim.weights, sim.profile,

@@ -2,8 +2,8 @@
 import pytest
 
 from fogsim import cost_model
-from fogsim.app_model import build_app, build_schedules, rank_modules
-from fogsim.cost_model import CostWeights, DeviceEnergyProfile, Placement
+from fogsim.app_model import build_app, rank_modules
+from fogsim.cost_model import CostWeights, DeviceEnergyProfile
 from fogsim.placement import (CapacityLedger, PlacementError, dapt_place,
                               dapt_failure_recovery, find_min_cost,
                               handle_remote_placement, ready_servers)
@@ -20,14 +20,10 @@ def make_world(l1_capacity=10, clustered=True):
         topo.link_cluster(S(1, 1), S(1, 2))
         topo.link_cluster(S(1, 2), S(1, 3))
     dag = build_app("ECGMH", "ecg:1")
-    plc = Placement(dag.app_id)
-    for m in dag.modules:
-        if m.pinned_to_device:
-            plc.assignment[m.id] = S(0, 5)
+    plc = {m.id: S(0, 5) for m in dag.modules if m.pinned_to_device}
     ledger = CapacityLedger(topo)
-    sched = build_schedules(dag)
-    ranked = rank_modules(dag, sched, ready_servers(topo, S(1, 1)), WEIGHTS, topo, PROFILE)
-    return topo, dag, plc, ledger, sched, ranked
+    ranked = rank_modules(dag, ready_servers(topo, S(1, 1)), WEIGHTS, topo, PROFILE)
+    return topo, dag, plc, ledger, ranked
 
 
 def test_ledger_reserve_release_and_warmth():
@@ -54,16 +50,16 @@ def test_ready_servers_order():
 
 
 def test_all_modules_fit_on_controller():
-    topo, dag, plc, ledger, sched, ranked = make_world()
+    topo, dag, plc, ledger, ranked = make_world()
     plan = dapt_place(topo, ledger, S(1, 1), dag, plc, ranked,
                       dag.unpinned(), WEIGHTS, PROFILE)
     assert plan.escalated == []
     assert {d.server for d in plan.decisions} == {S(1, 1)}
-    assert cost_model.validate_placement(topo, dag, plc, sched, ledger.used) == []
+    assert cost_model.validate_placement(topo, dag, plc, ledger.used) == []
 
 
 def test_full_controller_prefers_cluster_member_over_parent():
-    topo, dag, plc, ledger, sched, ranked = make_world()
+    topo, dag, plc, ledger, ranked = make_world()
     # Exhaust the controller: overflow must go lateral, not upward.
     while ledger.free(S(1, 1)) > 0:
         ledger.reserve(S(1, 1), "other", "pad")
@@ -75,7 +71,7 @@ def test_full_controller_prefers_cluster_member_over_parent():
 
 
 def test_exhausted_ready_servers_escalate_everything():
-    topo, dag, plc, ledger, sched, ranked = make_world(clustered=False)
+    topo, dag, plc, ledger, ranked = make_world(clustered=False)
     for sid in (S(1, 1), S(2, 1)):
         while ledger.free(sid) > 0:
             ledger.reserve(sid, "other", "pad")
@@ -86,7 +82,7 @@ def test_exhausted_ready_servers_escalate_everything():
 
 
 def test_placement_error_when_nothing_above():
-    topo, dag, plc, ledger, sched, ranked = make_world(clustered=False)
+    topo, dag, plc, ledger, ranked = make_world(clustered=False)
     cloud = topo.cloud_id
     topo.node(cloud).container_capacity = 0
     with pytest.raises(PlacementError):
@@ -95,14 +91,14 @@ def test_placement_error_when_nothing_above():
 
 
 def test_find_min_cost_single_candidate():
-    topo, dag, plc, ledger, sched, ranked = make_world()
+    topo, dag, plc, ledger, ranked = make_world()
     choice = find_min_cost(topo, ledger, [S(1, 3)], dag, plc, "filter",
                            WEIGHTS, PROFILE)
     assert choice == S(1, 3)
 
 
 def test_find_min_cost_prefers_colocated_predecessor():
-    topo, dag, plc, ledger, sched, ranked = make_world()
+    topo, dag, plc, ledger, ranked = make_world()
     # The filter's predecessor is the sensor pinned to the device under (1,1):
     # the controller wins on zero-distance input.
     choice = find_min_cost(topo, ledger, [S(1, 1), S(2, 1)], dag, plc,
@@ -111,10 +107,10 @@ def test_find_min_cost_prefers_colocated_predecessor():
 
 
 def test_find_min_cost_tie_prefers_lower_level():
-    topo, dag, plc, ledger, sched, ranked = make_world()
+    topo, dag, plc, ledger, ranked = make_world()
     # A module with no placed predecessors costs the same everywhere, so the
     # tie falls through to (not parent, level, index).
-    plc.assignment.pop("sensor")
+    plc.pop("sensor")
     del dag.preds["filter"][:]
     choice = find_min_cost(topo, ledger, [S(2, 1), S(1, 2)], dag, plc,
                            "filter", WEIGHTS, PROFILE)
@@ -125,7 +121,7 @@ def test_find_min_cost_tie_prefers_lower_level():
 
 
 def test_remote_placement_confirmation_and_dead_target():
-    topo, dag, plc, ledger, sched, ranked = make_world()
+    topo, dag, plc, ledger, ranked = make_world()
     results = handle_remote_placement(topo, ledger, S(1, 2), dag,
                                       ["filter", "aggregator"])
     assert [(m, ok) for m, ok, _ in results] == [("filter", True),
@@ -138,7 +134,7 @@ def test_remote_placement_confirmation_and_dead_target():
 
 
 def test_warm_container_detected_on_repeat_placement():
-    topo, dag, plc, ledger, sched, ranked = make_world()
+    topo, dag, plc, ledger, ranked = make_world()
     handle_remote_placement(topo, ledger, S(1, 1), dag, ["filter"])
     plan = dapt_place(topo, ledger, S(1, 1), dag, plc, ranked,
                       ["filter"], WEIGHTS, PROFILE)
@@ -146,7 +142,7 @@ def test_warm_container_detected_on_repeat_placement():
 
 
 def test_failure_recovery_rehomes_to_survivor():
-    topo, dag, plc, ledger, sched, ranked = make_world()
+    topo, dag, plc, ledger, ranked = make_world()
     plan = dapt_failure_recovery(topo, ledger, S(1, 1), S(1, 2), dag, plc,
                                  ["filter"], WEIGHTS, PROFILE)
     assert plan.decisions[0].server != S(1, 2)
@@ -154,7 +150,7 @@ def test_failure_recovery_rehomes_to_survivor():
 
 
 def test_failure_recovery_escalates_when_survivors_full():
-    topo, dag, plc, ledger, sched, ranked = make_world(clustered=False)
+    topo, dag, plc, ledger, ranked = make_world(clustered=False)
     for sid in (S(1, 1), S(2, 1)):
         while ledger.free(sid) > 0:
             ledger.reserve(sid, "other", "pad")
@@ -164,8 +160,8 @@ def test_failure_recovery_escalates_when_survivors_full():
 
 
 def test_failure_recovery_keeps_caller_order_and_skips_failed_server():
-    topo, dag, plc, ledger, sched, ranked = make_world()
-    plc.assignment["filter"] = S(1, 1)
+    topo, dag, plc, ledger, ranked = make_world()
+    plc["filter"] = S(1, 1)
     while ledger.free(S(1, 1)) > 0:
         ledger.reserve(S(1, 1), "other", "pad")
     rank_order = [m for pos in sorted(ranked) for m in ranked[pos]]
@@ -183,7 +179,7 @@ def test_failure_recovery_keeps_caller_order_and_skips_failed_server():
 
 
 def test_constraints_hold_after_full_cascade():
-    topo, dag, plc, ledger, sched, ranked = make_world(l1_capacity=2)
+    topo, dag, plc, ledger, ranked = make_world(l1_capacity=2)
     controller = S(1, 1)
     todo = dag.unpinned()
     while todo:
@@ -196,7 +192,7 @@ def test_constraints_hold_after_full_cascade():
         todo = plan.escalated
         if todo:
             controller = topo.node(controller).parent
-    assert cost_model.validate_placement(topo, dag, plc, sched, ledger.used) == []
+    assert cost_model.validate_placement(topo, dag, plc, ledger.used) == []
     for sid, count in ledger.used.items():
         assert 0 <= count <= topo.node(sid).container_capacity
 

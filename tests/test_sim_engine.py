@@ -423,10 +423,10 @@ def test_every_device_gets_service_and_full_placement(policy):
         assert dev.pdt_s is not None and dev.pdt_s > 0
         assert dev.acc.t0 is not None
         for module in dev.dag.modules:
-            assert module.id in dev.placement.assignment
+            assert module.id in dev.placement
         for module_id in dev.dag.unpinned():
             # The serving server holds a confirmed container for the module.
-            assert sim.ledger.is_warm(dev.placement.assignment[module_id],
+            assert sim.ledger.is_warm(dev.placement[module_id],
                                       dev.dag.template, module_id)
     for sid, used in sim.ledger.used.items():
         assert 0 <= used <= sim.topology.node(sid).container_capacity
@@ -454,7 +454,7 @@ def test_rejected_remote_module_is_recovered_with_a_container(monkeypatch):
     sim = Simulation(config)
     result = sim.run()
     assert sum(ev["kind"] == "placement_recovery" for ev in result.events) == 1
-    assigned = Counter((dev.placement.assignment[m], dev.dag.template, m)
+    assigned = Counter((dev.placement[m], dev.dag.template, m)
                        for dev in sim.devices for m in dev.dag.unpinned())
     for key, count in assigned.items():
         assert sim.ledger.active_types.get(key, 0) >= count, key
@@ -511,7 +511,7 @@ def test_extreme_settings_finish_and_conserve(extreme, policy):
         # Placement escalates every unpinned module to the cloud.
         for dev in sim.devices:
             for module_id in dev.dag.unpinned():
-                assert dev.placement.assignment[module_id] == sim.topology.cloud_id
+                assert dev.placement[module_id] == sim.topology.cloud_id
     if extreme == "stationary_devices":
         # Zero reach: a device inside its quiet radius is never checked again.
         assert [sim.topology.node(dev.sid).position for dev in sim.devices] == start
