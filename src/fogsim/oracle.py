@@ -1,21 +1,23 @@
-"""Exact placement optimum via branch and bound, plus an exhaustive reference.
+"""Exact placement optimum via branch and bound.
 
 The search assigns unpinned modules in schedule order (rank-descending inside
 a schedule) so every partial assignment has all predecessors fixed and its
 prefix cost is exact. The lower bound adds, per schedule, the best exact cost
 seen among placed modules and the cheapest possible execution-only cost among
-unplaced ones; both never exceed the true schedule cost. Each search node
-computes the (time, energy) of the module it places once, memoized per
-(incoming flows, server, predecessor servers), and keeps it for both the
-bound and the leaf cost.
+unplaced ones; both never exceed the true schedule cost. Walking one depth's
+candidates changes only the current schedule's term, so each candidate's
+bound is `sum(tail, head + term)` over a head and tail fixed per depth: the
+same double as summing every schedule, as CPython 3.11 adds floats left to
+right. A module's memo row holds every candidate in candidate order, filled
+when its predecessors' servers first occur; the search walks it as is. Tests
+check the search against an exhaustive reference kept in `tests/`.
 
 `sequential_placement` places many applications one after another against
 the capacity the earlier ones left, and every search of that pass shares one
-memo, so applications of one template reuse each other's entries.
+memo, so applications of one template reuse each other's rows.
 """
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -37,18 +39,19 @@ class OracleResult:
 
 
 class _ModuleCosts:
-    """Module (time, energy) memo for searches on one unchanged topology and profile.
+    """Module-cost memo for searches on one unchanged topology, profile and weights.
 
-    `rows` maps (flows id, predecessor servers) to {server: (time, energy)};
-    `flow_ids` interns each module's tuple of incoming flows to a small int,
-    so a search hashes the flows once per module rather than once per node.
-    A module pinned to a device is keyed under the device's own server, so
-    entries of different devices never collide.
+    `rows` maps (flows id, predecessor servers) to a searched module's row:
+    (server, time, energy, w1 * time + w2 * energy) per candidate, in the
+    candidate order, which depends only on the flows while the candidates
+    stay fixed. A pinned module's key ends in its own server and its row has
+    that one entry. `flow_ids` interns each module's incoming flows to a
+    small int, so a search hashes them once per module, not once per node.
     """
 
     def __init__(self):
         self.flow_ids: Dict[tuple, int] = {}
-        self.rows: Dict[tuple, Dict[ServerId, Tuple[float, float]]] = {}
+        self.rows: Dict[tuple, List[tuple]] = {}
 
     def flow_id(self, dag: AppDag, module_id: str) -> int:
         flows = tuple(dag.preds[module_id])
@@ -67,7 +70,8 @@ def optimal_placement(topology: Topology, dag: AppDag, weights: CostWeights,
     `capacity_free` caps how many modules may land on each candidate; when
     omitted, capacity is unconstrained. On budget exhaustion the incumbent is
     returned with complete=False. `memo` is the module-cost memo of the
-    sequential pass this search belongs to; a lone search keeps its own.
+    sequential pass this search belongs to, on the same candidates; a lone
+    search keeps its own.
     """
     candidates = sorted(set(candidates))
     ranked = rank_modules(dag, candidates, weights, topology, profile)
@@ -113,17 +117,23 @@ def optimal_placement(topology: Topology, dag: AppDag, weights: CostWeights,
     if memo is None:
         memo = _ModuleCosts()
     rows = memo.rows
+    w1, w2 = weights.w1, weights.w2
     row_key = {m.id: (memo.flow_id(dag, m.id), [flow.src for flow in dag.preds[m.id]])
                for m in dag.modules}
 
-    def memo_row(mid: str) -> Dict[ServerId, Tuple[float, float]]:
+    def memo_row(mid: str, sids: Sequence[ServerId], *own: ServerId) -> List[tuple]:
+        """`mid`'s row under its predecessors' servers (and a pinned `own`)."""
         fid, srcs = row_key[mid]
-        return rows.setdefault((fid, *[assign[src] for src in srcs]), {})
-
-    def fill(mid: str, row: Dict[ServerId, Tuple[float, float]]) -> Tuple[float, float]:
-        cost = row[assign[mid]] = cost_model.module_cost(topology, dag, assign,
-                                                          profile, mid)
-        return cost
+        key = (fid, *[assign[src] for src in srcs], *own)
+        row = rows.get(key)
+        if row is None:
+            row = rows[key] = []
+            trial = dict(assign)
+            for sid in sids:
+                trial[mid] = sid
+                t, e = cost_model.module_cost(topology, dag, trial, profile, mid)
+                row.append((sid, t, e, w1 * t + w2 * e))
+        return row
 
     best_cost = float("inf")
     best_assign: Optional[Tuple[ServerId, ...]] = None
@@ -145,20 +155,18 @@ def optimal_placement(topology: Topology, dag: AppDag, weights: CostWeights,
                 t = max(t, time_at[depth])
                 e = max(e, energy_at[depth])
             for mid in others:
-                row = memo_row(mid)
-                mt, me = row.get(assign[mid]) or fill(mid, row)
+                own = assign[mid]
+                _, mt, me, _ = memo_row(mid, (own,), own)[0]
                 t = max(t, mt)
                 e = max(e, me)
             total_t += t
             total_e += e
-        return weights.w1 * total_t + weights.w2 * total_e
+        return w1 * total_t + w2 * total_e
 
     stack_assign: List[ServerId] = []
 
     def dfs(depth: int):
         nonlocal best_cost, best_assign, nodes, complete
-        if not complete:
-            return
         if depth == n:
             cost = leaf_cost()
             key = tuple(stack_assign)
@@ -169,30 +177,36 @@ def optimal_placement(topology: Topology, dag: AppDag, weights: CostWeights,
                 best_assign = key
             return
         mid = order[depth]
+        row = memo_row(mid, per_module_cands[mid])
         pos = slot[depth]
         saved = placed_cost[pos]
         suffix = suffix_exec[depth + 1]
-        row = memo_row(mid)
-        for sid in per_module_cands[mid]:
+        # Only slot `pos` changes below: its term goes between a fixed head
+        # and tail, in slot order. Candidates that keep it at `floor` share a bound.
+        head = sum(map(max, placed_cost[:pos], suffix[:pos]))
+        tail = list(map(max, placed_cost[pos + 1:], suffix[pos + 1:]))
+        floor = max(saved, suffix[pos])
+        floor_bound = sum(tail, head + floor)
+        for sid, t, e, w in row:
             if free is not None and free.get(sid, 0) <= 0:
                 continue
             nodes += 1
             if nodes > node_budget:
                 complete = False
                 return
+            if (floor_bound if w <= floor else sum(tail, head + w)) > best_cost + _TIE_EPS:
+                continue
             assign[mid] = sid
-            t, e = row.get(sid) or fill(mid, row)
             time_at[depth] = t
             energy_at[depth] = e
-            placed_cost[pos] = max(saved, weights.w1 * t + weights.w2 * e)
-            if sum(map(max, placed_cost, suffix)) <= best_cost + _TIE_EPS:
-                if free is not None:
-                    free[sid] -= 1
-                stack_assign.append(sid)
-                dfs(depth + 1)
-                stack_assign.pop()
-                if free is not None:
-                    free[sid] += 1
+            placed_cost[pos] = max(saved, w)
+            if free is not None:
+                free[sid] -= 1
+            stack_assign.append(sid)
+            dfs(depth + 1)
+            stack_assign.pop()
+            if free is not None:
+                free[sid] += 1
             placed_cost[pos] = saved
             del assign[mid]
             if not complete:
@@ -234,41 +248,3 @@ def sequential_placement(topology: Topology,
                 free[res.placement[mid]] -= 1
         results.append(res)
     return results
-
-
-def exhaustive_optimal(topology: Topology, dag: AppDag, weights: CostWeights,
-                       profile: DeviceEnergyProfile,
-                       candidates: Sequence[ServerId],
-                       capacity_free: Optional[Dict[ServerId, int]] = None,
-                       base_placement: Optional[Placement] = None) -> OracleResult:
-    """Brute-force reference: enumerates every assignment. Test-scale only."""
-    candidates = sorted(set(candidates))
-    ranked = rank_modules(dag, candidates, weights, topology, profile)
-    order = rank_order(ranked, dag.unpinned())
-    placement = dict(base_placement or {})
-    best_cost = float("inf")
-    best_assign = None
-    nodes = 0
-    for combo in itertools.product(candidates, repeat=len(order)):
-        nodes += 1
-        if capacity_free is not None:
-            used: Dict[ServerId, int] = {}
-            ok = True
-            for sid in combo:
-                used[sid] = used.get(sid, 0) + 1
-                if used[sid] > capacity_free.get(sid, 0):
-                    ok = False
-                    break
-            if not ok:
-                continue
-        placement.update(zip(order, combo))
-        cost = cost_model.app_cost(topology, dag, placement, weights, profile)
-        if cost < best_cost - _TIE_EPS or \
-                (abs(cost - best_cost) <= _TIE_EPS and
-                 (best_assign is None or combo < best_assign)):
-            best_cost = cost
-            best_assign = combo
-    if best_assign is None:
-        return OracleResult(None, float("inf"), True, nodes)
-    return OracleResult({**placement, **dict(zip(order, best_assign))}, best_cost,
-                        True, nodes)

@@ -121,15 +121,38 @@ def load_scenario(path: Optional[str] = None, overrides: Optional[Dict] = None) 
     return check_config(config)
 
 
+def _mistyped(value, default, path: str) -> List[Tuple[str, object]]:
+    """(key path, value) under `value` typed unlike `default` there; an int may stand
+    for a float, a `links` level is typed as level 1 and a list item as item 0."""
+    if path.endswith("cpu_mips"):  # any number, or a [lo, hi] pair in `levels`
+        pair = path.startswith("levels") and isinstance(value, list) and len(value) == 2
+        default = [0.0] if pair else 0.0
+    if isinstance(default, dict) and isinstance(value, dict):
+        return [bad for key, val in value.items()
+                for bad in _mistyped(val, default.get(key, default.get(1)),
+                                     f"{path}.{key}" if path else str(key))]
+    if isinstance(default, list) and isinstance(value, list):
+        return [bad for i, val in enumerate(value)
+                for bad in _mistyped(val, default[0], f"{path}[{i}]")]
+    ok = type(value) is type(default) or \
+        (type(default) is float and type(value) is int)
+    return [] if ok else [(path, value)]
+
+
 def check_config(config: Dict) -> Dict:
     """Returns `config` if its values are usable, else raises ValueError naming them.
 
-    Rejected: a `levels` entry without one of `LEVEL_KEYS`, a level without
+    Rejected: a value whose type differs from its `DEFAULTS` leaf (see
+    `_mistyped`), a `levels` entry without one of `LEVEL_KEYS`, a level without
     servers, levels not numbered 1 to n once each (n >= 1, the fog depth), a
     non-positive `mobility.tick_s` or area side, a negative `devices.count`,
     a `failure.migration_failure_p` outside [0, 1] and an `interrupted_mode`
     other than delay or drop. A sweep checks each cell it edits again.
     """
+    mistyped = _mistyped(config, DEFAULTS, "")
+    if mistyped:
+        raise ValueError("wrong-typed scenario value(s) " + ", ".join(
+            f"{key} = {val!r}" for key, val in mistyped))
     levels = config["levels"]
     missing = [f"levels[{i}].{key}" for i, spec in enumerate(levels)
                for key in LEVEL_KEYS if key not in spec]

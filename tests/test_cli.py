@@ -134,6 +134,38 @@ def test_out_of_range_scenario_value_raises(overrides, match):
         load_scenario(None, overrides)
 
 
+@pytest.mark.parametrize("overrides, match", [
+    ({"devices": {"count": "8"}}, r"devices\.count = '8'"),
+    ({"devices": {"count": True}}, r"devices\.count = True"),
+    ({"devices": {"count": 8.0}}, r"devices\.count = 8\.0"),
+    ({"horizon_s": "10"}, r"horizon_s = '10'"),
+    ({"horizon_s": False}, r"horizon_s = False"),
+    ({"failure": {"migration_failure_p": "0.5"}}, r"failure\.migration_failure_p = '0\.5'"),
+    ({"seed": 1.5}, r"seed = 1\.5"),
+    ({"devices": {"templates": "ECGMH"}}, r"devices\.templates = 'ECGMH'"),
+    ({"links": {"lat_up_s": {4: "0.2"}}}, r"links\.lat_up_s\.4 = '0\.2'"),
+    ({"levels": _levels(1, 2.0)}, r"levels\[1\]\.level = 2\.0"),
+    ({"levels": [dict(TINY_SCENARIO["levels"][0], cpu_mips=[3000, "4000"])]},
+     r"levels\[0\]\.cpu_mips\[1\] = '4000'"),
+    ({"levels": [dict(TINY_SCENARIO["levels"][0], cpu_mips=[1, 2, 3])]},
+     r"levels\[0\]\.cpu_mips = \[1, 2, 3\]"),
+    ({"cloud": {"cpu_mips": [1000, 2000]}}, r"cloud\.cpu_mips = \[1000, 2000\]"),
+], ids=["count_str", "count_bool", "count_float", "horizon_str", "horizon_bool",
+        "failure_p_str", "seed_float", "templates_str", "link_level_str",
+        "level_float", "cpu_mips_pair_str", "cpu_mips_triple", "cloud_cpu_mips_pair"])
+def test_wrong_typed_scenario_value_raises(overrides, match):
+    with pytest.raises(ValueError, match="wrong-typed scenario value.*" + match):
+        load_scenario(None, overrides)
+
+
+def test_int_for_float_and_cpu_mips_shapes_load():
+    config = load_scenario(None, {
+        "horizon_s": 10, "cloud": {"cpu_mips": 80000.0},
+        "levels": [dict(TINY_SCENARIO["levels"][0], cpu_mips=[3000, 4000.5])]})
+    assert config["horizon_s"] == 10
+    assert config["levels"][0]["cpu_mips"] == [3000, 4000.5]
+
+
 def test_fog_depth_comes_from_the_deepest_level(tmp_path):
     levels = TINY_SCENARIO["levels"] + [
         {"level": 4, "count": 1, "cols": 1, "rows": 1, "cpu_mips": 20000,

@@ -1,11 +1,12 @@
 """Exact placement optimum: branch and bound versus exhaustive enumeration."""
 import copy
+import itertools
 import random
 
 import pytest
 
 from fogsim import cli, cost_model, oracle, scenario
-from fogsim.app_model import AppDag, DataFlow, Module
+from fogsim.app_model import AppDag, DataFlow, Module, rank_modules, rank_order
 from fogsim.cost_model import CostWeights, DeviceEnergyProfile
 from fogsim.sim_engine import Simulation
 
@@ -17,6 +18,42 @@ PROFILE = DeviceEnergyProfile()
 
 def pinned_base(dag, device=S(0, 5)):
     return {m.id: device for m in dag.modules if m.pinned_to_device}
+
+
+def exhaustive_optimal(topology, dag, weights, profile, candidates,
+                       capacity_free=None, base_placement=None):
+    """Brute-force reference for `oracle.optimal_placement`: enumerates every
+    assignment in the search's module order, with its tie rule. Test-scale only."""
+    candidates = sorted(set(candidates))
+    ranked = rank_modules(dag, candidates, weights, topology, profile)
+    order = rank_order(ranked, dag.unpinned())
+    placement = dict(base_placement or {})
+    best_cost = float("inf")
+    best_assign = None
+    nodes = 0
+    for combo in itertools.product(candidates, repeat=len(order)):
+        nodes += 1
+        if capacity_free is not None:
+            used = {}
+            ok = True
+            for sid in combo:
+                used[sid] = used.get(sid, 0) + 1
+                if used[sid] > capacity_free.get(sid, 0):
+                    ok = False
+                    break
+            if not ok:
+                continue
+        placement.update(zip(order, combo))
+        cost = cost_model.app_cost(topology, dag, placement, weights, profile)
+        if cost < best_cost - oracle._TIE_EPS or \
+                (abs(cost - best_cost) <= oracle._TIE_EPS and
+                 (best_assign is None or combo < best_assign)):
+            best_cost = cost
+            best_assign = combo
+    if best_assign is None:
+        return oracle.OracleResult(None, float("inf"), True, nodes)
+    return oracle.OracleResult({**placement, **dict(zip(order, best_assign))}, best_cost,
+                               True, nodes)
 
 
 def single_module_dag():
@@ -54,14 +91,16 @@ def random_dag(rng):
     return AppDag("r", "r", modules, flows, 0.01)
 
 
-def test_branch_and_bound_matches_exhaustive_enumeration():
-    rng = random.Random(2024)
+def random_searches(seed, make_dag, trials=30):
+    """(topology, dag, branch and bound, exhaustive) for `trials` random small
+    worlds: random candidates, a random cluster link, capacity half the time."""
+    rng = random.Random(seed)
     pool = [S(1, 1), S(1, 2), S(1, 3), S(2, 1), S(3, 1)]
-    for trial in range(30):
+    for trial in range(trials):
         topo = make_small_topology(with_device=True)
         if rng.random() < 0.5:
             topo.link_cluster(S(1, 1), S(1, 2))
-        dag = random_dag(rng)
+        dag = make_dag(rng)
         candidates = rng.sample(pool, rng.randint(2, 4))
         free = None
         if rng.random() < 0.5:
@@ -71,12 +110,57 @@ def test_branch_and_bound_matches_exhaustive_enumeration():
         base = pinned_base(dag)
         bb = oracle.optimal_placement(topo, dag, WEIGHTS, PROFILE, candidates,
                                       capacity_free=free, base_placement=base)
-        ex = oracle.exhaustive_optimal(topo, dag, WEIGHTS, PROFILE, candidates,
-                                       capacity_free=free, base_placement=base)
+        ex = exhaustive_optimal(topo, dag, WEIGHTS, PROFILE, candidates,
+                                capacity_free=free, base_placement=base)
+        yield topo, dag, bb, ex
+
+
+def test_branch_and_bound_matches_exhaustive_enumeration():
+    for topo, dag, bb, ex in random_searches(2024, random_dag):
         assert bb.complete
         assert bb.cost == ex.cost
         assert bb.cost == cost_model.app_cost(topo, dag, bb.placement, WEIGHTS, PROFILE)
         assert bb.placement == ex.placement
+
+
+def random_dag_with_sink(rng):
+    """A pinned source and sink around 3-4 searched modules. m2 and m3 both
+    follow m1, so their schedule slot holds two searched modules; the sink
+    follows either the last modules or m1, then sharing m2's slot. m2 works
+    less than m3, and searched modules' execution outweighs transfers and the
+    sink's light work on the device, so the execution-only bound prunes."""
+    n = rng.randint(3, 4)
+    modules = [Module("s", pinned_to_device=True)] + \
+        [Module(f"m{i}") for i in range(1, n + 1)] + [Module("a", pinned_to_device=True)]
+
+    def flow(src, dst):
+        work = {"a": (1.0, 10.0), "m2": (1e3, 1e4)}.get(dst, (1e4, 1e5))
+        return DataFlow(src, dst, rng.uniform(*work), rng.uniform(1e3, 1e5))
+
+    flows = [flow("s", "m1"), flow("m1", "m2"), flow("m1", "m3")]
+    if n == 4:
+        flows.append(flow(rng.choice(["m2", "m3"]), "m4"))
+    leaves = [f"m{i}" for i in range(2, n + 1) if all(f.src != f"m{i}" for f in flows)]
+    flows += [flow(src, "a") for src in (leaves if rng.random() < 0.5 else ["m1"])]
+    return AppDag("r", "r", modules, flows, 0.01)
+
+
+# Summed nodes_explored of the 30 searches below. It pins how hard the bound
+# prunes on these worlds: summing a shared slot's costs instead of taking
+# their max moves it.
+SHARED_SLOT_NODES = 472
+
+
+def test_branch_and_bound_matches_exhaustive_with_pinned_sink_and_shared_slot():
+    nodes = 0
+    for _, dag, bb, ex in random_searches(2025, random_dag_with_sink):
+        assert max(sum(not dag.module_map[m].pinned_to_device for m in modules)
+                   for modules in dag.schedules) >= 2
+        assert bb.complete
+        assert float.hex(bb.cost) == float.hex(ex.cost)
+        assert bb.placement == ex.placement
+        nodes += bb.nodes_explored
+    assert nodes == SHARED_SLOT_NODES
 
 
 def test_capacity_limits_are_respected():
@@ -187,3 +271,30 @@ def test_sequential_placement_rejects_a_topology_change_between_devices():
     with pytest.raises(RuntimeError, match="topology changed"):
         oracle.sequential_placement(sim.topology, apps(), sim.weights, sim.profile,
                                     candidates, free)
+
+
+# Seed-1 desk_optimality device 1 against untouched capacity: the full search
+# explores 1080 nodes, and a budget k below that stops at node k + 1 with
+# these incumbent costs (float.hex).
+BUDGET_INCUMBENTS = {0: "inf", 1: "inf", 13: "0x1.37039535dcb0cp-2",
+                     100: "0x1.37039535dcb0cp-2", 1079: "0x1.6c7d0929fbaecp-6"}
+
+
+def test_node_budget_returns_the_incumbent_below_full_and_the_optimum_from_full():
+    sim, candidates, free = _desk_world(1)
+    dev = sim.devices[1]
+
+    def search(budget):
+        return oracle.optimal_placement(sim.topology, dev.dag, sim.weights, sim.profile,
+                                        candidates, capacity_free=free,
+                                        base_placement=dev.placement, node_budget=budget)
+
+    full = search(oracle.DEFAULT_NODE_BUDGET)
+    assert (full.complete, full.nodes_explored) == (True, 1080)
+    for budget, cost in BUDGET_INCUMBENTS.items():
+        got = search(budget)
+        assert (got.complete, got.nodes_explored) == (False, budget + 1)
+        assert float.hex(got.cost) == cost
+        assert (got.placement is None) == (cost == "inf")
+    for budget in (1080, 1081):
+        assert search(budget) == full
