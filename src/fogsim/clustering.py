@@ -1,4 +1,4 @@
-"""Distributed cluster membership protocol for same-level fog servers.
+"""Distributed cluster join protocol for same-level fog servers.
 
 Each fog server keeps its own candidate parents; cluster membership lives on
 the shared topology's cluster edges. Handlers are pure bookkeeping: they
@@ -7,24 +7,17 @@ messages to send next; delivery timing belongs to the simulation kernel.
 """
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Dict, List, Optional, Tuple
 
 from .topology import ServerId, Topology
 
-log = logging.getLogger(__name__)
-
 
 class MessageKind(str, Enum):
     CANDID_PARENT = "CandidParent"
     FOG_JOINING = "FogJoining"
     REPLY_NEW_FOG = "ReplyNewFog"
-    START_FOG_LEAVING = "StartFogLeaving"
-    FOG_LEAVING = "FogLeaving"
-    START_FOG_FAILURE_RECOVERY = "StartFogFailureRecovery"
-    FOG_FAILURE_RECOVERY = "FogFailureRecovery"
 
 
 @dataclass(frozen=True)
@@ -47,12 +40,11 @@ def select_parent(topology: Topology, owner: ServerId,
 
     Reparents the owner in the shared topology when the choice changes.
     """
-    alive = {sid: lat for sid, lat in candidates.items()
-             if sid in topology.nodes and topology.nodes[sid].alive
-             and sid.level == owner.level + 1}
-    if not alive:
+    eligible = {sid: lat for sid, lat in candidates.items()
+                if sid.level == owner.level + 1}
+    if not eligible:
         return None
-    choice = min(alive, key=lambda sid: (alive[sid], sid.index))
+    choice = min(eligible, key=lambda sid: (eligible[sid], sid.index))
     if topology.nodes[owner].parent != choice:
         topology.set_parent(owner, choice)
     return choice
@@ -63,7 +55,7 @@ def broadcast_targets(topology: Topology, state: ClusterState) -> List[ServerId]
     owner = topology.node(state.owner)
     targets = []
     for node in topology.nodes.values():
-        if node.id == state.owner or not node.alive:
+        if node.id == state.owner:
             continue
         if node.id.level == state.owner.level and topology.in_mutual_range(state.owner, node.id):
             targets.append(node.id)
@@ -88,9 +80,6 @@ def handle_cluster_message(topology: Topology, state: ClusterState,
         return out
 
     if msg.kind is MessageKind.FOG_JOINING:
-        if msg.source not in topology.nodes or not topology.nodes[msg.source].alive:
-            log.warning("%s dropped FogJoining from unknown/dead %s", owner, msg.source)
-            return out
         if msg.source.level != owner.level or not topology.in_mutual_range(owner, msg.source):
             return out
         topology.link_cluster(owner, msg.source)
@@ -98,55 +87,10 @@ def handle_cluster_message(topology: Topology, state: ClusterState,
         return out
 
     if msg.kind is MessageKind.REPLY_NEW_FOG:
-        if msg.source not in topology.nodes or not topology.nodes[msg.source].alive:
-            log.warning("%s dropped ReplyNewFog from unknown/dead %s", owner, msg.source)
-            return out
         topology.link_cluster(owner, msg.source)
         return out
 
-    if msg.kind is MessageKind.START_FOG_LEAVING:
-        # Addressed to the node that is about to leave; it says goodbye to
-        # everyone still in range.
-        leaving = ControlMessage(MessageKind.FOG_LEAVING, owner, {})
-        for dest in broadcast_targets(topology, state):
-            out.append((dest, leaving))
-        return out
-
-    if msg.kind is MessageKind.FOG_LEAVING:
-        _purge(topology, state, msg.source)
-        return out
-
-    if msg.kind is MessageKind.START_FOG_FAILURE_RECOVERY:
-        # Runs at the parent of a failed node: drop it and fan the news out
-        # to the remaining children so their cluster views heal.
-        failed = ServerId(*msg.payload["failed"])
-        _purge(topology, state, failed)
-        note = ControlMessage(MessageKind.FOG_FAILURE_RECOVERY, owner, {"failed": failed})
-        for child in sorted(topology.node(owner).children):
-            out.append((child, note))
-        return out
-
-    if msg.kind is MessageKind.FOG_FAILURE_RECOVERY:
-        failed = msg.payload["failed"]
-        if not isinstance(failed, ServerId):
-            failed = ServerId(*failed)
-        _purge(topology, state, failed)
-        return out
-
     raise ValueError(f"unhandled message kind {msg.kind}")
-
-
-def _purge(topology: Topology, state: ClusterState, gone: ServerId):
-    state.candidate_parents.pop(gone, None)
-    owner_node = topology.node(state.owner)
-    if gone in owner_node.cluster_members:
-        owner_node.cluster_members.discard(gone)
-        if gone in topology.nodes:
-            topology.nodes[gone].cluster_members.discard(state.owner)
-        topology.bump()
-    if owner_node.parent == gone:
-        topology.set_parent(state.owner, None)
-        select_parent(topology, state.owner, state.candidate_parents)
 
 
 def bootstrap_clusters(topology: Topology, levels=(1, 2)) -> Dict[ServerId, ClusterState]:

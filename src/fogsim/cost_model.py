@@ -54,15 +54,14 @@ Placement = Dict[str, ServerId]
 
 def _toward(topology: Topology, ids: Iterable[ServerId],
             dest: ServerId) -> Optional[ServerId]:
-    """Lowest alive id among `ids` whose descendant closure holds dest, or None.
+    """Lowest id among `ids` whose descendant closure holds dest, or None.
 
     dest lies in a node's closure exactly when the node is dest's ancestor at
     its own level, so the parent chain answers without building the closure.
     """
     best = None
     for sid in ids:
-        if sid in topology.nodes and topology.nodes[sid].alive \
-                and topology.ancestor_at_level(dest, sid.level) == sid:
+        if topology.ancestor_at_level(dest, sid.level) == sid:
             if best is None or sid < best:
                 best = sid
     return best
@@ -79,11 +78,9 @@ def next_hop(topology: Topology, current: ServerId, dest: ServerId) -> Tuple[str
     if current not in topology.nodes or dest not in topology.nodes:
         raise RoutingError(f"route endpoints missing: {current} -> {dest}")
     node = topology.nodes[current]
-    if not node.alive:
-        raise RoutingError(f"routing through dead node {current}")
 
     def up():
-        if node.parent is None or node.parent not in topology.nodes:
+        if node.parent is None:
             raise RoutingError(f"no route from {current} to {dest}: dead end going up")
         return ("up", node.parent)
 
@@ -138,15 +135,11 @@ def _uplink(topology: Topology, device: ServerId) -> Optional[ServerId]:
 
     A device relays nothing, and a node at level >= 1 holds the device in its
     descendant closure exactly when it holds the device's parent, so every
-    routing rule picks the same next hop toward both. Unusual devices (dead,
-    clustered, detached, or under a dead parent) return None and are routed
-    step by step.
+    routing rule picks the same next hop toward both. Unusual devices
+    (clustered or detached) return None and are routed step by step.
     """
-    node = topology.nodes.get(device)
-    if node is None or not node.alive or node.cluster_members or node.parent is None:
-        return None
-    parent = topology.nodes.get(node.parent)
-    if parent is None or not parent.alive:
+    node = topology.nodes[device]
+    if node.cluster_members or node.parent is None:
         return None
     return node.parent
 
@@ -317,12 +310,11 @@ def schedule_cost(topology: Topology, dag: AppDag, placement: Placement,
 
 def validate_placement(topology: Topology, dag: AppDag, placement: Placement,
                        capacity_used: Optional[Dict[ServerId, int]] = None) -> List[str]:
-    """Check the three placement constraints; returns a list of violations.
+    """Check the placement constraints; returns a list of violations.
 
     C1: every module sits on exactly one known server.
     C2: no server holds more containers than its capacity (optionally against
         a global usage map, otherwise against this placement alone).
-    C3: every module is scheduled after all of its predecessors.
     """
     violations = []
     counts: Dict[ServerId, int] = dict(capacity_used) if capacity_used else {}
@@ -337,9 +329,6 @@ def validate_placement(topology: Topology, dag: AppDag, placement: Placement,
         cap = topology.node(sid).container_capacity
         if used > cap:
             violations.append(f"C2: server {sid} holds {used} containers, capacity {cap}")
-    for flow in dag.flows:
-        if dag.order_of[flow.src] >= dag.order_of[flow.dst]:
-            violations.append(f"C3: {flow.dst} not scheduled after predecessor {flow.src}")
     return violations
 
 

@@ -65,8 +65,7 @@ def cluster_reachable(topology: Topology, controller: ServerId) -> set:
     members = set(topology.node(controller).cluster_members)
     second = set()
     for m in members:
-        if m in topology.nodes:
-            second.update(topology.nodes[m].cluster_members)
+        second.update(topology.nodes[m].cluster_members)
     second.discard(controller)
     return members | second
 
@@ -165,11 +164,9 @@ def plan_rounds(topology: Topology, new_controller: ServerId, dag: AppDag,
 def migration_candidates(topology: Topology, decider: ServerId) -> List[ServerId]:
     """Ready servers for migration decisions: cluster members, self, children."""
     node = topology.node(decider)
-    out = sorted(m for m in node.cluster_members
-                 if m in topology.nodes and topology.nodes[m].alive)
+    out = sorted(node.cluster_members)
     out.append(decider)
-    out.extend(sorted(c for c in node.children
-                      if c in topology.nodes and topology.nodes[c].alive and c.level >= 1))
+    out.extend(sorted(c for c in node.children if c.level >= 1))
     return out
 
 

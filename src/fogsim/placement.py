@@ -82,12 +82,11 @@ class PlacementPlan:
 
 
 def ready_servers(topology: Topology, controller: ServerId) -> List[ServerId]:
-    """Controller itself, its alive cluster members (sorted), then its parent."""
+    """Controller itself, its cluster members (sorted), then its parent."""
     node = topology.node(controller)
     out = [controller]
-    out.extend(sorted(m for m in node.cluster_members
-                      if m in topology.nodes and topology.nodes[m].alive))
-    if node.parent is not None and topology.nodes[node.parent].alive:
+    out.extend(sorted(node.cluster_members))
+    if node.parent is not None:
         out.append(node.parent)
     return out
 
@@ -148,8 +147,7 @@ def _greedy(topology: Topology, ledger: CapacityLedger, controller: ServerId,
     not yet decided, so the parent sees a consistent prefix.
     """
     plan = PlacementPlan()
-    node = topology.node(controller)
-    parent = node.parent if node.parent is not None and topology.nodes[node.parent].alive else None
+    parent = topology.node(controller).parent
     pending: Dict[ServerId, int] = {}
     for idx, module_id in enumerate(ordered):
         choice = find_min_cost(topology, ledger, candidates, dag, placement,
@@ -170,19 +168,16 @@ def _greedy(topology: Topology, ledger: CapacityLedger, controller: ServerId,
     return plan
 
 
-def handle_remote_placement(topology: Topology, ledger: CapacityLedger,
-                            server: ServerId, dag: AppDag,
+def handle_remote_placement(ledger: CapacityLedger, server: ServerId, dag: AppDag,
                             modules: Sequence[str]) -> List[Tuple[str, bool, bool]]:
     """Confirm forwarded modules at the target server.
 
-    Returns (module, accepted, warm) per module. A rejected module keeps no
-    reservation; the caller runs failure recovery for it.
+    Returns (module, accepted, warm) per module. A module the server has no
+    free slot for is rejected and keeps no reservation; the caller runs
+    failure recovery for it.
     """
     results = []
     for module_id in modules:
-        if not topology.node(server).alive:
-            results.append((module_id, False, False))
-            continue
         warm = ledger.is_warm(server, dag.template, module_id)
         ok = ledger.reserve(server, dag.template, module_id)
         results.append((module_id, ok, warm))

@@ -386,7 +386,7 @@ class Simulation:
                 results = [(dec.module, True, dec.warm) for dec in decs]
             else:
                 results = placement.handle_remote_placement(
-                    self.topology, self.ledger, server, dev.dag, [d.module for d in decs])
+                    self.ledger, server, dev.dag, [d.module for d in decs])
             for module_id, ok, warm in results:
                 if not ok:
                     self.log("placement_recovery", device=dev.sid.index,

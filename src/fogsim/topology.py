@@ -3,7 +3,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, NamedTuple, Optional, Set, Tuple
+from typing import Dict, Iterable, NamedTuple, Optional, Set, Tuple
 
 
 class ServerId(NamedTuple):
@@ -59,7 +59,6 @@ class ServerNode:
     parent: Optional[ServerId] = None
     children: Set[ServerId] = field(default_factory=set)
     cluster_members: Set[ServerId] = field(default_factory=set)
-    alive: bool = True
 
     def distance_to(self, point: Tuple[float, float]) -> float:
         return math.hypot(self.position[0] - point[0], self.position[1] - point[1])
@@ -71,20 +70,20 @@ class ServerNode:
 class Topology:
     """Mutable forest of fog servers plus cluster edges.
 
-    Structural mutations (reparent, add, remove, cluster changes) must go
-    through the mutator methods, which call `bump()`. `revision` advances on
-    every mutation; a caller that keeps costs across calls (the oracle's
-    sequential pass) checks that it has not moved. Every mutation except
-    reparenting a device (a level-0 node) also empties `route_cache`,
-    `rank_cache` and the level-1 server list of `sensed_by`. A device never
-    relays traffic, so its handover changes only the routes that end at it;
-    `set_parent` drops exactly those (indexed per device).
+    The node set is fixed at construction. Structural mutations
+    (reparenting, cluster edges) must go through the mutator methods, which
+    call `bump()`. `revision` advances on every mutation; a caller that keeps
+    costs across calls (the oracle's sequential pass) checks that it has not
+    moved. Every mutation except reparenting a device (a level-0 node) also
+    empties `route_cache` and `rank_cache`. A device never relays traffic, so
+    its handover changes only the routes that end at it; `set_parent` drops
+    exactly those (indexed per device).
 
-    Direct edits of node state that routing or costs read (`alive`,
-    `cpu_mips`) must be followed by `bump()`, or cached routes and ranks go
-    stale. A cached route also holds its hops' latency and bandwidth
-    constants, read from `links` when it was built, so editing a link table
-    after the first cost query needs `bump()` too.
+    Direct edits of node state that routing or costs read (`cpu_mips`) must
+    be followed by `bump()`, or cached routes and ranks go stale. A cached
+    route also holds its hops' latency and bandwidth constants, read from
+    `links` when it was built, so editing a link table after the first cost
+    query needs `bump()` too.
     """
 
     def __init__(self, nodes: Iterable[ServerNode], links: LinkParams, max_fog_level: int):
@@ -107,8 +106,8 @@ class Topology:
         self._device_routes: Dict[ServerId, Set[Tuple[ServerId, ServerId]]] = {}
         # upward-rank memo of app_model.compute_rank, emptied likewise.
         self.rank_cache: Dict[tuple, Dict[str, float]] = {}
-        # level-1 nodes, for sensed_by; emptied likewise.
-        self._level1: List[ServerNode] = []
+        # level-1 nodes, for sensed_by.
+        self._level1 = [n for n in self.nodes.values() if n.id.level == 1]
         self._wire_children()
         self._check_levels()
 
@@ -127,8 +126,7 @@ class Topology:
                     raise TopologyError(
                         f"parent of {node.id} must sit one level up, got {par.id}")
             elif node.id != self.cloud_id and node.id.level <= self.max_fog_level:
-                # Orphans below the cloud are legal mid-protocol but not at build time
-                # for fog servers; devices may briefly detach during handover.
+                # Every fog server needs a parent; a device may be built detached.
                 if node.id.level > 0:
                     raise TopologyError(f"fog server {node.id} has no parent")
 
@@ -141,7 +139,6 @@ class Topology:
             self.route_cache.clear()
             self._device_routes.clear()
             self.rank_cache.clear()
-            self._level1.clear()
 
     def cache_route(self, src: ServerId, dest: ServerId, record: tuple):
         """Store a route record, indexed under each device endpoint for `set_parent`."""
@@ -151,29 +148,9 @@ class Topology:
             if end.level == 0:
                 self._device_routes.setdefault(end, set()).add(key)
 
-    def add_node(self, node: ServerNode):
-        if node.id in self.nodes:
-            raise TopologyError(f"duplicate node id {node.id}")
-        self.nodes[node.id] = node
-        if node.parent is not None:
-            self.nodes[node.parent].children.add(node.id)
-        self.bump()
-
-    def remove_node(self, sid: ServerId):
-        """Remove a node and purge every reference to it (children, clusters, parents)."""
-        node = self.nodes.pop(sid)
-        if node.parent is not None and node.parent in self.nodes:
-            self.nodes[node.parent].children.discard(sid)
-        for other in self.nodes.values():
-            other.children.discard(sid)
-            other.cluster_members.discard(sid)
-            if other.parent == sid:
-                other.parent = None
-        self.bump()
-
     def set_parent(self, child: ServerId, parent: Optional[ServerId]):
         node = self.nodes[child]
-        if node.parent is not None and node.parent in self.nodes:
+        if node.parent is not None:
             self.nodes[node.parent].children.discard(child)
         node.parent = parent
         if parent is not None:
@@ -194,11 +171,6 @@ class Topology:
         self.nodes[b].cluster_members.add(a)
         self.bump()
 
-    def unlink_cluster(self, a: ServerId, b: ServerId):
-        self.nodes[a].cluster_members.discard(b)
-        self.nodes[b].cluster_members.discard(a)
-        self.bump()
-
     # -- queries ----------------------------------------------------------
 
     def node(self, sid: ServerId) -> ServerNode:
@@ -214,7 +186,7 @@ class Topology:
         stack = list(self.nodes[sid].children)
         while stack:
             cur = stack.pop()
-            if cur in members or cur not in self.nodes:
+            if cur in members:
                 continue
             members.add(cur)
             stack.extend(self.nodes[cur].children)
@@ -229,17 +201,14 @@ class Topology:
         return None
 
     def fog_servers(self, level: Optional[int] = None):
-        """Alive fog/cloud servers (level >= 1), sorted by id."""
+        """Fog/cloud servers (level >= 1), sorted by id."""
         out = [n.id for n in self.nodes.values()
-               if n.alive and n.id.level >= 1 and (level is None or n.id.level == level)]
+               if n.id.level >= 1 and (level is None or n.id.level == level)]
         return sorted(out)
 
     def sensed_by(self, point: Tuple[float, float]):
-        """Alive level-1 servers whose coverage contains the point, sorted by distance."""
-        nodes = self._level1
-        if not nodes:
-            nodes.extend(n for n in self.nodes.values() if n.id.level == 1)
-        hits = [n for n in nodes if n.alive and n.covers(point)]
+        """Level-1 servers whose coverage contains the point, sorted by distance."""
+        hits = [n for n in self._level1 if n.covers(point)]
         hits.sort(key=lambda n: (n.distance_to(point), n.id))
         return [n.id for n in hits]
 

@@ -77,7 +77,7 @@ def test_urmila_first_placement_is_cold_and_repeat_is_warm():
     # Decisions off the central server hold no slot until the target confirms.
     for server, decs in first.by_server().items():
         if server != S(3, 1):
-            handle_remote_placement(topo, ledger, server, dag, [d.module for d in decs])
+            handle_remote_placement(ledger, server, dag, [d.module for d in decs])
     again = urmila_place(topo, ledger, S(3, 1), dag, plc.copy(), ranked,
                          dag.unpinned(), WEIGHTS, PROFILE)
     assert [d.server for d in again.decisions] == [d.server for d in first.decisions]

@@ -1,4 +1,4 @@
-"""Cluster membership protocol: join, leave, failure recovery, parent choice."""
+"""Cluster join protocol and parent choice."""
 from fogsim.clustering import (ClusterState, ControlMessage, MessageKind,
                                bootstrap_clusters, handle_cluster_message,
                                select_parent)
@@ -55,42 +55,6 @@ def test_empty_neighborhood_still_selects_parent():
     assert topo.node(S(2, 2)).parent == S(3, 1)
 
 
-def test_leave_purges_member_everywhere():
-    topo = make_small_topology()
-    states = fresh_states(topo)
-    for idx in (1, 2, 3):
-        join(topo, states, S(1, idx))
-    start = ControlMessage(MessageKind.START_FOG_LEAVING, S(1, 2), {})
-    deliver_all(topo, states, [(S(1, 2), start)])
-    assert S(1, 2) not in topo.node(S(1, 1)).cluster_members
-    assert S(1, 2) not in topo.node(S(1, 3)).cluster_members
-
-
-def test_failure_recovery_fans_out_from_parent():
-    topo = make_small_topology()
-    states = fresh_states(topo)
-    for idx in (1, 2, 3):
-        join(topo, states, S(1, idx))
-    topo.node(S(1, 2)).alive = False
-    start = ControlMessage(MessageKind.START_FOG_FAILURE_RECOVERY, S(3, 1),
-                           {"failed": (1, 2)})
-    deliver_all(topo, states, [(S(2, 1), start)])
-    assert S(1, 2) not in topo.node(S(1, 1)).cluster_members
-    assert S(1, 2) not in topo.node(S(1, 3)).cluster_members
-
-
-def test_parent_crash_triggers_reselection():
-    topo = make_small_topology()
-    states = fresh_states(topo)
-    join(topo, states, S(1, 1))
-    states[S(1, 1)].candidate_parents[S(2, 2)] = 0.030
-    topo.nodes[S(2, 1)].alive = False
-    # Purging the dead parent re-runs selection over surviving candidates.
-    note = ControlMessage(MessageKind.FOG_LEAVING, S(2, 1), {})
-    deliver_all(topo, states, [(S(1, 1), note)])
-    assert topo.node(S(1, 1)).parent == S(2, 2)
-
-
 def test_select_parent_single_candidate():
     topo = make_small_topology()
     assert select_parent(topo, S(1, 1), {S(2, 1): 0.025}) == S(2, 1)
@@ -108,22 +72,20 @@ def test_select_parent_tie_breaks_on_smaller_index():
     assert choice == S(2, 2)
 
 
-def test_select_parent_ignores_dead_and_wrong_level():
+def test_select_parent_ignores_wrong_level():
     topo = make_small_topology()
-    topo.nodes[S(2, 1)].alive = False
-    choice = select_parent(topo, S(1, 1), {S(2, 1): 0.001, S(2, 2): 0.05,
-                                           S(3, 1): 0.0})
+    choice = select_parent(topo, S(1, 1), {S(2, 2): 0.05, S(3, 1): 0.0, S(1, 2): 0.0})
     assert choice == S(2, 2)
 
 
-def test_join_from_dead_node_is_dropped():
+def test_join_from_out_of_range_peer_is_dropped():
+    # (1,4) sits 1000 m from (1,1), outside its 200 m coverage.
     topo = make_small_topology()
     states = fresh_states(topo)
-    topo.nodes[S(1, 2)].alive = False
-    msg = ControlMessage(MessageKind.FOG_JOINING, S(1, 2), {})
+    msg = ControlMessage(MessageKind.FOG_JOINING, S(1, 4), {})
     out = handle_cluster_message(topo, states[S(1, 1)], msg)
     assert out == []
-    assert S(1, 2) not in topo.node(S(1, 1)).cluster_members
+    assert S(1, 4) not in topo.node(S(1, 1)).cluster_members
 
 
 def test_bootstrap_clusters_symmetric_in_range_groups():

@@ -64,10 +64,10 @@ def test_arrived(topo_dev):
     assert cost_model.next_hop(topo_dev, S(1, 1), S(1, 1)) == ("arrived", S(1, 1))
 
 
-def test_route_through_dead_node_rejected(topo_dev):
-    topo_dev.node(S(1, 1)).alive = False
-    with pytest.raises(RoutingError):
-        cost_model.next_hop(topo_dev, S(1, 1), S(2, 1))
+def test_route_from_detached_device_rejected(topo_dev):
+    topo_dev.set_parent(S(0, 5), None)
+    with pytest.raises(RoutingError, match="dead end going up"):
+        cost_model.internodal_latency(topo_dev, S(0, 5), S(2, 1))
 
 
 def test_route_full_hop_list(topo_dev):

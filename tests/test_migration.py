@@ -5,7 +5,8 @@ import random
 import pytest
 
 from fogsim.app_model import AppDag, DataFlow, Module, build_app
-from fogsim.cost_model import CostWeights, DeviceEnergyProfile, MigrationParams
+from fogsim.cost_model import (CostWeights, DeviceEnergyProfile, MigrationParams,
+                               module_migration_cost)
 from fogsim.migration import (analyze_mobility, cluster_reachable,
                               departure_imminent, estimate_sojourn,
                               handle_migration_req, migration_candidates,
@@ -197,8 +198,7 @@ def test_migration_candidates_cluster_toggle():
     topo.link_cluster(S(2, 1), S(2, 2))
     with_cluster = migration_candidates(topo, S(2, 1))
     assert with_cluster == [S(2, 2), S(2, 1), S(1, 1), S(1, 2), S(1, 3)]
-    topo.unlink_cluster(S(2, 1), S(2, 2))
-    without = migration_candidates(topo, S(2, 1))
+    without = migration_candidates(make_small_topology(), S(2, 1))
     assert without == [S(2, 1), S(1, 1), S(1, 2), S(1, 3)]
 
 
@@ -210,6 +210,31 @@ def test_staying_put_is_admissible():
         candidates=[S(1, 1), S(1, 3)])
     assert decisions[0].to == S(1, 1)
     assert decisions[0].cost is not None
+
+
+def test_equal_migration_costs_go_to_the_lower_level():
+    # From (2,1), (1,1) is one down hop and (3,1) one up hop. With level 2's
+    # up-link constants set to level 1's down-link ones, both moves cost the
+    # same double, and the sort's level term must pick (1,1).
+    topo = make_small_topology(with_device=True)
+    topo.links.lat_up[2] = topo.links.lat_down[1]
+    topo.links.bw_up[2] = topo.links.bw_down[1]
+    topo.bump()
+    dag = AppDag("t", "t",
+                 [Module("s", pinned_to_device=True), Module("m")],
+                 [DataFlow("s", "m", 1000.0, 8e3)], 0.01)
+    plc = {"s": S(0, 5), "m": S(2, 1)}
+    tied = 0.041315000000000004
+    for to in (S(3, 1), S(1, 1)):
+        assert module_migration_cost(topo, PROFILE, PARAMS, WEIGHTS, 1e6,
+                                     S(2, 1), to, 0.0).weighted == tied
+    decisions = handle_migration_req(
+        topo, CapacityLedger(topo), dag, plc, ["m"], WEIGHTS, PROFILE,
+        PARAMS, lambda m: 1e6, lambda m: 0.0,
+        candidates=[S(3, 1), S(1, 1)], exclude=[S(2, 1)],
+        check_admissibility=False)
+    assert decisions[0].to == S(1, 1)
+    assert decisions[0].cost.weighted == tied
 
 
 def test_inadmissible_cheapest_falls_through_to_second():

@@ -120,22 +120,24 @@ def test_find_min_cost_tie_prefers_lower_level():
     assert choice == S(2, 1)
 
 
-def test_remote_placement_confirmation_and_dead_target():
+def test_remote_placement_confirmation_and_full_target():
     topo, dag, plc, ledger, ranked = make_world()
-    results = handle_remote_placement(topo, ledger, S(1, 2), dag,
-                                      ["filter", "aggregator"])
+    results = handle_remote_placement(ledger, S(1, 2), dag, ["filter", "aggregator"])
     assert [(m, ok) for m, ok, _ in results] == [("filter", True),
                                                  ("aggregator", True)]
     assert ledger.free(S(1, 2)) == 8
-    topo.node(S(1, 2)).alive = False
-    failed = handle_remote_placement(topo, ledger, S(1, 2), dag, ["filter"])
-    assert failed == [("filter", False, False)]
-    assert ledger.free(S(1, 2)) == 8  # no reservation kept
+    while ledger.free(S(1, 2)) > 0:
+        ledger.reserve(S(1, 2), dag.template, "aggregator")
+    held = (dict(ledger.used), dict(ledger.active_types))
+    failed = handle_remote_placement(ledger, S(1, 2), dag, ["filter"])
+    # Rejected at the full target, still reporting its warm container.
+    assert failed == [("filter", False, True)]
+    assert (ledger.used, ledger.active_types) == held  # no reservation kept
 
 
 def test_warm_container_detected_on_repeat_placement():
     topo, dag, plc, ledger, ranked = make_world()
-    handle_remote_placement(topo, ledger, S(1, 1), dag, ["filter"])
+    handle_remote_placement(ledger, S(1, 1), dag, ["filter"])
     plan = dapt_place(topo, ledger, S(1, 1), dag, plc, ranked,
                       ["filter"], WEIGHTS, PROFILE)
     assert plan.decisions[0].warm
@@ -187,8 +189,7 @@ def test_constraints_hold_after_full_cascade():
                           todo, WEIGHTS, PROFILE)
         for server, decs in plan.by_server().items():
             if server != controller:
-                handle_remote_placement(topo, ledger, server, dag,
-                                        [d.module for d in decs])
+                handle_remote_placement(ledger, server, dag, [d.module for d in decs])
         todo = plan.escalated
         if todo:
             controller = topo.node(controller).parent

@@ -7,11 +7,9 @@ population of random hierarchies.
 """
 import random
 
-import pytest
-
 from fogsim import cost_model
 from fogsim.cost_model import DeviceEnergyProfile
-from fogsim.topology import LinkParams, RoutingError, ServerId, ServerNode, Topology
+from fogsim.topology import LinkParams, ServerId, ServerNode, Topology
 
 
 def _descendants(nodes, sid):
@@ -35,18 +33,16 @@ def interp_step(nodes, cur, dest):
         return ("up", node.parent)
     if cur.level > dest.level:
         down = [c for c, n in nodes.items()
-                if n.parent == cur and n.alive and dest in _descendants(nodes, c)]
+                if n.parent == cur and dest in _descendants(nodes, c)]
         if down:
             return ("down", min(down))
         lateral = [m for m in node.cluster_members
-                   if m in nodes and nodes[m].alive
-                   and dest in _descendants(nodes, m)]
+                   if dest in _descendants(nodes, m)]
         if lateral:
             return ("cluster", min(lateral))
         return ("up", node.parent)
     lateral = [m for m in node.cluster_members
-               if m in nodes and nodes[m].alive
-               and dest in _descendants(nodes, m)]
+               if dest in _descendants(nodes, m)]
     if lateral:
         return ("cluster", min(lateral))
     return ("up", node.parent)
@@ -76,7 +72,12 @@ def interp_costs(topo, src, dest):
     return lat, per_bit, hops
 
 
-def random_topology(rng: random.Random) -> Topology:
+def random_topology(rng: random.Random, with_devices: bool = False) -> Topology:
+    """A random hierarchy with random same-level cluster edges.
+
+    With `with_devices`, two or three devices (level 0) hang under random
+    level-1 servers.
+    """
     max_level = rng.choice([2, 3])
     links = LinkParams(
         lat_up={lvl: rng.uniform(0.001, 0.2) for lvl in range(0, max_level + 1)},
@@ -97,15 +98,26 @@ def random_topology(rng: random.Random) -> Topology:
                 parent = ServerId(lvl + 1, rng.randint(1, counts[lvl + 1]))
             nodes.append(ServerNode(ServerId(lvl, idx), cpu_mips=3000,
                                     container_capacity=4, parent=parent))
-    topo = Topology(nodes, links, max_level)
-    # Random same-level cluster edges.
+    edges = []
     for lvl in range(1, max_level + 1):
         ids = [ServerId(lvl, i) for i in range(1, counts[lvl] + 1)]
         for i, a in enumerate(ids):
             for b in ids[i + 1:]:
                 if rng.random() < 0.4:
-                    topo.link_cluster(a, b)
+                    edges.append((a, b))
+    if with_devices:
+        l1 = [ServerId(1, i) for i in range(1, counts[1] + 1)]
+        for idx in range(1, rng.randint(2, 3) + 1):
+            nodes.append(ServerNode(ServerId(0, idx), cpu_mips=500, container_capacity=2,
+                                    parent=rng.choice(l1)))
+    topo = Topology(nodes, links, max_level)
+    for a, b in edges:
+        topo.link_cluster(a, b)
     return topo
+
+
+def devices_of(topo: Topology):
+    return sorted(sid for sid in topo.nodes if sid.level == 0)
 
 
 def test_latency_and_transmission_match_interpreter_on_1000_topologies():
@@ -160,12 +172,9 @@ def test_device_routes_match_interpreter_across_reparenting():
     rng = random.Random(20261018)
     checked = 0
     for _ in range(300):
-        topo = random_topology(rng)
+        topo = random_topology(rng, with_devices=True)
         l1 = topo.fog_servers(level=1)
-        devices = [ServerId(0, i) for i in range(1, rng.randint(2, 3) + 1)]
-        for dev in devices:
-            topo.add_node(ServerNode(dev, cpu_mips=500, container_capacity=2,
-                                     parent=rng.choice(l1)))
+        devices = devices_of(topo)
         servers = topo.fog_servers()
         for _ in range(3):
             for dev in devices:
@@ -218,55 +227,38 @@ def walked_costs(topo, profile, bits, src, dest):
 
 def test_route_records_equal_a_fresh_walk_across_mutations():
     # Cached route records carry their latency sum and bandwidths; every
-    # mutation between queries (device handover, cluster edges, a dead
-    # server, an edited link table) must leave no stale record behind.
+    # mutation between queries (device handover, a new cluster edge, an
+    # edited link table) must leave no stale record behind.
     rng = random.Random(20261019)
     profile = DeviceEnergyProfile()
-    checked = raised = 0
+    checked = 0
     for _ in range(150):
-        topo = random_topology(rng)
+        topo = random_topology(rng, with_devices=True)
         l1 = topo.fog_servers(level=1)
-        devices = [ServerId(0, i) for i in range(1, rng.randint(2, 3) + 1)]
-        for dev in devices:
-            topo.add_node(ServerNode(dev, cpu_mips=500, container_capacity=2,
-                                     parent=rng.choice(l1)))
+        devices = devices_of(topo)
         fog = [sid for sid in topo.nodes if 1 <= sid.level <= topo.max_fog_level]
         for _ in range(6):
             ends = fog + devices
             for _ in range(6):
                 src, dest = rng.choice(ends), rng.choice(ends)
                 bits = rng.uniform(1e3, 1e8)
-                try:
-                    want = walked_costs(topo, profile, bits, src, dest)
-                except RoutingError:
-                    with pytest.raises(RoutingError):
-                        cost_model.internodal_latency(topo, src, dest)
-                    raised += 1
-                    continue
+                want = walked_costs(topo, profile, bits, src, dest)
                 got = (cost_model.internodal_latency(topo, src, dest),
                        cost_model.transmission_time(topo, bits, src, dest),
                        cost_model.transmission_energy(topo, profile, bits, src, dest))
                 assert got == want, (src, dest)
                 checked += 1
-            step = rng.randrange(5)
+            step = rng.randrange(4)
             if step == 0:
                 for dev in devices:
                     topo.set_parent(dev, rng.choice(l1))
             elif step == 1 and len(l1) > 1:
-                a, b = rng.sample(l1, 2)
-                if b in topo.nodes[a].cluster_members:
-                    topo.unlink_cluster(a, b)
-                else:
-                    topo.link_cluster(a, b)
+                topo.link_cluster(*rng.sample(l1, 2))
             elif step == 2:
-                victim = topo.nodes[rng.choice(fog)]
-                victim.alive = not victim.alive
-                topo.bump()
-            elif step == 3:
                 level = rng.randrange(topo.max_fog_level + 1)
                 topo.links.lat_up[level] *= 1.5
                 topo.links.bw_down[level] *= 0.5
                 topo.bump()
             else:
                 topo.set_parent(rng.choice(devices), rng.choice(l1))
-    assert checked >= 4000 and raised > 0
+    assert checked == 150 * 6 * 6

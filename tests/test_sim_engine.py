@@ -438,8 +438,8 @@ def test_rejected_remote_module_is_recovered_with_a_container(monkeypatch):
     real = placement.handle_remote_placement
     rejected = []
 
-    def reject_first(topology, ledger, server, dag, modules):
-        results = real(topology, ledger, server, dag, modules)
+    def reject_first(ledger, server, dag, modules):
+        results = real(ledger, server, dag, modules)
         if rejected:
             return results
         module_id, ok, _ = results[0]
