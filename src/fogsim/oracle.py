@@ -182,11 +182,13 @@ def optimal_placement(topology: Topology, dag: AppDag, weights: CostWeights,
         saved = placed_cost[pos]
         suffix = suffix_exec[depth + 1]
         # Only slot `pos` changes below: its term goes between a fixed head
-        # and tail, in slot order. Candidates that keep it at `floor` share a bound.
+        # and tail, in slot order. A candidate that keeps the term at `floor`
+        # gets the bound this node's parent already passed, and every leaf
+        # found since lies under that parent and costs at least it, so only
+        # a candidate that raises the term can be pruned.
         head = sum(map(max, placed_cost[:pos], suffix[:pos]))
         tail = list(map(max, placed_cost[pos + 1:], suffix[pos + 1:]))
         floor = max(saved, suffix[pos])
-        floor_bound = sum(tail, head + floor)
         for sid, t, e, w in row:
             if free is not None and free.get(sid, 0) <= 0:
                 continue
@@ -194,7 +196,7 @@ def optimal_placement(topology: Topology, dag: AppDag, weights: CostWeights,
             if nodes > node_budget:
                 complete = False
                 return
-            if (floor_bound if w <= floor else sum(tail, head + w)) > best_cost + _TIE_EPS:
+            if w > floor and sum(tail, head + w) > best_cost + _TIE_EPS:
                 continue
             assign[mid] = sid
             time_at[depth] = t

@@ -224,7 +224,6 @@ class SimDevice:
     velocity: Tuple[float, float] = (0.0, 0.0)
     walked: int = 0
     check_version: int = 0
-    ranked: Optional[Dict[int, List[str]]] = None
     pdt_s: Optional[float] = None
     mmt_busy: bool = False
     pending_departure: bool = False
@@ -346,16 +345,17 @@ class Simulation:
         arrival = t0 + self.topology.links.lat_up[0] + self.lat(controller, decider)
         if urmila:
             arrival = self.queue.admit(arrival)
+        ranked = None
         if self.policy != "maas":
             servers = (self.topology.fog_servers() if urmila
                        else placement.ready_servers(self.topology, controller))
-            dev.ranked = rank_modules(dev.dag, servers, self.weights, self.topology,
-                                      self.profile)
-        return self._place_cascade(dev, decider, dev.dag.unpinned(), arrival) \
+            ranked = rank_modules(dev.dag, servers, self.weights, self.topology,
+                                  self.profile)
+        return self._place_cascade(dev, ranked, decider, dev.dag.unpinned(), arrival) \
             + self.lat(decider, controller)
 
-    def _place_cascade(self, dev: SimDevice, controller: ServerId,
-                       todo: List[str], t: float,
+    def _place_cascade(self, dev: SimDevice, ranked: Optional[Dict[int, List[str]]],
+                       controller: ServerId, todo: List[str], t: float,
                        failed: Optional[ServerId] = None) -> float:
         """Decide `todo` at `controller` from time t; returns the last acknowledgement.
 
@@ -373,11 +373,11 @@ class Simulation:
                                         dev.placement, todo, self.weights, self.profile)
         elif self.policy == "urmila":
             plan = baselines.urmila_place(self.topology, self.ledger, controller, dev.dag,
-                                          dev.placement, dev.ranked, todo,
+                                          dev.placement, ranked, todo,
                                           self.weights, self.profile)
         else:
             plan = placement.dapt_place(self.topology, self.ledger, controller, dev.dag,
-                                        dev.placement, dev.ranked, todo,
+                                        dev.placement, ranked, todo,
                                         self.weights, self.profile)
         acks = [t]
         for server, decs in sorted(plan.by_server().items()):
@@ -392,7 +392,7 @@ class Simulation:
                     self.log("placement_recovery", device=dev.sid.index,
                              module=module_id, failed=str(server))
                     acks.append(self._place_cascade(
-                        dev, controller, [module_id],
+                        dev, ranked, controller, [module_id],
                         t_arr + self.lat(server, controller), failed=server))
                     continue
                 start = t_arr + (0.0 if warm else self.startup_s)
@@ -401,7 +401,7 @@ class Simulation:
                          server=str(server), warm=warm)
         if plan.escalated:
             parent = self.topology.node(controller).parent
-            sub = self._place_cascade(dev, parent, plan.escalated,
+            sub = self._place_cascade(dev, ranked, parent, plan.escalated,
                                       t + self.lat(controller, parent))
             acks.append(sub + self.lat(parent, controller))
         return max(acks)

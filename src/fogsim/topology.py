@@ -39,13 +39,14 @@ class LinkParams:
     bw_cluster: Dict[int, float]
 
     def validate(self, max_fog_level: int):
-        for lvl in range(0, max_fog_level + 1):
-            for table, name in ((self.lat_up, "lat_up"), (self.lat_down, "lat_down"),
-                                (self.bw_up, "bw_up"), (self.bw_down, "bw_down")):
-                if lvl not in table:
+        """Up/down tables cover levels 0..max_fog_level; bandwidths > 0, latencies >= 0."""
+        for name, table in vars(self).items():
+            for lvl in range(max_fog_level + 1):
+                if lvl not in table and "cluster" not in name:
                     raise TopologyError(f"link table {name} missing level {lvl}")
-                if table[lvl] <= 0 and "bw" in name:
-                    raise TopologyError(f"non-positive bandwidth in {name}[{lvl}]")
+            for lvl, value in table.items():
+                if not (value > 0 if name.startswith("bw") else value >= 0):
+                    raise TopologyError(f"link table {name} has {value} at level {lvl}")
 
 
 @dataclass
@@ -68,16 +69,16 @@ class ServerNode:
 
 
 class Topology:
-    """Mutable forest of fog servers plus cluster edges.
+    """Forest of fog servers plus cluster edges.
 
-    The node set is fixed at construction. Structural mutations
-    (reparenting, cluster edges) must go through the mutator methods, which
-    call `bump()`. `revision` advances on every mutation; a caller that keeps
-    costs across calls (the oracle's sequential pass) checks that it has not
-    moved. Every mutation except reparenting a device (a level-0 node) also
-    empties `route_cache` and `rank_cache`. A device never relays traffic, so
-    its handover changes only the routes that end at it; `set_parent` drops
-    exactly those (indexed per device).
+    The node set and every fog server's parent are fixed at construction.
+    The only structural mutations are cluster edges (`link_cluster`) and
+    device handovers (`set_parent`), and both call `bump()`. `revision`
+    advances on every mutation; a caller that keeps costs across calls (the
+    oracle's sequential pass) checks that it has not moved. A cluster edge
+    also empties `route_cache` and `rank_cache`. A device (a level-0 node)
+    never relays traffic, so its handover changes only the routes that end
+    at it; `set_parent` drops exactly those (indexed per device).
 
     Direct edits of node state that routing or costs read (`cpu_mips`) must
     be followed by `bump()`, or cached routes and ranks go stale. A cached
@@ -149,20 +150,18 @@ class Topology:
                 self._device_routes.setdefault(end, set()).add(key)
 
     def set_parent(self, child: ServerId, parent: Optional[ServerId]):
+        """Hand a device over to a level-1 `parent`, or detach it with None."""
+        if child.level != 0 or (parent is not None and parent.level != 1):
+            raise TopologyError(f"cannot parent {child} under {parent}")
         node = self.nodes[child]
         if node.parent is not None:
             self.nodes[node.parent].children.discard(child)
         node.parent = parent
         if parent is not None:
-            if self.nodes[parent].id.level != child.level + 1:
-                raise TopologyError(f"cannot parent {child} under {parent}")
             self.nodes[parent].children.add(child)
-        if child.level == 0:
-            for key in self._device_routes.pop(child, ()):
-                self.route_cache.pop(key, None)
-            self.bump(fog=False)
-        else:
-            self.bump()
+        for key in self._device_routes.pop(child, ()):
+            self.route_cache.pop(key, None)
+        self.bump(fog=False)
 
     def link_cluster(self, a: ServerId, b: ServerId):
         if a.level != b.level:
