@@ -130,27 +130,12 @@ def _hop_constant(kind: str, frm: ServerId, to: ServerId,
     return up[frm.level]
 
 
-def _uplink(topology: Topology, device: ServerId) -> Optional[ServerId]:
-    """The fog server a device's routes pass through, when composition is exact.
-
-    A device relays nothing, and a node at level >= 1 holds the device in its
-    descendant closure exactly when it holds the device's parent, so every
-    routing rule picks the same next hop toward both. Unusual devices
-    (clustered or detached) return None and are routed step by step.
-    """
-    node = topology.nodes[device]
-    if node.cluster_members or node.parent is None:
-        return None
-    return node.parent
-
-
 class Route(NamedTuple):
-    """A cached route with its per-hop link constants read once.
+    """A cached route's link constants, read once.
 
     `lat` is the latency constants summed in hop order and `bws` the per-hop
     bandwidths, so cost queries need not walk the hops again.
     """
-    hops: List[Tuple[str, ServerId, ServerId]]
     lat: float
     bws: Tuple[float, ...]
 
@@ -165,33 +150,30 @@ def _route_record(topology: Topology, hops) -> Route:
                              links.lat_cluster)
         bws.append(_hop_constant(kind, frm, to, links.bw_up, links.bw_down,
                                  links.bw_cluster))
-    return Route(hops, lat, tuple(bws))
+    return Route(lat, tuple(bws))
 
 
 def _cached_route(topology: Topology, src: ServerId, dest: ServerId) -> Route:
     """The `Route` of `route(src, dest)` through the topology's route cache.
 
-    Routes ending at a device D under parent P are composed from cached fog
-    routes: route(x, D) = route(x, P) + down(P, D) and route(D, x) =
-    up(D, P) + route(P, x), which are the same hop tuples in the same order.
+    A device relays nothing and has no cluster edge, so its route leaves or
+    enters through its parent by one hop whose constants are the same for
+    every device. A route with a device endpoint is therefore cached under
+    (parent, 0) in the device's place, and a handover invalidates nothing.
+    A device's route to itself keeps its own key.
     """
-    rec = topology.route_cache.get((src, dest))
+    cache = topology.route_cache
+    key = (src, dest)
+    rec = cache.get(key)
     if rec is not None:
         return rec
-    parent = None
-    if src != dest:
-        if dest.level == 0:
-            parent = _uplink(topology, dest)
-            if parent is not None:
-                hops = _cached_route(topology, src, parent).hops + [("down", parent, dest)]
-        elif src.level == 0:
-            parent = _uplink(topology, src)
-            if parent is not None:
-                hops = [("up", src, parent)] + _cached_route(topology, parent, dest).hops
-    if parent is None:
-        hops = route(topology, src, dest)
-    rec = _route_record(topology, hops)
-    topology.cache_route(src, dest, rec)
+    if src != dest and (src.level == 0 or dest.level == 0):
+        key = ((topology.nodes[src].parent, 0) if src.level == 0 else src,
+               (topology.nodes[dest].parent, 0) if dest.level == 0 else dest)
+        rec = cache.get(key)
+        if rec is not None:
+            return rec
+    rec = cache[key] = _route_record(topology, route(topology, src, dest))
     return rec
 
 

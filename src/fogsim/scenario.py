@@ -145,9 +145,13 @@ def check_config(config: Dict) -> Dict:
     Rejected: a value whose type differs from its `DEFAULTS` leaf (see
     `_mistyped`), a `levels` entry without one of `LEVEL_KEYS`, a level without
     servers, levels not numbered 1 to n once each (n >= 1, the fog depth), a
-    non-positive `mobility.tick_s` or area side, a negative `devices.count`,
-    a `failure.migration_failure_p` outside [0, 1] and an `interrupted_mode`
-    other than delay or drop. A sweep checks each cell it edits again.
+    non-positive `mobility.tick_s`, area side or `cpu_mips` (of the cloud, or
+    either end of a level's pair), a negative `devices.count`, `horizon_s`,
+    `container_startup_s`, `sensor_attach_latency_s` or
+    `urmila.service_time_s`, a `failure.migration_failure_p` outside [0, 1],
+    an `interrupted_mode` other than delay or drop, and `devices.templates`
+    empty or naming no `app_model.TEMPLATES` entry. A sweep checks each cell
+    it edits again.
     """
     mistyped = _mistyped(config, DEFAULTS, "")
     if mistyped:
@@ -158,18 +162,30 @@ def check_config(config: Dict) -> Dict:
                for key in LEVEL_KEYS if key not in spec]
     if missing:
         raise ValueError(f"missing scenario key(s) {', '.join(missing)}")
-    bad = [(f"levels[{i}].count", spec["count"], ">= 1")
-           for i, spec in enumerate(levels) if int(spec["count"]) < 1]
+    bad = []
+    for i, spec in enumerate(levels):
+        cpu = spec["cpu_mips"]
+        if int(spec["count"]) < 1:
+            bad.append((f"levels[{i}].count", spec["count"], ">= 1"))
+        if not all(float(v) > 0.0 for v in (cpu if isinstance(cpu, list) else [cpu])):
+            bad.append((f"levels[{i}].cpu_mips", cpu, "> 0"))
     numbers = sorted(int(spec["level"]) for spec in levels)
     if not numbers or numbers != list(range(1, len(numbers) + 1)):
         bad.append(("levels[*].level", numbers, "1 to n once each, n >= 1"))
     for key, ok, need in (
             ("mobility.tick_s", lambda v: float(v) > 0.0, "> 0"),
+            ("horizon_s", lambda v: float(v) >= 0.0, ">= 0"),
+            ("container_startup_s", lambda v: float(v) >= 0.0, ">= 0"),
+            ("sensor_attach_latency_s", lambda v: float(v) >= 0.0, ">= 0"),
+            ("urmila.service_time_s", lambda v: float(v) >= 0.0, ">= 0"),
+            ("cloud.cpu_mips", lambda v: float(v) > 0.0, "> 0"),
             ("devices.count", lambda v: int(v) >= 0, ">= 0"),
             ("area.width_m", lambda v: float(v) > 0.0, "> 0"),
             ("area.height_m", lambda v: float(v) > 0.0, "> 0"),
             ("failure.migration_failure_p", lambda v: 0.0 <= float(v) <= 1.0, "in [0, 1]"),
-            ("interrupted_mode", lambda v: v in ("delay", "drop"), "delay or drop")):
+            ("interrupted_mode", lambda v: v in ("delay", "drop"), "delay or drop"),
+            ("devices.templates", lambda v: v and all(t in app_model.TEMPLATES for t in v),
+             "a non-empty list of " + ", ".join(sorted(app_model.TEMPLATES)))):
         val = config
         for part in key.split("."):
             val = val[part]

@@ -72,17 +72,17 @@ class Topology:
     """Forest of fog servers plus cluster edges.
 
     The node set and every fog server's parent are fixed at construction.
-    The only structural mutations are cluster edges (`link_cluster`) and
-    device handovers (`set_parent`), and both call `bump()`. `revision`
-    advances on every mutation; a caller that keeps costs across calls (the
-    oracle's sequential pass) checks that it has not moved. A cluster edge
-    also empties `route_cache` and `rank_cache`. A device (a level-0 node)
-    never relays traffic, so its handover changes only the routes that end
-    at it; `set_parent` drops exactly those (indexed per device).
+    The only structural mutations are cluster edges between fog servers
+    (`link_cluster`, which calls `bump()`) and device handovers
+    (`set_parent`). `revision` advances on every mutation; a caller that
+    keeps costs across calls (the oracle's sequential pass) checks that it
+    has not moved. `bump()` also empties `route_cache` and `rank_cache`. A
+    handover empties nothing: a device (a level-0 node) relays nothing and
+    has no cluster edge, so `cost_model` caches its routes under its parent.
 
     Direct edits of node state that routing or costs read (`cpu_mips`) must
     be followed by `bump()`, or cached routes and ranks go stale. A cached
-    route also holds its hops' latency and bandwidth constants, read from
+    route holds only its hops' latency and bandwidth constants, read from
     `links` when it was built, so editing a link table after the first cost
     query needs `bump()` too.
     """
@@ -100,11 +100,9 @@ class Topology:
             raise TopologyError(f"missing cloud node {self.cloud_id}")
         links.validate(max_fog_level)
         self.revision = 0
-        # (src, dest) -> cost_model.Route (hops, latency sum, bandwidths);
-        # filled by cost_model, emptied by every fog mutation.
-        self.route_cache: Dict[Tuple[ServerId, ServerId], tuple] = {}
-        # device -> keys of its cached routes, dropped when it reparents.
-        self._device_routes: Dict[ServerId, Set[Tuple[ServerId, ServerId]]] = {}
+        # (src, dest) -> cost_model.Route (latency sum, bandwidths), a device
+        # endpoint keyed as (its parent, 0); filled by cost_model, emptied by bump().
+        self.route_cache: Dict[tuple, tuple] = {}
         # upward-rank memo of app_model.compute_rank, emptied likewise.
         self.rank_cache: Dict[tuple, Dict[str, float]] = {}
         # level-1 nodes, for sensed_by.
@@ -133,21 +131,11 @@ class Topology:
 
     # -- mutation ---------------------------------------------------------
 
-    def bump(self, fog: bool = True):
-        """Record a mutation; `fog=False` only for a device's reparent."""
+    def bump(self):
+        """Record a fog mutation: advance `revision` and empty both caches."""
         self.revision += 1
-        if fog:
-            self.route_cache.clear()
-            self._device_routes.clear()
-            self.rank_cache.clear()
-
-    def cache_route(self, src: ServerId, dest: ServerId, record: tuple):
-        """Store a route record, indexed under each device endpoint for `set_parent`."""
-        key = (src, dest)
-        self.route_cache[key] = record
-        for end in key:
-            if end.level == 0:
-                self._device_routes.setdefault(end, set()).add(key)
+        self.route_cache.clear()
+        self.rank_cache.clear()
 
     def set_parent(self, child: ServerId, parent: Optional[ServerId]):
         """Hand a device over to a level-1 `parent`, or detach it with None."""
@@ -159,13 +147,11 @@ class Topology:
         node.parent = parent
         if parent is not None:
             self.nodes[parent].children.add(child)
-        for key in self._device_routes.pop(child, ()):
-            self.route_cache.pop(key, None)
-        self.bump(fog=False)
+        self.revision += 1  # no cache changes, but the oracle's memo keys hold device ids
 
     def link_cluster(self, a: ServerId, b: ServerId):
-        if a.level != b.level:
-            raise TopologyError(f"cluster edge must stay on one level: {a} {b}")
+        if a.level != b.level or a.level == 0:
+            raise TopologyError(f"cluster edge must join two fog servers on one level: {a} {b}")
         self.nodes[a].cluster_members.add(b)
         self.nodes[b].cluster_members.add(a)
         self.bump()

@@ -103,6 +103,12 @@ def _empty_level(index):
     return levels
 
 
+def _with_cpu(index, cpu_mips):
+    levels = [dict(level) for level in TINY_SCENARIO["levels"]]
+    levels[index]["cpu_mips"] = cpu_mips
+    return levels
+
+
 def _levels(*numbers):
     base = TINY_SCENARIO["levels"][0]
     return [dict(base, level=n, count=1, cols=1, rows=1) for n in numbers]
@@ -125,10 +131,26 @@ def _levels(*numbers):
     ({"levels": _levels(1, 3)}, r"levels\[\*\]\.level = \[1, 3\] "),
     ({"levels": _levels(1, 2, 2)}, r"levels\[\*\]\.level = \[1, 2, 2\] "),
     ({"levels": _levels(2, 3)}, r"levels\[\*\]\.level = \[2, 3\] "),
+    # A negative time runs silently wrong; the horizon one fails mid-run.
+    ({"sensor_attach_latency_s": -1.0}, r"sensor_attach_latency_s = -1\.0 "),
+    ({"container_startup_s": -1.0}, r"container_startup_s = -1\.0 "),
+    ({"urmila": {"service_time_s": -0.01}}, r"urmila\.service_time_s = -0\.01 "),
+    ({"horizon_s": -5}, r"horizon_s = -5 "),
+    # A zero cpu_mips divides by zero mid-run, an empty template list at build.
+    ({"levels": _with_cpu(1, 0)}, r"levels\[1\]\.cpu_mips = 0 "),
+    ({"levels": _with_cpu(0, [3000, -1])}, r"levels\[0\]\.cpu_mips = \[3000, -1\] "),
+    ({"levels": _with_cpu(0, [0.0, 4000])}, r"levels\[0\]\.cpu_mips = \[0\.0, 4000\] "),
+    ({"cloud": {"cpu_mips": 0}}, r"cloud\.cpu_mips = 0 "),
+    ({"devices": {"templates": []}}, r"devices\.templates = \[\] "),
+    ({"devices": {"templates": ["ECGMH", "ECG"]}},
+     r"devices\.templates = \['ECGMH', 'ECG'\] "),
 ], ids=["zero_tick", "negative_tick", "empty_level_1", "empty_level_2",
         "negative_devices", "zero_height", "negative_width", "unknown_interrupted_mode",
         "failure_p_above_1", "negative_failure_p", "no_levels", "skipped_level",
-        "repeated_level", "no_level_1"])
+        "repeated_level", "no_level_1", "negative_attach_latency",
+        "negative_container_startup", "negative_urmila_service_time", "negative_horizon",
+        "zero_level_cpu", "negative_level_cpu_hi", "zero_level_cpu_lo", "zero_cloud_cpu",
+        "no_templates", "unknown_template"])
 def test_out_of_range_scenario_value_raises(overrides, match):
     with pytest.raises(ValueError, match=match):
         load_scenario(None, overrides)

@@ -259,13 +259,25 @@ def test_sequential_placement_equals_one_search_per_device(seed):
             free[want.placement[mid]] -= 1
 
 
-def test_sequential_placement_rejects_a_topology_change_between_devices():
+def _hand_over(topology, device):
+    """Move `device` to the first level-1 server that is not its parent."""
+    parent = topology.node(device).parent
+    topology.set_parent(device, next(sid for sid in topology.fog_servers(level=1)
+                                     if sid != parent))
+
+
+@pytest.mark.parametrize("mutate", [
+    lambda topology, device: topology.bump(),
+    _hand_over,
+], ids=["bump", "set_parent"])
+def test_sequential_placement_rejects_a_topology_change_between_devices(mutate):
+    # A handover empties no cache, but the memo's keys hold device ids.
     sim, candidates, free = _desk_world(1)
 
     def apps():
         for n, dev in enumerate(sim.devices):
             if n == 1:
-                sim.topology.bump()
+                mutate(sim.topology, dev.sid)
             yield dev.dag, dev.placement
 
     with pytest.raises(RuntimeError, match="topology changed"):

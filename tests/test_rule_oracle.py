@@ -185,17 +185,17 @@ def test_device_routes_match_interpreter_across_reparenting():
                     assert cost_model.internodal_latency(topo, src, dest) == lat_ref
                     got = cost_model.transmission_time(topo, 1e6, src, dest)
                     assert abs(got - 1e6 * per_bit_ref) <= 1e-9 * max(1.0, got)
-                    assert cost_model._cached_route(topo, src, dest).hops \
-                        == cost_model.route(topo, src, dest)
+                    assert cost_model._cached_route(topo, src, dest) == \
+                        cost_model._route_record(topo, cost_model.route(topo, src, dest))
                     assert len(cost_model.route(topo, src, dest)) == hops
                     checked += 1
-            # Handovers keep every cached fog route.
-            fog_routes = {key: rec for key, rec in topo.route_cache.items()
-                          if key[0].level and key[1].level}
-            assert fog_routes
+            # Handovers keep every cache entry, by identity.
+            cached = dict(topo.route_cache)
+            assert cached
             for dev in devices:
                 topo.set_parent(dev, rng.choice(l1))
-            assert all(topo.route_cache.get(key) is rec for key, rec in fog_routes.items())
+            assert topo.route_cache.keys() == cached.keys()
+            assert all(topo.route_cache[key] is rec for key, rec in cached.items())
     # 300 topologies x 3 rounds x at least 2 devices x 3 directions.
     assert checked >= 5400
 

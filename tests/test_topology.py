@@ -202,16 +202,44 @@ def test_ancestor_test_equals_omega_membership(forest):
 
 
 def test_device_reparent_keeps_fog_revision():
-    # A device handover is not a fog mutation: cached fog routes survive it,
-    # and only the routes that end at the device are dropped.
+    # A device handover is not a fog mutation: it advances the revision and
+    # leaves every cached route, the device's own included, as it was.
     topo = make_small_topology(with_device=True)
-    fog = cost_model._cached_route(topo, S(1, 1), S(2, 2))
+    cost_model._cached_route(topo, S(1, 1), S(2, 2))
     cost_model._cached_route(topo, S(0, 5), S(2, 2))
+    cost_model._cached_route(topo, S(2, 2), S(0, 5))
+    cached = dict(topo.route_cache)
     revision = topo.revision
     topo.set_parent(S(0, 5), S(1, 2))
     assert topo.revision == revision + 1
-    assert topo.route_cache == {(S(1, 1), S(2, 2)): fog}
-    assert topo.route_cache[(S(1, 1), S(2, 2))] is fog
+    assert topo.route_cache.keys() == cached.keys()
+    assert all(topo.route_cache[key] is rec for key, rec in cached.items())
+
+
+def _two_device_topology():
+    """Default scenario with devices (0,1) and (0,2)."""
+    config = scenario.load_scenario(None, {"devices": {"count": 2}})
+    return scenario.build_world(config).topology
+
+
+def test_devices_under_one_parent_share_their_routes():
+    topo = _two_device_topology()
+    for dev in (S(0, 1), S(0, 2)):
+        topo.set_parent(dev, S(1, 7))
+    for fog in (S(1, 7), S(2, 3), topo.cloud_id):
+        assert cost_model._cached_route(topo, S(0, 1), fog) \
+            is cost_model._cached_route(topo, S(0, 2), fog)
+        assert cost_model._cached_route(topo, fog, S(0, 1)) \
+            is cost_model._cached_route(topo, fog, S(0, 2))
+
+
+def test_cluster_edge_between_devices_rejected():
+    topo = _two_device_topology()
+    revision = topo.revision
+    with pytest.raises(TopologyError, match="two fog servers"):
+        topo.link_cluster(S(0, 1), S(0, 2))
+    assert topo.revision == revision
+    assert not topo.node(S(0, 1)).cluster_members
 
 
 @pytest.mark.parametrize("mutate", [
