@@ -2,15 +2,26 @@
 
 The search assigns unpinned modules in schedule order (rank-descending inside
 a schedule) so every partial assignment has all predecessors fixed and its
-prefix cost is exact. The lower bound adds, per schedule, the best exact cost
-seen among placed modules and the cheapest possible execution-only cost among
-unplaced ones; both never exceed the true schedule cost. Walking one depth's
-candidates changes only the current schedule's term, so each candidate's
-bound is `sum(tail, head + term)` over a head and tail fixed per depth: the
-same double as summing every schedule, as CPython 3.11 adds floats left to
-right. A module's memo row holds every candidate in candidate order, filled
-when its predecessors' servers first occur; the search walks it as is. Tests
-check the search against an exhaustive reference kept in `tests/`.
+prefix cost is exact. The lower bound adds, per schedule, the largest of the
+exact costs of its placed modules and the floors of its unplaced and pinned
+modules. A module's floor at a server is its execution-only cost plus its
+dearest incoming flow (latency plus transfer, weighted) whose source server
+is known: a pinned source sits on its preset server, and for a pinned module
+a searched source sits on some candidate, so it counts at the cheapest one.
+A module's time is execution plus its worst latency plus its worst transfer,
+so it is at least execution plus any one flow's latency and transfer, and so
+is its energy; weights and powers are >= 0, so no floor exceeds the exact
+cost. A floor adds its terms in another order than `cost_model.module_cost`,
+so it can exceed that cost by a few ulps; `_TIE_EPS` in the prune test
+absorbs that.
+
+Walking one depth's candidates changes only the current schedule's term, so
+each candidate's bound is `sum(tail, head + term)` over a head and tail fixed
+per depth: the same double as summing every schedule, as CPython 3.11 adds
+floats left to right. A module's memo row holds every candidate in candidate
+order, filled when its predecessors' servers first occur; the search walks it
+as is. Tests check the search against an exhaustive reference kept in
+`tests/`.
 
 `sequential_placement` places many applications one after another against
 the capacity the earlier ones left, and every search of that pass shares one
@@ -19,6 +30,7 @@ memo, so applications of one template reuse each other's rows.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from . import cost_model
@@ -58,6 +70,34 @@ class _ModuleCosts:
         return self.flow_ids.setdefault(flows, len(self.flow_ids))
 
 
+def _module_floor(topology: Topology, dag: AppDag, weights: CostWeights,
+                  profile: DeviceEnergyProfile, candidates: Sequence[ServerId],
+                  fixed: Placement, mid: str, sid: ServerId) -> float:
+    """A lower bound on `mid`'s weighted `module_cost` on `sid`: its
+    execution-only cost there plus its dearest incoming flow from a source
+    whose server is known. `fixed` holds the modules the search never
+    places; a flow from one of them leaves its server there, and a flow from
+    a searched module into a fixed one leaves the cheapest of `candidates`.
+    """
+    w1, w2 = weights.w1, weights.w2
+    hop = 0.0
+    for flow in dag.preds[mid]:
+        if flow.src in fixed:
+            srcs = (fixed[flow.src],)
+        elif mid in fixed:
+            srcs = candidates
+        else:
+            continue
+        cheapest = float("inf")
+        for src in srcs:
+            lat = cost_model.internodal_latency(topology, src, sid)
+            t, e = cost_model.transmission_cost(topology, profile, flow.payload_bits,
+                                                src, sid)
+            cheapest = min(cheapest, w1 * (lat + t) + w2 * (lat * profile.p_idle_w + e))
+        hop = max(hop, cheapest)
+    return cost_model.exec_cost(topology, dag, weights, profile, mid, sid) + hop
+
+
 def optimal_placement(topology: Topology, dag: AppDag, weights: CostWeights,
                       profile: DeviceEnergyProfile,
                       candidates: Sequence[ServerId],
@@ -83,32 +123,41 @@ def optimal_placement(topology: Topology, dag: AppDag, weights: CostWeights,
         if m.pinned_to_device and m.id not in assign:
             raise ValueError(f"pinned module {m.id} needs a preset server")
 
-    # Cheapest execution-only cost per unplaced module, for the bound.
-    min_exec = {}
+    depth_of = {mid: depth for depth, mid in enumerate(order)}
+    # The modules the search never places, on their preset servers.
+    fixed = {m.id: assign[m.id] for m in dag.modules if m.id not in depth_of}
+    floor_of = partial(_module_floor, topology, dag, weights, profile, candidates, fixed)
+
+    # Per searched module its candidates, cheapest execution first.
     per_module_cands = {}
     for mid in order:
         scored = sorted(
             ((cost_model.exec_cost(topology, dag, weights, profile, mid, sid), sid)
              for sid in candidates),
             key=lambda it: (it[0], it[1]))
-        min_exec[mid] = scored[0][0] if scored else 0.0
         per_module_cands[mid] = [sid for _, sid in scored]
 
     n = len(order)
-    # Schedule slot of each depth, and per depth the cheapest execution-only
-    # cost still to come in each slot (0.0 where none is left).
+    # Schedule slot of each depth, and per depth the largest floor still to
+    # come in each slot (0.0 where none is left): a searched module's is its
+    # smallest over the candidates. Pinned modules are never placed, so
+    # their floors sit in every depth's row.
     sched_positions = sorted({dag.order_of[m.id] for m in dag.modules})
     slot_of = {pos: i for i, pos in enumerate(sched_positions)}
     slot = [slot_of[dag.order_of[mid]] for mid in order]
-    suffix_exec = [[0.0] * len(sched_positions) for _ in range(n + 1)]
+    pinned_floor = [0.0] * len(sched_positions)
+    for mid, own in fixed.items():
+        pos = slot_of[dag.order_of[mid]]
+        pinned_floor[pos] = max(pinned_floor[pos], floor_of(mid, own))
+    suffix_floor = [pinned_floor] * (n + 1)
     for depth in range(n - 1, -1, -1):
-        row = suffix_exec[depth] = list(suffix_exec[depth + 1])
-        row[slot[depth]] = max(row[slot[depth]], min_exec[order[depth]])
+        row = suffix_floor[depth] = list(suffix_floor[depth + 1])
+        least = min((floor_of(order[depth], sid) for sid in candidates), default=0.0)
+        row[slot[depth]] = max(row[slot[depth]], least)
     # Leaf cost terms per schedule: the depths of its searched modules, and
     # its other (pinned) modules, whose cost is only known at the leaf.
-    depth_of = {mid: depth for depth, mid in enumerate(order)}
     leaf_groups = [([depth_of[m] for m in modules if m in depth_of],
-                    [m for m in modules if m not in depth_of])
+                    [m for m in modules if m in fixed])
                    for modules in dag.schedules]
 
     # A module's (time, energy) depends only on its incoming flows, its own
@@ -180,7 +229,7 @@ def optimal_placement(topology: Topology, dag: AppDag, weights: CostWeights,
         row = memo_row(mid, per_module_cands[mid])
         pos = slot[depth]
         saved = placed_cost[pos]
-        suffix = suffix_exec[depth + 1]
+        suffix = suffix_floor[depth + 1]
         # Only slot `pos` changes below: its term goes between a fixed head
         # and tail, in slot order. A candidate that keeps the term at `floor`
         # gets the bound this node's parent already passed, and every leaf

@@ -147,11 +147,15 @@ def check_config(config: Dict) -> Dict:
     servers, levels not numbered 1 to n once each (n >= 1, the fog depth), a
     non-positive `mobility.tick_s`, area side or `cpu_mips` (of the cloud, or
     either end of a level's pair), a negative `devices.count`, `horizon_s`,
-    `container_startup_s`, `sensor_attach_latency_s` or
-    `urmila.service_time_s`, a `failure.migration_failure_p` outside [0, 1],
-    an `interrupted_mode` other than delay or drop, and `devices.templates`
-    empty or naming no `app_model.TEMPLATES` entry. A sweep checks each cell
-    it edits again.
+    `container_startup_s`, `sensor_attach_latency_s`, `urmila.service_time_s`,
+    level or cloud `capacity`, level `coverage_m`, `energy` power,
+    `migration.i_mig_s` or `migration.epsilon_frac`, a `weights` entry or
+    `failure.migration_failure_p` outside [0, 1], a `mobility.departure_margin`
+    outside [0, 1), a `devices.ram_mb`, `migration.dump_fraction`, mobility
+    speed or leg range that is not a [min, max] pair with 0 <= min <= max, an
+    `interrupted_mode` other than delay or drop, and `devices.templates` empty
+    or naming no `app_model.TEMPLATES` entry. A sweep checks each cell it edits
+    again. The oracle's lower bound holds only for weights and powers >= 0.
     """
     mistyped = _mistyped(config, DEFAULTS, "")
     if mistyped:
@@ -169,28 +173,53 @@ def check_config(config: Dict) -> Dict:
             bad.append((f"levels[{i}].count", spec["count"], ">= 1"))
         if not all(float(v) > 0.0 for v in (cpu if isinstance(cpu, list) else [cpu])):
             bad.append((f"levels[{i}].cpu_mips", cpu, "> 0"))
+        for key in ("capacity", "coverage_m"):
+            if float(spec.get(key, 0.0)) < 0.0:
+                bad.append((f"levels[{i}].{key}", spec[key], ">= 0"))
     numbers = sorted(int(spec["level"]) for spec in levels)
     if not numbers or numbers != list(range(1, len(numbers) + 1)):
         bad.append(("levels[*].level", numbers, "1 to n once each, n >= 1"))
-    for key, ok, need in (
-            ("mobility.tick_s", lambda v: float(v) > 0.0, "> 0"),
-            ("horizon_s", lambda v: float(v) >= 0.0, ">= 0"),
-            ("container_startup_s", lambda v: float(v) >= 0.0, ">= 0"),
-            ("sensor_attach_latency_s", lambda v: float(v) >= 0.0, ">= 0"),
-            ("urmila.service_time_s", lambda v: float(v) >= 0.0, ">= 0"),
-            ("cloud.cpu_mips", lambda v: float(v) > 0.0, "> 0"),
-            ("devices.count", lambda v: int(v) >= 0, ">= 0"),
-            ("area.width_m", lambda v: float(v) > 0.0, "> 0"),
-            ("area.height_m", lambda v: float(v) > 0.0, "> 0"),
-            ("failure.migration_failure_p", lambda v: 0.0 <= float(v) <= 1.0, "in [0, 1]"),
-            ("interrupted_mode", lambda v: v in ("delay", "drop"), "delay or drop"),
-            ("devices.templates", lambda v: v and all(t in app_model.TEMPLATES for t in v),
-             "a non-empty list of " + ", ".join(sorted(app_model.TEMPLATES)))):
+    positive = (lambda v: float(v) > 0.0, "> 0")
+    at_least_0 = (lambda v: float(v) >= 0.0, ">= 0")
+    unit = (lambda v: 0.0 <= float(v) <= 1.0, "in [0, 1]")
+    for key, (ok, need) in (
+            ("mobility.tick_s", positive),
+            ("mobility.departure_margin", (lambda v: 0.0 <= float(v) < 1.0, "in [0, 1)")),
+            ("horizon_s", at_least_0),
+            ("container_startup_s", at_least_0),
+            ("sensor_attach_latency_s", at_least_0),
+            ("urmila.service_time_s", at_least_0),
+            ("migration.i_mig_s", at_least_0),
+            ("migration.epsilon_frac", at_least_0),
+            ("energy.p_cpu_w", at_least_0),
+            ("energy.p_idle_w", at_least_0),
+            ("energy.p_tx_w", at_least_0),
+            ("weights.w1", unit),
+            ("weights.w2", unit),
+            ("cloud.cpu_mips", positive),
+            ("cloud.capacity", at_least_0),
+            ("devices.count", at_least_0),
+            ("area.width_m", positive),
+            ("area.height_m", positive),
+            ("failure.migration_failure_p", unit),
+            ("interrupted_mode", (lambda v: v in ("delay", "drop"), "delay or drop")),
+            ("devices.templates", (
+                lambda v: v and all(t in app_model.TEMPLATES for t in v),
+                "a non-empty list of " + ", ".join(sorted(app_model.TEMPLATES))))):
         val = config
         for part in key.split("."):
             val = val[part]
         if not ok(val):
             bad.append((key, val, need))
+    mobility = config["mobility"]
+    for key, pair in (
+            ("devices.ram_mb", config["devices"]["ram_mb"]),
+            ("migration.dump_fraction", config["migration"]["dump_fraction"]),
+            ("mobility.speed_min_mps/speed_max_mps",
+             [mobility["speed_min_mps"], mobility["speed_max_mps"]]),
+            ("mobility.leg_min_m/leg_max_m", [mobility["leg_min_m"], mobility["leg_max_m"]])):
+        if not (len(pair) == 2 and 0.0 <= float(pair[0]) <= float(pair[1])):
+            bad.append((key, pair, "[min, max] with 0 <= min <= max"))
     if bad:
         raise ValueError("out-of-range scenario value(s) " + ", ".join(
             f"{key} = {val!r} (must be {need})" for key, val, need in bad))

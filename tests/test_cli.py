@@ -103,9 +103,9 @@ def _empty_level(index):
     return levels
 
 
-def _with_cpu(index, cpu_mips):
+def _level_with(index, **values):
     levels = [dict(level) for level in TINY_SCENARIO["levels"]]
-    levels[index]["cpu_mips"] = cpu_mips
+    levels[index].update(values)
     return levels
 
 
@@ -137,20 +137,51 @@ def _levels(*numbers):
     ({"urmila": {"service_time_s": -0.01}}, r"urmila\.service_time_s = -0\.01 "),
     ({"horizon_s": -5}, r"horizon_s = -5 "),
     # A zero cpu_mips divides by zero mid-run, an empty template list at build.
-    ({"levels": _with_cpu(1, 0)}, r"levels\[1\]\.cpu_mips = 0 "),
-    ({"levels": _with_cpu(0, [3000, -1])}, r"levels\[0\]\.cpu_mips = \[3000, -1\] "),
-    ({"levels": _with_cpu(0, [0.0, 4000])}, r"levels\[0\]\.cpu_mips = \[0\.0, 4000\] "),
+    ({"levels": _level_with(1, cpu_mips=0)}, r"levels\[1\]\.cpu_mips = 0 "),
+    ({"levels": _level_with(0, cpu_mips=[3000, -1])}, r"levels\[0\]\.cpu_mips = \[3000, -1\] "),
+    ({"levels": _level_with(0, cpu_mips=[0.0, 4000])}, r"levels\[0\]\.cpu_mips = \[0\.0, 4000\] "),
     ({"cloud": {"cpu_mips": 0}}, r"cloud\.cpu_mips = 0 "),
     ({"devices": {"templates": []}}, r"devices\.templates = \[\] "),
     ({"devices": {"templates": ["ECGMH", "ECG"]}},
      r"devices\.templates = \['ECGMH', 'ECG'\] "),
+    # The oracle's lower bound holds only for weights and powers >= 0.
+    ({"weights": {"w1": -0.1}}, r"weights\.w1 = -0\.1 "),
+    ({"weights": {"w2": -0.5}}, r"weights\.w2 = -0\.5 "),
+    ({"energy": {"p_cpu_w": -0.9}}, r"energy\.p_cpu_w = -0\.9 "),
+    ({"energy": {"p_idle_w": -0.3}}, r"energy\.p_idle_w = -0\.3 "),
+    ({"energy": {"p_tx_w": -1}}, r"energy\.p_tx_w = -1 "),
+    # Each of these used to run to the end, silently wrong.
+    ({"levels": _level_with(0, capacity=-1)}, r"levels\[0\]\.capacity = -1 "),
+    ({"levels": _level_with(1, coverage_m=-5.0)}, r"levels\[1\]\.coverage_m = -5\.0 "),
+    ({"cloud": {"capacity": -1}}, r"cloud\.capacity = -1 "),
+    ({"devices": {"ram_mb": [-50.0, -10.0]}}, r"devices\.ram_mb = \[-50\.0, -10\.0\] "),
+    ({"devices": {"ram_mb": [75.0, 50.0]}}, r"devices\.ram_mb = \[75\.0, 50\.0\] "),
+    ({"devices": {"ram_mb": [50.0]}}, r"devices\.ram_mb = \[50\.0\] "),
+    ({"migration": {"dump_fraction": [-0.1, 0.1]}},
+     r"migration\.dump_fraction = \[-0\.1, 0\.1\] "),
+    ({"mobility": {"speed_min_mps": 5, "speed_max_mps": 1}},
+     r"mobility\.speed_min_mps/speed_max_mps = \[5, 1\] "),
+    ({"mobility": {"speed_min_mps": -1.0}},
+     r"mobility\.speed_min_mps/speed_max_mps = \[-1\.0, 4\.0\] "),
+    ({"mobility": {"leg_min_m": -100.0, "leg_max_m": -10.0}},
+     r"mobility\.leg_min_m/leg_max_m = \[-100\.0, -10\.0\] "),
+    ({"mobility": {"departure_margin": 1.5}}, r"mobility\.departure_margin = 1\.5 "),
+    ({"mobility": {"departure_margin": 1.0}}, r"mobility\.departure_margin = 1\.0 "),
+    ({"mobility": {"departure_margin": -0.05}}, r"mobility\.departure_margin = -0\.05 "),
+    ({"migration": {"i_mig_s": -1}}, r"migration\.i_mig_s = -1 "),
+    ({"migration": {"epsilon_frac": -1}}, r"migration\.epsilon_frac = -1 "),
 ], ids=["zero_tick", "negative_tick", "empty_level_1", "empty_level_2",
         "negative_devices", "zero_height", "negative_width", "unknown_interrupted_mode",
         "failure_p_above_1", "negative_failure_p", "no_levels", "skipped_level",
         "repeated_level", "no_level_1", "negative_attach_latency",
         "negative_container_startup", "negative_urmila_service_time", "negative_horizon",
         "zero_level_cpu", "negative_level_cpu_hi", "zero_level_cpu_lo", "zero_cloud_cpu",
-        "no_templates", "unknown_template"])
+        "no_templates", "unknown_template", "negative_w1", "negative_w2",
+        "negative_p_cpu", "negative_p_idle", "negative_p_tx", "negative_level_capacity",
+        "negative_coverage", "negative_cloud_capacity", "negative_ram", "ram_min_above_max", "ram_one_end",
+        "negative_dump_fraction", "speed_min_above_max", "negative_speed",
+        "negative_legs", "departure_margin_above_1", "departure_margin_1",
+        "negative_departure_margin", "negative_i_mig", "negative_epsilon"])
 def test_out_of_range_scenario_value_raises(overrides, match):
     with pytest.raises(ValueError, match=match):
         load_scenario(None, overrides)

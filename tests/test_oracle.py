@@ -1,6 +1,8 @@
 """Exact placement optimum: branch and bound versus exhaustive enumeration."""
+import builtins
 import copy
 import itertools
+import math
 import random
 
 import pytest
@@ -91,22 +93,32 @@ def random_dag(rng):
     return AppDag("r", "r", modules, flows, 0.01)
 
 
+def random_world(rng, make_dag, device_bps=None):
+    """(topology, dag, candidates, capacity or None) of one random small world:
+    random candidates, a random cluster link, capacity half the time. With
+    `device_bps`, the device's uplink and downlink run at that bandwidth."""
+    topo = make_small_topology(with_device=True)
+    if device_bps is not None:
+        topo.links.bw_up[0] = topo.links.bw_down[0] = device_bps
+    if rng.random() < 0.5:
+        topo.link_cluster(S(1, 1), S(1, 2))
+    dag = make_dag(rng)
+    candidates = rng.sample([S(1, 1), S(1, 2), S(1, 3), S(2, 1), S(3, 1)],
+                            rng.randint(2, 4))
+    free = None
+    if rng.random() < 0.5:
+        free = {sid: rng.randint(1, 2) for sid in candidates}
+        if sum(free.values()) < len(dag.unpinned()):
+            free[candidates[0]] += len(dag.unpinned())
+    return topo, dag, candidates, free
+
+
 def random_searches(seed, make_dag, trials=30):
     """(topology, dag, branch and bound, exhaustive) for `trials` random small
-    worlds: random candidates, a random cluster link, capacity half the time."""
+    worlds from `random_world`."""
     rng = random.Random(seed)
-    pool = [S(1, 1), S(1, 2), S(1, 3), S(2, 1), S(3, 1)]
     for trial in range(trials):
-        topo = make_small_topology(with_device=True)
-        if rng.random() < 0.5:
-            topo.link_cluster(S(1, 1), S(1, 2))
-        dag = make_dag(rng)
-        candidates = rng.sample(pool, rng.randint(2, 4))
-        free = None
-        if rng.random() < 0.5:
-            free = {sid: rng.randint(1, 2) for sid in candidates}
-            if sum(free.values()) < len(dag.unpinned()):
-                free[candidates[0]] += len(dag.unpinned())
+        topo, dag, candidates, free = random_world(rng, make_dag)
         base = pinned_base(dag)
         bb = oracle.optimal_placement(topo, dag, WEIGHTS, PROFILE, candidates,
                                       capacity_free=free, base_placement=base)
@@ -123,18 +135,18 @@ def test_branch_and_bound_matches_exhaustive_enumeration():
         assert bb.placement == ex.placement
 
 
-def random_dag_with_sink(rng):
+def random_dag_with_sink(rng, sink_mi=(1.0, 10.0)):
     """A pinned source and sink around 3-4 searched modules. m2 and m3 both
     follow m1, so their schedule slot holds two searched modules; the sink
     follows either the last modules or m1, then sharing m2's slot. m2 works
     less than m3, and searched modules' execution outweighs transfers and the
-    sink's light work on the device, so the execution-only bound prunes."""
+    sink's light work (`sink_mi`) on the device, so the bound prunes."""
     n = rng.randint(3, 4)
     modules = [Module("s", pinned_to_device=True)] + \
         [Module(f"m{i}") for i in range(1, n + 1)] + [Module("a", pinned_to_device=True)]
 
     def flow(src, dst):
-        work = {"a": (1.0, 10.0), "m2": (1e3, 1e4)}.get(dst, (1e4, 1e5))
+        work = {"a": sink_mi, "m2": (1e3, 1e4)}.get(dst, (1e4, 1e5))
         return DataFlow(src, dst, rng.uniform(*work), rng.uniform(1e3, 1e5))
 
     flows = [flow("s", "m1"), flow("m1", "m2"), flow("m1", "m3")]
@@ -143,6 +155,12 @@ def random_dag_with_sink(rng):
     leaves = [f"m{i}" for i in range(2, n + 1) if all(f.src != f"m{i}" for f in flows)]
     flows += [flow(src, "a") for src in (leaves if rng.random() < 0.5 else ["m1"])]
     return AppDag("r", "r", modules, flows, 0.01)
+
+
+def random_dag_with_heavy_sink(rng):
+    """`random_dag_with_sink` whose pinned sink runs 1e3-1e5 MI on the device,
+    a cost no searched module's placement changes."""
+    return random_dag_with_sink(rng, sink_mi=(1e3, 1e5))
 
 
 # Summed nodes_explored of the 30 searches below. It pins how hard the bound
@@ -161,6 +179,54 @@ def test_branch_and_bound_matches_exhaustive_with_pinned_sink_and_shared_slot():
         assert bb.placement == ex.placement
         nodes += bb.nodes_explored
     assert nodes == SHARED_SLOT_NODES
+
+
+# Summed nodes_explored of the 30 searches below, against 2833 exhaustive
+# combinations. A bound that leaves out the pinned sink or the device hop
+# explores more: 2619 with execution-only floors.
+HEAVY_SINK_NODES = 835
+
+
+def test_branch_and_bound_matches_exhaustive_with_heavy_pinned_sink():
+    nodes = 0
+    combos = 0
+    for _, _, bb, ex in random_searches(2026, random_dag_with_heavy_sink):
+        assert bb.complete
+        assert float.hex(bb.cost) == float.hex(ex.cost)
+        assert bb.placement == ex.placement
+        nodes += bb.nodes_explored
+        combos += ex.nodes_explored
+    assert (nodes, combos) == (HEAVY_SINK_NODES, 2833)
+
+
+@pytest.mark.parametrize("device_bps", [None, 1e5], ids=["default_links", "slow_device_link"])
+@pytest.mark.parametrize("seed, make_dag", [
+    (2024, random_dag), (2025, random_dag_with_sink), (2026, random_dag_with_heavy_sink),
+], ids=["chain", "sink", "heavy_sink"])
+def test_module_floor_is_a_lower_bound_on_module_cost(seed, make_dag, device_bps):
+    """Every module's floor on every server it can take is at most its
+    weighted `module_cost` under every assignment of its predecessors; with
+    one incoming flow, from a pinned module, the two are equal."""
+    rng = random.Random(seed)
+    tight = 0
+    for _ in range(30):
+        topo, dag, candidates, _ = random_world(rng, make_dag, device_bps)
+        fixed = pinned_base(dag)
+        for mid, preds in dag.preds.items():
+            srcs = [flow.src for flow in preds]
+            choices = [[fixed[src]] if src in fixed else candidates for src in srcs]
+            for sid in [fixed[mid]] if mid in fixed else candidates:
+                floor = oracle._module_floor(topo, dag, WEIGHTS, PROFILE, candidates,
+                                             fixed, mid, sid)
+                for servers in itertools.product(*choices):
+                    placement = {**fixed, **dict(zip(srcs, servers)), mid: sid}
+                    t, e = cost_model.module_cost(topo, dag, placement, PROFILE, mid)
+                    cost = WEIGHTS.w1 * t + WEIGHTS.w2 * e
+                    assert floor <= cost + oracle._TIE_EPS
+                    if len(srcs) == 1 and srcs[0] in fixed:
+                        assert floor == pytest.approx(cost, rel=1e-12)
+                        tight += 1
+    assert tight > 0
 
 
 def test_capacity_limits_are_respected():
@@ -206,29 +272,8 @@ def test_pinned_module_without_preset_server_rejected():
 
 
 # Summed nodes_explored of the desk_optimality oracle pass over seeds 1-5;
-# a bound that prunes differently moves it.
-DESK_NODES_SEEDS_1_TO_5 = 235352
-
-
-def test_oracle_cost_is_app_cost_bit_for_bit_on_desk_optimality():
-    config = scenario.load_scenario(cli.resolve_scenario("desk_optimality"), {})
-    nodes = 0
-    for seed in range(1, 6):
-        # The oracle pass of experiments.optimality_study, device by device.
-        sim = Simulation(dict(copy.deepcopy(config), seed=seed, policy="proposed"))
-        candidates = sim.topology.fog_servers()
-        free = {sid: sim.topology.node(sid).container_capacity for sid in candidates}
-        for dev in sim.devices:
-            res = oracle.optimal_placement(
-                sim.topology, dev.dag, sim.weights, sim.profile, candidates,
-                capacity_free=free, base_placement=dev.placement)
-            assert res.complete
-            assert res.cost == cost_model.app_cost(sim.topology, dev.dag, res.placement,
-                                                   sim.weights, sim.profile)
-            nodes += res.nodes_explored
-            for mid in dev.dag.unpinned():
-                free[res.placement[mid]] -= 1
-    assert nodes == DESK_NODES_SEEDS_1_TO_5
+# a bound that prunes differently moves it (235352 with execution-only floors).
+DESK_NODES_SEEDS_1_TO_5 = 85281
 
 
 def _desk_world(seed):
@@ -237,6 +282,70 @@ def _desk_world(seed):
     candidates = sim.topology.fog_servers()
     free = {sid: sim.topology.node(sid).container_capacity for sid in candidates}
     return sim, candidates, free
+
+
+def _desk_pass(sim, candidates, free):
+    """The oracle pass of experiments.optimality_study, device by device."""
+    free = dict(free)
+    results = []
+    for dev in sim.devices:
+        res = oracle.optimal_placement(
+            sim.topology, dev.dag, sim.weights, sim.profile, candidates,
+            capacity_free=free, base_placement=dev.placement)
+        results.append(res)
+        for mid in dev.dag.unpinned():
+            free[res.placement[mid]] -= 1
+    return results
+
+
+def test_oracle_cost_is_app_cost_bit_for_bit_on_desk_optimality():
+    nodes = 0
+    for seed in range(1, 6):
+        sim, candidates, free = _desk_world(seed)
+        for dev, res in zip(sim.devices, _desk_pass(sim, candidates, free)):
+            assert res.complete
+            assert res.cost == cost_model.app_cost(sim.topology, dev.dag, res.placement,
+                                                   sim.weights, sim.profile)
+            nodes += res.nodes_explored
+    assert nodes == DESK_NODES_SEEDS_1_TO_5
+
+
+def compensated_sum(iterable, start=0):
+    """`sum` as CPython 3.12 adds numbers: once the running total is a float,
+    each int or float item is added with Neumaier compensation, and the
+    compensation joins the total when an item of another type arrives or at
+    the end, if it is finite."""
+    total, comp = start, 0.0
+    for x in iterable:
+        if type(total) is float and type(x) in (int, float):
+            x = float(x)
+            t = total + x
+            comp += (total - t) + x if abs(total) >= abs(x) else (x - t) + total
+            total = t
+            continue
+        if comp and math.isfinite(comp):
+            total += comp
+        comp = 0.0
+        total = total + x
+    return total + comp if comp and math.isfinite(comp) else total
+
+
+def test_oracle_does_not_depend_on_how_sum_adds_floats(monkeypatch):
+    """The desk_optimality oracle pass gives the same costs, placements and
+    node count when `sum` compensates float rounding, as from CPython 3.12."""
+    assert compensated_sum([0.1] * 10) != sum([0.1] * 10)
+    worlds = [_desk_world(seed) for seed in range(1, 6)]
+    plain = [_desk_pass(*world) for world in worlds]
+    monkeypatch.setattr(builtins, "sum", compensated_sum)
+    compensated = [_desk_pass(*world) for world in worlds]
+    monkeypatch.undo()
+    nodes = 0
+    for want, got in zip(plain, compensated):
+        assert [float.hex(r.cost) for r in got] == [float.hex(r.cost) for r in want]
+        assert [r.placement for r in got] == [r.placement for r in want]
+        assert [r.nodes_explored for r in got] == [r.nodes_explored for r in want]
+        nodes += sum(r.nodes_explored for r in got)
+    assert nodes == DESK_NODES_SEEDS_1_TO_5
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3])
@@ -286,10 +395,12 @@ def test_sequential_placement_rejects_a_topology_change_between_devices(mutate):
 
 
 # Seed-1 desk_optimality device 1 against untouched capacity: the full search
-# explores 1080 nodes, and a budget k below that stops at node k + 1 with
+# explores 735 nodes, and a budget k below that stops at node k + 1 with
 # these incumbent costs (float.hex).
+FULL_SEARCH_NODES = 735
 BUDGET_INCUMBENTS = {0: "inf", 1: "inf", 13: "0x1.37039535dcb0cp-2",
-                     100: "0x1.37039535dcb0cp-2", 1079: "0x1.6c7d0929fbaecp-6"}
+                     100: "0x1.37039535dcb0cp-2", 367: "0x1.79e4626aae49cp-5",
+                     734: "0x1.6c7d0929fbaecp-6"}
 
 
 def test_node_budget_returns_the_incumbent_below_full_and_the_optimum_from_full():
@@ -302,11 +413,11 @@ def test_node_budget_returns_the_incumbent_below_full_and_the_optimum_from_full(
                                         base_placement=dev.placement, node_budget=budget)
 
     full = search(oracle.DEFAULT_NODE_BUDGET)
-    assert (full.complete, full.nodes_explored) == (True, 1080)
+    assert (full.complete, full.nodes_explored) == (True, FULL_SEARCH_NODES)
     for budget, cost in BUDGET_INCUMBENTS.items():
         got = search(budget)
         assert (got.complete, got.nodes_explored) == (False, budget + 1)
         assert float.hex(got.cost) == cost
         assert (got.placement is None) == (cost == "inf")
-    for budget in (1080, 1081):
+    for budget in (FULL_SEARCH_NODES, FULL_SEARCH_NODES + 1):
         assert search(budget) == full
