@@ -18,10 +18,13 @@ absorbs that.
 Walking one depth's candidates changes only the current schedule's term, so
 each candidate's bound is `sum(tail, head + term)` over a head and tail fixed
 per depth: the same double as summing every schedule, as CPython 3.11 adds
-floats left to right. A module's memo row holds every candidate in candidate
-order, filled when its predecessors' servers first occur; the search walks it
-as is. Tests check the search against an exhaustive reference kept in
-`tests/`.
+floats left to right. A module's memo row holds every candidate once, in
+ascending weighted cost with equal costs in server-id order, filled and sorted
+when its predecessors' servers first occur. Float addition is monotone, so the
+bound never falls along a row, and the incumbent does not change while
+siblings are pruned: the walk stops at the first pruned candidate, since every
+later one would be pruned too. A full server only skips its own entry. Tests
+check the search against an exhaustive reference kept in `tests/`.
 
 `sequential_placement` places many applications one after another against
 the capacity the earlier ones left, and every search of that pass shares one
@@ -31,6 +34,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
+from operator import itemgetter
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from . import cost_model
@@ -54,11 +58,12 @@ class _ModuleCosts:
     """Module-cost memo for searches on one unchanged topology, profile and weights.
 
     `rows` maps (flows id, predecessor servers) to a searched module's row:
-    (server, time, energy, w1 * time + w2 * energy) per candidate, in the
-    candidate order, which depends only on the flows while the candidates
-    stay fixed. A pinned module's key ends in its own server and its row has
-    that one entry. `flow_ids` interns each module's incoming flows to a
-    small int, so a search hashes them once per module, not once per node.
+    (server, time, energy, w1 * time + w2 * energy) per candidate, in
+    ascending weighted cost and, among equal costs, in server-id order; a row
+    depends only on its key while the candidates stay fixed. A pinned
+    module's key ends in its own server and its row has that one entry.
+    `flow_ids` interns each module's incoming flows to a small int, so a
+    search hashes them once per module, not once per node.
     """
 
     def __init__(self):
@@ -128,15 +133,6 @@ def optimal_placement(topology: Topology, dag: AppDag, weights: CostWeights,
     fixed = {m.id: assign[m.id] for m in dag.modules if m.id not in depth_of}
     floor_of = partial(_module_floor, topology, dag, weights, profile, candidates, fixed)
 
-    # Per searched module its candidates, cheapest execution first.
-    per_module_cands = {}
-    for mid in order:
-        scored = sorted(
-            ((cost_model.exec_cost(topology, dag, weights, profile, mid, sid), sid)
-             for sid in candidates),
-            key=lambda it: (it[0], it[1]))
-        per_module_cands[mid] = [sid for _, sid in scored]
-
     n = len(order)
     # Schedule slot of each depth, and per depth the largest floor still to
     # come in each slot (0.0 where none is left): a searched module's is its
@@ -182,6 +178,9 @@ def optimal_placement(topology: Topology, dag: AppDag, weights: CostWeights,
                 trial[mid] = sid
                 t, e = cost_model.module_cost(topology, dag, trial, profile, mid)
                 row.append((sid, t, e, w1 * t + w2 * e))
+            # `sids` come in server-id order and the sort is stable, so
+            # equal costs keep that order.
+            row.sort(key=itemgetter(3))
         return row
 
     best_cost = float("inf")
@@ -226,7 +225,7 @@ def optimal_placement(topology: Topology, dag: AppDag, weights: CostWeights,
                 best_assign = key
             return
         mid = order[depth]
-        row = memo_row(mid, per_module_cands[mid])
+        row = memo_row(mid, candidates)
         pos = slot[depth]
         saved = placed_cost[pos]
         suffix = suffix_floor[depth + 1]
@@ -234,7 +233,9 @@ def optimal_placement(topology: Topology, dag: AppDag, weights: CostWeights,
         # and tail, in slot order. A candidate that keeps the term at `floor`
         # gets the bound this node's parent already passed, and every leaf
         # found since lies under that parent and costs at least it, so only
-        # a candidate that raises the term can be pruned.
+        # a candidate that raises the term can be pruned. The row is cheapest
+        # first, so the first candidate pruned ends the walk; a full server
+        # only skips its own entry.
         head = sum(map(max, placed_cost[:pos], suffix[:pos]))
         tail = list(map(max, placed_cost[pos + 1:], suffix[pos + 1:]))
         floor = max(saved, suffix[pos])
@@ -246,7 +247,7 @@ def optimal_placement(topology: Topology, dag: AppDag, weights: CostWeights,
                 complete = False
                 return
             if w > floor and sum(tail, head + w) > best_cost + _TIE_EPS:
-                continue
+                break
             assign[mid] = sid
             time_at[depth] = t
             energy_at[depth] = e

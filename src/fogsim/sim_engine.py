@@ -11,6 +11,8 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass, field
+from functools import reduce
+from operator import add
 from typing import Callable, Dict, List, Optional, Tuple
 
 from . import baselines, cost_model, migration, placement
@@ -26,6 +28,12 @@ POLICIES = ("proposed", "maas", "urmila")
 # of its one tick: positions and crossings carry float error, and a very slow
 # leg's tick is too short to cover it.
 _SLACK_M = 1e-6
+
+
+def _left_sum(values) -> float:
+    """`values` added left to right, as `sum` adds floats up to CPython 3.11;
+    from 3.12 `sum` compensates rounding, which moves the metrics' last digit."""
+    return reduce(add, values, 0)
 
 
 class Kernel:
@@ -700,8 +708,8 @@ class Simulation:
                 row["template"] = dev.dag.template
                 row["pdt_s"] = dev.pdt_s
                 row["migrations"] = sum(m for ts, m, _, _ in dev.mig_events if ts <= h)
-                row["cmt_s"] = sum(c for ts, _, c, _ in dev.mig_events if ts <= h)
-                row["cmec_j"] = sum(c for ts, _, _, c in dev.mig_events if ts <= h)
+                row["cmt_s"] = _left_sum(c for ts, _, c, _ in dev.mig_events if ts <= h)
+                row["cmec_j"] = _left_sum(c for ts, _, _, c in dev.mig_events if ts <= h)
                 snap.append(row)
             snapshots[h] = snap
 
@@ -718,17 +726,17 @@ class Simulation:
             for template in templates:
                 sub = [r for r in snapshots[h] if r["template"] == template]
                 served = sum(r["emitted"] - r["dropped"] for r in sub)
-                resp = sum(r["resp_sum"] for r in sub)
-                energy = sum(r["energy_sum"] for r in sub)
+                resp = _left_sum(r["resp_sum"] for r in sub)
+                energy = _left_sum(r["energy_sum"] for r in sub)
                 artt = resp / served if served else 0.0
                 aect = energy / served if served else 0.0
                 pdts = [r["pdt_s"] for r in sub if r["pdt_s"] is not None]
-                cmt = sum(r["cmt_s"] for r in sub)
-                cmec = sum(r["cmec_j"] for r in sub)
+                cmt = _left_sum(r["cmt_s"] for r in sub)
+                cmec = _left_sum(r["cmec_j"] for r in sub)
                 rows.append({
                     "technique": self.policy, "app": template, "horizon_s": h,
                     "seed": self.config["seed"],
-                    "pdt_s": sum(pdts) / len(pdts) if pdts else 0.0,
+                    "pdt_s": _left_sum(pdts) / len(pdts) if pdts else 0.0,
                     "artt_s": artt, "aect_j": aect,
                     "awct": self.weights.w1 * artt + self.weights.w2 * aect,
                     "migrations": sum(r["migrations"] for r in sub),
@@ -743,7 +751,7 @@ class Simulation:
                 })
         pdts = [d.pdt_s for d in self.devices if d.pdt_s is not None]
         return SimResult(rows=rows, events=self.events,
-                         pdt_mean_s=sum(pdts) / len(pdts) if pdts else 0.0)
+                         pdt_mean_s=_left_sum(pdts) / len(pdts) if pdts else 0.0)
 
 
 def run_simulation(config: dict, horizons: Optional[List[float]] = None) -> SimResult:

@@ -1,9 +1,12 @@
-"""Shared fixtures: a small reference hierarchy and link tables.
+"""Shared fixtures: a small reference hierarchy and link tables, and `sum`
+as CPython 3.12 adds floats.
 
 The reference layout is one cloud, one level-3 server, three level-2 servers,
 and six level-1 servers (11 nodes), with (2,1) parenting (1,1)-(1,3),
 (2,2) childless, and (2,3) parenting (1,4)-(1,6).
 """
+import math
+
 import pytest
 
 from fogsim.topology import LinkParams, ServerId, ServerNode, Topology
@@ -65,3 +68,23 @@ def topo():
 @pytest.fixture
 def topo_dev():
     return make_small_topology(with_device=True)
+
+
+def compensated_sum(iterable, start=0):
+    """`sum` as CPython 3.12 adds numbers: once the running total is a float,
+    each int or float item is added with Neumaier compensation, and the
+    compensation joins the total when an item of another type arrives or at
+    the end, if it is finite."""
+    total, comp = start, 0.0
+    for x in iterable:
+        if type(total) is float and type(x) in (int, float):
+            x = float(x)
+            t = total + x
+            comp += (total - t) + x if abs(total) >= abs(x) else (x - t) + total
+            total = t
+            continue
+        if comp and math.isfinite(comp):
+            total += comp
+        comp = 0.0
+        total = total + x
+    return total + comp if comp and math.isfinite(comp) else total

@@ -5,11 +5,14 @@ Pins the sha256 of `metrics.csv` + `events.log`, written through
 oracle-study seed. Performance changes must leave these bytes untouched;
 a change that moves them on purpose re-records the hashes and says why.
 """
+import builtins
 import hashlib
 
 import pytest
 
 from fogsim import cli, experiments, scenario, sim_engine
+
+from conftest import compensated_sum
 
 GOLDEN_SIM = {
     # (policy, migration_failure_p): sha256 of metrics.csv + events.log
@@ -51,26 +54,45 @@ def _digest(out_dir) -> str:
     return digest.hexdigest()
 
 
-@pytest.mark.parametrize("policy,failure_p", sorted(GOLDEN_SIM))
-def test_simulation_output_matches_golden(tmp_path, policy, failure_p):
-    config = scenario.load_scenario(cli.resolve_scenario("urban_80dev"), {
+def _cell_digest(out_dir, overrides, horizons) -> str:
+    """The golden digest of one `urban_80dev` run under `overrides`."""
+    config = scenario.load_scenario(cli.resolve_scenario("urban_80dev"), overrides)
+    result = sim_engine.run_simulation(config, horizons=horizons)
+    cli.write_outputs(result.rows, result.events, str(out_dir))
+    return _digest(out_dir)
+
+
+def _sim_cell(out_dir, policy, failure_p) -> str:
+    return _cell_digest(out_dir, {
         "policy": policy, "seed": 3, "horizon_s": 60.0,
         "devices": {"count": 24},
-        "failure": {"migration_failure_p": failure_p}})
-    result = sim_engine.run_simulation(config, horizons=[30.0, 60.0])
-    cli.write_outputs(result.rows, result.events, str(tmp_path))
-    assert _digest(tmp_path) == GOLDEN_SIM[(policy, failure_p)]
+        "failure": {"migration_failure_p": failure_p}}, [30.0, 60.0])
+
+
+def _fast_mobility_cell(out_dir, policy) -> str:
+    return _cell_digest(out_dir, {
+        "policy": policy, "seed": 3, "horizon_s": 120.0, "devices": {"count": 40},
+        "mobility": {"speed_min_mps": 0.5, "speed_max_mps": 15.0,
+                     "departure_margin": 0.2}}, [60.0, 120.0])
+
+
+@pytest.mark.parametrize("policy,failure_p", sorted(GOLDEN_SIM))
+def test_simulation_output_matches_golden(tmp_path, policy, failure_p):
+    assert _sim_cell(tmp_path, policy, failure_p) == GOLDEN_SIM[(policy, failure_p)]
 
 
 @pytest.mark.parametrize("policy", sorted(GOLDEN_FAST_MOBILITY))
 def test_fast_mobility_output_matches_golden(tmp_path, policy):
-    config = scenario.load_scenario(cli.resolve_scenario("urban_80dev"), {
-        "policy": policy, "seed": 3, "horizon_s": 120.0, "devices": {"count": 40},
-        "mobility": {"speed_min_mps": 0.5, "speed_max_mps": 15.0,
-                     "departure_margin": 0.2}})
-    result = sim_engine.run_simulation(config, horizons=[60.0, 120.0])
-    cli.write_outputs(result.rows, result.events, str(tmp_path))
-    assert _digest(tmp_path) == GOLDEN_FAST_MOBILITY[policy]
+    assert _fast_mobility_cell(tmp_path, policy) == GOLDEN_FAST_MOBILITY[policy]
+
+
+def test_golden_cells_do_not_depend_on_how_sum_adds_floats(tmp_path, monkeypatch):
+    """Two golden cells give their digests when `sum` compensates float
+    rounding, as from CPython 3.12."""
+    monkeypatch.setattr(builtins, "sum", compensated_sum)
+    assert sum([0.1] * 10) == 1.0
+    assert _sim_cell(tmp_path / "sim", "proposed", 0.5) == GOLDEN_SIM[("proposed", 0.5)]
+    assert _fast_mobility_cell(tmp_path / "fast", "maas") == GOLDEN_FAST_MOBILITY["maas"]
 
 
 def test_oracle_study_output_matches_golden(tmp_path):

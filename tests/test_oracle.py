@@ -1,8 +1,8 @@
 """Exact placement optimum: branch and bound versus exhaustive enumeration."""
 import builtins
 import copy
+import hashlib
 import itertools
-import math
 import random
 
 import pytest
@@ -12,7 +12,7 @@ from fogsim.app_model import AppDag, DataFlow, Module, rank_modules, rank_order
 from fogsim.cost_model import CostWeights, DeviceEnergyProfile
 from fogsim.sim_engine import Simulation
 
-from conftest import S, make_small_topology
+from conftest import S, compensated_sum, make_small_topology
 
 WEIGHTS = CostWeights()
 PROFILE = DeviceEnergyProfile()
@@ -166,7 +166,7 @@ def random_dag_with_heavy_sink(rng):
 # Summed nodes_explored of the 30 searches below. It pins how hard the bound
 # prunes on these worlds: summing a shared slot's costs instead of taking
 # their max moves it.
-SHARED_SLOT_NODES = 472
+SHARED_SLOT_NODES = 380
 
 
 def test_branch_and_bound_matches_exhaustive_with_pinned_sink_and_shared_slot():
@@ -183,8 +183,8 @@ def test_branch_and_bound_matches_exhaustive_with_pinned_sink_and_shared_slot():
 
 # Summed nodes_explored of the 30 searches below, against 2833 exhaustive
 # combinations. A bound that leaves out the pinned sink or the device hop
-# explores more: 2619 with execution-only floors.
-HEAVY_SINK_NODES = 835
+# explores more, and so does a walk in execution-cost order (835).
+HEAVY_SINK_NODES = 666
 
 
 def test_branch_and_bound_matches_exhaustive_with_heavy_pinned_sink():
@@ -272,8 +272,9 @@ def test_pinned_module_without_preset_server_rejected():
 
 
 # Summed nodes_explored of the desk_optimality oracle pass over seeds 1-5;
-# a bound that prunes differently moves it (235352 with execution-only floors).
-DESK_NODES_SEEDS_1_TO_5 = 85281
+# a bound or a candidate order that prunes differently moves it (85281 when
+# rows are walked in execution-cost order).
+DESK_NODES_SEEDS_1_TO_5 = 4540
 
 
 def _desk_world(seed):
@@ -284,14 +285,15 @@ def _desk_world(seed):
     return sim, candidates, free
 
 
-def _desk_pass(sim, candidates, free):
-    """The oracle pass of experiments.optimality_study, device by device."""
+def _desk_pass(sim, candidates, free, memo=None):
+    """The oracle pass of experiments.optimality_study, device by device;
+    with `memo`, every search shares that module-cost memo."""
     free = dict(free)
     results = []
     for dev in sim.devices:
         res = oracle.optimal_placement(
             sim.topology, dev.dag, sim.weights, sim.profile, candidates,
-            capacity_free=free, base_placement=dev.placement)
+            capacity_free=free, base_placement=dev.placement, memo=memo)
         results.append(res)
         for mid in dev.dag.unpinned():
             free[res.placement[mid]] -= 1
@@ -310,24 +312,42 @@ def test_oracle_cost_is_app_cost_bit_for_bit_on_desk_optimality():
     assert nodes == DESK_NODES_SEEDS_1_TO_5
 
 
-def compensated_sum(iterable, start=0):
-    """`sum` as CPython 3.12 adds numbers: once the running total is a float,
-    each int or float item is added with Neumaier compensation, and the
-    compensation joins the total when an item of another type arrives or at
-    the end, if it is finite."""
-    total, comp = start, 0.0
-    for x in iterable:
-        if type(total) is float and type(x) in (int, float):
-            x = float(x)
-            t = total + x
-            comp += (total - t) + x if abs(total) >= abs(x) else (x - t) + total
-            total = t
+# sha256 over one line per device of the desk_optimality oracle pass, seeds
+# 1-5: float.hex(cost), complete, and the placement sorted by module. It pins
+# which optimum the tie rule picks, which a change of search order must keep.
+DESK_PLACEMENT_DIGEST = "dc7571a06d9dc521c5c367cf60e5e9d80a6b82ebb0511ddbeab0d4ff0c49e3e9"
+
+
+def test_desk_optimality_oracle_placements_match_their_digest():
+    digest = hashlib.sha256()
+    for seed in range(1, 6):
+        for res in _desk_pass(*_desk_world(seed)):
+            line = " ".join([float.hex(res.cost), str(res.complete)] +
+                            [f"{mid}@{sid.level}.{sid.index}"
+                             for mid, sid in sorted(res.placement.items())])
+            digest.update(line.encode() + b"\n")
+    assert digest.hexdigest() == DESK_PLACEMENT_DIGEST
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_memo_rows_hold_every_candidate_once_cheapest_first(seed):
+    """Every row a search reads holds each candidate once, in ascending
+    weighted cost, equal costs in server-id order, so the search may stop a
+    row at its first pruned candidate. A pinned module's row is its one
+    server off the candidates."""
+    sim, candidates, free = _desk_world(seed)
+    memo = oracle._ModuleCosts()
+    _desk_pass(sim, candidates, free, memo)
+    searched = ties = 0
+    for row in memo.rows.values():
+        if len(row) == 1 and row[0][0] not in candidates:
             continue
-        if comp and math.isfinite(comp):
-            total += comp
-        comp = 0.0
-        total = total + x
-    return total + comp if comp and math.isfinite(comp) else total
+        assert [(w, sid) for sid, _, _, w in row] == \
+            sorted((w, sid) for sid, _, _, w in row)
+        assert sorted(sid for sid, *_ in row) == sorted(candidates)
+        searched += 1
+        ties += sum(a[3] == b[3] for a, b in zip(row, row[1:]))
+    assert searched > 0 and ties > 0
 
 
 def test_oracle_does_not_depend_on_how_sum_adds_floats(monkeypatch):
@@ -395,12 +415,12 @@ def test_sequential_placement_rejects_a_topology_change_between_devices(mutate):
 
 
 # Seed-1 desk_optimality device 1 against untouched capacity: the full search
-# explores 735 nodes, and a budget k below that stops at node k + 1 with
-# these incumbent costs (float.hex).
-FULL_SEARCH_NODES = 735
-BUDGET_INCUMBENTS = {0: "inf", 1: "inf", 13: "0x1.37039535dcb0cp-2",
-                     100: "0x1.37039535dcb0cp-2", 367: "0x1.79e4626aae49cp-5",
-                     734: "0x1.6c7d0929fbaecp-6"}
+# explores 12 nodes, and a budget k below that stops at node k + 1 with
+# these incumbent costs (float.hex). The first leaf, reached at node 4, is
+# already the optimum; the rest of the search proves it.
+FULL_SEARCH_NODES = 12
+BUDGET_INCUMBENTS = {0: "inf", 1: "inf", 2: "inf", 3: "0x1.2389effb95d92p-6",
+                     11: "0x1.2389effb95d92p-6"}
 
 
 def test_node_budget_returns_the_incumbent_below_full_and_the_optimum_from_full():
