@@ -10,7 +10,7 @@ from importlib import resources
 from typing import List, Optional
 
 from . import experiments, scenario
-from .sim_engine import POLICIES, run_simulation
+from .sim_engine import run_simulation
 
 CSV_COLUMNS = ["technique", "app", "horizon_s", "seed", "pdt_s", "artt_s",
                "aect_j", "awct", "migrations", "cmt_s", "cmec_j", "cmwc",
@@ -86,7 +86,7 @@ def cmd_sweep(args) -> int:
                                     {"failure": {"migration_failure_p": args.failure_p}})
     policies = args.policies.split(",")
     for p in policies:
-        if p not in POLICIES:
+        if p not in scenario.POLICIES:
             raise SystemExit(f"unknown policy {p!r}")
     seeds = [int(s) for s in args.seeds.split(",")]
     horizons = [float(h) for h in args.horizons.split(",")]
@@ -104,7 +104,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     run_p = sub.add_parser("run", help="run one scenario")
     run_p.add_argument("scenario")
-    run_p.add_argument("--policy", choices=POLICIES)
+    run_p.add_argument("--policy", choices=scenario.POLICIES)
     run_p.add_argument("--horizon", type=float)
     run_p.add_argument("--seed", type=int)
     run_p.add_argument("--devices", type=int)

@@ -43,7 +43,7 @@ class OptimalityResult:
 
     @property
     def gap(self) -> float:
-        return (self.dapt_cost - self.oracle_cost) / self.oracle_cost
+        return (self.dapt_cost - self.oracle_cost) / self.oracle_cost if self.oracle_cost else 0.0
 
 
 def optimality_study(config: dict, seeds: Sequence[int]) -> List[OptimalityResult]:

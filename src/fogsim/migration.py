@@ -147,14 +147,8 @@ def plan_rounds(topology: Topology, new_controller: ServerId, dag: AppDag,
                    if not dag.module_map[m].pinned_to_device and m not in skip]
         movable.sort(key=lambda m: (-dag.module_map[m].container_ram_mb, m))
         for mid in movable:
-            prev = placement[mid]
-            if central is not None:
-                decider = central
-            else:
-                decider = topology.ancestor_at_level(new_controller, prev.level)
-                if decider is None:
-                    decider = topology.cloud_id if prev.level > topology.max_fog_level \
-                        else new_controller
+            decider = central or topology.ancestor_at_level(new_controller,
+                                                            placement[mid].level)
             rnd.setdefault(decider, []).append(mid)
         if rnd:
             rounds.append(rnd)

@@ -55,24 +55,23 @@ class OracleResult:
 
 
 class _ModuleCosts:
-    """Module-cost memo for searches on one unchanged topology, profile and weights.
+    """Module-cost memo for searches on one topology, profile and weights.
 
-    `rows` maps (flows id, predecessor servers) to a searched module's row:
+    `rows` maps (row id, searched predecessors' servers) to a module's row:
     (server, time, energy, w1 * time + w2 * energy) per candidate, in
     ascending weighted cost and, among equal costs, in server-id order; a row
-    depends only on its key while the candidates stay fixed. A pinned
-    module's key ends in its own server and its row has that one entry.
-    `flow_ids` interns each module's incoming flows to a small int, so a
-    search hashes them once per module, not once per node.
+    depends only on its key while the candidates stay fixed. `row_ids`
+    interns what a search holds fixed to a small int, hashed once per module,
+    not once per node: the flows in, the pinned predecessors' servers and a
+    pinned module's own server, whose row has that one entry.
     """
 
     def __init__(self):
-        self.flow_ids: Dict[tuple, int] = {}
+        self.row_ids: Dict[tuple, int] = {}
         self.rows: Dict[tuple, List[tuple]] = {}
 
-    def flow_id(self, dag: AppDag, module_id: str) -> int:
-        flows = tuple(dag.preds[module_id])
-        return self.flow_ids.setdefault(flows, len(self.flow_ids))
+    def row_id(self, *fixed) -> int:
+        return self.row_ids.setdefault(fixed, len(self.row_ids))
 
 
 def _module_floor(topology: Topology, dag: AppDag, weights: CostWeights,
@@ -163,13 +162,24 @@ def optimal_placement(topology: Topology, dag: AppDag, weights: CostWeights,
         memo = _ModuleCosts()
     rows = memo.rows
     w1, w2 = weights.w1, weights.w2
-    row_key = {m.id: (memo.flow_id(dag, m.id), [flow.src for flow in dag.preds[m.id]])
-               for m in dag.modules}
 
-    def memo_row(mid: str, sids: Sequence[ServerId], *own: ServerId) -> List[tuple]:
-        """`mid`'s row under its predecessors' servers (and a pinned `own`)."""
-        fid, srcs = row_key[mid]
-        key = (fid, *[assign[src] for src in srcs], *own)
+    # A row keys a device as (its parent, 0), as routes do, so a handover
+    # stales no row; a pinned module's own row also keys on the device it runs on.
+    def held(sid: ServerId):
+        return (topology.node(sid).parent, 0) if sid.level == 0 else sid
+
+    row_key = {}
+    for m in dag.modules:
+        srcs = [flow.src for flow in dag.preds[m.id]]
+        own = fixed.get(m.id)
+        pins = [held(fixed[src]) if src in fixed else None for src in srcs]
+        row_key[m.id] = (memo.row_id(tuple(dag.preds[m.id]), own, own and held(own), *pins),
+                         [src for src in srcs if src not in fixed])
+
+    def memo_row(mid: str, sids: Sequence[ServerId]) -> List[tuple]:
+        """`mid`'s row under its searched predecessors' servers."""
+        rid, srcs = row_key[mid]
+        key = (rid, *[assign[src] for src in srcs])
         row = rows.get(key)
         if row is None:
             row = rows[key] = []
@@ -204,7 +214,7 @@ def optimal_placement(topology: Topology, dag: AppDag, weights: CostWeights,
                 e = max(e, energy_at[depth])
             for mid in others:
                 own = assign[mid]
-                _, mt, me, _ = memo_row(mid, (own,), own)[0]
+                _, mt, me, _ = memo_row(mid, (own,))[0]
                 t = max(t, mt)
                 e = max(e, me)
             total_t += t
@@ -280,19 +290,14 @@ def sequential_placement(topology: Topology,
                          candidates: Sequence[ServerId],
                          capacity_free: Dict[ServerId, int]) -> List[OracleResult]:
     """`optimal_placement` of each (dag, base placement) in turn,
-    each against the capacity that the placements before it left.
-
-    All searches share one module-cost memo, dropped when the pass ends. The
-    memo is valid only while the topology stays as it is, so a mutation
-    between two applications raises `RuntimeError`.
+    each against the capacity that the placements before it left; no
+    candidate is a device. All searches share one module-cost memo, dropped
+    when the pass ends; a device handover between two searches stales no row.
     """
     free = dict(capacity_free)
-    revision = topology.revision
     results = []
     memo = _ModuleCosts()
     for dag, base in apps:
-        if topology.revision != revision:
-            raise RuntimeError("topology changed during a sequential oracle pass")
         res = optimal_placement(topology, dag, weights, profile, candidates,
                                 capacity_free=free, base_placement=base, memo=memo)
         if res.placement is not None:

@@ -173,8 +173,8 @@ def handle_remote_placement(ledger: CapacityLedger, server: ServerId, dag: AppDa
     """Confirm forwarded modules at the target server.
 
     Returns (module, accepted, warm) per module. A module the server has no
-    free slot for is rejected and keeps no reservation; the caller runs
-    failure recovery for it.
+    free slot for is rejected and keeps no reservation; none is, as `_greedy`
+    counts each remote pick against its target's free slots.
     """
     results = []
     for module_id in modules:
@@ -191,6 +191,7 @@ def dapt_failure_recovery(topology: Topology, ledger: CapacityLedger,
     """Re-home modules whose target failed, in the given order, excluding that target.
 
     Falls back to escalation when the surviving ready servers are exhausted.
+    Unused since no confirmation is rejected; `perfbench/layer_trace.py` patches it.
     """
     candidates = [c for c in ready_servers(topology, controller) if c != failed]
     return _greedy(topology, ledger, controller, candidates, dag, placement,

@@ -19,6 +19,8 @@ from . import app_model
 from .cost_model import CostWeights, DeviceEnergyProfile, MigrationParams
 from .topology import LinkParams, ServerId, ServerNode, Topology
 
+POLICIES = ("proposed", "maas", "urmila")
+
 DEFAULTS: Dict = {
     "name": "scenario",
     "seed": 1,
@@ -152,10 +154,11 @@ def check_config(config: Dict) -> Dict:
     `migration.i_mig_s` or `migration.epsilon_frac`, a `weights` entry or
     `failure.migration_failure_p` outside [0, 1], a `mobility.departure_margin`
     outside [0, 1), a `devices.ram_mb`, `migration.dump_fraction`, mobility
-    speed or leg range that is not a [min, max] pair with 0 <= min <= max, an
-    `interrupted_mode` other than delay or drop, and `devices.templates` empty
-    or naming no `app_model.TEMPLATES` entry. A sweep checks each cell it edits
-    again. The oracle's lower bound holds only for weights and powers >= 0.
+    speed or leg range that is not a [min, max] pair with 0 <= min <= max, a
+    `policy` not in `POLICIES`, an `interrupted_mode` other than delay or
+    drop, and `devices.templates` empty or naming no `app_model.TEMPLATES`
+    entry. A sweep checks each cell it edits again. The oracle's lower bound
+    holds only for weights and powers >= 0.
     """
     mistyped = _mistyped(config, DEFAULTS, "")
     if mistyped:
@@ -202,6 +205,7 @@ def check_config(config: Dict) -> Dict:
             ("area.width_m", positive),
             ("area.height_m", positive),
             ("failure.migration_failure_p", unit),
+            ("policy", (lambda v: v in POLICIES, " or ".join(POLICIES))),
             ("interrupted_mode", (lambda v: v in ("delay", "drop"), "delay or drop")),
             ("devices.templates", (
                 lambda v: v and all(t in app_model.TEMPLATES for t in v),

@@ -19,11 +19,10 @@ from . import baselines, cost_model, migration, placement
 from .app_model import AppDag, rank_modules
 from .clustering import bootstrap_clusters
 from .cost_model import Placement
-from .placement import CapacityLedger
-from .scenario import build_world, stream
+from .placement import CapacityLedger, PlacementError
+from .scenario import POLICIES, build_world, stream
 from .topology import ServerId, Topology
 
-POLICIES = ("proposed", "maas", "urmila")
 # Metres a leg-aware departure check keeps clear of the quiet radius, on top
 # of its one tick: positions and crossings carry float error, and a very slow
 # leg's tick is too short to cover it.
@@ -322,8 +321,7 @@ class Simulation:
             offset += t
         return migration.remaining_instructions(
             dev.dag.incoming_mi(module_id), self.topology.node(frm).cpu_mips,
-            dev.dag.sensor_interval_s, offset, at,
-            dev.acc.t0 if dev.acc.t0 is not None else at)
+            dev.dag.sensor_interval_s, offset, at, dev.acc.t0)
 
     # -- placement ---------------------------------------------------------
 
@@ -363,20 +361,14 @@ class Simulation:
             + self.lat(decider, controller)
 
     def _place_cascade(self, dev: SimDevice, ranked: Optional[Dict[int, List[str]]],
-                       controller: ServerId, todo: List[str], t: float,
-                       failed: Optional[ServerId] = None) -> float:
+                       controller: ServerId, todo: List[str], t: float) -> float:
         """Decide `todo` at `controller` from time t; returns the last acknowledgement.
 
         Choices at the controller are reserved by the greedy loop already;
-        remote ones are confirmed at their target. A rejected module
-        re-enters the cascade at the controller with the target excluded, and
-        modules that fit nowhere escalate to the controller's parent.
+        remote ones are confirmed at their target, which has the slot the loop
+        counted for them. Modules that fit nowhere escalate to the parent.
         """
-        if failed is not None:
-            plan = placement.dapt_failure_recovery(self.topology, self.ledger, controller,
-                                                   failed, dev.dag, dev.placement, todo,
-                                                   self.weights, self.profile)
-        elif self.policy == "maas":
+        if self.policy == "maas":
             plan = baselines.maas_place(self.topology, self.ledger, controller, dev.dag,
                                         dev.placement, todo, self.weights, self.profile)
         elif self.policy == "urmila":
@@ -397,12 +389,7 @@ class Simulation:
                     self.ledger, server, dev.dag, [d.module for d in decs])
             for module_id, ok, warm in results:
                 if not ok:
-                    self.log("placement_recovery", device=dev.sid.index,
-                             module=module_id, failed=str(server))
-                    acks.append(self._place_cascade(
-                        dev, ranked, controller, [module_id],
-                        t_arr + self.lat(server, controller), failed=server))
-                    continue
+                    raise PlacementError(f"{server} rejected module {module_id}")
                 start = t_arr + (0.0 if warm else self.startup_s)
                 acks.append(start + self.lat(server, controller))
                 self.log("container_start", device=dev.sid.index, module=module_id,
@@ -519,8 +506,6 @@ class Simulation:
                 required, self.ledger, self.rng_unreach)
         else:
             dest = baselines.nearest_controller(cands)
-        if dest is None:
-            return
         dev.mmt_busy = True
         self.log("handover", device=dev.sid.index, frm=str(old), to=str(dest))
         if self.policy == "urmila":

@@ -74,9 +74,7 @@ class Topology:
     The node set and every fog server's parent are fixed at construction.
     The only structural mutations are cluster edges between fog servers
     (`link_cluster`, which calls `bump()`) and device handovers
-    (`set_parent`). `revision` advances on every mutation; a caller that
-    keeps costs across calls (the oracle's sequential pass) checks that it
-    has not moved. `bump()` also empties `route_cache` and `rank_cache`. A
+    (`set_parent`). `bump()` empties `route_cache` and `rank_cache`. A
     handover empties nothing: a device (a level-0 node) relays nothing and
     has no cluster edge, so `cost_model` caches its routes under its parent.
 
@@ -99,7 +97,6 @@ class Topology:
         if self.cloud_id not in self.nodes:
             raise TopologyError(f"missing cloud node {self.cloud_id}")
         links.validate(max_fog_level)
-        self.revision = 0
         # (src, dest) -> cost_model.Route (latency sum, bandwidths), a device
         # endpoint keyed as (its parent, 0); filled by cost_model, emptied by bump().
         self.route_cache: Dict[tuple, tuple] = {}
@@ -132,8 +129,7 @@ class Topology:
     # -- mutation ---------------------------------------------------------
 
     def bump(self):
-        """Record a fog mutation: advance `revision` and empty both caches."""
-        self.revision += 1
+        """Record a fog mutation: empty both caches."""
         self.route_cache.clear()
         self.rank_cache.clear()
 
@@ -147,7 +143,6 @@ class Topology:
         node.parent = parent
         if parent is not None:
             self.nodes[parent].children.add(child)
-        self.revision += 1  # no cache changes, but the oracle's memo keys hold device ids
 
     def link_cluster(self, a: ServerId, b: ServerId):
         if a.level != b.level or a.level == 0:

@@ -10,7 +10,8 @@ import pytest
 
 from fogsim import cli, cost_model, experiments, scenario
 from fogsim.cost_model import CostWeights, DeviceEnergyProfile
-from fogsim.sim_engine import POLICIES, Simulation, run_simulation
+from fogsim.scenario import POLICIES
+from fogsim.sim_engine import Simulation, run_simulation
 
 import test_rule_oracle as rule_oracle
 from conftest import S, make_small_topology

@@ -125,6 +125,7 @@ def _levels(*numbers):
     ({"area": {"height_m": 0}}, r"area\.height_m = 0 "),
     ({"area": {"width_m": -5.0}}, r"area\.width_m = -5\.0 "),
     ({"interrupted_mode": "dorp"}, r"interrupted_mode = 'dorp' "),
+    ({"policy": "bogus"}, r"policy = 'bogus' \(must be proposed or maas or urmila\)"),
     ({"failure": {"migration_failure_p": 1.5}}, r"failure\.migration_failure_p = 1\.5 "),
     ({"failure": {"migration_failure_p": -0.1}}, r"failure\.migration_failure_p = -0\.1 "),
     ({"levels": []}, r"levels\[\*\]\.level = \[\] "),
@@ -172,6 +173,7 @@ def _levels(*numbers):
     ({"migration": {"epsilon_frac": -1}}, r"migration\.epsilon_frac = -1 "),
 ], ids=["zero_tick", "negative_tick", "empty_level_1", "empty_level_2",
         "negative_devices", "zero_height", "negative_width", "unknown_interrupted_mode",
+        "unknown_policy",
         "failure_p_above_1", "negative_failure_p", "no_levels", "skipped_level",
         "repeated_level", "no_level_1", "negative_attach_latency",
         "negative_container_startup", "negative_urmila_service_time", "negative_horizon",
@@ -345,6 +347,24 @@ def test_optimality_flag_adds_oracle_gap_column(tmp_path):
     gaps = {r["oracle_gap"] for r in rows}
     assert len(gaps) == 1
     float(gaps.pop())  # parses as a number
+
+
+@pytest.mark.parametrize("edit, devices", [
+    ({}, "0"),
+    ({"weights": {"w1": 0.0, "w2": 0.0}}, "1"),
+], ids=["zero_devices", "zero_weights"])
+def test_optimality_gap_is_zero_when_the_optimum_costs_nothing(tmp_path, edit, devices):
+    # Both placements then cost 0, which used to divide by zero.
+    with open(cli.resolve_scenario("desk_optimality")) as fh:
+        config = yaml.safe_load(fh)
+    path = tmp_path / "desk.yaml"
+    path.write_text(yaml.safe_dump({**config, **edit}))
+    out = str(tmp_path / "opt")
+    assert cli.main(["run", str(path), "--devices", devices, "--horizon", "1",
+                     "--optimality", "--out", out]) == 0
+    with open(os.path.join(out, "metrics.csv")) as fh:
+        gaps = [float(row["oracle_gap"]) for row in csv.DictReader(fh)]
+    assert gaps == ([0.0] if edit else [])
 
 
 def test_run_matrix_device_sweep_tags_rows(tiny_scenario):

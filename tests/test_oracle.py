@@ -388,30 +388,54 @@ def test_sequential_placement_equals_one_search_per_device(seed):
             free[want.placement[mid]] -= 1
 
 
-def _hand_over(topology, device):
-    """Move `device` to the first level-1 server that is not its parent."""
-    parent = topology.node(device).parent
-    topology.set_parent(device, next(sid for sid in topology.fog_servers(level=1)
-                                     if sid != parent))
+def _hand_over(sim, devices):
+    """Move the first device to the first level-1 server that is not its parent."""
+    parent = sim.topology.node(devices[0].sid).parent
+    sim.topology.set_parent(devices[0].sid, next(
+        sid for sid in sim.topology.fog_servers(level=1) if sid != parent))
 
 
-@pytest.mark.parametrize("mutate", [
-    lambda topology, device: topology.bump(),
-    _hand_over,
-], ids=["bump", "set_parent"])
-def test_sequential_placement_rejects_a_topology_change_between_devices(mutate):
-    # A handover empties no cache, but the memo's keys hold device ids.
-    sim, candidates, free = _desk_world(1)
+def _share_parent_at_other_cpu(sim, devices):
+    """Put the second device under the first one's parent on a slower CPU."""
+    first, second = (sim.topology.node(dev.sid) for dev in devices)
+    sim.topology.set_parent(second.id, first.parent)
+    second.cpu_mips = first.cpu_mips / 2
+
+
+@pytest.mark.parametrize("change, searched", [
+    (lambda sim, devices: sim.topology.bump(), [0, 1, 0]),
+    (_hand_over, [0, 1, 0]),
+    (_share_parent_at_other_cpu, [0, 2]),
+], ids=["bump", "set_parent", "same_parent_other_cpu"])
+def test_sequential_placement_survives_a_topology_change_between_devices(change, searched):
+    """A change between two searches of one pass stales no memo row: each
+    result equals a fresh search of the device as it is then. Device 0 is
+    searched before and after its handover; devices 0 and 2 share the
+    ECGMH template, and a pinned module's row must tell their CPUs apart."""
+    sim, candidates, _ = _desk_world(1)
+    # Room for every module of every search, so the searches of the pass
+    # explore what lone searches do and meet each other's rows.
+    free = dict.fromkeys(candidates, 16)
+    devices = [sim.devices[i] for i in searched]
+    assert devices[0].dag.template == devices[-1].dag.template
+    wanted = []
 
     def apps():
-        for n, dev in enumerate(sim.devices):
+        for n, dev in enumerate(devices):
             if n == 1:
-                mutate(sim.topology, dev.sid)
+                change(sim, [devices[0], devices[-1]])
+            wanted.append(oracle.optimal_placement(
+                sim.topology, dev.dag, sim.weights, sim.profile, candidates,
+                capacity_free=free, base_placement=dev.placement))
             yield dev.dag, dev.placement
 
-    with pytest.raises(RuntimeError, match="topology changed"):
-        oracle.sequential_placement(sim.topology, apps(), sim.weights, sim.profile,
-                                    candidates, free)
+    got = oracle.sequential_placement(sim.topology, apps(), sim.weights, sim.profile,
+                                      candidates, free)
+    assert len(got) == len(devices)
+    for want, res in zip(wanted, got):
+        assert res.placement == want.placement
+        assert float.hex(res.cost) == float.hex(want.cost)
+        assert (res.complete, res.nodes_explored) == (want.complete, want.nodes_explored)
 
 
 # Seed-1 desk_optimality device 1 against untouched capacity: the full search

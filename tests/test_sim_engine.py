@@ -4,10 +4,14 @@ import random
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fogsim import cli, placement, scenario, sim_engine
-from fogsim.sim_engine import (POLICIES, Kernel, Simulation, TaskAccumulator,
-                               random_walk_step, run_simulation)
+from fogsim.placement import PlacementError
+from fogsim.scenario import POLICIES
+from fogsim.sim_engine import (Kernel, Simulation, TaskAccumulator, random_walk_step,
+                               run_simulation)
 from fogsim.topology import ServerId
 
 TINY = {
@@ -432,32 +436,42 @@ def test_every_device_gets_service_and_full_placement(policy):
         assert 0 <= used <= sim.topology.node(sid).container_capacity
 
 
-def test_rejected_remote_module_is_recovered_with_a_container(monkeypatch):
-    # The first module forwarded to a remote target is rejected there; the
-    # cascade must re-home it and hold a container wherever it lands.
+@settings(max_examples=100, deadline=None)
+@given(policy=st.sampled_from(POLICIES), seed=st.integers(1, 10_000),
+       devices=st.integers(1, 4),
+       levels=st.lists(st.tuples(st.integers(1, 3), st.integers(0, 2)),
+                       min_size=1, max_size=3))
+def test_every_remote_pick_finds_its_slot(policy, seed, devices, levels):
+    """The greedy loop counts each remote pick against its target's free
+    slots and nothing reserves before the confirmations, so placement never
+    meets a rejection, full fog included, and the ledger holds exactly the
+    modules placed on each server."""
+    config = scenario.load_scenario(overrides={
+        "policy": policy, "seed": seed, "devices": {"count": devices},
+        "levels": [{"level": level, "count": count, "cpu_mips": 3000.0,
+                    "capacity": capacity, "coverage_m": 300.0}
+                   for level, (count, capacity) in enumerate(levels, start=1)]})
+    sim = Simulation(config)
+    for dev in sim.devices:
+        sim.place(dev, 0.0)
+    assert sim.ledger.used == Counter(dev.placement[m] for dev in sim.devices
+                                      for m in dev.dag.unpinned())
+
+
+def test_rejected_remote_module_raises_placement_error(monkeypatch):
+    # A remote target that rejects a forwarded module breaks the invariant
+    # above; the cascade fails loudly instead of carrying on.
     real = placement.handle_remote_placement
-    rejected = []
 
     def reject_first(ledger, server, dag, modules):
-        results = real(ledger, server, dag, modules)
-        if rejected:
-            return results
-        module_id, ok, _ = results[0]
-        if ok:
-            ledger.release(server, dag.template, module_id)
-        rejected.append(module_id)
-        return [(module_id, False, False)] + results[1:]
+        (module_id, _, warm), *rest = real(ledger, server, dag, modules)
+        return [(module_id, False, warm), *rest]
 
     monkeypatch.setattr(placement, "handle_remote_placement", reject_first)
     config = scenario.load_scenario(cli.resolve_scenario("urban_80dev"), {
         "policy": "proposed", "seed": 3, "horizon_s": 5.0, "devices": {"count": 80}})
-    sim = Simulation(config)
-    result = sim.run()
-    assert sum(ev["kind"] == "placement_recovery" for ev in result.events) == 1
-    assigned = Counter((dev.placement[m], dev.dag.template, m)
-                       for dev in sim.devices for m in dev.dag.unpinned())
-    for key, count in assigned.items():
-        assert sim.ledger.active_types.get(key, 0) >= count, key
+    with pytest.raises(PlacementError, match=r"^\(\d+,\d+\) rejected module \w+$"):
+        Simulation(config).run()
 
 
 def test_no_failure_events_at_probability_zero():

@@ -84,11 +84,9 @@ def test_set_parent_enforces_adjacent_levels(topo):
 def test_rejected_set_parent_changes_nothing(child, parent):
     topo = make_small_topology(with_device=True)
     before = {sid: (node.parent, set(node.children)) for sid, node in topo.nodes.items()}
-    revision = topo.revision
     with pytest.raises(TopologyError):
         topo.set_parent(child, parent)
     assert {sid: (node.parent, node.children) for sid, node in topo.nodes.items()} == before
-    assert topo.revision == revision
 
 
 @pytest.mark.parametrize("table, level, value", [
@@ -202,16 +200,14 @@ def test_ancestor_test_equals_omega_membership(forest):
 
 
 def test_device_reparent_keeps_fog_revision():
-    # A device handover is not a fog mutation: it advances the revision and
-    # leaves every cached route, the device's own included, as it was.
+    # A device handover is not a fog mutation: it leaves every cached
+    # route, the device's own included, as it was.
     topo = make_small_topology(with_device=True)
     cost_model._cached_route(topo, S(1, 1), S(2, 2))
     cost_model._cached_route(topo, S(0, 5), S(2, 2))
     cost_model._cached_route(topo, S(2, 2), S(0, 5))
     cached = dict(topo.route_cache)
-    revision = topo.revision
     topo.set_parent(S(0, 5), S(1, 2))
-    assert topo.revision == revision + 1
     assert topo.route_cache.keys() == cached.keys()
     assert all(topo.route_cache[key] is rec for key, rec in cached.items())
 
@@ -235,10 +231,8 @@ def test_devices_under_one_parent_share_their_routes():
 
 def test_cluster_edge_between_devices_rejected():
     topo = _two_device_topology()
-    revision = topo.revision
     with pytest.raises(TopologyError, match="two fog servers"):
         topo.link_cluster(S(0, 1), S(0, 2))
-    assert topo.revision == revision
     assert not topo.node(S(0, 1)).cluster_members
 
 
@@ -247,12 +241,10 @@ def test_cluster_edge_between_devices_rejected():
     lambda t: t.bump(),
 ], ids=["link_cluster", "bump"])
 def test_fog_mutations_advance_fog_revision(mutate):
-    # Every fog mutation advances the revision and empties the route cache.
+    # Every fog mutation empties the route cache.
     topo = make_small_topology(with_device=True)
     topo.link_cluster(S(1, 4), S(1, 5))
     cost_model._cached_route(topo, S(1, 1), S(2, 2))
     cost_model._cached_route(topo, S(0, 5), S(1, 4))
-    revision = topo.revision
     mutate(topo)
-    assert topo.revision == revision + 1
     assert topo.route_cache == {}
