@@ -8,7 +8,7 @@ request.
 """
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Sequence
 
 from .app_model import AppDag, rank_order
 from .cost_model import CostWeights, DeviceEnergyProfile, Placement
@@ -16,9 +16,9 @@ from .placement import CapacityLedger, PlacementError, PlacementPlan, _greedy
 from .topology import ServerId, Topology
 
 
-def nearest_controller(sensed: Sequence[ServerId]) -> Optional[ServerId]:
+def nearest_controller(sensed: Sequence[ServerId]) -> ServerId:
     """Baselines pick the closest sensed fog server, no sojourn analysis."""
-    return sensed[0] if sensed else None
+    return sensed[0]
 
 
 def maas_place(topology: Topology, ledger: CapacityLedger, controller: ServerId,
@@ -36,8 +36,8 @@ def urmila_place(topology: Topology, ledger: CapacityLedger, central: ServerId,
                  profile: DeviceEnergyProfile) -> PlacementPlan:
     """Central greedy: cheapest capacity-holding server anywhere, per module in rank order.
 
-    Decisions off the central server are tentative until the target confirms
-    them, as in the distributed placement.
+    Every decision, the central server's own included, holds no slot until
+    its target confirms it, as in the distributed placement.
     """
     plan = _greedy(topology, ledger, central, topology.fog_servers(), dag, placement,
                    rank_order(ranked, todo), weights, profile)

@@ -65,14 +65,14 @@ def optimality_study(config: dict, seeds: Sequence[int]) -> List[OptimalityResul
             dapt_cost += cost_model.app_cost(sim.topology, dev.dag, dev.placement,
                                              sim.weights, sim.profile)
 
-        # Oracle pass on a fresh copy of the same world
-        fresh = Simulation(cfg)
-        candidates = fresh.topology.fog_servers()
-        free = {sid: fresh.topology.node(sid).container_capacity for sid in candidates}
+        # Oracle pass over the same world; it counts capacity in `free`, not the ledger
+        candidates = sim.topology.fog_servers()
+        free = {sid: sim.topology.node(sid).container_capacity for sid in candidates}
         searched = oracle.sequential_placement(
-            fresh.topology,
-            ((dev.dag, dev.placement) for dev in fresh.devices),
-            fresh.weights, fresh.profile, candidates, free)
+            sim.topology,
+            ((dev.dag, {m.id: dev.sid for m in dev.dag.modules if m.pinned_to_device})
+             for dev in sim.devices),
+            sim.weights, sim.profile, candidates, free)
         oracle_cost = 0.0
         for res in searched:
             oracle_cost += res.cost

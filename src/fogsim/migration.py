@@ -72,18 +72,14 @@ def cluster_reachable(topology: Topology, controller: ServerId) -> set:
 
 def analyze_mobility(topology: Topology, controller: ServerId,
                      device_position: Tuple[float, float],
-                     velocity: Tuple[float, float], sensed: Sequence[ServerId],
-                     required_slots: int, ledger: CapacityLedger,
-                     rng) -> Optional[ServerId]:
-    """Choose the next controller for a departing device.
+                     velocity: Tuple[float, float], candidates: Sequence[ServerId],
+                     required_slots: int, ledger: CapacityLedger, rng) -> ServerId:
+    """Choose a departing device's next controller among `candidates` (at least one).
 
     Preference order: cluster-reachable candidate with the longest sojourn
     and enough free slots; then longest-sojourn reachable regardless of
     slots; then a seeded-random unreachable candidate.
     """
-    candidates = [s for s in sensed if s != controller]
-    if not candidates:
-        return None
     reachable_set = cluster_reachable(topology, controller)
     reach = [s for s in candidates if s in reachable_set]
     unreach = [s for s in candidates if s not in reachable_set]

@@ -66,7 +66,6 @@ class CapacityLedger:
 class PlacementDecision:
     module: str
     server: ServerId
-    warm: bool
 
 
 @dataclass
@@ -141,10 +140,10 @@ def _greedy(topology: Topology, ledger: CapacityLedger, controller: ServerId,
             profile: DeviceEnergyProfile) -> PlacementPlan:
     """Put each module, in the given order, on its cheapest candidate.
 
-    Local decisions reserve capacity immediately; remote decisions are
-    tentative (confirmed by handle_remote_placement). Modules that fit
-    nowhere among the candidates are escalated, together with everything
-    not yet decided, so the parent sees a consistent prefix.
+    Reserves nothing: each pick, the controller's own included, counts against
+    its target's free slots until `handle_remote_placement` confirms it.
+    Modules that fit nowhere are escalated with everything not yet decided,
+    so the parent sees a consistent prefix.
     """
     plan = PlacementPlan()
     parent = topology.node(controller).parent
@@ -159,22 +158,18 @@ def _greedy(topology: Topology, ledger: CapacityLedger, controller: ServerId,
             plan.escalated.extend(ordered[idx:])
             break
         placement[module_id] = choice
-        warm = ledger.is_warm(choice, dag.template, module_id)
-        if choice == controller:
-            ledger.reserve(choice, dag.template, module_id)
-        else:
-            pending[choice] = pending.get(choice, 0) + 1
-        plan.decisions.append(PlacementDecision(module_id, choice, warm))
+        pending[choice] = pending.get(choice, 0) + 1
+        plan.decisions.append(PlacementDecision(module_id, choice))
     return plan
 
 
 def handle_remote_placement(ledger: CapacityLedger, server: ServerId, dag: AppDag,
                             modules: Sequence[str]) -> List[Tuple[str, bool, bool]]:
-    """Confirm forwarded modules at the target server.
+    """Confirm a plan's picks at their server, the decider's own included.
 
-    Returns (module, accepted, warm) per module. A module the server has no
-    free slot for is rejected and keeps no reservation; none is, as `_greedy`
-    counts each remote pick against its target's free slots.
+    Returns (module, accepted, warm) per module, warmth read before the slot
+    is reserved. A module without a free slot is rejected and keeps no
+    reservation; none is, as `_greedy` counts each pick against its target.
     """
     results = []
     for module_id in modules:

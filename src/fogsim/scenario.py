@@ -123,47 +123,51 @@ def load_scenario(path: Optional[str] = None, overrides: Optional[Dict] = None) 
     return check_config(config)
 
 
-def _mistyped(value, default, path: str) -> List[Tuple[str, object]]:
-    """(key path, value) under `value` typed unlike `default` there; an int may stand
-    for a float, a `links` level is typed as level 1 and a list item as item 0."""
+def _leaves(value, default, path: str) -> List[Tuple[str, object, object]]:
+    """(key path, value, `default` there) of each leaf under `value`; a `links`
+    level is typed as level 1, a list item as item 0, a misshapen value is a leaf."""
     if path.endswith("cpu_mips"):  # any number, or a [lo, hi] pair in `levels`
         pair = path.startswith("levels") and isinstance(value, list) and len(value) == 2
         default = [0.0] if pair else 0.0
     if isinstance(default, dict) and isinstance(value, dict):
-        return [bad for key, val in value.items()
-                for bad in _mistyped(val, default.get(key, default.get(1)),
-                                     f"{path}.{key}" if path else str(key))]
+        return [leaf for key, val in value.items()
+                for leaf in _leaves(val, default.get(key, default.get(1)),
+                                    f"{path}.{key}" if path else str(key))]
     if isinstance(default, list) and isinstance(value, list):
-        return [bad for i, val in enumerate(value)
-                for bad in _mistyped(val, default[0], f"{path}[{i}]")]
-    ok = type(value) is type(default) or \
-        (type(default) is float and type(value) is int)
-    return [] if ok else [(path, value)]
+        return [leaf for i, val in enumerate(value)
+                for leaf in _leaves(val, default[0], f"{path}[{i}]")]
+    return [(path, value, default)]
 
 
 def check_config(config: Dict) -> Dict:
     """Returns `config` if its values are usable, else raises ValueError naming them.
 
-    Rejected: a value whose type differs from its `DEFAULTS` leaf (see
-    `_mistyped`), a `levels` entry without one of `LEVEL_KEYS`, a level without
-    servers, levels not numbered 1 to n once each (n >= 1, the fog depth), a
-    non-positive `mobility.tick_s`, area side or `cpu_mips` (of the cloud, or
-    either end of a level's pair), a negative `devices.count`, `horizon_s`,
-    `container_startup_s`, `sensor_attach_latency_s`, `urmila.service_time_s`,
-    level or cloud `capacity`, level `coverage_m`, `energy` power,
-    `migration.i_mig_s` or `migration.epsilon_frac`, a `weights` entry or
+    Rejected: a value typed unlike its `DEFAULTS` leaf (an int may stand for a
+    float), an infinite or NaN number, a `levels` entry without one of
+    `LEVEL_KEYS`, a level without servers, levels not numbered 1 to n once each
+    (n >= 1, the fog depth), a non-positive `mobility.tick_s`, area side or
+    `cpu_mips` (of the cloud, or either end of a level's pair), a negative
+    `devices.count`, `horizon_s`, `container_startup_s`,
+    `sensor_attach_latency_s`, `urmila.service_time_s`, level or cloud
+    `capacity`, level `coverage_m`, `energy` power, `migration.i_mig_s` or
+    `migration.epsilon_frac`, a `weights` entry or
     `failure.migration_failure_p` outside [0, 1], a `mobility.departure_margin`
     outside [0, 1), a `devices.ram_mb`, `migration.dump_fraction`, mobility
     speed or leg range that is not a [min, max] pair with 0 <= min <= max, a
-    `policy` not in `POLICIES`, an `interrupted_mode` other than delay or
-    drop, and `devices.templates` empty or naming no `app_model.TEMPLATES`
-    entry. A sweep checks each cell it edits again. The oracle's lower bound
-    holds only for weights and powers >= 0.
+    `policy` not in `POLICIES`, an `interrupted_mode` other than delay or drop,
+    and `devices.templates` empty or naming no `app_model.TEMPLATES` entry. A
+    sweep checks each cell it edits again. The oracle's lower bound holds only
+    for weights and powers >= 0.
     """
-    mistyped = _mistyped(config, DEFAULTS, "")
-    if mistyped:
-        raise ValueError("wrong-typed scenario value(s) " + ", ".join(
-            f"{key} = {val!r}" for key, val in mistyped))
+    leaves = _leaves(config, DEFAULTS, "")
+    mistyped = [(key, val) for key, val, default in leaves if type(val) is not type(default)
+                and not (type(default) is float and type(val) is int)]
+    nonfinite = [(key, val) for key, val, _ in leaves
+                 if isinstance(val, float) and not math.isfinite(val)]
+    for kind, found in (("wrong-typed", mistyped), ("non-finite", nonfinite)):
+        if found:
+            raise ValueError(f"{kind} scenario value(s) " + ", ".join(
+                f"{key} = {val!r}" for key, val in found))
     levels = config["levels"]
     missing = [f"levels[{i}].{key}" for i, spec in enumerate(levels)
                for key in LEVEL_KEYS if key not in spec]

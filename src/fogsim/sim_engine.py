@@ -243,7 +243,6 @@ class SimDevice:
 class SimResult:
     rows: List[dict]
     events: List[dict]
-    pdt_mean_s: float
 
 
 class Simulation:
@@ -337,23 +336,27 @@ class Simulation:
         self._arm(dev)
         self.log("service_start", device=dev.sid.index)
 
+    def _decide_at(self, frm: ServerId, decider: ServerId, t: float) -> Tuple[ServerId, float]:
+        """(decider, decision time) of a request sent from `frm` at t towards
+        `decider`; under urmila the central server decides, behind its queue."""
+        if self.policy == "urmila":
+            return self.central, self.queue.admit(t + self.lat(frm, self.central))
+        return decider, t + self.lat(frm, decider)
+
     def place(self, dev: SimDevice, t0: float) -> float:
         """Place the device's unpinned modules for a request sent at t0.
 
         One path for every policy: only the decider and its candidates
-        differ. Urmila's central server decides over all fog servers behind
-        its FIFO queue; the other policies decide at the device's controller.
-        Returns the time the controller hears back.
+        differ. Urmila's central server decides over all fog servers; the
+        other policies decide at the device's controller. Returns the time
+        the controller hears back.
         """
         controller = self.topology.node(dev.sid).parent
-        urmila = self.policy == "urmila"
-        decider = self.central if urmila else controller
-        arrival = t0 + self.topology.links.lat_up[0] + self.lat(controller, decider)
-        if urmila:
-            arrival = self.queue.admit(arrival)
+        decider, arrival = self._decide_at(controller, controller,
+                                           t0 + self.topology.links.lat_up[0])
         ranked = None
         if self.policy != "maas":
-            servers = (self.topology.fog_servers() if urmila
+            servers = (self.topology.fog_servers() if self.policy == "urmila"
                        else placement.ready_servers(self.topology, controller))
             ranked = rank_modules(dev.dag, servers, self.weights, self.topology,
                                   self.profile)
@@ -364,9 +367,9 @@ class Simulation:
                        controller: ServerId, todo: List[str], t: float) -> float:
         """Decide `todo` at `controller` from time t; returns the last acknowledgement.
 
-        Choices at the controller are reserved by the greedy loop already;
-        remote ones are confirmed at their target, which has the slot the loop
-        counted for them. Modules that fit nowhere escalate to the parent.
+        Each server confirms its picks, the controller its own, and has the
+        slots the greedy loop counted for them. Modules that fit nowhere
+        escalate to the parent.
         """
         if self.policy == "maas":
             plan = baselines.maas_place(self.topology, self.ledger, controller, dev.dag,
@@ -382,12 +385,8 @@ class Simulation:
         acks = [t]
         for server, decs in sorted(plan.by_server().items()):
             t_arr = t + self.lat(controller, server)
-            if server == controller:
-                results = [(dec.module, True, dec.warm) for dec in decs]
-            else:
-                results = placement.handle_remote_placement(
-                    self.ledger, server, dev.dag, [d.module for d in decs])
-            for module_id, ok, warm in results:
+            for module_id, ok, warm in placement.handle_remote_placement(
+                    self.ledger, server, dev.dag, [d.module for d in decs]):
                 if not ok:
                     raise PlacementError(f"{server} rejected module {module_id}")
                 start = t_arr + (0.0 if warm else self.startup_s)
@@ -502,18 +501,15 @@ class Simulation:
         if self.policy == "proposed":
             required = sum(1 for sid in dev.placement.values() if sid == old)
             dest = migration.analyze_mobility(
-                self.topology, old, position, dev.velocity, sensed,
+                self.topology, old, position, dev.velocity, cands,
                 required, self.ledger, self.rng_unreach)
         else:
             dest = baselines.nearest_controller(cands)
         dev.mmt_busy = True
         self.log("handover", device=dev.sid.index, frm=str(old), to=str(dest))
-        if self.policy == "urmila":
-            t_dec = self.queue.admit(now + self.lat(old, self.central))
-            attach_at = t_dec + self.lat(self.central, dest)
-        else:
-            attach_at = now + self.lat(old, dest)
-        self.kernel.schedule(attach_at, "attach", lambda _: self._attach(dev, dest))
+        decider, t_dec = self._decide_at(old, old, now)
+        self.kernel.schedule(t_dec + self.lat(decider, dest), "attach",
+                             lambda _: self._attach(dev, dest))
 
     def _attach(self, dev: SimDevice, dest: ServerId):
         now = self.kernel.now
@@ -570,12 +566,11 @@ class Simulation:
                            decider: ServerId, modules: List[str],
                            working: Placement, t: float):
         """Returns per-module (notify_time, window_len, energy, moved)."""
-        t_dec = t + self.lat(new_ctrl, decider)
+        decider, t_dec = self._decide_at(new_ctrl, decider, t)
         if self.policy != "urmila":
             # Distributed deciders escalate whole subsets up the chain.
             return self._escalate(dev, new_ctrl, decider, modules, working, t_dec)
         # Central relocation along the new serving chain, one module at a time.
-        t_dec = self.queue.admit(t_dec)
         outs = []
         for module_id in modules:
             prev = working[module_id]
@@ -680,6 +675,9 @@ class Simulation:
 
     def run(self, horizons: Optional[List[float]] = None) -> SimResult:
         horizons = sorted(horizons or [float(self.config["horizon_s"])])
+        for h in horizons:
+            if not (math.isfinite(h) and h >= 0.0):
+                raise ValueError(f"horizon {h!r} must be finite and >= 0")
         end = horizons[-1]
         for i, dev in enumerate(self.devices):
             self.kernel.schedule(0.001 * i, "placement_request", self._request_placement, dev)
@@ -734,9 +732,7 @@ class Simulation:
                     "inflight": sum(r["inflight"] for r in sub),
                     "dropped": sum(r["dropped"] for r in sub),
                 })
-        pdts = [d.pdt_s for d in self.devices if d.pdt_s is not None]
-        return SimResult(rows=rows, events=self.events,
-                         pdt_mean_s=_left_sum(pdts) / len(pdts) if pdts else 0.0)
+        return SimResult(rows=rows, events=self.events)
 
 
 def run_simulation(config: dict, horizons: Optional[List[float]] = None) -> SimResult:

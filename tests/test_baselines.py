@@ -22,7 +22,6 @@ def ecg_setup(topo):
 
 def test_nearest_controller_takes_first_sensed():
     assert nearest_controller([S(1, 2), S(1, 1)]) == S(1, 2)
-    assert nearest_controller([]) is None
 
 
 def test_maas_fills_controller_then_escalates_past_free_sibling():
@@ -66,6 +65,13 @@ def test_urmila_central_greedy_places_globally_cheapest():
     assert all(d.server != S(3, 1) for d in plan.decisions)
 
 
+def _confirm(ledger, dag, plan):
+    """Every pick of the plan confirmed at its server: (module, ok, warm) each."""
+    return [res for server, decs in sorted(plan.by_server().items())
+            for res in handle_remote_placement(ledger, server, dag,
+                                               [d.module for d in decs])]
+
+
 def test_urmila_first_placement_is_cold_and_repeat_is_warm():
     topo = make_small_topology(with_device=True)
     dag, plc = ecg_setup(topo)
@@ -73,15 +79,39 @@ def test_urmila_first_placement_is_cold_and_repeat_is_warm():
     ranked = rank_modules(dag, topo.fog_servers(), WEIGHTS, topo, PROFILE)
     first = urmila_place(topo, ledger, S(3, 1), dag, plc, ranked,
                          dag.unpinned(), WEIGHTS, PROFILE)
-    assert first.decisions and not any(d.warm for d in first.decisions)
-    # Decisions off the central server hold no slot until the target confirms.
-    for server, decs in first.by_server().items():
-        if server != S(3, 1):
-            handle_remote_placement(ledger, server, dag, [d.module for d in decs])
+    # No decision holds a slot until its target confirms it.
+    confirmed = _confirm(ledger, dag, first)
+    assert confirmed and all(ok and not warm for _, ok, warm in confirmed)
     again = urmila_place(topo, ledger, S(3, 1), dag, plc.copy(), ranked,
                          dag.unpinned(), WEIGHTS, PROFILE)
     assert [d.server for d in again.decisions] == [d.server for d in first.decisions]
-    assert all(d.warm for d in again.decisions)
+    assert all(ok and warm for _, ok, warm in _confirm(ledger, dag, again))
+
+
+@pytest.mark.parametrize("policy", ["proposed", "maas", "urmila"])
+def test_deciding_writes_no_capacity_until_confirmed(policy):
+    # Every other server is full, so each pick lands on the decider itself.
+    topo = make_small_topology(with_device=True)
+    dag, plc = ecg_setup(topo)
+    decider = S(3, 1) if policy == "urmila" else S(1, 1)
+    for sid in topo.fog_servers():
+        if sid != decider:
+            topo.node(sid).container_capacity = 0
+    ledger = CapacityLedger(topo)
+    ledger.reserve(decider, "other", "pad")
+    before = (dict(ledger.used), dict(ledger.active_types))
+    if policy == "maas":
+        plan = maas_place(topo, ledger, decider, dag, plc, dag.unpinned(), WEIGHTS, PROFILE)
+    else:
+        servers = topo.fog_servers() if policy == "urmila" else ready_servers(topo, decider)
+        ranked = rank_modules(dag, servers, WEIGHTS, topo, PROFILE)
+        place = urmila_place if policy == "urmila" else dapt_place
+        plan = place(topo, ledger, decider, dag, plc, ranked, dag.unpinned(),
+                     WEIGHTS, PROFILE)
+    assert [d.server for d in plan.decisions] == [decider] * len(dag.unpinned())
+    assert (ledger.used, ledger.active_types) == before
+    assert all(ok for _, ok, _ in _confirm(ledger, dag, plan))
+    assert ledger.used == {decider: 1 + len(dag.unpinned())}
 
 
 def test_urmila_raises_when_every_server_is_full():
@@ -130,7 +160,7 @@ def test_central_control_pays_extra_deployment_latency():
     row_p = prop.rows[0]
     row_u = urm.rows[0]
     assert row_u["artt_s"] == pytest.approx(row_p["artt_s"])
-    assert urm.pdt_mean_s > prop.pdt_mean_s
+    assert row_u["pdt_s"] > row_p["pdt_s"]
     # Two traversals controller -> top -> controller are in the money.
     up_down = 2 * (0.025 + 0.05)
-    assert urm.pdt_mean_s - prop.pdt_mean_s >= up_down - 1e-9
+    assert row_u["pdt_s"] - row_p["pdt_s"] >= up_down - 1e-9

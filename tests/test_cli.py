@@ -171,6 +171,14 @@ def _levels(*numbers):
     ({"mobility": {"departure_margin": -0.05}}, r"mobility\.departure_margin = -0\.05 "),
     ({"migration": {"i_mig_s": -1}}, r"migration\.i_mig_s = -1 "),
     ({"migration": {"epsilon_frac": -1}}, r"migration\.epsilon_frac = -1 "),
+    # An infinite horizon never ends; the others give inf or NaN metrics or
+    # fail inside `build_world`.
+    ({"horizon_s": float("inf")}, r"horizon_s = inf$"),
+    ({"area": {"width_m": float("inf")}}, r"area\.width_m = inf$"),
+    ({"energy": {"p_tx_w": float("inf")}}, r"energy\.p_tx_w = inf$"),
+    ({"levels": _level_with(0, cpu_mips=[3000, float("inf")])},
+     r"levels\[0\]\.cpu_mips\[1\] = inf$"),
+    ({"links": {"bw_cluster_bps": {2: float("nan")}}}, r"links\.bw_cluster_bps\.2 = nan$"),
 ], ids=["zero_tick", "negative_tick", "empty_level_1", "empty_level_2",
         "negative_devices", "zero_height", "negative_width", "unknown_interrupted_mode",
         "unknown_policy",
@@ -183,7 +191,9 @@ def _levels(*numbers):
         "negative_coverage", "negative_cloud_capacity", "negative_ram", "ram_min_above_max", "ram_one_end",
         "negative_dump_fraction", "speed_min_above_max", "negative_speed",
         "negative_legs", "departure_margin_above_1", "departure_margin_1",
-        "negative_departure_margin", "negative_i_mig", "negative_epsilon"])
+        "negative_departure_margin", "negative_i_mig", "negative_epsilon",
+        "infinite_horizon", "infinite_width", "infinite_p_tx", "infinite_level_cpu_hi",
+        "nan_link_bandwidth"])
 def test_out_of_range_scenario_value_raises(overrides, match):
     with pytest.raises(ValueError, match=match):
         load_scenario(None, overrides)
@@ -382,3 +392,18 @@ def test_sweep_cells_are_checked_like_loaded_scenarios(tiny_scenario, tmp_path):
     with pytest.raises(ValueError, match=r"failure\.migration_failure_p = 1\.5 "):
         cli.main(["sweep", tiny_scenario, "--policies", "proposed", "--seeds", "1",
                   "--horizons", "1", "--failure-p", "1.5", "--out", str(tmp_path / "x")])
+
+
+def test_infinite_run_horizon_fails_before_running(tmp_path):
+    out = tmp_path / "out"
+    with pytest.raises(ValueError, match=r"^non-finite scenario value\(s\) horizon_s = inf$"):
+        cli.main(["run", "urban_80dev", "--horizon", "inf", "--devices", "2",
+                  "--out", str(out)])
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("horizon", ["nan", "inf", "-5"])
+def test_sweep_rejects_unusable_horizons(tmp_path, horizon):
+    with pytest.raises(ValueError, match=rf"^horizon {float(horizon)!r} must be finite and >= 0$"):
+        cli.main(["sweep", "urban_80dev", "--seeds", "1", "--devices", "2",
+                  "--horizons", horizon, "--out", str(tmp_path / "out")])

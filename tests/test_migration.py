@@ -109,13 +109,6 @@ def test_analyze_mobility_random_pick_among_unreachable_is_seeded():
     assert picks.pop() in {S(1, 2), S(1, 3)}
 
 
-def test_analyze_mobility_none_without_candidates():
-    topo = reach_topo()
-    ledger = CapacityLedger(topo)
-    assert analyze_mobility(topo, S(1, 1), (0.0, 0.0), (1.0, 0.0),
-                            [S(1, 1)], 1, ledger, random.Random(0)) is None
-
-
 # -- interrupted-task arithmetic -------------------------------------------------
 
 def test_remaining_instructions_phases():

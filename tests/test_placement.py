@@ -137,10 +137,12 @@ def test_remote_placement_confirmation_and_full_target():
 
 def test_warm_container_detected_on_repeat_placement():
     topo, dag, plc, ledger, ranked = make_world()
-    handle_remote_placement(ledger, S(1, 1), dag, ["filter"])
+    assert handle_remote_placement(ledger, S(1, 1), dag, ["filter"]) == [("filter", True, False)]
     plan = dapt_place(topo, ledger, S(1, 1), dag, plc, ranked,
                       ["filter"], WEIGHTS, PROFILE)
-    assert plan.decisions[0].warm
+    assert [d.server for d in plan.decisions] == [S(1, 1)]
+    # Warmth is read at the confirmation, before its slot is reserved.
+    assert handle_remote_placement(ledger, S(1, 1), dag, ["filter"]) == [("filter", True, True)]
 
 
 def test_failure_recovery_rehomes_to_survivor():
@@ -188,8 +190,7 @@ def test_constraints_hold_after_full_cascade():
         plan = dapt_place(topo, ledger, controller, dag, plc, ranked,
                           todo, WEIGHTS, PROFILE)
         for server, decs in plan.by_server().items():
-            if server != controller:
-                handle_remote_placement(ledger, server, dag, [d.module for d in decs])
+            handle_remote_placement(ledger, server, dag, [d.module for d in decs])
         todo = plan.escalated
         if todo:
             controller = topo.node(controller).parent
