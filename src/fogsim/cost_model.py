@@ -7,6 +7,7 @@ resort. Same-level traffic prefers the cluster, falling back upward.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, NamedTuple, Optional, Tuple
 
@@ -24,6 +25,10 @@ class CostWeights:
         for name, val in (("w1", self.w1), ("w2", self.w2)):
             if not 0.0 <= val <= 1.0:
                 raise ValueError(f"{name} must be within [0, 1], got {val}")
+
+    def weigh(self, time_s: float, energy_j: float) -> float:
+        """w1 * time + w2 * energy."""
+        return self.w1 * time_s + self.w2 * energy_j
 
 
 @dataclass(frozen=True)
@@ -44,6 +49,16 @@ class MigrationParams:
     i_mig_s: float = 0.05
     epsilon_frac: float = 0.05
     dump_fraction: Tuple[float, float] = (0.05, 0.10)
+
+    def __post_init__(self):
+        for name, val in (("i_mig_s", self.i_mig_s), ("epsilon_frac", self.epsilon_frac)):
+            if not (math.isfinite(val) and val >= 0.0):
+                raise ValueError(f"{name} must be finite and >= 0, got {val}")
+        frac = self.dump_fraction
+        if not (isinstance(frac, (tuple, list)) and len(frac) == 2
+                and 0.0 <= frac[0] <= frac[1] < math.inf):
+            raise ValueError("dump_fraction must be a finite pair (lo, hi) with "
+                             f"0 <= lo <= hi, got {frac!r}")
 
 
 # Server assignment of one application's modules: module id -> server.
@@ -278,13 +293,22 @@ def exec_cost(topology: Topology, dag: AppDag, weights: CostWeights,
     return weights.w1 * t + weights.w2 * t * p
 
 
+# Per-module (time, energy) of one placement, as `module_cost` prices them.
+CostTable = Dict[str, Tuple[float, float]]
+
+
 def schedule_cost(topology: Topology, dag: AppDag, placement: Placement,
-                  profile: DeviceEnergyProfile, modules: List[str]) -> Tuple[float, float]:
-    """(time, energy) of one schedule: the max over its modules (they run in parallel)."""
+                  profile: DeviceEnergyProfile, modules: List[str],
+                  costs: Optional[CostTable] = None) -> Tuple[float, float]:
+    """(time, energy) of one schedule: the max over its modules (they run in parallel).
+
+    Given `costs`, the modules' costs are read from it instead of priced.
+    """
     t = 0.0
     e = 0.0
     for mid in modules:
-        mt, me = module_cost(topology, dag, placement, profile, mid)
+        mt, me = (costs[mid] if costs is not None
+                  else module_cost(topology, dag, placement, profile, mid))
         t = max(t, mt)
         e = max(e, me)
     return t, e
@@ -315,12 +339,16 @@ def validate_placement(topology: Topology, dag: AppDag, placement: Placement,
 
 
 def app_cost_breakdown(topology: Topology, dag: AppDag, placement: Placement,
-                       profile: DeviceEnergyProfile) -> Tuple[float, float]:
-    """(total time, total energy) summed over all schedules."""
+                       profile: DeviceEnergyProfile,
+                       costs: Optional[CostTable] = None) -> Tuple[float, float]:
+    """(total time, total energy) summed over all schedules, left to right.
+
+    Given `costs`, every module's cost is read from it instead of priced.
+    """
     total_t = 0.0
     total_e = 0.0
     for modules in dag.schedules:
-        t, e = schedule_cost(topology, dag, placement, profile, modules)
+        t, e = schedule_cost(topology, dag, placement, profile, modules, costs)
         total_t += t
         total_e += e
     return total_t, total_e
@@ -329,8 +357,7 @@ def app_cost_breakdown(topology: Topology, dag: AppDag, placement: Placement,
 def app_cost(topology: Topology, dag: AppDag, placement: Placement,
              weights: CostWeights, profile: DeviceEnergyProfile) -> float:
     """Weighted application cost: w1 * total time + w2 * total energy."""
-    t, e = app_cost_breakdown(topology, dag, placement, profile)
-    return weights.w1 * t + weights.w2 * e
+    return weights.weigh(*app_cost_breakdown(topology, dag, placement, profile))
 
 
 # -- migration -------------------------------------------------------------

@@ -176,15 +176,19 @@ def handle_migration_req(topology: Topology, ledger: CapacityLedger,
     admissible capacity-holding candidate come back with `to` None. With the
     admissibility check off, the cheapest capacity-holding candidate is
     committed outright.
+
+    Staying leaves the application cost as it is, so it is admissible without
+    pricing. The working placement's per-module costs are priced once, when
+    the first move is tried; a trial move re-prices only the moved module and
+    its successors, and an accepted move's costs become the next module's old
+    ones. The result equals pricing every candidate with `cost_model.app_cost`.
     """
     skip = set(exclude)
     candidates = [c for c in candidates if c not in skip]
     decisions = []
+    costs = None  # the working placement's cost table, priced on first need
     for module_id in modules:
         frm = working[module_id]
-        if check_admissibility:
-            old_cost = cost_model.app_cost(topology, dag, working, weights, profile)
-            epsilon = params.epsilon_frac * old_cost
         dump_bits = dump_bits_of(module_id)
         remaining = remaining_mi_of(module_id)
         scored = []
@@ -197,14 +201,25 @@ def handle_migration_req(topology: Topology, ledger: CapacityLedger,
         scored.sort(key=lambda item: item[:3])
         chosen = None
         for _, _, _, cand, mc in scored:
-            if not check_admissibility:
+            if not check_admissibility or cand == frm:
                 chosen = (cand, mc)
                 break
+            if costs is None:
+                costs = {mid: cost_model.module_cost(topology, dag, working, profile, mid)
+                         for mid in dag.module_map}
+                old_cost = weights.weigh(*cost_model.app_cost_breakdown(
+                    topology, dag, working, profile, costs))
             working[module_id] = cand
-            new_cost = cost_model.app_cost(topology, dag, working, weights, profile)
+            trial = dict(costs)
+            for mid in (module_id, *(f.dst for f in dag.succs[module_id])):
+                trial[mid] = cost_model.module_cost(topology, dag, working, profile, mid)
             working[module_id] = frm
-            if cost_model.migration_admissible(old_cost, new_cost, epsilon):
+            new_cost = weights.weigh(*cost_model.app_cost_breakdown(
+                topology, dag, working, profile, trial))
+            if cost_model.migration_admissible(old_cost, new_cost,
+                                               params.epsilon_frac * old_cost):
                 chosen = (cand, mc)
+                costs, old_cost = trial, new_cost
                 break
         if chosen is None:
             decisions.append(MigrationDecision(module_id, frm, None, None))

@@ -674,7 +674,8 @@ class Simulation:
     # -- run and summarize ---------------------------------------------------
 
     def run(self, horizons: Optional[List[float]] = None) -> SimResult:
-        horizons = sorted(horizons or [float(self.config["horizon_s"])])
+        # A horizon repeated in the list is one checkpoint with one row set.
+        horizons = sorted(set(horizons or [float(self.config["horizon_s"])]))
         for h in horizons:
             if not (math.isfinite(h) and h >= 0.0):
                 raise ValueError(f"horizon {h!r} must be finite and >= 0")

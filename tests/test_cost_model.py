@@ -28,6 +28,22 @@ def test_weights_outside_unit_interval_rejected(w1, w2):
         CostWeights(w1, w2)
 
 
+@pytest.mark.parametrize("field,value", [
+    ("epsilon_frac", -0.01), ("epsilon_frac", float("nan")), ("epsilon_frac", float("inf")),
+    ("i_mig_s", -0.05), ("i_mig_s", float("nan")), ("i_mig_s", float("inf"))])
+def test_migration_params_reject_negative_or_non_finite_values(field, value):
+    with pytest.raises(ValueError, match=rf"^{field} must be finite and >= 0"):
+        MigrationParams(**{field: value})
+
+
+@pytest.mark.parametrize("value", [
+    (0.10, 0.05), (-0.05, 0.10), (0.05, float("inf")), (float("nan"), 0.10),
+    (0.05,), (0.05, 0.10, 0.2), 0.05])
+def test_migration_params_reject_a_dump_fraction_that_is_no_ordered_pair(value):
+    with pytest.raises(ValueError, match=r"^dump_fraction must be a finite pair"):
+        MigrationParams(dump_fraction=value)
+
+
 # -- next hop ----------------------------------------------------------------
 
 def test_up_when_destination_above(topo_dev):

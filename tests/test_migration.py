@@ -3,8 +3,11 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from fogsim.app_model import AppDag, DataFlow, Module, build_app
+from fogsim import cost_model
+from fogsim.app_model import TEMPLATES, AppDag, DataFlow, Module, build_app
 from fogsim.cost_model import (CostWeights, DeviceEnergyProfile, MigrationParams,
                                module_migration_cost)
 from fogsim.migration import (analyze_mobility, cluster_reachable,
@@ -13,8 +16,9 @@ from fogsim.migration import (analyze_mobility, cluster_reachable,
                               mmt_failure_recovery, plan_rounds,
                               remaining_instructions)
 from fogsim.placement import CapacityLedger
+from fogsim.topology import ServerNode, Topology
 
-from conftest import S, make_small_topology
+from conftest import S, make_links, make_small_topology
 
 WEIGHTS = CostWeights()
 PROFILE = DeviceEnergyProfile()
@@ -274,3 +278,135 @@ def test_failure_recovery_excludes_failed_target():
         failed=S(1, 2))
     assert decisions[0].to is not None
     assert decisions[0].to != S(1, 2)
+
+
+def _count_module_costs(monkeypatch):
+    calls = []
+    priced = cost_model.module_cost
+
+    def counting(*args):
+        calls.append(args[-1])
+        return priced(*args)
+
+    monkeypatch.setattr(cost_model, "module_cost", counting)
+    return calls
+
+
+def test_staying_as_cheapest_candidate_prices_nothing(monkeypatch):
+    topo, dag, plc, ledger = decision_world()
+    calls = _count_module_costs(monkeypatch)
+    decisions = handle_migration_req(
+        topo, ledger, dag, plc, ["m"], WEIGHTS, PROFILE,
+        PARAMS, lambda m: 1e6, lambda m: 0.0,
+        candidates=[S(1, 3), S(1, 2), S(1, 1)])
+    assert decisions[0].to == S(1, 1)
+    assert calls == []
+
+
+def test_a_trial_move_reprices_only_the_moved_module_and_its_successors(monkeypatch):
+    topo, dag, plc, ledger = decision_world()
+    calls = _count_module_costs(monkeypatch)
+    decisions = handle_migration_req(
+        topo, ledger, dag, plc, ["m"], WEIGHTS, PROFILE,
+        PARAMS, lambda m: 1e6, lambda m: 0.0,
+        candidates=[S(1, 3), S(1, 2)], exclude=[S(1, 1)])
+    assert decisions[0].to == S(1, 2)
+    # The working placement once ("m" has no successor), then each trial move.
+    assert sorted(calls[:2]) == ["m", "s"]
+    assert calls[2:] == ["m", "m"]
+
+
+def _reference_decisions(topology, ledger, dag, working, modules, params,
+                         dump_bits_of, remaining_mi_of, candidates, exclude,
+                         check_admissibility):
+    """MMT's decision rule with every candidate priced by a full `app_cost`."""
+    candidates = [c for c in candidates if c not in set(exclude)]
+    out = []
+    for module_id in modules:
+        frm = working[module_id]
+        old_cost = cost_model.app_cost(topology, dag, working, WEIGHTS, PROFILE)
+        dump_bits = dump_bits_of(module_id)
+        remaining = remaining_mi_of(module_id)
+        scored = []
+        for cand in candidates:
+            if cand != frm and ledger.free(cand) <= 0:
+                continue
+            mc = module_migration_cost(topology, PROFILE, params, WEIGHTS,
+                                       dump_bits, frm, cand, remaining)
+            scored.append((mc.weighted, cand.level, cand.index, cand, mc))
+        scored.sort(key=lambda item: item[:3])
+        chosen = (None, None)
+        for _, _, _, cand, mc in scored:
+            working[module_id] = cand
+            new_cost = cost_model.app_cost(topology, dag, working, WEIGHTS, PROFILE)
+            working[module_id] = frm
+            if not check_admissibility or new_cost <= old_cost + params.epsilon_frac * old_cost:
+                chosen = (cand, mc)
+                break
+        if chosen[0] is not None:
+            working[module_id] = chosen[0]
+        out.append((module_id, frm, *chosen))
+    return out
+
+
+@st.composite
+def decision_cases(draw):
+    """A two-level world of 1-3 servers per level with 0-2 slots each, one
+    device, an application on random servers, and one decider's call."""
+    per_level = {1: draw(st.integers(1, 3)), 2: draw(st.integers(1, 3))}
+    cloud = S(3, 1)
+    specs = [(cloud, 20000.0, draw(st.integers(0, 2)), None)]
+    for level in (2, 1):
+        for i in range(1, per_level[level] + 1):
+            parent = cloud if level == 2 else S(2, (i - 1) % per_level[2] + 1)
+            specs.append((S(level, i), float(draw(st.sampled_from([1000, 3500, 8000]))),
+                          draw(st.integers(0, 2)), parent))
+    device = S(0, 1)
+    specs.append((device, 500.0, 8, S(1, draw(st.integers(1, per_level[1])))))
+    cluster = draw(st.booleans())
+    servers = [sid for sid, *_ in specs if sid != device]
+    dag = build_app(draw(st.sampled_from(sorted(TEMPLATES))), "app")
+    working = {m.id: device if m.pinned_to_device else draw(st.sampled_from(servers))
+               for m in dag.modules}
+    modules = draw(st.permutations(dag.unpinned()))[:draw(st.integers(1, 4))]
+    candidates = draw(st.lists(st.sampled_from(servers), unique=True))
+    for mid in draw(st.lists(st.sampled_from(modules), min_size=1, unique=True)):
+        if working[mid] not in candidates:
+            candidates.insert(draw(st.integers(0, len(candidates))), working[mid])
+    exclude = draw(st.lists(st.sampled_from(servers), max_size=2, unique=True))
+    sizes = {mid: draw(st.floats(0.0, 1e7)) for mid in modules}
+    params = MigrationParams(epsilon_frac=draw(st.sampled_from([0.0, 0.05])))
+    # Three cases in four check admissibility, the path that prices.
+    check = draw(st.sampled_from([True, True, True, False]))
+    return (specs, cluster, dag, working, modules, candidates, exclude, sizes, params, check)
+
+
+def _decision_world(specs, cluster):
+    topo = Topology([ServerNode(sid, cpu_mips=cpu, container_capacity=cap,
+                                position=(0.0, 0.0), parent=parent)
+                     for sid, cpu, cap, parent in specs], make_links(), max_fog_level=2)
+    if cluster:
+        for level in (1, 2):
+            same = sorted(sid for sid in topo.nodes if sid.level == level)
+            for a, b in zip(same, same[1:]):
+                topo.link_cluster(a, b)
+    return topo
+
+
+@settings(max_examples=300, deadline=None)
+@given(decision_cases())
+def test_decisions_equal_pricing_every_candidate_with_app_cost(case):
+    (specs, cluster, dag, working, modules, candidates, exclude, sizes, params,
+     check) = case
+    expected_working = dict(working)
+    topo = _decision_world(specs, cluster)
+    expected = _reference_decisions(
+        topo, CapacityLedger(topo), dag, expected_working, modules, params,
+        sizes.__getitem__, lambda m: sizes[m] / 10.0, candidates, exclude, check)
+    topo = _decision_world(specs, cluster)
+    decisions = handle_migration_req(
+        topo, CapacityLedger(topo), dag, working, modules, WEIGHTS, PROFILE, params,
+        sizes.__getitem__, lambda m: sizes[m] / 10.0, candidates, exclude=exclude,
+        check_admissibility=check)
+    assert [(d.module, d.frm, d.to, d.cost) for d in decisions] == expected
+    assert working == expected_working

@@ -473,6 +473,13 @@ def test_rejected_remote_module_raises_placement_error(monkeypatch):
         Simulation(config).run()
 
 
+def test_a_repeated_horizon_gives_its_rows_once():
+    config = scenario.load_scenario(overrides={"devices": {"count": 2}, "horizon_s": 2.0})
+    rows = Simulation(config).run([1.0, 1.0]).rows
+    assert len(rows) == 2
+    assert rows == Simulation(config).run([1.0]).rows
+
+
 @pytest.mark.parametrize("horizon", [float("nan"), float("inf"), -5.0])
 def test_unusable_horizon_raises_before_anything_is_scheduled(horizon):
     sim = Simulation(tiny_config(policy="proposed", seed=1))
