@@ -59,6 +59,9 @@ def _overrides(args) -> dict:
 def cmd_run(args) -> int:
     path = resolve_scenario(args.scenario)
     config = scenario.load_scenario(path, _overrides(args))
+    if args.optimality and config["policy"] != "proposed":
+        raise SystemExit(f"--optimality measures the proposed policy's placement; "
+                         f"got policy {config['policy']!r}")
     if args.print_effective_config:
         sys.stdout.write(scenario.effective_config(config))
         return 0

@@ -244,14 +244,17 @@ def transmission_energy(topology: Topology, profile: DeviceEnergyProfile,
 # -- module and application cost -------------------------------------------
 
 def module_cost(topology: Topology, dag: AppDag, placement: Placement,
-                profile: DeviceEnergyProfile, module_id: str) -> Tuple[float, float]:
+                profile: DeviceEnergyProfile, module_id: str,
+                at: Optional[ServerId] = None) -> Tuple[float, float]:
     """(time, energy) of one module, from one walk over its incoming flows.
 
     Time is execution plus the worst incoming latency plus the worst incoming
     transfer time. Energy is device-centric: execution (or idle wait), latency
-    billed at idle power, and transfer.
+    billed at idle power, and transfer. Given `at`, the module is priced on
+    that server instead of its own; the placement is only read, and needs
+    no entry for the module.
     """
-    server = placement[module_id]
+    server = placement[module_id] if at is None else at
     cpu_mips = topology.node(server).cpu_mips
     # On the device the CPU burns p_cpu; offloaded work leaves the device
     # idling for exactly the remote execution time.
@@ -376,21 +379,15 @@ def module_migration_cost(topology: Topology, profile: DeviceEnergyProfile,
     """Cost of moving one container from `frm` to `to`.
 
     Time: route latency + stop/resume overhead + dump transfer + catching up
-    the interrupted execution on the new server. Moving in place still pays
-    the stop/resume overhead and the execution remainder.
+    the interrupted execution on the new server. Moving in place reads the
+    empty route to itself, so it pays only the stop/resume overhead and the
+    execution remainder.
     """
-    node_to = topology.node(to)
-    t_exe = remaining_mi / node_to.cpu_mips
-    if frm == to:
-        t_lat = 0.0
-        t_tra = 0.0
-        e_lat = 0.0
-        e_tra = 0.0
-    else:
-        rec = _cached_route(topology, frm, to)
-        t_lat = rec.lat
-        t_tra, e_tra = _transfer(profile, rec.bws, dump_bits, frm, to)
-        e_lat = t_lat * profile.p_idle_w  # latency billed at idle power
+    t_exe = remaining_mi / topology.node(to).cpu_mips
+    rec = _cached_route(topology, frm, to)
+    t_lat = rec.lat
+    t_tra, e_tra = _transfer(profile, rec.bws, dump_bits, frm, to)
+    e_lat = t_lat * profile.p_idle_w  # latency billed at idle power
     time_s = t_lat + params.i_mig_s + t_tra + t_exe
     e_exe = t_exe * (profile.p_cpu_w if to.level == 0 else profile.p_idle_w)
     energy_j = e_lat + e_tra + e_exe

@@ -105,31 +105,30 @@ def _module_floor(topology: Topology, dag: AppDag, weights: CostWeights,
 def optimal_placement(topology: Topology, dag: AppDag, weights: CostWeights,
                       profile: DeviceEnergyProfile,
                       candidates: Sequence[ServerId],
-                      capacity_free: Optional[Dict[ServerId, int]] = None,
+                      capacity_free: Dict[ServerId, int],
                       base_placement: Optional[Placement] = None,
                       node_budget: int = DEFAULT_NODE_BUDGET,
                       memo: Optional[_ModuleCosts] = None) -> OracleResult:
     """Minimum weighted application cost over all feasible assignments.
 
-    `capacity_free` caps how many modules may land on each candidate; when
-    omitted, capacity is unconstrained. On budget exhaustion the incumbent is
-    returned with complete=False. `memo` is the module-cost memo of the
-    sequential pass this search belongs to, on the same candidates; a lone
-    search keeps its own.
+    `capacity_free` caps how many modules may land on each candidate; a
+    candidate it does not name takes none. On budget exhaustion the
+    incumbent is returned with complete=False. `memo` is the module-cost memo
+    of the sequential pass this search belongs to, on the same candidates; a
+    lone search keeps its own.
     """
     candidates = sorted(set(candidates))
     ranked = rank_modules(dag, candidates, weights, topology, profile)
     order = rank_order(ranked, dag.unpinned())
-    free = dict(capacity_free) if capacity_free is not None else None
+    free = dict(capacity_free)
 
     assign = dict(base_placement or {})
     for m in dag.modules:
         if m.pinned_to_device and m.id not in assign:
             raise ValueError(f"pinned module {m.id} needs a preset server")
 
-    depth_of = {mid: depth for depth, mid in enumerate(order)}
     # The modules the search never places, on their preset servers.
-    fixed = {m.id: assign[m.id] for m in dag.modules if m.id not in depth_of}
+    fixed = {m.id: assign[m.id] for m in dag.modules if m.pinned_to_device}
     floor_of = partial(_module_floor, topology, dag, weights, profile, candidates, fixed)
 
     n = len(order)
@@ -149,11 +148,6 @@ def optimal_placement(topology: Topology, dag: AppDag, weights: CostWeights,
         row = suffix_floor[depth] = list(suffix_floor[depth + 1])
         least = min((floor_of(order[depth], sid) for sid in candidates), default=0.0)
         row[slot[depth]] = max(row[slot[depth]], least)
-    # Leaf cost terms per schedule: the depths of its searched modules, and
-    # its other (pinned) modules, whose cost is only known at the leaf.
-    leaf_groups = [([depth_of[m] for m in modules if m in depth_of],
-                    [m for m in modules if m in fixed])
-                   for modules in dag.schedules]
 
     # A module's (time, energy) depends only on its incoming flows, its own
     # server and those of its predecessors, so a search computes each
@@ -183,10 +177,8 @@ def optimal_placement(topology: Topology, dag: AppDag, weights: CostWeights,
         row = rows.get(key)
         if row is None:
             row = rows[key] = []
-            trial = dict(assign)
             for sid in sids:
-                trial[mid] = sid
-                t, e = cost_model.module_cost(topology, dag, trial, profile, mid)
+                t, e = cost_model.module_cost(topology, dag, assign, profile, mid, at=sid)
                 row.append((sid, t, e, w1 * t + w2 * e))
             # `sids` come in server-id order and the sort is stable, so
             # equal costs keep that order.
@@ -198,35 +190,19 @@ def optimal_placement(topology: Topology, dag: AppDag, weights: CostWeights,
     nodes = 0
     complete = True
     placed_cost = [0.0] * len(sched_positions)
-    time_at = [0.0] * n
-    energy_at = [0.0] * n
-
-    def leaf_cost() -> float:
-        """`cost_model.app_cost` of the full placement from the kept terms:
-        per schedule the max time and max energy, summed in schedule order."""
-        total_t = 0.0
-        total_e = 0.0
-        for depths, others in leaf_groups:
-            t = 0.0
-            e = 0.0
-            for depth in depths:
-                t = max(t, time_at[depth])
-                e = max(e, energy_at[depth])
-            for mid in others:
-                own = assign[mid]
-                _, mt, me, _ = memo_row(mid, (own,))[0]
-                t = max(t, mt)
-                e = max(e, me)
-            total_t += t
-            total_e += e
-        return w1 * total_t + w2 * total_e
+    # Each module's (time, energy) on its current server: a searched one's
+    # written as it is placed, a pinned one's at each leaf.
+    costs: cost_model.CostTable = {}
 
     stack_assign: List[ServerId] = []
 
     def dfs(depth: int):
         nonlocal best_cost, best_assign, nodes, complete
         if depth == n:
-            cost = leaf_cost()
+            for mid, own in fixed.items():
+                costs[mid] = memo_row(mid, (own,))[0][1:3]
+            cost = weights.weigh(*cost_model.app_cost_breakdown(
+                topology, dag, assign, profile, costs))
             key = tuple(stack_assign)
             if cost < best_cost - _TIE_EPS or \
                     (abs(cost - best_cost) <= _TIE_EPS and
@@ -250,7 +226,7 @@ def optimal_placement(topology: Topology, dag: AppDag, weights: CostWeights,
         tail = list(map(max, placed_cost[pos + 1:], suffix[pos + 1:]))
         floor = max(saved, suffix[pos])
         for sid, t, e, w in row:
-            if free is not None and free.get(sid, 0) <= 0:
+            if free.get(sid, 0) <= 0:
                 continue
             nodes += 1
             if nodes > node_budget:
@@ -259,16 +235,13 @@ def optimal_placement(topology: Topology, dag: AppDag, weights: CostWeights,
             if w > floor and sum(tail, head + w) > best_cost + _TIE_EPS:
                 break
             assign[mid] = sid
-            time_at[depth] = t
-            energy_at[depth] = e
+            costs[mid] = (t, e)
             placed_cost[pos] = max(saved, w)
-            if free is not None:
-                free[sid] -= 1
+            free[sid] -= 1
             stack_assign.append(sid)
             dfs(depth + 1)
             stack_assign.pop()
-            if free is not None:
-                free[sid] += 1
+            free[sid] += 1
             placed_cost[pos] = saved
             del assign[mid]
             if not complete:

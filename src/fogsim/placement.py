@@ -94,16 +94,8 @@ def marginal_cost(topology: Topology, dag: AppDag, placement: Placement,
                   module_id: str, candidate: ServerId, weights: CostWeights,
                   profile: DeviceEnergyProfile) -> float:
     """Weighted cost the module adds when run on the candidate, predecessors fixed."""
-    trial = placement.get(module_id)
-    placement[module_id] = candidate
-    try:
-        t, e = cost_model.module_cost(topology, dag, placement, profile, module_id)
-    finally:
-        if trial is None:
-            del placement[module_id]
-        else:
-            placement[module_id] = trial
-    return weights.w1 * t + weights.w2 * e
+    return weights.weigh(*cost_model.module_cost(topology, dag, placement, profile,
+                                                 module_id, at=candidate))
 
 
 def find_min_cost(topology: Topology, ledger: CapacityLedger,

@@ -377,6 +377,17 @@ def test_optimality_gap_is_zero_when_the_optimum_costs_nothing(tmp_path, edit, d
     assert gaps == ([0.0] if edit else [])
 
 
+@pytest.mark.parametrize("policy", ["maas", "urmila"])
+def test_optimality_flag_rejects_other_policies_before_writing(tmp_path, policy):
+    # The study measures the proposed policy's placement, so its gap would
+    # mislabel another policy's rows.
+    out = tmp_path / "opt"
+    with pytest.raises(SystemExit, match=policy):
+        cli.main(["run", "desk_optimality", "--policy", policy, "--devices", "4",
+                  "--horizon", "1", "--optimality", "--out", str(out)])
+    assert not out.exists()
+
+
 def test_run_matrix_device_sweep_tags_rows(tiny_scenario):
     config = load_scenario(tiny_scenario)
     rows = experiments.run_matrix(config, ["proposed"], [1], [1.0],

@@ -275,10 +275,17 @@ def test_validate_placement_clean(topo_dev):
 # -- migration cost ---------------------------------------------------------------
 
 def test_migration_in_place_costs_only_overhead(topo_dev):
+    # A stay ships no dump: it pays the stop/resume overhead and re-runs the
+    # remainder where it is, on a level-1 server and on the cloud alike, and
+    # its energy is that execution's alone.
     params = MigrationParams(i_mig_s=0.05)
-    mc = module_migration_cost(topo_dev, PROFILE, params, CostWeights(),
-                               0.0, S(1, 1), S(1, 1), 0.0)
-    assert mc.time_s == pytest.approx(0.05)
+    for dump_bits, remaining_mi, sid in [(0.0, 0.0, S(1, 1)), (40e6, 100.0, S(1, 1)),
+                                         (40e6, 100.0, S(4, 1))]:
+        mc = module_migration_cost(topo_dev, PROFILE, params, CostWeights(),
+                                   dump_bits, sid, sid, remaining_mi)
+        t_exe = remaining_mi / topo_dev.node(sid).cpu_mips
+        assert mc.time_s == params.i_mig_s + t_exe
+        assert mc.energy_j == t_exe * PROFILE.p_idle_w
 
 
 def test_migration_to_cluster_neighbor_term_by_term(topo_dev):

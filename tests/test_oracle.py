@@ -22,8 +22,13 @@ def pinned_base(dag, device=S(0, 5)):
     return {m.id: device for m in dag.modules if m.pinned_to_device}
 
 
+def room_for_all(dag, candidates):
+    """A capacity table under which every candidate can take every module."""
+    return dict.fromkeys(candidates, len(dag.unpinned()))
+
+
 def exhaustive_optimal(topology, dag, weights, profile, candidates,
-                       capacity_free=None, base_placement=None):
+                       capacity_free, base_placement=None):
     """Brute-force reference for `oracle.optimal_placement`: enumerates every
     assignment in the search's module order, with its tie rule. Test-scale only."""
     candidates = sorted(set(candidates))
@@ -35,16 +40,15 @@ def exhaustive_optimal(topology, dag, weights, profile, candidates,
     nodes = 0
     for combo in itertools.product(candidates, repeat=len(order)):
         nodes += 1
-        if capacity_free is not None:
-            used = {}
-            ok = True
-            for sid in combo:
-                used[sid] = used.get(sid, 0) + 1
-                if used[sid] > capacity_free.get(sid, 0):
-                    ok = False
-                    break
-            if not ok:
-                continue
+        used = {}
+        ok = True
+        for sid in combo:
+            used[sid] = used.get(sid, 0) + 1
+            if used[sid] > capacity_free.get(sid, 0):
+                ok = False
+                break
+        if not ok:
+            continue
         placement.update(zip(order, combo))
         cost = cost_model.app_cost(topology, dag, placement, weights, profile)
         if cost < best_cost - oracle._TIE_EPS or \
@@ -74,6 +78,7 @@ def test_single_module_is_argmin_over_candidates():
         plc["m"] = sid
         costs[sid] = cost_model.app_cost(topo, dag, plc, WEIGHTS, PROFILE)
     res = oracle.optimal_placement(topo, dag, WEIGHTS, PROFILE, candidates,
+                                   room_for_all(dag, candidates),
                                    base_placement=pinned_base(dag))
     best = min(candidates, key=lambda sid: (costs[sid], sid))
     assert res.placement["m"] == best
@@ -94,8 +99,9 @@ def random_dag(rng):
 
 
 def random_world(rng, make_dag, device_bps=None):
-    """(topology, dag, candidates, capacity or None) of one random small world:
-    random candidates, a random cluster link, capacity half the time. With
+    """(topology, dag, candidates, capacity) of one random small world:
+    random candidates, a random cluster link, and half the time a tight
+    capacity table, otherwise one with room for every module. With
     `device_bps`, the device's uplink and downlink run at that bandwidth."""
     topo = make_small_topology(with_device=True)
     if device_bps is not None:
@@ -105,7 +111,7 @@ def random_world(rng, make_dag, device_bps=None):
     dag = make_dag(rng)
     candidates = rng.sample([S(1, 1), S(1, 2), S(1, 3), S(2, 1), S(3, 1)],
                             rng.randint(2, 4))
-    free = None
+    free = room_for_all(dag, candidates)
     if rng.random() < 0.5:
         free = {sid: rng.randint(1, 2) for sid in candidates}
         if sum(free.values()) < len(dag.unpinned()):
@@ -229,6 +235,30 @@ def test_module_floor_is_a_lower_bound_on_module_cost(seed, make_dag, device_bps
     assert tight > 0
 
 
+@pytest.mark.parametrize("seed, make_dag", [
+    (2024, random_dag), (2025, random_dag_with_sink), (2026, random_dag_with_heavy_sink),
+], ids=["chain", "sink", "heavy_sink"])
+def test_module_cost_at_a_server_equals_writing_it_into_the_placement(seed, make_dag):
+    """`module_cost(..., at=s)` prices a module on s exactly as a placement
+    that holds it there does, and leaves the placement it reads as it was,
+    whether or not that placement holds the module."""
+    rng = random.Random(seed)
+    for _ in range(10):
+        topo, dag, candidates, _ = random_world(rng, make_dag)
+        placement = {**pinned_base(dag),
+                     **{mid: rng.choice(candidates) for mid in dag.unpinned()}}
+        for mid in dag.module_map:
+            without = {k: v for k, v in placement.items() if k != mid}
+            for sid in sorted(topo.nodes):
+                want = cost_model.module_cost(topo, dag, {**placement, mid: sid},
+                                              PROFILE, mid)
+                for given in (placement, without):
+                    before = dict(given)
+                    got = cost_model.module_cost(topo, dag, given, PROFILE, mid, at=sid)
+                    assert [float.hex(x) for x in got] == [float.hex(x) for x in want]
+                    assert given == before
+
+
 def test_capacity_limits_are_respected():
     topo = make_small_topology(with_device=True)
     dag = random_dag(random.Random(7))
@@ -247,8 +277,9 @@ def test_capacity_limits_are_respected():
 def test_budget_exhaustion_reports_incomplete():
     topo = make_small_topology(with_device=True)
     dag = random_dag(random.Random(3))
-    res = oracle.optimal_placement(topo, dag, WEIGHTS, PROFILE,
-                                   [S(1, 1), S(1, 2), S(2, 1)],
+    candidates = [S(1, 1), S(1, 2), S(2, 1)]
+    res = oracle.optimal_placement(topo, dag, WEIGHTS, PROFILE, candidates,
+                                   room_for_all(dag, candidates),
                                    base_placement=pinned_base(dag),
                                    node_budget=1)
     assert not res.complete
@@ -268,7 +299,8 @@ def test_pinned_module_without_preset_server_rejected():
     topo = make_small_topology(with_device=True)
     dag = single_module_dag()
     with pytest.raises(ValueError):
-        oracle.optimal_placement(topo, dag, WEIGHTS, PROFILE, [S(1, 1)])
+        oracle.optimal_placement(topo, dag, WEIGHTS, PROFILE, [S(1, 1)],
+                                 room_for_all(dag, [S(1, 1)]))
 
 
 # Summed nodes_explored of the desk_optimality oracle pass over seeds 1-5;

@@ -100,10 +100,16 @@ def test_find_min_cost_single_candidate():
 def test_find_min_cost_prefers_colocated_predecessor():
     topo, dag, plc, ledger, ranked = make_world()
     # The filter's predecessor is the sensor pinned to the device under (1,1):
-    # the controller wins on zero-distance input.
-    choice = find_min_cost(topo, ledger, [S(1, 1), S(2, 1)], dag, plc,
-                           "filter", WEIGHTS, PROFILE)
-    assert choice == S(1, 1)
+    # the controller wins on zero-distance input, whether or not the placement
+    # already holds the filter elsewhere, and scoring leaves it as it was.
+    for held in (None, S(2, 1)):
+        if held is not None:
+            plc["filter"] = held
+        before = dict(plc)
+        choice = find_min_cost(topo, ledger, [S(1, 1), S(1, 2), S(2, 1)], dag, plc,
+                               "filter", WEIGHTS, PROFILE)
+        assert choice == S(1, 1)
+        assert plc == before
 
 
 def test_find_min_cost_tie_prefers_lower_level():
