@@ -79,7 +79,9 @@ class AppDag:
         self.schedules = [sorted(by_order[val]) for val in sorted(by_order)]
 
     def unpinned(self) -> List[str]:
-        return [m.id for m in self.modules if not m.pinned_to_device]
+        """Modules not pinned to the device, in schedule order."""
+        return [mid for group in self.schedules for mid in group
+                if not self.module_map[mid].pinned_to_device]
 
     def incoming_mi(self, module_id: str) -> float:
         return sum(f.instructions_mi for f in self.preds[module_id])
@@ -93,22 +95,19 @@ def compute_rank(dag: AppDag, ready_servers: Sequence[ServerId], weights,
     the transfer term averages pairwise transfer cost over all ordered
     candidate pairs, counting same-server pairs as zero.
 
-    Ranks over fog servers only are memoized in `topology.rank_cache` until
-    the fog structure changes; a device's routes move with its handovers, so
-    candidate lists holding a device are always recomputed.
+    Candidates must be fog servers: the rank is memoized in
+    `topology.rank_cache`, and a device's routes move with its handovers.
     """
     from . import cost_model  # local import: cost_model depends on topology only
 
     servers = list(ready_servers)
     if not servers:
         raise ValueError("rank needs at least one candidate server")
-    key = None
-    if all(sid.level > 0 for sid in servers):
-        key = (tuple(servers), tuple(m.id for m in dag.modules), tuple(dag.flows),
-               weights, profile)
-        cached = topology.rank_cache.get(key)
-        if cached is not None:
-            return dict(cached)
+    key = (tuple(servers), tuple(m.id for m in dag.modules), tuple(dag.flows),
+           weights, profile)
+    cached = topology.rank_cache.get(key)
+    if cached is not None:
+        return dict(cached)
     n = len(servers)
 
     def mean_exec_cost(module_id: str) -> float:
@@ -135,27 +134,16 @@ def compute_rank(dag: AppDag, ready_servers: Sequence[ServerId], weights,
             for flow in dag.succs[mid]:
                 best_succ = max(best_succ, transfer_cost(flow) + rank[flow.dst])
             rank[mid] = mean_exec_cost(mid) + best_succ
-    if key is not None:
-        topology.rank_cache[key] = dict(rank)
+    topology.rank_cache[key] = dict(rank)
     return rank
 
 
 def rank_modules(dag: AppDag, ready_servers: Sequence[ServerId], weights,
-                 topology: Topology, profile) -> Dict[int, List[str]]:
-    """Per-schedule dispatch order: rank descending, ties broken by module id."""
+                 topology: Topology, profile) -> List[str]:
+    """Unpinned modules in placement order: schedule by schedule, rank
+    descending inside a schedule, ties broken by module id."""
     rank = compute_rank(dag, ready_servers, weights, topology, profile)
-    out: Dict[int, List[str]] = {}
-    for pos, group in enumerate(dag.schedules, start=1):
-        out[pos] = sorted(group, key=lambda mid: (-rank[mid], mid))
-    return out
-
-
-def rank_order(ranked: Dict[int, List[str]], todo: Sequence[str]) -> List[str]:
-    """The `todo` modules position by position in `ranked` order, then unranked ones by id."""
-    todo_set = set(todo)
-    ordered = [m for pos in sorted(ranked) for m in ranked[pos] if m in todo_set]
-    ordered.extend(sorted(todo_set.difference(ordered)))
-    return ordered
+    return sorted(dag.unpinned(), key=lambda m: (dag.order_of[m], -rank[m], m))
 
 
 # -- bundled application templates ---------------------------------------

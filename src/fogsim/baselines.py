@@ -8,9 +8,9 @@ request.
 """
 from __future__ import annotations
 
-from typing import Dict, List, Sequence
+from typing import Sequence
 
-from .app_model import AppDag, rank_order
+from .app_model import AppDag
 from .cost_model import CostWeights, DeviceEnergyProfile, Placement
 from .placement import CapacityLedger, PlacementError, PlacementPlan, _greedy
 from .topology import ServerId, Topology
@@ -22,25 +22,23 @@ def nearest_controller(sensed: Sequence[ServerId]) -> ServerId:
 
 
 def maas_place(topology: Topology, ledger: CapacityLedger, controller: ServerId,
-               dag: AppDag, placement: Placement, todo: Sequence[str], weights: CostWeights,
-               profile: DeviceEnergyProfile) -> PlacementPlan:
-    """Edgeward placement: fill this server in schedule order, escalate the rest upward."""
-    ordered = rank_order(dict(enumerate(dag.schedules)), todo)
+               dag: AppDag, placement: Placement, ordered: Sequence[str],
+               weights: CostWeights, profile: DeviceEnergyProfile) -> PlacementPlan:
+    """Edgeward placement: fill this server in the given order, escalate the rest upward."""
     return _greedy(topology, ledger, controller, [controller], dag, placement,
                    ordered, weights, profile)
 
 
 def urmila_place(topology: Topology, ledger: CapacityLedger, central: ServerId,
-                 dag: AppDag, placement: Placement, ranked: Dict[int, List[str]],
-                 todo: Sequence[str], weights: CostWeights,
-                 profile: DeviceEnergyProfile) -> PlacementPlan:
-    """Central greedy: cheapest capacity-holding server anywhere, per module in rank order.
+                 dag: AppDag, placement: Placement, ordered: Sequence[str],
+                 weights: CostWeights, profile: DeviceEnergyProfile) -> PlacementPlan:
+    """Central greedy: cheapest capacity-holding server anywhere, per module in the given order.
 
     Every decision, the central server's own included, holds no slot until
     its target confirms it, as in the distributed placement.
     """
     plan = _greedy(topology, ledger, central, topology.fog_servers(), dag, placement,
-                   rank_order(ranked, todo), weights, profile)
+                   ordered, weights, profile)
     if plan.escalated:
         raise PlacementError(f"no capacity anywhere for {plan.escalated[0]} (central)")
     return plan

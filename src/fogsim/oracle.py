@@ -38,7 +38,7 @@ from operator import itemgetter
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from . import cost_model
-from .app_model import AppDag, rank_modules, rank_order
+from .app_model import AppDag, rank_modules
 from .cost_model import CostWeights, DeviceEnergyProfile, Placement
 from .topology import ServerId, Topology
 
@@ -118,8 +118,7 @@ def optimal_placement(topology: Topology, dag: AppDag, weights: CostWeights,
     lone search keeps its own.
     """
     candidates = sorted(set(candidates))
-    ranked = rank_modules(dag, candidates, weights, topology, profile)
-    order = rank_order(ranked, dag.unpinned())
+    order = rank_modules(dag, candidates, weights, topology, profile)
     free = dict(capacity_free)
 
     assign = dict(base_placement or {})

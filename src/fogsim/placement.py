@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import cost_model
-from .app_model import AppDag, rank_order
+from .app_model import AppDag
 from .cost_model import CostWeights, DeviceEnergyProfile, Placement
 from .topology import ServerId, Topology
 
@@ -118,12 +118,11 @@ def find_min_cost(topology: Topology, ledger: CapacityLedger,
 
 
 def dapt_place(topology: Topology, ledger: CapacityLedger, controller: ServerId,
-               dag: AppDag, placement: Placement, ranked: Dict[int, List[str]],
-               todo: Sequence[str], weights: CostWeights,
-               profile: DeviceEnergyProfile) -> PlacementPlan:
-    """Place the given modules, in rank order, from this controller; mutates `placement`."""
+               dag: AppDag, placement: Placement, ordered: Sequence[str],
+               weights: CostWeights, profile: DeviceEnergyProfile) -> PlacementPlan:
+    """Place the given modules, in the given order, from this controller; mutates `placement`."""
     return _greedy(topology, ledger, controller, ready_servers(topology, controller),
-                   dag, placement, rank_order(ranked, todo), weights, profile)
+                   dag, placement, ordered, weights, profile)
 
 
 def _greedy(topology: Topology, ledger: CapacityLedger, controller: ServerId,

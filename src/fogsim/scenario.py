@@ -155,9 +155,11 @@ def check_config(config: Dict) -> Dict:
     outside [0, 1), a `devices.ram_mb`, `migration.dump_fraction`, mobility
     speed or leg range that is not a [min, max] pair with 0 <= min <= max, a
     `policy` not in `POLICIES`, an `interrupted_mode` other than delay or drop,
-    and `devices.templates` empty or naming no `app_model.TEMPLATES` entry. A
-    sweep checks each cell it edits again. The oracle's lower bound holds only
-    for weights and powers >= 0.
+    `devices.templates` empty or naming no `app_model.TEMPLATES` entry, a
+    level's `cols` or `rows` below 1, and, once all else is valid, a level
+    whose server grid has fewer cells than its `count`. A sweep checks each
+    cell it edits again. The oracle's lower bound holds only for weights and
+    powers >= 0.
     """
     leaves = _leaves(config, DEFAULTS, "")
     mistyped = [(key, val) for key, val, default in leaves if type(val) is not type(default)
@@ -183,6 +185,9 @@ def check_config(config: Dict) -> Dict:
         for key in ("capacity", "coverage_m"):
             if float(spec.get(key, 0.0)) < 0.0:
                 bad.append((f"levels[{i}].{key}", spec[key], ">= 0"))
+        for key in ("cols", "rows"):
+            if int(spec.get(key, 1)) < 1:
+                bad.append((f"levels[{i}].{key}", spec[key], ">= 1"))
     numbers = sorted(int(spec["level"]) for spec in levels)
     if not numbers or numbers != list(range(1, len(numbers) + 1)):
         bad.append(("levels[*].level", numbers, "1 to n once each, n >= 1"))
@@ -228,6 +233,13 @@ def check_config(config: Dict) -> Dict:
             ("mobility.leg_min_m/leg_max_m", [mobility["leg_min_m"], mobility["leg_max_m"]])):
         if not (len(pair) == 2 and 0.0 <= float(pair[0]) <= float(pair[1])):
             bad.append((key, pair, "[min, max] with 0 <= min <= max"))
+    if not bad:  # a grid can be sized only from valid counts, sides and area
+        area = config["area"]
+        for i, spec in enumerate(levels):
+            cols, rows = _grid_shape(spec, float(area["width_m"]), float(area["height_m"]))
+            if cols * rows < int(spec["count"]):
+                bad.append((f"levels[{i}].cols/rows", [cols, rows],
+                            f"a grid of at least count = {spec['count']} cells"))
     if bad:
         raise ValueError("out-of-range scenario value(s) " + ", ".join(
             f"{key} = {val!r} (must be {need})" for key, val, need in bad))
@@ -254,15 +266,20 @@ class World:
     migration: MigrationParams = field(default_factory=MigrationParams)
 
 
-def _grid_positions(count: int, cols: int, rows: int,
-                    width: float, height: float) -> List[Tuple[float, float]]:
-    cell_w = width / cols
-    cell_h = height / rows
-    out = []
-    for i in range(count):
-        row, col = divmod(i, cols)
-        out.append((cell_w * (col + 0.5), cell_h * (row % rows + 0.5)))
-    return out
+def _grid_shape(spec: Dict, width: float, height: float) -> Tuple[int, int]:
+    """(cols, rows) of a level's server grid; a side left out is derived."""
+    count = int(spec["count"])
+    cols = int(spec.get("cols") or math.ceil(math.sqrt(count * width / height)))
+    rows = int(spec.get("rows") or math.ceil(count / cols))
+    return cols, rows
+
+
+def _grid_positions(spec: Dict, width: float, height: float) -> List[Tuple[float, float]]:
+    """A level's cell centres, row by row; `check_config` ensures enough cells."""
+    cols, rows = _grid_shape(spec, width, height)
+    cell_w, cell_h = width / cols, height / rows
+    return [(cell_w * (i % cols + 0.5), cell_h * (i // cols + 0.5))
+            for i in range(int(spec["count"]))]
 
 
 def _link_params(cfg: Dict) -> LinkParams:
@@ -289,9 +306,7 @@ def build_world(config: Dict) -> World:
     for spec in sorted(config["levels"], key=lambda s: s["level"]):
         level = int(spec["level"])
         count = int(spec["count"])
-        cols = int(spec.get("cols") or math.ceil(math.sqrt(count * width / height)))
-        rows = int(spec.get("rows") or math.ceil(count / cols))
-        positions = _grid_positions(count, cols, rows, width, height)
+        positions = _grid_positions(spec, width, height)
         cpu = spec["cpu_mips"]
         for idx in range(1, count + 1):
             mips = rng_topo.uniform(*cpu) if isinstance(cpu, (list, tuple)) else float(cpu)

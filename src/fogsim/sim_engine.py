@@ -268,6 +268,9 @@ class Simulation:
         self.sensor_lat = float(config["sensor_attach_latency_s"])
         self.central = ServerId(self.topology.max_fog_level, 1)
         self.queue = baselines.CentralQueue(float(config["urmila"]["service_time_s"]))
+        # Read when the simulation is built, so a rebound module attribute counts.
+        self.planner = {"proposed": placement.dapt_place, "maas": baselines.maas_place,
+                        "urmila": baselines.urmila_place}[self.policy]
         if self.policy == "proposed":
             bootstrap_clusters(self.topology)
         mob = config["mobility"]
@@ -346,42 +349,35 @@ class Simulation:
     def place(self, dev: SimDevice, t0: float) -> float:
         """Place the device's unpinned modules for a request sent at t0.
 
-        One path for every policy: only the decider and its candidates
-        differ. Urmila's central server decides over all fog servers; the
-        other policies decide at the device's controller. Returns the time
-        the controller hears back.
+        One path for every policy: only the decider, the module order and the
+        planner differ. Urmila's central server decides over all fog servers;
+        the other policies decide at the device's controller. MAAS places in
+        schedule order, the others in rank order over the decider's
+        candidates. Returns the time the controller hears back.
         """
         controller = self.topology.node(dev.sid).parent
         decider, arrival = self._decide_at(controller, controller,
                                            t0 + self.topology.links.lat_up[0])
-        ranked = None
-        if self.policy != "maas":
+        if self.policy == "maas":
+            ordered = dev.dag.unpinned()
+        else:
             servers = (self.topology.fog_servers() if self.policy == "urmila"
                        else placement.ready_servers(self.topology, controller))
-            ranked = rank_modules(dev.dag, servers, self.weights, self.topology,
-                                  self.profile)
-        return self._place_cascade(dev, ranked, decider, dev.dag.unpinned(), arrival) \
+            ordered = rank_modules(dev.dag, servers, self.weights, self.topology,
+                                   self.profile)
+        return self._place_cascade(dev, decider, ordered, arrival) \
             + self.lat(decider, controller)
 
-    def _place_cascade(self, dev: SimDevice, ranked: Optional[Dict[int, List[str]]],
-                       controller: ServerId, todo: List[str], t: float) -> float:
-        """Decide `todo` at `controller` from time t; returns the last acknowledgement.
+    def _place_cascade(self, dev: SimDevice, controller: ServerId, ordered: List[str],
+                       t: float) -> float:
+        """Decide `ordered` at `controller` from time t; returns the last acknowledgement.
 
         Each server confirms its picks, the controller its own, and has the
         slots the greedy loop counted for them. Modules that fit nowhere
-        escalate to the parent.
+        escalate to the parent, in the same order.
         """
-        if self.policy == "maas":
-            plan = baselines.maas_place(self.topology, self.ledger, controller, dev.dag,
-                                        dev.placement, todo, self.weights, self.profile)
-        elif self.policy == "urmila":
-            plan = baselines.urmila_place(self.topology, self.ledger, controller, dev.dag,
-                                          dev.placement, ranked, todo,
-                                          self.weights, self.profile)
-        else:
-            plan = placement.dapt_place(self.topology, self.ledger, controller, dev.dag,
-                                        dev.placement, ranked, todo,
-                                        self.weights, self.profile)
+        plan = self.planner(self.topology, self.ledger, controller, dev.dag, dev.placement,
+                            ordered, self.weights, self.profile)
         acks = [t]
         for server, decs in sorted(plan.by_server().items()):
             t_arr = t + self.lat(controller, server)
@@ -395,7 +391,7 @@ class Simulation:
                          server=str(server), warm=warm)
         if plan.escalated:
             parent = self.topology.node(controller).parent
-            sub = self._place_cascade(dev, ranked, parent, plan.escalated,
+            sub = self._place_cascade(dev, parent, plan.escalated,
                                       t + self.lat(controller, parent))
             acks.append(sub + self.lat(parent, controller))
         return max(acks)

@@ -64,10 +64,22 @@ def test_rank_two_module_chain_on_single_server():
 def test_heavier_branch_ordered_first_within_schedule():
     topo = make_small_topology()
     dag = build_app("ECGMH", "ecg:1")
-    ranked = rank_modules(dag, [S(1, 1), S(1, 2), S(2, 1)],
-                          CostWeights(), topo, DeviceEnergyProfile())
+    ordered = rank_modules(dag, [S(1, 1), S(1, 2), S(2, 1)],
+                           CostWeights(), topo, DeviceEnergyProfile())
     # arrhythmia_detector carries 30 MI against hr_analyzer's 25 MI.
-    assert ranked[3] == ["arrhythmia_detector", "hr_analyzer"]
+    assert ordered == ["filter", "arrhythmia_detector", "hr_analyzer", "aggregator"]
+
+
+def test_lighter_branch_ordered_first_when_it_ranks_higher():
+    # hr_analyzer's flow outweighs arrhythmia_detector's here, so the rank,
+    # not the module id, puts it first inside its schedule.
+    dag = build_app("ECGMH", "ecg:1")
+    dag = AppDag("e", "e", dag.modules,
+                 [DataFlow(f.src, f.dst, 90.0 if f.dst == "hr_analyzer" else
+                           f.instructions_mi, f.payload_bits) for f in dag.flows], 0.01)
+    ordered = rank_modules(dag, [S(1, 1), S(1, 2), S(2, 1)],
+                           CostWeights(), make_small_topology(), DeviceEnergyProfile())
+    assert ordered == ["filter", "hr_analyzer", "arrhythmia_detector", "aggregator"]
 
 
 def test_ecg_template_schedule_grouping():
@@ -108,6 +120,11 @@ def test_incoming_mi_sums_predecessor_flows():
     assert dag.incoming_mi("sensor") == 0.0
     assert set(dag.unpinned()) == {"filter", "hr_analyzer",
                                    "arrhythmia_detector", "aggregator"}
+
+
+def test_unpinned_modules_come_in_schedule_order():
+    dag = build_app("ECGMH", "ecg:1")
+    assert dag.unpinned() == ["filter", "arrhythmia_detector", "hr_analyzer", "aggregator"]
 
 
 def test_rank_memo_follows_cluster_changes():

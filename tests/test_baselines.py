@@ -45,10 +45,10 @@ def test_maas_identical_to_distributed_greedy_with_infinite_capacity():
     dag_b, plc_b = ecg_setup(topo_b)
     maas_place(topo_a, CapacityLedger(topo_a), S(1, 1), dag_a, plc_a,
                dag_a.unpinned(), WEIGHTS, PROFILE)
-    ranked = rank_modules(dag_b, ready_servers(topo_b, S(1, 1)), WEIGHTS,
-                          topo_b, PROFILE)
-    dapt_place(topo_b, CapacityLedger(topo_b), S(1, 1), dag_b, plc_b, ranked,
-               dag_b.unpinned(), WEIGHTS, PROFILE)
+    ordered = rank_modules(dag_b, ready_servers(topo_b, S(1, 1)), WEIGHTS,
+                           topo_b, PROFILE)
+    dapt_place(topo_b, CapacityLedger(topo_b), S(1, 1), dag_b, plc_b, ordered,
+               WEIGHTS, PROFILE)
     assert plc_a == plc_b
 
 
@@ -56,9 +56,8 @@ def test_urmila_central_greedy_places_globally_cheapest():
     topo = make_small_topology(with_device=True)
     dag, plc = ecg_setup(topo)
     ledger = CapacityLedger(topo)
-    ranked = rank_modules(dag, topo.fog_servers(), WEIGHTS, topo, PROFILE)
-    plan = urmila_place(topo, ledger, S(3, 1), dag, plc, ranked,
-                        dag.unpinned(), WEIGHTS, PROFILE)
+    ordered = rank_modules(dag, topo.fog_servers(), WEIGHTS, topo, PROFILE)
+    plan = urmila_place(topo, ledger, S(3, 1), dag, plc, ordered, WEIGHTS, PROFILE)
     assert len(plan.decisions) == 4
     # The device hangs off (1,1): the per-module global argmin is local to it.
     assert {d.server for d in plan.decisions} == {S(1, 1)}
@@ -76,14 +75,13 @@ def test_urmila_first_placement_is_cold_and_repeat_is_warm():
     topo = make_small_topology(with_device=True)
     dag, plc = ecg_setup(topo)
     ledger = CapacityLedger(topo)
-    ranked = rank_modules(dag, topo.fog_servers(), WEIGHTS, topo, PROFILE)
-    first = urmila_place(topo, ledger, S(3, 1), dag, plc, ranked,
-                         dag.unpinned(), WEIGHTS, PROFILE)
+    ordered = rank_modules(dag, topo.fog_servers(), WEIGHTS, topo, PROFILE)
+    first = urmila_place(topo, ledger, S(3, 1), dag, plc, ordered, WEIGHTS, PROFILE)
     # No decision holds a slot until its target confirms it.
     confirmed = _confirm(ledger, dag, first)
     assert confirmed and all(ok and not warm for _, ok, warm in confirmed)
-    again = urmila_place(topo, ledger, S(3, 1), dag, plc.copy(), ranked,
-                         dag.unpinned(), WEIGHTS, PROFILE)
+    again = urmila_place(topo, ledger, S(3, 1), dag, plc.copy(), ordered,
+                         WEIGHTS, PROFILE)
     assert [d.server for d in again.decisions] == [d.server for d in first.decisions]
     assert all(ok and warm for _, ok, warm in _confirm(ledger, dag, again))
 
@@ -104,10 +102,9 @@ def test_deciding_writes_no_capacity_until_confirmed(policy):
         plan = maas_place(topo, ledger, decider, dag, plc, dag.unpinned(), WEIGHTS, PROFILE)
     else:
         servers = topo.fog_servers() if policy == "urmila" else ready_servers(topo, decider)
-        ranked = rank_modules(dag, servers, WEIGHTS, topo, PROFILE)
+        ordered = rank_modules(dag, servers, WEIGHTS, topo, PROFILE)
         place = urmila_place if policy == "urmila" else dapt_place
-        plan = place(topo, ledger, decider, dag, plc, ranked, dag.unpinned(),
-                     WEIGHTS, PROFILE)
+        plan = place(topo, ledger, decider, dag, plc, ordered, WEIGHTS, PROFILE)
     assert [d.server for d in plan.decisions] == [decider] * len(dag.unpinned())
     assert (ledger.used, ledger.active_types) == before
     assert all(ok for _, ok, _ in _confirm(ledger, dag, plan))
@@ -119,10 +116,10 @@ def test_urmila_raises_when_every_server_is_full():
     for sid in topo.fog_servers():
         topo.node(sid).container_capacity = 0
     dag, plc = ecg_setup(topo)
-    ranked = rank_modules(dag, topo.fog_servers(), WEIGHTS, topo, PROFILE)
+    ordered = rank_modules(dag, topo.fog_servers(), WEIGHTS, topo, PROFILE)
     with pytest.raises(PlacementError):
-        urmila_place(topo, CapacityLedger(topo), S(3, 1), dag, plc, ranked,
-                     dag.unpinned(), WEIGHTS, PROFILE)
+        urmila_place(topo, CapacityLedger(topo), S(3, 1), dag, plc, ordered,
+                     WEIGHTS, PROFILE)
 
 
 def test_central_queue_is_fifo_with_fixed_service_time():

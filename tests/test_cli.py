@@ -96,16 +96,11 @@ def test_missing_level_key_raises(tmp_path):
         load_scenario(None, {"levels": [{"level": 1, "count": 3}]})
 
 
-def _empty_level(index):
-    levels = [dict(level) for level in TINY_SCENARIO["levels"]]
-    levels[index]["count"] = 0
-    del levels[index]["cols"]
-    return levels
-
-
-def _level_with(index, **values):
+def _level_with(index, *dropped, **values):
     levels = [dict(level) for level in TINY_SCENARIO["levels"]]
     levels[index].update(values)
+    for key in dropped:
+        del levels[index][key]
     return levels
 
 
@@ -118,8 +113,8 @@ def _levels(*numbers):
     # A zero tick would re-schedule itself at t = 0 forever.
     ({"mobility": {"tick_s": 0}}, r"mobility\.tick_s = 0 "),
     ({"mobility": {"tick_s": -0.1}}, r"mobility\.tick_s = -0\.1 "),
-    ({"levels": _empty_level(0)}, r"levels\[0\]\.count = 0 "),
-    ({"levels": _empty_level(1)}, r"levels\[1\]\.count = 0 "),
+    ({"levels": _level_with(0, "cols", count=0)}, r"levels\[0\]\.count = 0 "),
+    ({"levels": _level_with(1, "cols", count=0)}, r"levels\[1\]\.count = 0 "),
     ({"devices": {"count": -3}}, r"devices\.count = -3 "),
     # A zero area side divides by zero when a level leaves out `cols`.
     ({"area": {"height_m": 0}}, r"area\.height_m = 0 "),
@@ -179,6 +174,15 @@ def _levels(*numbers):
     ({"levels": _level_with(0, cpu_mips=[3000, float("inf")])},
      r"levels\[0\]\.cpu_mips\[1\] = inf$"),
     ({"links": {"bw_cluster_bps": {2: float("nan")}}}, r"links\.bw_cluster_bps\.2 = nan$"),
+    # A grid side below 1 put servers outside the area, and a grid of fewer
+    # cells than servers stacked them on the same positions.
+    ({"levels": _level_with(0, cols=-2)}, r"levels\[0\]\.cols = -2 \(must be >= 1\)$"),
+    ({"levels": _level_with(0, rows=-1)}, r"levels\[0\]\.rows = -1 \(must be >= 1\)$"),
+    ({"levels": _level_with(1, cols=0)}, r"levels\[1\]\.cols = 0 \(must be >= 1\)$"),
+    ({"levels": _level_with(0, count=30, cols=6, rows=4)},
+     r"levels\[0\]\.cols/rows = \[6, 4\] \(must be a grid of at least count = 30 cells\)$"),
+    ({"levels": _level_with(0, "cols", count=30, rows=2)},
+     r"levels\[0\]\.cols/rows = \[8, 2\] \(must be a grid of at least count = 30 cells\)$"),
 ], ids=["zero_tick", "negative_tick", "empty_level_1", "empty_level_2",
         "negative_devices", "zero_height", "negative_width", "unknown_interrupted_mode",
         "unknown_policy",
@@ -193,7 +197,8 @@ def _levels(*numbers):
         "negative_legs", "departure_margin_above_1", "departure_margin_1",
         "negative_departure_margin", "negative_i_mig", "negative_epsilon",
         "infinite_horizon", "infinite_width", "infinite_p_tx", "infinite_level_cpu_hi",
-        "nan_link_bandwidth"])
+        "nan_link_bandwidth", "negative_cols", "negative_rows", "zero_cols",
+        "grid_smaller_than_count", "derived_grid_smaller_than_count"])
 def test_out_of_range_scenario_value_raises(overrides, match):
     with pytest.raises(ValueError, match=match):
         load_scenario(None, overrides)

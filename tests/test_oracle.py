@@ -8,7 +8,7 @@ import random
 import pytest
 
 from fogsim import cli, cost_model, oracle, scenario
-from fogsim.app_model import AppDag, DataFlow, Module, rank_modules, rank_order
+from fogsim.app_model import AppDag, DataFlow, Module, rank_modules
 from fogsim.cost_model import CostWeights, DeviceEnergyProfile
 from fogsim.sim_engine import Simulation
 
@@ -32,8 +32,7 @@ def exhaustive_optimal(topology, dag, weights, profile, candidates,
     """Brute-force reference for `oracle.optimal_placement`: enumerates every
     assignment in the search's module order, with its tie rule. Test-scale only."""
     candidates = sorted(set(candidates))
-    ranked = rank_modules(dag, candidates, weights, topology, profile)
-    order = rank_order(ranked, dag.unpinned())
+    order = rank_modules(dag, candidates, weights, topology, profile)
     placement = dict(base_placement or {})
     best_cost = float("inf")
     best_assign = None

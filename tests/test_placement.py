@@ -22,8 +22,8 @@ def make_world(l1_capacity=10, clustered=True):
     dag = build_app("ECGMH", "ecg:1")
     plc = {m.id: S(0, 5) for m in dag.modules if m.pinned_to_device}
     ledger = CapacityLedger(topo)
-    ranked = rank_modules(dag, ready_servers(topo, S(1, 1)), WEIGHTS, topo, PROFILE)
-    return topo, dag, plc, ledger, ranked
+    ordered = rank_modules(dag, ready_servers(topo, S(1, 1)), WEIGHTS, topo, PROFILE)
+    return topo, dag, plc, ledger, ordered
 
 
 def test_ledger_reserve_release_and_warmth():
@@ -50,55 +50,54 @@ def test_ready_servers_order():
 
 
 def test_all_modules_fit_on_controller():
-    topo, dag, plc, ledger, ranked = make_world()
-    plan = dapt_place(topo, ledger, S(1, 1), dag, plc, ranked,
-                      dag.unpinned(), WEIGHTS, PROFILE)
+    topo, dag, plc, ledger, ordered = make_world()
+    plan = dapt_place(topo, ledger, S(1, 1), dag, plc, ordered,
+                      WEIGHTS, PROFILE)
     assert plan.escalated == []
     assert {d.server for d in plan.decisions} == {S(1, 1)}
     assert cost_model.validate_placement(topo, dag, plc, ledger.used) == []
 
 
 def test_full_controller_prefers_cluster_member_over_parent():
-    topo, dag, plc, ledger, ranked = make_world()
+    topo, dag, plc, ledger, ordered = make_world()
     # Exhaust the controller: overflow must go lateral, not upward.
     while ledger.free(S(1, 1)) > 0:
         ledger.reserve(S(1, 1), "other", "pad")
-    plan = dapt_place(topo, ledger, S(1, 1), dag, plc, ranked,
-                      dag.unpinned(), WEIGHTS, PROFILE)
+    plan = dapt_place(topo, ledger, S(1, 1), dag, plc, ordered,
+                      WEIGHTS, PROFILE)
     assert plan.escalated == []
     assert {d.server for d in plan.decisions} == {S(1, 2)}
     assert all(d.server != S(1, 1) for d in plan.decisions)
 
 
 def test_exhausted_ready_servers_escalate_everything():
-    topo, dag, plc, ledger, ranked = make_world(clustered=False)
+    topo, dag, plc, ledger, ordered = make_world(clustered=False)
     for sid in (S(1, 1), S(2, 1)):
         while ledger.free(sid) > 0:
             ledger.reserve(sid, "other", "pad")
-    plan = dapt_place(topo, ledger, S(1, 1), dag, plc, ranked,
-                      dag.unpinned(), WEIGHTS, PROFILE)
+    plan = dapt_place(topo, ledger, S(1, 1), dag, plc, ordered,
+                      WEIGHTS, PROFILE)
     assert plan.decisions == []
     assert sorted(plan.escalated) == sorted(dag.unpinned())
 
 
 def test_placement_error_when_nothing_above():
-    topo, dag, plc, ledger, ranked = make_world(clustered=False)
+    topo, dag, plc, ledger, ordered = make_world(clustered=False)
     cloud = topo.cloud_id
     topo.node(cloud).container_capacity = 0
     with pytest.raises(PlacementError):
-        dapt_place(topo, ledger, cloud, dag, plc, ranked,
-                   dag.unpinned(), WEIGHTS, PROFILE)
+        dapt_place(topo, ledger, cloud, dag, plc, ordered, WEIGHTS, PROFILE)
 
 
 def test_find_min_cost_single_candidate():
-    topo, dag, plc, ledger, ranked = make_world()
+    topo, dag, plc, ledger, ordered = make_world()
     choice = find_min_cost(topo, ledger, [S(1, 3)], dag, plc, "filter",
                            WEIGHTS, PROFILE)
     assert choice == S(1, 3)
 
 
 def test_find_min_cost_prefers_colocated_predecessor():
-    topo, dag, plc, ledger, ranked = make_world()
+    topo, dag, plc, ledger, ordered = make_world()
     # The filter's predecessor is the sensor pinned to the device under (1,1):
     # the controller wins on zero-distance input, whether or not the placement
     # already holds the filter elsewhere, and scoring leaves it as it was.
@@ -113,7 +112,7 @@ def test_find_min_cost_prefers_colocated_predecessor():
 
 
 def test_find_min_cost_tie_prefers_lower_level():
-    topo, dag, plc, ledger, ranked = make_world()
+    topo, dag, plc, ledger, ordered = make_world()
     # A module with no placed predecessors costs the same everywhere, so the
     # tie falls through to (not parent, level, index).
     plc.pop("sensor")
@@ -127,7 +126,7 @@ def test_find_min_cost_tie_prefers_lower_level():
 
 
 def test_remote_placement_confirmation_and_full_target():
-    topo, dag, plc, ledger, ranked = make_world()
+    topo, dag, plc, ledger, ordered = make_world()
     results = handle_remote_placement(ledger, S(1, 2), dag, ["filter", "aggregator"])
     assert [(m, ok) for m, ok, _ in results] == [("filter", True),
                                                  ("aggregator", True)]
@@ -142,17 +141,16 @@ def test_remote_placement_confirmation_and_full_target():
 
 
 def test_warm_container_detected_on_repeat_placement():
-    topo, dag, plc, ledger, ranked = make_world()
+    topo, dag, plc, ledger, ordered = make_world()
     assert handle_remote_placement(ledger, S(1, 1), dag, ["filter"]) == [("filter", True, False)]
-    plan = dapt_place(topo, ledger, S(1, 1), dag, plc, ranked,
-                      ["filter"], WEIGHTS, PROFILE)
+    plan = dapt_place(topo, ledger, S(1, 1), dag, plc, ["filter"], WEIGHTS, PROFILE)
     assert [d.server for d in plan.decisions] == [S(1, 1)]
     # Warmth is read at the confirmation, before its slot is reserved.
     assert handle_remote_placement(ledger, S(1, 1), dag, ["filter"]) == [("filter", True, True)]
 
 
 def test_failure_recovery_rehomes_to_survivor():
-    topo, dag, plc, ledger, ranked = make_world()
+    topo, dag, plc, ledger, ordered = make_world()
     plan = dapt_failure_recovery(topo, ledger, S(1, 1), S(1, 2), dag, plc,
                                  ["filter"], WEIGHTS, PROFILE)
     assert plan.decisions[0].server != S(1, 2)
@@ -160,7 +158,7 @@ def test_failure_recovery_rehomes_to_survivor():
 
 
 def test_failure_recovery_escalates_when_survivors_full():
-    topo, dag, plc, ledger, ranked = make_world(clustered=False)
+    topo, dag, plc, ledger, ordered = make_world(clustered=False)
     for sid in (S(1, 1), S(2, 1)):
         while ledger.free(sid) > 0:
             ledger.reserve(sid, "other", "pad")
@@ -170,16 +168,15 @@ def test_failure_recovery_escalates_when_survivors_full():
 
 
 def test_failure_recovery_keeps_caller_order_and_skips_failed_server():
-    topo, dag, plc, ledger, ranked = make_world()
+    topo, dag, plc, ledger, ordered = make_world()
     plc["filter"] = S(1, 1)
     while ledger.free(S(1, 1)) > 0:
         ledger.reserve(S(1, 1), "other", "pad")
-    rank_order = [m for pos in sorted(ranked) for m in ranked[pos]]
     modules = ["hr_analyzer", "arrhythmia_detector"]
-    assert rank_order.index(modules[0]) > rank_order.index(modules[1])
+    assert ordered.index(modules[0]) > ordered.index(modules[1])
     # With the controller full, the failed peer (1,2) is the cheapest server.
-    first = dapt_place(topo, ledger, S(1, 1), dag, plc.copy(), ranked,
-                       modules, WEIGHTS, PROFILE)
+    first = dapt_place(topo, ledger, S(1, 1), dag, plc.copy(),
+                       [m for m in ordered if m in modules], WEIGHTS, PROFILE)
     assert [d.server for d in first.decisions] == [S(1, 2), S(1, 2)]
     plan = dapt_failure_recovery(topo, ledger, S(1, 1), S(1, 2), dag, plc,
                                  modules, WEIGHTS, PROFILE)
@@ -189,12 +186,11 @@ def test_failure_recovery_keeps_caller_order_and_skips_failed_server():
 
 
 def test_constraints_hold_after_full_cascade():
-    topo, dag, plc, ledger, ranked = make_world(l1_capacity=2)
+    topo, dag, plc, ledger, ordered = make_world(l1_capacity=2)
     controller = S(1, 1)
-    todo = dag.unpinned()
+    todo = ordered
     while todo:
-        plan = dapt_place(topo, ledger, controller, dag, plc, ranked,
-                          todo, WEIGHTS, PROFILE)
+        plan = dapt_place(topo, ledger, controller, dag, plc, todo, WEIGHTS, PROFILE)
         for server, decs in plan.by_server().items():
             handle_remote_placement(ledger, server, dag, [d.module for d in decs])
         todo = plan.escalated

@@ -43,7 +43,8 @@ def test_tracer_targets_exist_and_are_restored():
     metrics = tracer.metrics()
     for name in ("cost_model.route_lookups", "cost_model.route_builds",
                  "cost_model.app_cost_calls", "cost_model.schedule_cost_calls",
-                 "placement.dapt_place_calls", "baselines.queue_admits",
+                 "placement.dapt_place_calls", "baselines.maas_place_s",
+                 "baselines.urmila_place_s", "baselines.queue_admits",
                  "oracle.calls",
                  "oracle.nodes_explored", "sim_engine.events.service_start"):
         assert metrics[name] > 0, name
