@@ -93,10 +93,12 @@ def compute_rank(dag: AppDag, ready_servers: Sequence[ServerId], weights,
 
     Execution term averages the weighted run cost across candidates;
     the transfer term averages pairwise transfer cost over all ordered
-    candidate pairs, counting same-server pairs as zero.
+    candidate pairs, counting same-server pairs as zero, and is priced once
+    per distinct payload by `cost_model.mean_transfer_costs`.
 
-    Candidates must be fog servers: the rank is memoized in
-    `topology.rank_cache`, and a device's routes move with its handovers.
+    Candidates must be fog servers (a ValueError names any device): the
+    rank is memoized in `topology.rank_cache`, and a device's routes move
+    with its handovers.
     """
     from . import cost_model  # local import: cost_model depends on topology only
 
@@ -109,6 +111,8 @@ def compute_rank(dag: AppDag, ready_servers: Sequence[ServerId], weights,
     if cached is not None:
         return dict(cached)
     n = len(servers)
+    transfer = cost_model.mean_transfer_costs(
+        topology, profile, weights, servers, (flow.payload_bits for flow in dag.flows))
 
     def mean_exec_cost(module_id: str) -> float:
         total = 0.0
@@ -116,23 +120,12 @@ def compute_rank(dag: AppDag, ready_servers: Sequence[ServerId], weights,
             total += cost_model.exec_cost(topology, dag, weights, profile, module_id, sid)
         return total / n
 
-    def transfer_cost(flow: DataFlow) -> float:
-        total = 0.0
-        for a in servers:
-            for b in servers:
-                if a == b:
-                    continue
-                t, e = cost_model.transmission_cost(topology, profile,
-                                                    flow.payload_bits, a, b)
-                total += weights.w1 * t + weights.w2 * e
-        return total / (n * n)
-
     rank: Dict[str, float] = {}
     for group in reversed(dag.schedules):
         for mid in group:
             best_succ = 0.0
             for flow in dag.succs[mid]:
-                best_succ = max(best_succ, transfer_cost(flow) + rank[flow.dst])
+                best_succ = max(best_succ, transfer[flow.payload_bits] + rank[flow.dst])
             rank[mid] = mean_exec_cost(mid) + best_succ
     topology.rank_cache[key] = dict(rank)
     return rank

@@ -67,53 +67,34 @@ Placement = Dict[str, ServerId]
 
 # -- next-hop routing ------------------------------------------------------
 
-def _toward(topology: Topology, ids: Iterable[ServerId],
-            dest: ServerId) -> Optional[ServerId]:
-    """Lowest id among `ids` whose descendant closure holds dest, or None.
-
-    dest lies in a node's closure exactly when the node is dest's ancestor at
-    its own level, so the parent chain answers without building the closure.
-    """
-    best = None
-    for sid in ids:
-        if topology.ancestor_at_level(dest, sid.level) == sid:
-            if best is None or sid < best:
-                best = sid
-    return best
-
-
 def next_hop(topology: Topology, current: ServerId, dest: ServerId) -> Tuple[str, ServerId]:
     """One routing step; returns (hop kind, next server).
 
     Kinds: "arrived", "up", "down", "cluster". Upward fallbacks for lateral
     traffic are still charged as up hops.
+
+    dest lies in a node's descendant closure exactly when the node is dest's
+    ancestor at its own level. Children sit one level down and cluster
+    members on this node's level, so one ancestor lookup names the only
+    child, and the only member, that can hold dest.
     """
     if current == dest:
         return ("arrived", current)
     if current not in topology.nodes or dest not in topology.nodes:
         raise RoutingError(f"route endpoints missing: {current} -> {dest}")
     node = topology.nodes[current]
-
-    def up():
-        if node.parent is None:
-            raise RoutingError(f"no route from {current} to {dest}: dead end going up")
-        return ("up", node.parent)
-
-    if current.level < dest.level:
-        return up()
-    if current.level > dest.level:
-        child = _toward(topology, node.children, dest)
-        if child is not None:
-            return ("down", child)
-        member = _toward(topology, node.cluster_members, dest)
-        if member is not None:
-            return ("cluster", member)
-        return up()
-    # same level, different index
-    member = _toward(topology, node.cluster_members, dest)
-    if member is not None:
-        return ("cluster", member)
-    return up()
+    if current.level >= dest.level:
+        peer = dest
+        if current.level > dest.level:
+            below = topology.ancestor_at_level(dest, current.level - 1)
+            if below in node.children:
+                return ("down", below)
+            peer = None if below is None else topology.nodes[below].parent
+        if peer in node.cluster_members:
+            return ("cluster", peer)
+    if node.parent is None:
+        raise RoutingError(f"no route from {current} to {dest}: dead end going up")
+    return ("up", node.parent)
 
 
 def route(topology: Topology, src: ServerId, dest: ServerId) -> List[Tuple[str, ServerId, ServerId]]:
@@ -220,6 +201,51 @@ def transmission_cost(topology: Topology, profile: DeviceEnergyProfile,
     """(seconds, device energy) of a payload over the route, from one `_transfer`."""
     return _transfer(profile, _cached_route(topology, src, dest).bws,
                      payload_bits, src, dest)
+
+
+def mean_transfer_costs(topology: Topology, profile: DeviceEnergyProfile,
+                        weights: CostWeights, servers: List[ServerId],
+                        payloads: Iterable[float]) -> Dict[float, float]:
+    """Per distinct payload, the weighted transfer cost averaged over ordered server pairs.
+
+    Each of the n * n ordered pairs of `servers` adds w1 * seconds + w2 *
+    energy, a same-server pair adding nothing, and the sum is divided by
+    n * n. Between fog servers a transfer depends only on its route's
+    bandwidths, so each distinct bandwidth tuple is priced once per payload;
+    the pairs' terms are still added one by one in (a, b) order.
+    """
+    devices = [sid for sid in servers if sid.level == 0]
+    if devices:
+        raise ValueError("transfer costs are averaged over fog servers only, got "
+                         + ", ".join(map(str, devices)))
+    payloads = list(dict.fromkeys(payloads))
+    if not payloads:
+        return {}
+    slot_of: Dict[Tuple[float, ...], int] = {}
+    shapes = []     # (bandwidths, a, b) of each distinct route shape
+    slots = []      # each pair's shape, in (a, b) order
+    for a in servers:
+        for b in servers:
+            if a == b:
+                continue
+            bws = _cached_route(topology, a, b).bws
+            slot = slot_of.get(bws)
+            if slot is None:
+                slot = slot_of[bws] = len(shapes)
+                shapes.append((bws, a, b))
+            slots.append(slot)
+    n = len(servers)
+    out = {}
+    for bits in payloads:
+        prices = []
+        for bws, a, b in shapes:
+            t, e = _transfer(profile, bws, bits, a, b)
+            prices.append(weights.w1 * t + weights.w2 * e)
+        total = 0.0
+        for slot in slots:
+            total += prices[slot]
+        out[bits] = total / (n * n)
+    return out
 
 
 def transmission_time(topology: Topology, payload_bits: float,

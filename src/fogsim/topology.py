@@ -102,8 +102,10 @@ class Topology:
         self.route_cache: Dict[tuple, tuple] = {}
         # upward-rank memo of app_model.compute_rank, emptied likewise.
         self.rank_cache: Dict[tuple, Dict[str, float]] = {}
-        # level-1 nodes, for sensed_by.
+        # level-1 nodes, for sensed_by, and every fog server sorted by id, for
+        # fog_servers; the node set is fixed from here on.
         self._level1 = [n for n in self.nodes.values() if n.id.level == 1]
+        self._fog = sorted(sid for sid in self.nodes if sid.level >= 1)
         self._wire_children()
         self._check_levels()
 
@@ -145,8 +147,11 @@ class Topology:
             self.nodes[parent].children.add(child)
 
     def link_cluster(self, a: ServerId, b: ServerId):
-        if a.level != b.level or a.level == 0:
-            raise TopologyError(f"cluster edge must join two fog servers on one level: {a} {b}")
+        """Join two distinct known fog servers on one level; nothing is written otherwise."""
+        if (a not in self.nodes or b not in self.nodes or a.level != b.level
+                or a.level == 0 or a == b):
+            raise TopologyError(
+                f"cluster edge must join two fog servers on one level, known and distinct: {a} {b}")
         self.nodes[a].cluster_members.add(b)
         self.nodes[b].cluster_members.add(a)
         self.bump()
@@ -181,10 +186,10 @@ class Topology:
         return None
 
     def fog_servers(self, level: Optional[int] = None):
-        """Fog/cloud servers (level >= 1), sorted by id."""
-        out = [n.id for n in self.nodes.values()
-               if n.id.level >= 1 and (level is None or n.id.level == level)]
-        return sorted(out)
+        """Fog/cloud servers (level >= 1), sorted by id, as a fresh list."""
+        if level is None:
+            return list(self._fog)
+        return [sid for sid in self._fog if sid.level == level]
 
     def sensed_by(self, point: Tuple[float, float]):
         """Level-1 servers whose coverage contains the point, sorted by distance."""

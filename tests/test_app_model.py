@@ -1,9 +1,12 @@
 """Application DAGs: schedule grouping, upward ranks, bundled templates."""
 import pytest
 
+from fogsim import cli, scenario
 from fogsim.app_model import (AppDag, CycleError, DataFlow, Module, build_app,
                               compute_rank, rank_modules)
+from fogsim.clustering import bootstrap_clusters
 from fogsim.cost_model import CostWeights, DeviceEnergyProfile
+from fogsim.placement import ready_servers
 
 from conftest import S, make_small_topology
 
@@ -155,3 +158,55 @@ def test_rank_memo_hands_out_copies():
     assert memoized == computed
     computed["filter"] = memoized["filter"] = -1.0
     assert rank()["filter"] != -1.0
+
+
+def test_rank_rejects_device_candidates():
+    topo = make_small_topology(with_device=True)
+    with pytest.raises(ValueError, match=r"\(0,5\)"):
+        compute_rank(build_app("ECGMH", "ecg:1"), [S(1, 1), S(0, 5)], CostWeights(),
+                     topo, DeviceEnergyProfile())
+
+
+def test_rank_of_a_dag_without_flows_builds_no_route():
+    topo = make_small_topology()
+    dag = AppDag("solo", "solo", [Module("m1"), Module("m2")], [], 0.01)
+    rank = compute_rank(dag, topo.fog_servers(), CostWeights(), topo, DeviceEnergyProfile())
+    assert set(rank) == {"m1", "m2"}
+    assert topo.route_cache == {}
+
+
+# Upward ranks on urban_80dev with its cluster edges, as float.hex, for the
+# bundled templates over every fog server and over controller (1,1)'s ready
+# servers [(1,1), (1,7), (2,1)].
+RANK_PINS = {
+    ("fog", "ECGMH"): {
+        "aggregator": "0x1.d33924bd7530bp-9", "arrhythmia_detector": "0x1.140d3db204f41p-7",
+        "display": "0x1.53855a9a52dd9p-12", "filter": "0x1.7e57ce16e0795p-7",
+        "hr_analyzer": "0x1.f30da53becf5ap-8", "sensor": "0x1.7eb9964023b95p-7"},
+    ("fog", "EEGTBG"): {
+        "client_filter": "0x1.741d6b6b51226p-8",
+        "concentration_calculator": "0x1.09ba68fc24cd2p-8",
+        "display": "0x1.53855a9a52dd9p-12", "game_state": "0x1.a92a41936e14ep-10",
+        "sensor": "0x1.74b017a936025p-8"},
+    ("ready", "ECGMH"): {
+        "aggregator": "0x1.a406d9c05a0d3p-9", "arrhythmia_detector": "0x1.f060f5091ed77p-8",
+        "display": "0x1.31686d2313292p-12", "filter": "0x1.57acbe779542ep-7",
+        "hr_analyzer": "0x1.c0a8a3fba3d90p-8", "sensor": "0x1.57c40227b4f77p-7"},
+    ("ready", "EEGTBG"): {
+        "client_filter": "0x1.4e38bebe9c5e3p-8",
+        "concentration_calculator": "0x1.dd6d53bf1d33cp-9",
+        "display": "0x1.31686d2313292p-12", "game_state": "0x1.7df10fcc175cap-10",
+        "sensor": "0x1.4e5ba446cbed1p-8"},
+}
+
+
+def test_ranks_on_the_reference_world_match_their_pins():
+    world = scenario.build_world(scenario.load_scenario(cli.resolve_scenario("urban_80dev")))
+    topo = world.topology
+    bootstrap_clusters(topo)
+    servers = {"fog": topo.fog_servers(), "ready": ready_servers(topo, S(1, 1))}
+    assert servers["ready"] == [S(1, 1), S(1, 7), S(2, 1)]
+    for (name, template), pins in RANK_PINS.items():
+        rank = compute_rank(build_app(template, "app:1"), servers[name], world.weights,
+                            topo, world.profile)
+        assert {mid: value.hex() for mid, value in rank.items()} == pins, (name, template)

@@ -1,4 +1,6 @@
 """Routing rules, transmission/latency costs, energy terms, migration cost."""
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -11,6 +13,7 @@ from fogsim.cost_model import (CostWeights, DeviceEnergyProfile,
 from fogsim.topology import RoutingError
 
 from conftest import S, make_small_topology
+from test_rule_oracle import random_topology
 
 PROFILE = DeviceEnergyProfile(p_cpu_w=0.9, p_idle_w=0.3, p_tx_w=1.3)
 
@@ -312,3 +315,53 @@ def test_admissibility_boundary_inclusive():
     assert migration_admissible(1.0, 1.0, 0.0)
     assert migration_admissible(1.0, 1.05, 0.05)
     assert not migration_admissible(1.0, 1.10, 0.05)
+
+
+# -- rank transfer kernel ----------------------------------------------------
+
+def naive_mean_transfer(topo, profile, weights, servers, bits):
+    """Weighted transfer cost averaged over ordered pairs, one pair at a time."""
+    n = len(servers)
+    total = 0.0
+    for a in servers:
+        for b in servers:
+            if a == b:
+                continue
+            t, e = cost_model.transmission_cost(topo, profile, bits, a, b)
+            total += weights.w1 * t + weights.w2 * e
+    return total / (n * n)
+
+
+def test_mean_transfer_costs_equal_a_pair_by_pair_loop():
+    rng = random.Random(20261020)
+    checked = 0
+    for _ in range(300):
+        topo = random_topology(rng, with_devices=rng.random() < 0.5)
+        fog = topo.fog_servers()
+        weights = CostWeights(rng.random(), rng.random())
+        profile = DeviceEnergyProfile(rng.uniform(0.1, 2.0), rng.uniform(0.1, 1.0),
+                                      rng.uniform(0.5, 3.0))
+        k = rng.choice([1, 1, 2, len(fog), len(fog) + 2])
+        servers = rng.choices(fog, k=k)  # may repeat a server
+        payloads = rng.choices([16e3, 32e3, rng.uniform(1e3, 1e8), 0.0], k=rng.randint(0, 5))
+        got = cost_model.mean_transfer_costs(topo, profile, weights, servers, payloads)
+        assert got.keys() == set(payloads)
+        for bits in payloads:
+            want = naive_mean_transfer(topo, profile, weights, servers, bits)
+            assert got[bits].hex() == want.hex(), (servers, bits)
+            checked += 1
+    assert checked > 500
+
+
+def test_mean_transfer_costs_name_every_device_among_the_servers(topo_dev):
+    with pytest.raises(ValueError, match=r"fog servers only, got \(0,5\)$"):
+        cost_model.mean_transfer_costs(topo_dev, PROFILE, CostWeights(),
+                                       [S(1, 1), S(0, 5), S(2, 1)], [16e3])
+    with pytest.raises(ValueError, match=r"\(0,5\)"):
+        cost_model.mean_transfer_costs(topo_dev, PROFILE, CostWeights(), [S(0, 5)], [])
+
+
+def test_mean_transfer_costs_without_payloads_look_up_no_route(topo):
+    assert cost_model.mean_transfer_costs(topo, PROFILE, CostWeights(),
+                                          topo.fog_servers(), []) == {}
+    assert topo.route_cache == {}

@@ -1,6 +1,7 @@
 """Static gates: no module imports a name it never uses, no function in the
-package takes a parameter it never reads, and no module-level definition in
-the package goes unnamed by the rest of the code."""
+package takes a parameter it never reads, no package module but cost_model
+names a private cost_model helper, and no module-level definition in the
+package goes unnamed by the rest of the code."""
 import ast
 from collections import Counter
 from pathlib import Path
@@ -74,6 +75,46 @@ def test_no_unused_imports():
                  for path in files if path.name != "__init__.py"
                  for line, name in unused_imports(path.read_text())]
     assert not offenders, "unused imports:\n" + "\n".join(offenders)
+
+
+def private_cost_model_names(source: str):
+    """(line, name) of each private `cost_model` name a module reads, as
+    `cost_model._x` (or through an alias of the module) or by
+    `from .cost_model import _x`."""
+    tree = ast.parse(source)
+    aliases = {"cost_model"}
+    out = []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            from_cost_model = (isinstance(node, ast.ImportFrom)
+                               and (node.module or "").split(".")[-1] == "cost_model")
+            for alias in node.names:
+                if alias.name.split(".")[-1] == "cost_model":
+                    aliases.add(alias.asname or alias.name)
+                elif from_cost_model and alias.name.startswith("_"):
+                    out.append((node.lineno, alias.name))
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and node.attr.startswith("_")
+                and isinstance(node.value, ast.Name) and node.value.id in aliases):
+            out.append((node.lineno, node.attr))
+    return sorted(out)
+
+
+def test_checker_flags_a_private_cost_model_name():
+    sample = ("from . import cost_model as cm\nfrom .cost_model import _transfer, route\n"
+              "x = cost_model._cached_route\ny = cm._TIME_ONLY\nz = cost_model.route\n")
+    assert private_cost_model_names(sample) == [
+        (2, "_transfer"), (3, "_cached_route"), (4, "_TIME_ONLY")]
+
+
+def test_only_cost_model_names_its_private_helpers():
+    # Pricing helpers stay behind cost_model's public functions, so a faster
+    # kernel there cannot be bypassed or half-copied elsewhere.
+    offenders = [f"{path.relative_to(ROOT)}:{line}: {name}"
+                 for path in sorted((ROOT / "src" / "fogsim").glob("*.py"))
+                 if path.name != "cost_model.py"
+                 for line, name in private_cost_model_names(path.read_text())]
+    assert not offenders, "private cost_model names outside cost_model:\n" + "\n".join(offenders)
 
 
 DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)

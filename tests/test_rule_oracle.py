@@ -76,7 +76,8 @@ def random_topology(rng: random.Random, with_devices: bool = False) -> Topology:
     """A random hierarchy with random same-level cluster edges.
 
     With `with_devices`, two or three devices (level 0) hang under random
-    level-1 servers.
+    level-1 servers, and ten more under one of them, so a routing step on
+    that server has many device children to pass over.
     """
     max_level = rng.choice([2, 3])
     links = LinkParams(
@@ -107,9 +108,11 @@ def random_topology(rng: random.Random, with_devices: bool = False) -> Topology:
                     edges.append((a, b))
     if with_devices:
         l1 = [ServerId(1, i) for i in range(1, counts[1] + 1)]
-        for idx in range(1, rng.randint(2, 3) + 1):
+        spread = rng.randint(2, 3)
+        crowded = rng.choice(l1)
+        for idx in range(1, spread + 11):
             nodes.append(ServerNode(ServerId(0, idx), cpu_mips=500, container_capacity=2,
-                                    parent=rng.choice(l1)))
+                                    parent=rng.choice(l1) if idx <= spread else crowded))
     topo = Topology(nodes, links, max_level)
     for a, b in edges:
         topo.link_cluster(a, b)
@@ -173,6 +176,7 @@ def test_device_routes_match_interpreter_across_reparenting():
     checked = 0
     for _ in range(300):
         topo = random_topology(rng, with_devices=True)
+        assert max(len(topo.node(sid).children) for sid in topo.fog_servers(level=1)) >= 10
         l1 = topo.fog_servers(level=1)
         devices = devices_of(topo)
         servers = topo.fog_servers()
@@ -196,8 +200,8 @@ def test_device_routes_match_interpreter_across_reparenting():
                 topo.set_parent(dev, rng.choice(l1))
             assert topo.route_cache.keys() == cached.keys()
             assert all(topo.route_cache[key] is rec for key, rec in cached.items())
-    # 300 topologies x 3 rounds x at least 2 devices x 3 directions.
-    assert checked >= 5400
+    # 300 topologies x 3 rounds x at least 12 devices x 3 directions.
+    assert checked >= 32400
 
 
 def walked_costs(topo, profile, bits, src, dest):

@@ -1,4 +1,6 @@
 """Topology structure: descendant closures, mutation invariants, validation."""
+import re
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -249,3 +251,30 @@ def test_fog_mutations_advance_fog_revision(mutate):
     cost_model._cached_route(topo, S(0, 5), S(1, 4))
     mutate(topo)
     assert topo.route_cache == {}
+
+
+@pytest.mark.parametrize("a,b", [
+    (S(1, 1), S(1, 99)), (S(1, 99), S(1, 1)), (S(1, 1), S(2, 1)),
+    (S(1, 1), S(0, 5)), (S(1, 1), S(1, 1)), (S(4, 1), S(4, 1)),
+], ids=["unknown-second", "unknown-first", "two-levels", "device", "self", "cloud-self"])
+def test_rejected_cluster_edge_writes_nothing(a, b):
+    topo = make_small_topology(with_device=True)
+    topo.link_cluster(S(1, 4), S(1, 5))
+    cost_model._cached_route(topo, S(1, 1), S(1, 4))
+    before = {sid: set(node.cluster_members) for sid, node in topo.nodes.items()}
+    with pytest.raises(TopologyError, match=re.escape(f"{a} {b}")):
+        topo.link_cluster(a, b)
+    assert {sid: node.cluster_members for sid, node in topo.nodes.items()} == before
+    assert topo.route_cache
+
+
+@pytest.mark.parametrize("with_device", [False, True])
+def test_fog_servers_equal_a_scan_of_the_nodes(with_device):
+    topo = make_small_topology(with_device=with_device)
+    for level in [None] + list(range(topo.max_fog_level + 3)):
+        want = sorted(sid for sid in topo.nodes
+                      if sid.level >= 1 and (level is None or sid.level == level))
+        assert topo.fog_servers(level) == want
+        got = topo.fog_servers(level)
+        got.clear()
+        assert topo.fog_servers(level) == want
