@@ -115,9 +115,10 @@ def compute_rank(dag: AppDag, ready_servers: Sequence[ServerId], weights,
         topology, profile, weights, servers, (flow.payload_bits for flow in dag.flows))
 
     def mean_exec_cost(module_id: str) -> float:
+        mi = dag.incoming_mi(module_id)
         total = 0.0
         for sid in servers:
-            total += cost_model.exec_cost(topology, dag, weights, profile, module_id, sid)
+            total += cost_model.exec_cost(topology, weights, profile, mi, sid)
         return total / n
 
     rank: Dict[str, float] = {}

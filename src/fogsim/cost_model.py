@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, NamedTuple, Optional, Tuple
+from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 from .app_model import AppDag
 from .topology import RoutingError, ServerId, Topology
@@ -269,37 +269,75 @@ def transmission_energy(topology: Topology, profile: DeviceEnergyProfile,
 
 # -- module and application cost -------------------------------------------
 
-def module_cost(topology: Topology, dag: AppDag, placement: Placement,
-                profile: DeviceEnergyProfile, module_id: str,
-                at: Optional[ServerId] = None) -> Tuple[float, float]:
-    """(time, energy) of one module, from one walk over its incoming flows.
+def module_costs(topology: Topology, dag: AppDag, placement: Placement,
+                 profile: DeviceEnergyProfile, module_id: str,
+                 servers: Sequence[ServerId]) -> List[Tuple[float, float]]:
+    """(time, energy) of one module on each of `servers`, its incoming flows read once.
 
     Time is execution plus the worst incoming latency plus the worst incoming
     transfer time. Energy is device-centric: execution (or idle wait), latency
-    billed at idle power, and transfer. Given `at`, the module is priced on
-    that server instead of its own; the placement is only read, and needs
-    no entry for the module.
+    billed at idle power, and transfer. The placement is only read, and needs
+    no entry for the module. Routes are read under the keys `_cached_route`
+    stores them by, and a miss is built through it. Into a fog server a
+    flow's transfer depends only on the route's bandwidths, so over many
+    servers each flow prices each distinct bandwidth tuple once.
     """
-    server = placement[module_id] if at is None else at
-    cpu_mips = topology.node(server).cpu_mips
-    # On the device the CPU burns p_cpu; offloaded work leaves the device
-    # idling for exactly the remote execution time.
-    p_exe = profile.p_cpu_w if server.level == 0 else profile.p_idle_w
-    t_exe = t_lat = t_tra = 0.0
-    e_exe = e_lat = e_tra = 0.0
+    nodes = topology.nodes
+    cache = topology.route_cache
+    p_idle = profile.p_idle_w
+    flows = []
     for flow in dag.preds[module_id]:
         src = placement[flow.src]
-        flow_exe = flow.instructions_mi / cpu_mips
-        rec = _cached_route(topology, src, server)
-        lat = rec.lat
-        tra_s, tra_e = _transfer(profile, rec.bws, flow.payload_bits, src, server)
-        t_exe += flow_exe
-        t_lat = max(t_lat, lat)
-        t_tra = max(t_tra, tra_s)
-        e_exe += flow_exe * p_exe
-        e_lat = max(e_lat, lat * profile.p_idle_w)
-        e_tra = max(e_tra, tra_e)
-    return t_exe + t_lat + t_tra, e_exe + e_lat + e_tra
+        held_src = (nodes[src].parent, 0) if src.level == 0 else src
+        flows.append((src, held_src, flow.instructions_mi, flow.payload_bits, {}))
+    many = len(servers) > 1
+    out = []
+    for server in servers:
+        node = nodes[server]
+        cpu_mips = node.cpu_mips
+        fog = server.level != 0
+        share = many and fog
+        held_server = server if fog else (node.parent, 0)
+        # On the device the CPU burns p_cpu; offloaded work leaves the device
+        # idling for exactly the remote execution time.
+        p_exe = p_idle if fog else profile.p_cpu_w
+        t_exe = t_lat = t_tra = 0.0
+        e_exe = e_lat = e_tra = 0.0
+        for src, held_src, mi, bits, priced in flows:
+            flow_exe = mi / cpu_mips
+            rec = cache.get((src, server) if src == server else (held_src, held_server))
+            if rec is None:
+                rec = _cached_route(topology, src, server)
+            lat = rec.lat
+            tra = priced.get(rec.bws) if share else None
+            if tra is None:
+                tra = _transfer(profile, rec.bws, bits, src, server)
+                if share:
+                    priced[rec.bws] = tra
+            tra_s, tra_e = tra
+            # Each `if` keeps the larger value exactly as `max(old, new)` does.
+            t_exe += flow_exe
+            if lat > t_lat:
+                t_lat = lat
+            if tra_s > t_tra:
+                t_tra = tra_s
+            e_exe += flow_exe * p_exe
+            lat_e = lat * p_idle
+            if lat_e > e_lat:
+                e_lat = lat_e
+            if tra_e > e_tra:
+                e_tra = tra_e
+        out.append((t_exe + t_lat + t_tra, e_exe + e_lat + e_tra))
+    return out
+
+
+def module_cost(topology: Topology, dag: AppDag, placement: Placement,
+                profile: DeviceEnergyProfile, module_id: str,
+                at: Optional[ServerId] = None) -> Tuple[float, float]:
+    """(time, energy) of one module on its own server, or on `at` if given:
+    the one-server case of `module_costs`."""
+    server = placement[module_id] if at is None else at
+    return module_costs(topology, dag, placement, profile, module_id, (server,))[0]
 
 
 def module_time(topology: Topology, dag: AppDag, placement: Placement,
@@ -314,10 +352,11 @@ def module_energy(topology: Topology, dag: AppDag, placement: Placement,
     return module_cost(topology, dag, placement, profile, module_id)[1]
 
 
-def exec_cost(topology: Topology, dag: AppDag, weights: CostWeights,
-              profile: DeviceEnergyProfile, module_id: str, sid: ServerId) -> float:
-    """Weighted execution-only cost of a module on one server, transfers ignored."""
-    t = dag.incoming_mi(module_id) / topology.node(sid).cpu_mips
+def exec_cost(topology: Topology, weights: CostWeights, profile: DeviceEnergyProfile,
+              incoming_mi: float, sid: ServerId) -> float:
+    """Weighted execution-only cost on one server of a module whose incoming
+    flows sum to `incoming_mi` (`AppDag.incoming_mi`), transfers ignored."""
+    t = incoming_mi / topology.node(sid).cpu_mips
     p = profile.p_cpu_w if sid.level == 0 else profile.p_idle_w
     return weights.w1 * t + weights.w2 * t * p
 

@@ -33,7 +33,6 @@ memo, so applications of one template reuse each other's rows.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 from operator import itemgetter
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -55,7 +54,8 @@ class OracleResult:
 
 
 class _ModuleCosts:
-    """Module-cost memo for searches on one topology, profile and weights.
+    """Module-cost and floor memo for searches on one topology, profile,
+    weights and candidate set.
 
     `rows` maps (row id, searched predecessors' servers) to a module's row:
     (server, time, energy, w1 * time + w2 * energy) per candidate, in
@@ -63,43 +63,67 @@ class _ModuleCosts:
     depends only on its key while the candidates stay fixed. `row_ids`
     interns what a search holds fixed to a small int, hashed once per module,
     not once per node: the flows in, the pinned predecessors' servers and a
-    pinned module's own server, whose row has that one entry.
+    pinned module's own server, whose row has that one entry. A floor reads
+    no more than that, so `floors` maps (row id, server) to the module's
+    `_module_floor` there.
     """
 
     def __init__(self):
         self.row_ids: Dict[tuple, int] = {}
         self.rows: Dict[tuple, List[tuple]] = {}
+        self.floors: Dict[Tuple[int, ServerId], float] = {}
 
-    def row_id(self, *fixed) -> int:
-        return self.row_ids.setdefault(fixed, len(self.row_ids))
+    def row_keys(self, topology: Topology, dag: AppDag,
+                 fixed: Placement) -> Dict[str, Tuple[int, List[str]]]:
+        """Per module, its row id and its searched predecessors.
+
+        A row keys a device as (its parent, 0), as routes do, so a handover
+        stales no row; a pinned module's own row also keys on the device it
+        runs on.
+        """
+        def held(sid: ServerId):
+            return (topology.node(sid).parent, 0) if sid.level == 0 else sid
+
+        out = {}
+        for m in dag.modules:
+            srcs = [flow.src for flow in dag.preds[m.id]]
+            own = fixed.get(m.id)
+            pins = [held(fixed[src]) if src in fixed else None for src in srcs]
+            key = (tuple(dag.preds[m.id]), own, own and held(own), *pins)
+            out[m.id] = (self.row_ids.setdefault(key, len(self.row_ids)),
+                         [src for src in srcs if src not in fixed])
+        return out
 
 
 def _module_floor(topology: Topology, dag: AppDag, weights: CostWeights,
                   profile: DeviceEnergyProfile, candidates: Sequence[ServerId],
-                  fixed: Placement, mid: str, sid: ServerId) -> float:
-    """A lower bound on `mid`'s weighted `module_cost` on `sid`: its
-    execution-only cost there plus its dearest incoming flow from a source
-    whose server is known. `fixed` holds the modules the search never
+                  fixed: Placement, mid: str, servers: Sequence[ServerId]) -> List[float]:
+    """Lower bounds on `mid`'s weighted `module_cost` on each of `servers`:
+    its execution-only cost there plus its dearest incoming flow from a
+    source whose server is known. `fixed` holds the modules the search never
     places; a flow from one of them leaves its server there, and a flow from
     a searched module into a fixed one leaves the cheapest of `candidates`.
     """
     w1, w2 = weights.w1, weights.w2
-    hop = 0.0
+    mi = dag.incoming_mi(mid)
+    known = []      # (payload, the servers it may leave) per flow with a known source
     for flow in dag.preds[mid]:
         if flow.src in fixed:
-            srcs = (fixed[flow.src],)
+            known.append((flow.payload_bits, (fixed[flow.src],)))
         elif mid in fixed:
-            srcs = candidates
-        else:
-            continue
-        cheapest = float("inf")
-        for src in srcs:
-            lat = cost_model.internodal_latency(topology, src, sid)
-            t, e = cost_model.transmission_cost(topology, profile, flow.payload_bits,
-                                                src, sid)
-            cheapest = min(cheapest, w1 * (lat + t) + w2 * (lat * profile.p_idle_w + e))
-        hop = max(hop, cheapest)
-    return cost_model.exec_cost(topology, dag, weights, profile, mid, sid) + hop
+            known.append((flow.payload_bits, candidates))
+    out = []
+    for sid in servers:
+        hop = 0.0
+        for bits, srcs in known:
+            cheapest = float("inf")
+            for src in srcs:
+                lat = cost_model.internodal_latency(topology, src, sid)
+                t, e = cost_model.transmission_cost(topology, profile, bits, src, sid)
+                cheapest = min(cheapest, w1 * (lat + t) + w2 * (lat * profile.p_idle_w + e))
+            hop = max(hop, cheapest)
+        out.append(cost_model.exec_cost(topology, weights, profile, mi, sid) + hop)
+    return out
 
 
 def optimal_placement(topology: Topology, dag: AppDag, weights: CostWeights,
@@ -128,7 +152,23 @@ def optimal_placement(topology: Topology, dag: AppDag, weights: CostWeights,
 
     # The modules the search never places, on their preset servers.
     fixed = {m.id: assign[m.id] for m in dag.modules if m.pinned_to_device}
-    floor_of = partial(_module_floor, topology, dag, weights, profile, candidates, fixed)
+
+    # A module's (time, energy) depends only on its incoming flows, its own
+    # server and those of its predecessors, and its floor on less, so a
+    # search computes each combination once, and a sequential pass once for
+    # all its searches.
+    if memo is None:
+        memo = _ModuleCosts()
+    row_key = memo.row_keys(topology, dag, fixed)
+    floors = memo.floors
+
+    def floors_of(mid: str, sids: Sequence[ServerId]) -> List[float]:
+        """`mid`'s floor on each of `sids`."""
+        keys = [(row_key[mid][0], sid) for sid in sids]
+        if not all(k in floors for k in keys):
+            floors.update(zip(keys, _module_floor(topology, dag, weights, profile,
+                                                  candidates, fixed, mid, sids)))
+        return [floors[k] for k in keys]
 
     n = len(order)
     # Schedule slot of each depth, and per depth the largest floor still to
@@ -141,33 +181,15 @@ def optimal_placement(topology: Topology, dag: AppDag, weights: CostWeights,
     pinned_floor = [0.0] * len(sched_positions)
     for mid, own in fixed.items():
         pos = slot_of[dag.order_of[mid]]
-        pinned_floor[pos] = max(pinned_floor[pos], floor_of(mid, own))
+        pinned_floor[pos] = max(pinned_floor[pos], floors_of(mid, (own,))[0])
     suffix_floor = [pinned_floor] * (n + 1)
     for depth in range(n - 1, -1, -1):
         row = suffix_floor[depth] = list(suffix_floor[depth + 1])
-        least = min((floor_of(order[depth], sid) for sid in candidates), default=0.0)
+        least = min(floors_of(order[depth], candidates), default=0.0)
         row[slot[depth]] = max(row[slot[depth]], least)
 
-    # A module's (time, energy) depends only on its incoming flows, its own
-    # server and those of its predecessors, so a search computes each
-    # combination once, and a sequential pass once for all its searches.
-    if memo is None:
-        memo = _ModuleCosts()
     rows = memo.rows
     w1, w2 = weights.w1, weights.w2
-
-    # A row keys a device as (its parent, 0), as routes do, so a handover
-    # stales no row; a pinned module's own row also keys on the device it runs on.
-    def held(sid: ServerId):
-        return (topology.node(sid).parent, 0) if sid.level == 0 else sid
-
-    row_key = {}
-    for m in dag.modules:
-        srcs = [flow.src for flow in dag.preds[m.id]]
-        own = fixed.get(m.id)
-        pins = [held(fixed[src]) if src in fixed else None for src in srcs]
-        row_key[m.id] = (memo.row_id(tuple(dag.preds[m.id]), own, own and held(own), *pins),
-                         [src for src in srcs if src not in fixed])
 
     def memo_row(mid: str, sids: Sequence[ServerId]) -> List[tuple]:
         """`mid`'s row under its searched predecessors' servers."""
@@ -175,10 +197,9 @@ def optimal_placement(topology: Topology, dag: AppDag, weights: CostWeights,
         key = (rid, *[assign[src] for src in srcs])
         row = rows.get(key)
         if row is None:
-            row = rows[key] = []
-            for sid in sids:
-                t, e = cost_model.module_cost(topology, dag, assign, profile, mid, at=sid)
-                row.append((sid, t, e, w1 * t + w2 * e))
+            priced = cost_model.module_costs(topology, dag, assign, profile, mid, sids)
+            row = rows[key] = [(sid, t, e, w1 * t + w2 * e)
+                               for sid, (t, e) in zip(sids, priced)]
             # `sids` come in server-id order and the sort is stable, so
             # equal costs keep that order.
             row.sort(key=itemgetter(3))

@@ -91,11 +91,11 @@ def ready_servers(topology: Topology, controller: ServerId) -> List[ServerId]:
 
 
 def marginal_cost(topology: Topology, dag: AppDag, placement: Placement,
-                  module_id: str, candidate: ServerId, weights: CostWeights,
-                  profile: DeviceEnergyProfile) -> float:
-    """Weighted cost the module adds when run on the candidate, predecessors fixed."""
-    return weights.weigh(*cost_model.module_cost(topology, dag, placement, profile,
-                                                 module_id, at=candidate))
+                  module_id: str, candidates: Sequence[ServerId], weights: CostWeights,
+                  profile: DeviceEnergyProfile) -> List[float]:
+    """Weighted cost the module adds on each candidate, predecessors fixed."""
+    return [weights.weigh(t, e) for t, e in cost_model.module_costs(
+        topology, dag, placement, profile, module_id, candidates)]
 
 
 def find_min_cost(topology: Topology, ledger: CapacityLedger,
@@ -106,15 +106,40 @@ def find_min_cost(topology: Topology, ledger: CapacityLedger,
     """Cheapest capacity-holding candidate for the module, or None.
 
     Ties go to non-parent candidates first, then lower level, then lower index.
-    A lone candidate with room is taken without scoring.
+    A lone candidate with room is taken without scoring. Otherwise every
+    candidate is priced, full or not, the candidates are sorted by cost and
+    then by the tie order, and the first with room is taken. The order is
+    kept in `topology.order_cache` under everything it reads: the
+    candidates, `parent`, the module's incoming flows, weights, profile and
+    its predecessors' servers, a device held as (its parent, 0) as routes
+    hold it. An order over a device candidate is not kept, as that device's
+    routes move when it is handed over.
     """
     pending = pending or {}
-    fits = [c for c in candidates if ledger.free(c) - pending.get(c, 0) > 0]
-    if len(fits) < 2:
-        return fits[0] if fits else None
-    return min(fits, key=lambda c: (
-        marginal_cost(topology, dag, placement, module_id, c, weights, profile),
-        c == parent, c.level, c.index))
+    first = None
+    for c in candidates:
+        if ledger.free(c) - pending.get(c, 0) > 0:
+            if first is not None:
+                break
+            first = c
+    else:
+        return first
+    nodes = topology.nodes
+    flows = dag.preds[module_id]
+    srcs = [placement[flow.src] for flow in flows]
+    key = (tuple(candidates), parent, tuple(flows), weights, profile,
+           *[(nodes[s].parent, 0) if s.level == 0 else s for s in srcs])
+    order = topology.order_cache.get(key)
+    if order is None:
+        cost = dict(zip(candidates, marginal_cost(topology, dag, placement, module_id,
+                                                  candidates, weights, profile)))
+        order = sorted(candidates, key=lambda c: (cost[c], c == parent, c.level, c.index))
+        if all(c.level for c in candidates):
+            topology.order_cache[key] = order
+    # Two candidates have room, so the walk returns one.
+    for c in order:
+        if ledger.free(c) - pending.get(c, 0) > 0:
+            return c
 
 
 def dapt_place(topology: Topology, ledger: CapacityLedger, controller: ServerId,

@@ -74,15 +74,16 @@ class Topology:
     The node set and every fog server's parent are fixed at construction.
     The only structural mutations are cluster edges between fog servers
     (`link_cluster`, which calls `bump()`) and device handovers
-    (`set_parent`). `bump()` empties `route_cache` and `rank_cache`. A
-    handover empties nothing: a device (a level-0 node) relays nothing and
-    has no cluster edge, so `cost_model` caches its routes under its parent.
+    (`set_parent`). `bump()` empties its three caches: `route_cache`,
+    `rank_cache` and `order_cache`. A handover empties nothing: a device (a
+    level-0 node) relays nothing and has no cluster edge, so `cost_model`
+    caches its routes, and `placement` its cost orders, under its parent.
 
     Direct edits of node state that routing or costs read (`cpu_mips`) must
-    be followed by `bump()`, or cached routes and ranks go stale. A cached
-    route holds only its hops' latency and bandwidth constants, read from
-    `links` when it was built, so editing a link table after the first cost
-    query needs `bump()` too.
+    be followed by `bump()`, or cached routes, ranks and orders go stale. A
+    cached route holds only its hops' latency and bandwidth constants, read
+    from `links` when it was built, so editing a link table after the first
+    cost query needs `bump()` too.
     """
 
     def __init__(self, nodes: Iterable[ServerNode], links: LinkParams, max_fog_level: int):
@@ -102,6 +103,9 @@ class Topology:
         self.route_cache: Dict[tuple, tuple] = {}
         # upward-rank memo of app_model.compute_rank, emptied likewise.
         self.rank_cache: Dict[tuple, Dict[str, float]] = {}
+        # placement.find_min_cost's candidates in cost order, per distinct
+        # decision, emptied likewise.
+        self.order_cache: Dict[tuple, list] = {}
         # level-1 nodes, for sensed_by, and every fog server sorted by id, for
         # fog_servers; the node set is fixed from here on.
         self._level1 = [n for n in self.nodes.values() if n.id.level == 1]
@@ -131,9 +135,10 @@ class Topology:
     # -- mutation ---------------------------------------------------------
 
     def bump(self):
-        """Record a fog mutation: empty both caches."""
+        """Record a fog mutation: empty the route, rank and cost-order caches."""
         self.route_cache.clear()
         self.rank_cache.clear()
+        self.order_cache.clear()
 
     def set_parent(self, child: ServerId, parent: Optional[ServerId]):
         """Hand a device over to a level-1 `parent`, or detach it with None."""

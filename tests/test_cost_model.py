@@ -365,3 +365,72 @@ def test_mean_transfer_costs_without_payloads_look_up_no_route(topo):
     assert cost_model.mean_transfer_costs(topo, PROFILE, CostWeights(),
                                           topo.fog_servers(), []) == {}
     assert topo.route_cache == {}
+
+
+# -- module costs on many servers ------------------------------------------------
+
+def reference_module_cost(topo, dag, placement, profile, mid, server):
+    """`module_cost` of `mid` on `server`, summed flow by flow from
+    `internodal_latency` and `transmission_cost` in the documented order."""
+    cpu_mips = topo.node(server).cpu_mips
+    p_exe = profile.p_cpu_w if server.level == 0 else profile.p_idle_w
+    t_exe = t_lat = t_tra = 0.0
+    e_exe = e_lat = e_tra = 0.0
+    for flow in dag.preds[mid]:
+        src = placement[flow.src]
+        flow_exe = flow.instructions_mi / cpu_mips
+        lat = cost_model.internodal_latency(topo, src, server)
+        tra_s, tra_e = cost_model.transmission_cost(topo, profile, flow.payload_bits,
+                                                    src, server)
+        t_exe += flow_exe
+        t_lat = max(t_lat, lat)
+        t_tra = max(t_tra, tra_s)
+        e_exe += flow_exe * p_exe
+        e_lat = max(e_lat, lat * profile.p_idle_w)
+        e_tra = max(e_tra, tra_e)
+    return t_exe + t_lat + t_tra, e_exe + e_lat + e_tra
+
+
+def random_module_dag(rng):
+    """A device-pinned source, a fan-in module `m` with one to three flows in,
+    and `lone`, a module with no flows."""
+    srcs = [f"p{i}" for i in range(rng.randint(1, 3))]
+    modules = [Module(src, pinned_to_device=rng.random() < 0.5) for src in srcs]
+    modules += [Module("m"), Module("lone")]
+    flows = [DataFlow(src, "m", rng.choice([0.0, rng.uniform(1, 1e4)]),
+                      rng.choice([0.0, 16e3, rng.uniform(1e3, 1e8)])) for src in srcs]
+    return AppDag("r", "r", modules, flows, 0.01)
+
+
+def test_module_costs_equal_a_per_server_reference_bit_for_bit():
+    rng = random.Random(20261021)
+    same_device = 0
+    for _ in range(200):
+        topo = random_topology(rng, with_devices=True)
+        for node in topo.nodes.values():
+            node.cpu_mips = rng.uniform(200, 1e4)
+        if rng.random() < 0.3:
+            # One bandwidth on every link: routes into a device and into a
+            # fog server then share bandwidth tuples, yet not their energy.
+            for table in (topo.links.bw_up, topo.links.bw_down, topo.links.bw_cluster):
+                table.update(dict.fromkeys(table, 1e8))
+        topo.bump()
+        dag = random_module_dag(rng)
+        profile = DeviceEnergyProfile(rng.uniform(0.1, 2.0), rng.uniform(0.1, 1.0),
+                                      rng.uniform(0.5, 3.0))
+        everywhere = sorted(topo.nodes)
+        placement = {mid: rng.choice(everywhere) for mid in dag.module_map}
+        servers = rng.choices(everywhere, k=rng.randint(0, 2 * len(everywhere)))
+        for mid in ("m", "lone"):
+            got = cost_model.module_costs(topo, dag, placement, profile, mid, servers)
+            assert len(got) == len(servers)
+            for server, cost in zip(servers, got):
+                want = reference_module_cost(topo, dag, placement, profile, mid, server)
+                assert [x.hex() for x in cost] == [x.hex() for x in want], (mid, server)
+                assert cost_model.module_cost(topo, dag, placement, profile, mid,
+                                              at=server) == cost
+                if mid == "m" and server.level == 0:
+                    same_device += placement["p0"] == server
+            if mid == "lone":
+                assert got == [(0.0, 0.0)] * len(servers)
+    assert same_device > 0

@@ -42,6 +42,15 @@ GOLDEN_FAST_MOBILITY = {
     "maas": "820d787a5ceb587d1faa458128151966595eecd8c62b6c9ea1acf370cdf05694",
     "urmila": "1f8184f42682c8eba51929e7243b205a03cdbd5de099732bbc6532fd85813019",
 }
+# Saturated fog: 320 devices for 5 s fill the fog slots (300, 100 and 60 on
+# levels 1-3 under proposed and maas; urmila ends at 297, 100 and 58), so
+# placement skips full servers and in-flight picks and the rest goes to the
+# cloud.
+GOLDEN_SATURATED = {
+    "proposed": "500489953f1052cdda08727118baf25bd0f7e53d8dd19a16803344bd962a0ac8",
+    "maas": "a093a4a76a46614ebe1104dbdd0ca072d4163b21ffefbcc68e0ef3b573d2e479",
+    "urmila": "73e6eee78f3830f7c8126d93a83177d4b290be61312efaed93137e20b27d4b33",
+}
 GOLDEN_ORACLE = "cd19f2301ddd2570e3de1b1f49b3704d29e3dbd9b7d063480b48ca69f66e3298"
 ORACLE_SEED = 1
 ORACLE_COLUMNS = ["dapt_cost", "oracle_cost", "oracle_gap", "complete"]
@@ -76,6 +85,11 @@ def _fast_mobility_cell(out_dir, policy) -> str:
                      "departure_margin": 0.2}}, [60.0, 120.0])
 
 
+def _saturated_cell(out_dir, policy) -> str:
+    return _cell_digest(out_dir, {"policy": policy, "seed": 3, "horizon_s": 5.0,
+                                  "devices": {"count": 320}}, [5.0])
+
+
 @pytest.mark.parametrize("policy,failure_p", sorted(GOLDEN_SIM))
 def test_simulation_output_matches_golden(tmp_path, policy, failure_p):
     assert _sim_cell(tmp_path, policy, failure_p) == GOLDEN_SIM[(policy, failure_p)]
@@ -84,6 +98,11 @@ def test_simulation_output_matches_golden(tmp_path, policy, failure_p):
 @pytest.mark.parametrize("policy", sorted(GOLDEN_FAST_MOBILITY))
 def test_fast_mobility_output_matches_golden(tmp_path, policy):
     assert _fast_mobility_cell(tmp_path, policy) == GOLDEN_FAST_MOBILITY[policy]
+
+
+@pytest.mark.parametrize("policy", sorted(GOLDEN_SATURATED))
+def test_saturated_fog_output_matches_golden(tmp_path, policy):
+    assert _saturated_cell(tmp_path, policy) == GOLDEN_SATURATED[policy]
 
 
 def test_golden_cells_do_not_depend_on_how_sum_adds_floats(tmp_path, monkeypatch):

@@ -13,6 +13,7 @@ from fogsim.cost_model import CostWeights, DeviceEnergyProfile
 from fogsim.sim_engine import Simulation
 
 from conftest import S, compensated_sum, make_small_topology
+from test_rule_oracle import random_topology
 
 WEIGHTS = CostWeights()
 PROFILE = DeviceEnergyProfile()
@@ -221,8 +222,8 @@ def test_module_floor_is_a_lower_bound_on_module_cost(seed, make_dag, device_bps
             srcs = [flow.src for flow in preds]
             choices = [[fixed[src]] if src in fixed else candidates for src in srcs]
             for sid in [fixed[mid]] if mid in fixed else candidates:
-                floor = oracle._module_floor(topo, dag, WEIGHTS, PROFILE, candidates,
-                                             fixed, mid, sid)
+                floor, = oracle._module_floor(topo, dag, WEIGHTS, PROFILE, candidates,
+                                              fixed, mid, [sid])
                 for servers in itertools.product(*choices):
                     placement = {**fixed, **dict(zip(srcs, servers)), mid: sid}
                     t, e = cost_model.module_cost(topo, dag, placement, PROFILE, mid)
@@ -232,6 +233,46 @@ def test_module_floor_is_a_lower_bound_on_module_cost(seed, make_dag, device_bps
                         assert floor == pytest.approx(cost, rel=1e-12)
                         tight += 1
     assert tight > 0
+
+
+def test_pass_memo_floors_equal_floors_recomputed():
+    """Searches that share one memo read each module's floor from it, keyed
+    by (row id, server); every kept floor equals `_module_floor` recomputed
+    for each application of the pass, and each search explores what it
+    explores with a memo of its own. Floors keyed by module id alone, the
+    first application's kept for all, would miss in these worlds."""
+    rng = random.Random(2027)
+    checked = missed_by_module_id = 0
+    for _ in range(25):
+        topo = random_topology(rng, with_devices=True)
+        fog = topo.fog_servers()
+        candidates = sorted(rng.sample(fog, rng.randint(2, min(4, len(fog)))))
+        devices = sorted(sid for sid in topo.nodes if sid.level == 0)
+        shapes = [random_dag(rng), random_dag_with_sink(rng)]
+        apps = [(dag, pinned_base(dag, rng.choice(devices)))
+                for dag in rng.choices(shapes, k=6)]
+        memo = oracle._ModuleCosts()
+        by_module_id = {}
+        for dag, base in apps:
+            free = room_for_all(dag, candidates)
+            shared = oracle.optimal_placement(topo, dag, WEIGHTS, PROFILE, candidates,
+                                              free, base, memo=memo)
+            alone = oracle.optimal_placement(topo, dag, WEIGHTS, PROFILE, candidates,
+                                             free, base)
+            assert (float.hex(shared.cost), shared.placement, shared.nodes_explored) == \
+                (float.hex(alone.cost), alone.placement, alone.nodes_explored)
+            row_key = memo.row_keys(topo, dag, base)
+            for mid in dag.module_map:
+                sids = [base[mid]] if mid in base else candidates
+                fresh = oracle._module_floor(topo, dag, WEIGHTS, PROFILE, candidates,
+                                             base, mid, sids)
+                for sid, floor in zip(sids, fresh):
+                    assert float.hex(memo.floors[row_key[mid][0], sid]) == float.hex(floor)
+                    kept = by_module_id.setdefault((mid, sid), floor)
+                    missed_by_module_id += kept != floor
+                    checked += 1
+    assert checked > 1000
+    assert missed_by_module_id > 0
 
 
 @pytest.mark.parametrize("seed, make_dag", [

@@ -1,14 +1,20 @@
 """Per-controller greedy placement, capacity ledger, failure recovery."""
+import random
+from unittest import mock
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fogsim import cost_model
-from fogsim.app_model import build_app, rank_modules
+from fogsim.app_model import TEMPLATES, build_app, rank_modules
 from fogsim.cost_model import CostWeights, DeviceEnergyProfile
 from fogsim.placement import (CapacityLedger, PlacementError, dapt_place,
                               dapt_failure_recovery, find_min_cost,
                               handle_remote_placement, ready_servers)
 
 from conftest import S, make_small_topology
+from test_rule_oracle import random_topology
 
 WEIGHTS = CostWeights()
 PROFILE = DeviceEnergyProfile()
@@ -123,6 +129,113 @@ def test_find_min_cost_tie_prefers_lower_level():
     choice = find_min_cost(topo, ledger, [S(1, 2), S(2, 1)], dag, plc,
                            "filter", WEIGHTS, PROFILE, parent=S(1, 2))
     assert choice == S(2, 1)
+
+
+def test_a_decision_met_again_under_another_parent_is_sorted_again():
+    topo, dag, plc, ledger, ordered = make_world()
+    # The sensor has no flows in, so it costs nothing anywhere and the tie
+    # rule alone orders the same two candidates.
+    candidates = [S(1, 2), S(2, 1)]
+    picks = [find_min_cost(topo, ledger, candidates, dag, plc, "sensor", WEIGHTS,
+                           PROFILE, parent=parent) for parent in (None, S(1, 2), None)]
+    assert picks == [S(1, 2), S(2, 1), S(1, 2)]
+
+
+def test_a_device_candidate_is_priced_where_it_is_attached():
+    topo, dag, plc, ledger, ordered = make_world()
+    # The filter's input leaves (1,1). Device (0,5) sits one hop below it and
+    # wins; handed over to (1,4), the device is as far away as (1,4) itself
+    # and computes slower.
+    plc["sensor"] = S(1, 1)
+    candidates = [S(1, 4), S(0, 5)]
+    picks = []
+    for parent in (S(1, 1), S(1, 4)):
+        topo.set_parent(S(0, 5), parent)
+        picks.append(find_min_cost(topo, ledger, candidates, dag, plc, "filter",
+                                   WEIGHTS, PROFILE))
+    assert picks == [S(0, 5), S(1, 4)]
+
+
+def brute_force_pick(topo, ledger, candidates, dag, placement, module_id, weights,
+                     profile, pending, parent):
+    """`find_min_cost`'s documented pick: `min` over the candidates with room,
+    each priced alone, by (weighted cost, is the parent, level, index)."""
+    fits = [c for c in candidates if ledger.free(c) - pending.get(c, 0) > 0]
+    if len(fits) < 2:
+        return fits[0] if fits else None
+    return min(fits, key=lambda c: (
+        weights.weigh(*cost_model.module_cost(topo, dag, placement, profile, module_id,
+                                              at=c)),
+        c == parent, c.level, c.index))
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_find_min_cost_equals_a_brute_force_min(seed):
+    """Random worlds with 0-2 slots per server, in-flight picks, repeated
+    decisions, handovers and link edits followed by `bump()`: every pick is
+    the brute-force one, and a decision met before prices nothing."""
+    rng = random.Random(seed)
+    topo = random_topology(rng, with_devices=True)
+    fog = topo.fog_servers()
+    devices = sorted(sid for sid in topo.nodes if sid.level == 0)
+    for sid in fog:
+        topo.node(sid).cpu_mips = rng.choice([3000.0, rng.uniform(1e3, 1e4)])
+        topo.node(sid).container_capacity = rng.randint(0, 2)
+    topo.bump()
+    ledger = CapacityLedger(topo)
+    for sid in fog:
+        if ledger.free(sid) > 0 and rng.random() < 0.3:
+            ledger.reserve(sid, "other", "pad")
+    dag = build_app(rng.choice(sorted(TEMPLATES)), "a:1")
+    placement = {mid: rng.choice(fog + devices) for mid in dag.module_map}
+    weights = CostWeights(rng.random(), rng.random())
+    profile = DeviceEnergyProfile(rng.uniform(0.1, 2.0), rng.uniform(0.1, 1.0),
+                                  rng.uniform(0.5, 3.0))
+    seen = []   # (candidates, parent, module) of earlier decisions, met again later
+    with mock.patch.object(cost_model, "module_costs",
+                           wraps=cost_model.module_costs) as priced:
+        for _ in range(rng.randint(1, 10)):
+            if seen and rng.random() < 0.7:
+                candidates, parent, module_id = rng.choice(seen)
+                if rng.random() < 0.3:
+                    parent = rng.choice(candidates + [None])
+            else:
+                candidates = rng.sample(fog, rng.randint(1, len(fog)))
+                if rng.random() < 0.3:
+                    candidates.insert(rng.randint(0, len(candidates)), rng.choice(devices))
+                parent = rng.choice(candidates + [None, rng.choice(fog)])
+                module_id = rng.choice(list(dag.module_map))
+                seen.append((candidates, parent, module_id))
+            # Edit the world this decision reads, or leave it as it was.
+            step = rng.random()
+            if step < 0.2:
+                table = rng.choice([topo.links.lat_up, topo.links.lat_down,
+                                    topo.links.bw_up, topo.links.bw_down])
+                level = rng.choice(sorted(table))
+                table[level] *= rng.choice([0.01, 0.1, 10.0, 100.0])
+                topo.bump()
+            elif step < 0.4:
+                moved = [c for c in candidates if c.level == 0] + [
+                    placement[flow.src] for flow in dag.preds[module_id]
+                    if placement[flow.src].level == 0]
+                topo.set_parent(rng.choice(moved or devices), rng.choice(topo.fog_servers(1)))
+            elif step < 0.6 and dag.preds[module_id]:
+                src = rng.choice(dag.preds[module_id]).src
+                placement[src] = rng.choice(fog + devices)
+            pending = {c: rng.randint(1, 2) for c in candidates if rng.random() < 0.3}
+            for _ in range(rng.randint(1, 4)):
+                args = (topo, ledger, candidates, dag, placement, module_id, weights,
+                        profile, pending, parent)
+                want = brute_force_pick(*args)
+                assert find_min_cost(*args) == want
+                calls = priced.call_count
+                assert find_min_cost(*args) == want
+                if all(c.level for c in candidates):
+                    assert priced.call_count == calls
+                if want is None:
+                    break
+                pending[want] = pending.get(want, 0) + 1
 
 
 def test_remote_placement_confirmation_and_full_target():

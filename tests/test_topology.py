@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fogsim import cli, cost_model, scenario
+from fogsim import cli, cost_model, placement, scenario
+from fogsim.app_model import build_app
 from fogsim.topology import ServerNode, Topology, TopologyError
 
 from conftest import S, make_links, make_small_topology
@@ -202,17 +203,31 @@ def test_ancestor_test_equals_omega_membership(forest):
             assert (topo.ancestor_at_level(dest, sid.level) == sid) == (dest in closure)
 
 
+def _price_filter(topo):
+    """One placement decision for an ECGMH filter fed from device (0,5),
+    between two fog servers with room; it fills `topo.order_cache`."""
+    dag = build_app("ECGMH", "ecg:1")
+    pinned = {m.id: S(0, 5) for m in dag.modules if m.pinned_to_device}
+    placement.find_min_cost(topo, placement.CapacityLedger(topo), [S(1, 1), S(1, 2)],
+                            dag, pinned, "filter", cost_model.CostWeights(),
+                            cost_model.DeviceEnergyProfile())
+
+
 def test_device_reparent_keeps_fog_revision():
     # A device handover is not a fog mutation: it leaves every cached
-    # route, the device's own included, as it was.
+    # route, the device's own included, and every cost order as they were.
     topo = make_small_topology(with_device=True)
     cost_model._cached_route(topo, S(1, 1), S(2, 2))
     cost_model._cached_route(topo, S(0, 5), S(2, 2))
     cost_model._cached_route(topo, S(2, 2), S(0, 5))
+    _price_filter(topo)
     cached = dict(topo.route_cache)
+    orders = dict(topo.order_cache)
+    assert len(orders) == 1
     topo.set_parent(S(0, 5), S(1, 2))
     assert topo.route_cache.keys() == cached.keys()
     assert all(topo.route_cache[key] is rec for key, rec in cached.items())
+    assert topo.order_cache == orders
 
 
 def _two_device_topology():
@@ -244,13 +259,16 @@ def test_cluster_edge_between_devices_rejected():
     lambda t: t.bump(),
 ], ids=["link_cluster", "bump"])
 def test_fog_mutations_advance_fog_revision(mutate):
-    # Every fog mutation empties the route cache.
+    # Every fog mutation empties the route and cost-order caches.
     topo = make_small_topology(with_device=True)
     topo.link_cluster(S(1, 4), S(1, 5))
     cost_model._cached_route(topo, S(1, 1), S(2, 2))
     cost_model._cached_route(topo, S(0, 5), S(1, 4))
+    _price_filter(topo)
+    assert topo.order_cache
     mutate(topo)
     assert topo.route_cache == {}
+    assert topo.order_cache == {}
 
 
 @pytest.mark.parametrize("a,b", [
