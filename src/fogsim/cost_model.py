@@ -406,20 +406,32 @@ def validate_placement(topology: Topology, dag: AppDag, placement: Placement,
     return violations
 
 
-def app_cost_breakdown(topology: Topology, dag: AppDag, placement: Placement,
-                       profile: DeviceEnergyProfile,
-                       costs: Optional[CostTable] = None) -> Tuple[float, float]:
-    """(total time, total energy) summed over all schedules, left to right.
+def schedule_offsets(topology: Topology, dag: AppDag, placement: Placement,
+                     profile: DeviceEnergyProfile,
+                     costs: Optional[CostTable] = None) -> List[Tuple[float, float]]:
+    """Running (time, energy) totals over the schedules, added left to right.
 
-    Given `costs`, every module's cost is read from it instead of priced.
+    Entry p sums the schedules before the p-th (counting from 0), so the
+    first entry is (0.0, 0.0) and the last is the whole application. Given
+    `costs`, every module's cost is read from it instead of priced.
     """
     total_t = 0.0
     total_e = 0.0
+    out = [(total_t, total_e)]
     for modules in dag.schedules:
         t, e = schedule_cost(topology, dag, placement, profile, modules, costs)
         total_t += t
         total_e += e
-    return total_t, total_e
+        out.append((total_t, total_e))
+    return out
+
+
+def app_cost_breakdown(topology: Topology, dag: AppDag, placement: Placement,
+                       profile: DeviceEnergyProfile,
+                       costs: Optional[CostTable] = None) -> Tuple[float, float]:
+    """(total time, total energy) summed over all schedules: the last entry of
+    `schedule_offsets`."""
+    return schedule_offsets(topology, dag, placement, profile, costs)[-1]
 
 
 def app_cost(topology: Topology, dag: AppDag, placement: Placement,

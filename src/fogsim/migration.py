@@ -167,7 +167,9 @@ def handle_migration_req(topology: Topology, ledger: CapacityLedger,
                          dump_bits_of, remaining_mi_of,
                          candidates: Sequence[ServerId],
                          exclude: Sequence[ServerId] = (),
-                         check_admissibility: bool = True) -> List[MigrationDecision]:
+                         check_admissibility: bool = True,
+                         costs: Optional[cost_model.CostTable] = None
+                         ) -> List[MigrationDecision]:
     """Decide destinations for the given modules at one decider.
 
     Candidates are scored by migration cost ascending; the cheapest one whose
@@ -178,15 +180,17 @@ def handle_migration_req(topology: Topology, ledger: CapacityLedger,
     committed outright.
 
     Staying leaves the application cost as it is, so it is admissible without
-    pricing. The working placement's per-module costs are priced once, when
-    the first move is tried; a trial move re-prices only the moved module and
-    its successors, and an accepted move's costs become the next module's old
-    ones. The result equals pricing every candidate with `cost_model.app_cost`.
+    pricing. The working placement's per-module costs are `costs` when given
+    (`cost_model.module_cost` of every module on entry; never written), or
+    else priced once, when the first move is tried. A trial move re-prices
+    only the moved module and its successors, and an accepted move's costs
+    become the next module's old ones. The result equals pricing every
+    candidate with `cost_model.app_cost`.
     """
     skip = set(exclude)
     candidates = [c for c in candidates if c not in skip]
     decisions = []
-    costs = None  # the working placement's cost table, priced on first need
+    old_cost = None  # the working placement's weighted cost, on first need
     for module_id in modules:
         frm = working[module_id]
         dump_bits = dump_bits_of(module_id)
@@ -204,9 +208,10 @@ def handle_migration_req(topology: Topology, ledger: CapacityLedger,
             if not check_admissibility or cand == frm:
                 chosen = (cand, mc)
                 break
-            if costs is None:
-                costs = {mid: cost_model.module_cost(topology, dag, working, profile, mid)
-                         for mid in dag.module_map}
+            if old_cost is None:
+                if costs is None:
+                    costs = {mid: cost_model.module_cost(topology, dag, working, profile, mid)
+                             for mid in dag.module_map}
                 old_cost = weights.weigh(*cost_model.app_cost_breakdown(
                     topology, dag, working, profile, costs))
             working[module_id] = cand
@@ -237,17 +242,19 @@ def mmt_failure_recovery(topology: Topology, ledger: CapacityLedger,
                          dump_bits_of, remaining_mi_of,
                          candidates: Sequence[ServerId], failed: ServerId,
                          exclude: Sequence[ServerId] = (),
-                         check_admissibility: bool = True) -> List[MigrationDecision]:
+                         check_admissibility: bool = True,
+                         costs: Optional[cost_model.CostTable] = None
+                         ) -> List[MigrationDecision]:
     """Re-decide modules after their migration target `failed` did not confirm.
 
     Same scoring as the original decision with `failed` and `exclude` (the
     targets that failed before) removed. A module that finds no target here
     comes back with `to` None and stays at its old server; recovery does
     not escalate. The working placement must hold the modules at their old
-    servers on entry.
+    servers on entry; `costs` is as in `handle_migration_req`.
     """
     return handle_migration_req(
         topology, ledger, dag, working, modules,
         weights, profile, params, dump_bits_of, remaining_mi_of,
         candidates, exclude=[*exclude, failed],
-        check_admissibility=check_admissibility)
+        check_admissibility=check_admissibility, costs=costs)

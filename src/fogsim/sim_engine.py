@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass, field
 from functools import reduce
 from operator import add
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 from . import baselines, cost_model, migration, placement
 from .app_model import AppDag, rank_modules
@@ -221,6 +221,11 @@ class SimDevice:
     `Simulation._walk` brings it up to the kernel's tick count.
     `check_version` tells the live entry of the departure-check heap from
     stale ones.
+
+    From service start, `costs` holds every module's (time, energy) under
+    the current placement and parent, as `cost_model.module_cost` prices it,
+    and `offsets` the schedules' running time totals from 0.0;
+    `Simulation._task_cost` keeps both current.
     """
     sid: ServerId
     dag: AppDag
@@ -237,6 +242,8 @@ class SimDevice:
     inflight: set = field(default_factory=set)
     claimed: set = field(default_factory=set)
     mig_events: List[tuple] = field(default_factory=list)  # (ts, moves, cmt, cmec)
+    costs: cost_model.CostTable = field(default_factory=dict)
+    offsets: Tuple[float, ...] = ()
 
 
 @dataclass
@@ -300,10 +307,22 @@ class Simulation:
     def lat(self, a: ServerId, b: ServerId) -> float:
         return cost_model.internodal_latency(self.topology, a, b)
 
-    def _task_cost(self, dev: SimDevice) -> Tuple[float, float]:
-        """(response time, energy) of one task under the device's current placement."""
-        t, e = cost_model.app_cost_breakdown(self.topology, dev.dag, dev.placement,
-                                             self.profile)
+    def _task_cost(self, dev: SimDevice,
+                   touched: Optional[Iterable[str]] = None) -> Tuple[float, float]:
+        """(response time, energy) of one task under the device's current placement.
+
+        Re-prices the `touched` modules in `dev.costs` (every module when
+        None), then adds the table up and keeps the running times in
+        `dev.offsets`. A change must name every module whose cost it moves.
+        """
+        costs = dev.costs
+        for mid in dev.dag.module_map if touched is None else touched:
+            costs[mid] = cost_model.module_cost(self.topology, dev.dag, dev.placement,
+                                                self.profile, mid)
+        totals = cost_model.schedule_offsets(self.topology, dev.dag, dev.placement,
+                                             self.profile, costs)
+        dev.offsets = tuple(t for t, _ in totals)
+        t, e = totals[-1]
         return t + self.sensor_lat, e
 
     def _dump_bits(self, dev: SimDevice, module_id: str) -> float:
@@ -312,18 +331,13 @@ class Simulation:
         return frac * ram_mb * 8e6
 
     def _remaining_mi(self, dev: SimDevice, module_id: str, at: float) -> float:
+        """The module's unexecuted instructions at `at`; its pipeline offset is
+        the running time of the schedules before its own, read from `dev.offsets`."""
         frm = dev.placement[module_id]
-        offset = 0.0
-        pos = dev.dag.order_of[module_id]
-        for p, group in enumerate(dev.dag.schedules, start=1):
-            if p >= pos:
-                break
-            t, _ = cost_model.schedule_cost(self.topology, dev.dag, dev.placement,
-                                            self.profile, group)
-            offset += t
         return migration.remaining_instructions(
             dev.dag.incoming_mi(module_id), self.topology.node(frm).cpu_mips,
-            dev.dag.sensor_interval_s, offset, at, dev.acc.t0)
+            dev.dag.sensor_interval_s, dev.offsets[dev.dag.order_of[module_id] - 1],
+            at, dev.acc.t0)
 
     # -- placement ---------------------------------------------------------
 
@@ -511,7 +525,12 @@ class Simulation:
         now = self.kernel.now
         self.topology.set_parent(dev.sid, dest)
         self._arm(dev)
-        dev.acc.set_cost(now, *self._task_cost(dev))
+        # The device's routes leave and enter through its parent: re-price the
+        # modules on it and those fed from it.
+        plc = dev.placement
+        touched = [mid for mid, flows in dev.dag.preds.items()
+                   if plc[mid] == dev.sid or any(plc[f.src] == dev.sid for f in flows)]
+        dev.acc.set_cost(now, *self._task_cost(dev, touched))
         central = self.central if self.policy == "urmila" else None
         rounds = migration.plan_rounds(self.topology, dest, dev.dag, dev.placement, central,
                                        exclude=sorted(dev.inflight | dev.claimed))
@@ -602,7 +621,8 @@ class Simulation:
                     lambda m: self._dump_bits(dev, m),
                     lambda m: self._remaining_mi(dev, m, t_dec),
                     migration.migration_candidates(self.topology, cur))
-            kw = {"exclude": exclude, "check_admissibility": not central}
+            kw = {"exclude": exclude, "check_admissibility": not central,
+                  "costs": dev.costs if working == dev.placement else None}
             decisions = (migration.handle_migration_req(*args, **kw) if failed is None
                          else migration.mmt_failure_recovery(*args, failed, **kw))
             pending = []
@@ -661,7 +681,8 @@ class Simulation:
             dev.inflight.discard(module_id)
             dev.placement[module_id] = to
             self.ledger.release(frm, dev.dag.template, module_id)
-            dev.acc.set_cost(self.kernel.now, *self._task_cost(dev))
+            touched = [module_id, *(f.dst for f in dev.dag.succs[module_id])]
+            dev.acc.set_cost(self.kernel.now, *self._task_cost(dev, touched))
 
         self.kernel.schedule(w_end, "migration_commit", commit)
         notify = w_end + self.lat(to, new_ctrl)

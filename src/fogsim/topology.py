@@ -71,7 +71,10 @@ class ServerNode:
 class Topology:
     """Forest of fog servers plus cluster edges.
 
-    The node set and every fog server's parent are fixed at construction.
+    The node set and every fog server's parent are fixed at construction,
+    and so are the level-1 servers' positions and coverage radii: the grid
+    that `sensed_by` reads is built from them once. A level-1 position or
+    radius that is not finite is rejected.
     The only structural mutations are cluster edges between fog servers
     (`link_cluster`, which calls `bump()`) and device handovers
     (`set_parent`). `bump()` empties its three caches: `route_cache`,
@@ -106,12 +109,39 @@ class Topology:
         # placement.find_min_cost's candidates in cost order, per distinct
         # decision, emptied likewise.
         self.order_cache: Dict[tuple, list] = {}
-        # level-1 nodes, for sensed_by, and every fog server sorted by id, for
-        # fog_servers; the node set is fixed from here on.
+        # level-1 nodes, which the sensed_by grid indexes, and every fog server
+        # sorted by id, for fog_servers; the node set is fixed from here on.
         self._level1 = [n for n in self.nodes.values() if n.id.level == 1]
         self._fog = sorted(sid for sid in self.nodes if sid.level >= 1)
         self._wire_children()
         self._check_levels()
+        self._build_grid()
+
+    def _build_grid(self):
+        """Index the level-1 servers that cover anything by uniform grid cell.
+
+        The cell side is the largest coverage radius, and a server sits in
+        every cell its coverage's bounding box touches plus one cell around
+        them, so a point's cell lists every server that can cover it even
+        where float rounding puts the point or a box edge across a cell line.
+        """
+        for node in self._level1:
+            if not all(map(math.isfinite, (*node.position, node.coverage_radius))):
+                raise TopologyError(f"level-1 server {node.id} needs a finite position "
+                                    f"and coverage radius")
+        covering = [n for n in self._level1 if n.coverage_radius > 0]
+        self._cell_m = max((n.coverage_radius for n in covering), default=1.0)
+        self._grid: Dict[Tuple[int, int], list] = {}
+        for node in covering:
+            (x, y), r = node.position, node.coverage_radius
+            x0, y0 = self._cell((x - r, y - r))
+            x1, y1 = self._cell((x + r, y + r))
+            for cx in range(x0 - 1, x1 + 2):
+                for cy in range(y0 - 1, y1 + 2):
+                    self._grid.setdefault((cx, cy), []).append(node)
+
+    def _cell(self, point: Tuple[float, float]) -> Tuple[int, int]:
+        return (math.floor(point[0] / self._cell_m), math.floor(point[1] / self._cell_m))
 
     def _wire_children(self):
         for node in self.nodes.values():
@@ -197,8 +227,9 @@ class Topology:
         return [sid for sid in self._fog if sid.level == level]
 
     def sensed_by(self, point: Tuple[float, float]):
-        """Level-1 servers whose coverage contains the point, sorted by distance."""
-        hits = [n for n in self._level1 if n.covers(point)]
+        """Level-1 servers whose coverage contains the point, sorted by
+        (distance, id); the candidates are those of the point's grid cell."""
+        hits = [n for n in self._grid.get(self._cell(point), ()) if n.covers(point)]
         hits.sort(key=lambda n: (n.distance_to(point), n.id))
         return [n.id for n in hits]
 

@@ -410,3 +410,57 @@ def test_decisions_equal_pricing_every_candidate_with_app_cost(case):
         check_admissibility=check)
     assert [(d.module, d.frm, d.to, d.cost) for d in decisions] == expected
     assert working == expected_working
+
+
+def _decide(case, costs):
+    """One `handle_migration_req` call on a fresh world of `case`, seeded with
+    `costs` if given; returns (decisions, final working, module_cost calls)."""
+    (specs, cluster, dag, working, modules, candidates, exclude, sizes, params,
+     check) = case
+    topo = _decision_world(specs, cluster)
+    working = dict(working)
+    with pytest.MonkeyPatch.context() as mp:
+        calls = _count_module_costs(mp)
+        decisions = handle_migration_req(
+            topo, CapacityLedger(topo), dag, working, modules, WEIGHTS, PROFILE, params,
+            sizes.__getitem__, lambda m: sizes[m] / 10.0, candidates, exclude=exclude,
+            check_admissibility=check, costs=costs)
+    return [(d.module, d.frm, d.to, d.cost) for d in decisions], working, len(calls)
+
+
+def _entry_table(case):
+    (specs, cluster, dag, working, *_) = case
+    topo = _decision_world(specs, cluster)
+    return {mid: cost_model.module_cost(topo, dag, working, PROFILE, mid)
+            for mid in dag.module_map}
+
+
+@settings(max_examples=200, deadline=None)
+@given(decision_cases())
+def test_a_seeded_table_decides_as_lazy_pricing_does(case):
+    table = _entry_table(case)
+    passed = dict(table)
+    unseeded, unseeded_working, unseeded_calls = _decide(case, None)
+    seeded, seeded_working, seeded_calls = _decide(case, passed)
+    assert seeded == unseeded
+    assert seeded_working == unseeded_working
+    assert passed == table  # the caller's table is only read
+    # The lazy call prices the whole table before its first trial move; the
+    # seeded one skips exactly that.
+    dag = case[2]
+    assert seeded_calls == unseeded_calls - (len(dag.module_map) if unseeded_calls else 0)
+
+
+def test_a_seeded_table_saves_the_entry_pricing(monkeypatch):
+    topo, dag, plc, ledger = decision_world()
+    table = {mid: cost_model.module_cost(topo, dag, plc, PROFILE, mid)
+             for mid in dag.module_map}
+    passed = dict(table)
+    calls = _count_module_costs(monkeypatch)
+    decisions = handle_migration_req(
+        topo, ledger, dag, dict(plc), ["m"], WEIGHTS, PROFILE,
+        PARAMS, lambda m: 1e6, lambda m: 0.0,
+        candidates=[S(1, 3), S(1, 2)], exclude=[S(1, 1)], costs=passed)
+    assert decisions[0].to == S(1, 2)
+    assert calls == ["m", "m"]  # the two trial moves only
+    assert passed == table

@@ -1,4 +1,6 @@
 """Topology structure: descendant closures, mutation invariants, validation."""
+import math
+import random
 import re
 
 import pytest
@@ -10,6 +12,7 @@ from fogsim.app_model import build_app
 from fogsim.topology import ServerNode, Topology, TopologyError
 
 from conftest import S, make_links, make_small_topology
+from test_rule_oracle import random_topology
 
 
 def test_small_layout_has_eleven_server_nodes(topo):
@@ -134,6 +137,94 @@ def test_ancestor_at_level(topo):
 def test_sensed_by_sorts_by_distance(topo):
     sensed = topo.sensed_by((120.0, 0.0))
     assert sensed == [S(1, 2), S(1, 1), S(1, 3)]
+
+
+def _scan_sensed_by(topo, point):
+    """`sensed_by` as a scan of every level-1 server."""
+    hits = [n for n in topo._level1 if n.covers(point)]
+    hits.sort(key=lambda n: (n.distance_to(point), n.id))
+    return [n.id for n in hits]
+
+
+def _edge_points(topo, rng, width, height):
+    """Points exactly on coverage circles, at and past the area's corners,
+    and well outside the area."""
+    points = [(0.0, 0.0), (width, 0.0), (0.0, height), (width, height),
+              (-1.0, -1.0), (width + 1.0, height + 1.0), (-width, height / 2),
+              (width / 2, 3 * height), (1e7, -1e7)]
+    for node in topo._level1:
+        (x, y), r = node.position, node.coverage_radius
+        points += [(x + r, y), (x - r, y), (x, y + r), (x, y - r), (x, y)]
+        for _ in range(4):
+            angle = rng.uniform(0.0, 2 * math.pi)
+            points.append((x + r * math.cos(angle), y + r * math.sin(angle)))
+    return points
+
+
+def _placed_topology(rng, width, height):
+    """A `random_topology` hierarchy rebuilt with random level-1 positions
+    and radii of very different sizes, some of them 0."""
+    base = random_topology(rng, with_devices=True)
+    nodes = []
+    for node in base.nodes.values():
+        position, radius = (0.0, 0.0), 0.0
+        if node.id.level == 1:
+            position = (rng.uniform(-50.0, width + 50.0), rng.uniform(-50.0, height + 50.0))
+            radius = rng.choice([0.0, rng.uniform(0.5, 20.0), rng.uniform(50.0, 600.0)])
+        nodes.append(ServerNode(node.id, node.cpu_mips, node.container_capacity,
+                                position=position, coverage_radius=radius,
+                                parent=node.parent))
+    return Topology(nodes, base.links, base.max_fog_level)
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_sensed_by_grid_equals_a_scan_in_random_worlds(seed):
+    rng = random.Random(seed)
+    width, height = rng.choice([(100.0, 100.0), (1200.0, 800.0)])
+    topo = _placed_topology(rng, width, height)
+    points = [(rng.uniform(-100.0, width + 100.0), rng.uniform(-100.0, height + 100.0))
+              for _ in range(200)] + _edge_points(topo, rng, width, height)
+    for point in points:
+        assert topo.sensed_by(point) == _scan_sensed_by(topo, point), point
+
+
+def test_sensed_by_grid_equals_a_scan_on_urban_80dev():
+    config = scenario.load_scenario(cli.resolve_scenario("urban_80dev"))
+    topo = scenario.build_world(config).topology
+    width, height = config["area"]["width_m"], config["area"]["height_m"]
+    rng = random.Random(7)
+    points = [(rng.uniform(0.0, width), rng.uniform(0.0, height)) for _ in range(2000)]
+    points += _edge_points(topo, rng, width, height)
+    hits = 0
+    for point in points:
+        sensed = topo.sensed_by(point)
+        assert sensed == _scan_sensed_by(topo, point), point
+        hits += len(sensed) > 1
+    assert hits > 100  # overlapping coverage, so the order is checked too
+
+
+def test_a_server_with_radius_zero_is_never_sensed():
+    nodes = [ServerNode(S(2, 1), 8000, 10),
+             ServerNode(S(1, 1), 3000, 4, position=(10.0, 10.0), coverage_radius=0.0,
+                        parent=S(2, 1)),
+             ServerNode(S(1, 2), 3000, 4, position=(10.0, 10.0), coverage_radius=5.0,
+                        parent=S(2, 1))]
+    topo = Topology(nodes, make_links(), max_fog_level=1)
+    for point in [(10.0, 10.0), (15.0, 10.0), (15.1, 10.0)]:
+        assert topo.sensed_by(point) == _scan_sensed_by(topo, point)
+    assert topo.sensed_by((10.0, 10.0)) == [S(1, 2)]
+    alone = Topology(nodes[:2], make_links(), max_fog_level=1)
+    assert alone.sensed_by((10.0, 10.0)) == []
+
+
+@pytest.mark.parametrize("position, radius", [
+    ((math.inf, 0.0), 5.0), ((0.0, math.nan), 5.0), ((0.0, 0.0), math.inf)])
+def test_non_finite_level1_coverage_fails_at_build(position, radius):
+    nodes = [ServerNode(S(2, 1), 8000, 10),
+             ServerNode(S(1, 1), 3000, 4, position=position, coverage_radius=radius,
+                        parent=S(2, 1))]
+    with pytest.raises(TopologyError, match="finite"):
+        Topology(nodes, make_links(), max_fog_level=1)
 
 
 def _brute_descendants(topo, sid):
