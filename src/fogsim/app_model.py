@@ -100,7 +100,7 @@ def compute_rank(dag: AppDag, ready_servers: Sequence[ServerId], weights,
     rank is memoized in `topology.rank_cache`, and a device's routes move
     with its handovers.
     """
-    from . import cost_model  # local import: cost_model depends on topology only
+    from . import cost_model  # local import: cost_model imports AppDag from here
 
     servers = list(ready_servers)
     if not servers:

@@ -155,7 +155,7 @@ def _cached_route(topology: Topology, src: ServerId, dest: ServerId) -> Route:
     A device relays nothing and has no cluster edge, so its route leaves or
     enters through its parent by one hop whose constants are the same for
     every device. A route with a device endpoint is therefore cached under
-    (parent, 0) in the device's place, and a handover invalidates nothing.
+    `Topology.held` of the device, and a handover invalidates nothing.
     A device's route to itself keeps its own key.
     """
     cache = topology.route_cache
@@ -164,8 +164,7 @@ def _cached_route(topology: Topology, src: ServerId, dest: ServerId) -> Route:
     if rec is not None:
         return rec
     if src != dest and (src.level == 0 or dest.level == 0):
-        key = ((topology.nodes[src].parent, 0) if src.level == 0 else src,
-               (topology.nodes[dest].parent, 0) if dest.level == 0 else dest)
+        key = (topology.held(src), topology.held(dest))
         rec = cache.get(key)
         if rec is not None:
             return rec
@@ -239,8 +238,7 @@ def mean_transfer_costs(topology: Topology, profile: DeviceEnergyProfile,
     for bits in payloads:
         prices = []
         for bws, a, b in shapes:
-            t, e = _transfer(profile, bws, bits, a, b)
-            prices.append(weights.w1 * t + weights.w2 * e)
+            prices.append(weights.weigh(*_transfer(profile, bws, bits, a, b)))
         total = 0.0
         for slot in slots:
             total += prices[slot]
@@ -284,20 +282,19 @@ def module_costs(topology: Topology, dag: AppDag, placement: Placement,
     """
     nodes = topology.nodes
     cache = topology.route_cache
+    held = topology.held
     p_idle = profile.p_idle_w
     flows = []
     for flow in dag.preds[module_id]:
         src = placement[flow.src]
-        held_src = (nodes[src].parent, 0) if src.level == 0 else src
-        flows.append((src, held_src, flow.instructions_mi, flow.payload_bits, {}))
+        flows.append((src, held(src), flow.instructions_mi, flow.payload_bits, {}))
     many = len(servers) > 1
     out = []
     for server in servers:
-        node = nodes[server]
-        cpu_mips = node.cpu_mips
+        cpu_mips = nodes[server].cpu_mips
         fog = server.level != 0
         share = many and fog
-        held_server = server if fog else (node.parent, 0)
+        held_server = held(server)
         # On the device the CPU burns p_cpu; offloaded work leaves the device
         # idling for exactly the remote execution time.
         p_exe = p_idle if fog else profile.p_cpu_w
@@ -332,12 +329,11 @@ def module_costs(topology: Topology, dag: AppDag, placement: Placement,
 
 
 def module_cost(topology: Topology, dag: AppDag, placement: Placement,
-                profile: DeviceEnergyProfile, module_id: str,
-                at: Optional[ServerId] = None) -> Tuple[float, float]:
-    """(time, energy) of one module on its own server, or on `at` if given:
-    the one-server case of `module_costs`."""
-    server = placement[module_id] if at is None else at
-    return module_costs(topology, dag, placement, profile, module_id, (server,))[0]
+                profile: DeviceEnergyProfile, module_id: str) -> Tuple[float, float]:
+    """(time, energy) of one module on its own server: the one-server case of
+    `module_costs`."""
+    return module_costs(topology, dag, placement, profile, module_id,
+                        (placement[module_id],))[0]
 
 
 def module_time(topology: Topology, dag: AppDag, placement: Placement,
@@ -365,18 +361,33 @@ def exec_cost(topology: Topology, weights: CostWeights, profile: DeviceEnergyPro
 CostTable = Dict[str, Tuple[float, float]]
 
 
-def schedule_cost(topology: Topology, dag: AppDag, placement: Placement,
-                  profile: DeviceEnergyProfile, modules: List[str],
-                  costs: Optional[CostTable] = None) -> Tuple[float, float]:
-    """(time, energy) of one schedule: the max over its modules (they run in parallel).
+def reprice(topology: Topology, dag: AppDag, placement: Placement,
+            profile: DeviceEnergyProfile, costs: CostTable,
+            moved: Optional[Iterable[str]] = None) -> CostTable:
+    """Write into `costs` the `module_cost` of each moved module and each of
+    its successors, once each (of every module when `moved` is None), and
+    return `costs`. A module's cost reads only its own and its predecessors'
+    servers; a handover moves the modules on the device."""
+    if moved is None:
+        todo = dag.module_map
+    else:
+        todo = {}
+        for mid in moved:
+            todo[mid] = None
+            for flow in dag.succs[mid]:
+                todo[flow.dst] = None
+    for mid in todo:
+        costs[mid] = module_cost(topology, dag, placement, profile, mid)
+    return costs
 
-    Given `costs`, the modules' costs are read from it instead of priced.
-    """
+
+def schedule_cost(costs: CostTable, modules: List[str]) -> Tuple[float, float]:
+    """(time, energy) of one schedule: the max over its modules' table
+    entries (they run in parallel)."""
     t = 0.0
     e = 0.0
     for mid in modules:
-        mt, me = (costs[mid] if costs is not None
-                  else module_cost(topology, dag, placement, profile, mid))
+        mt, me = costs[mid]
         t = max(t, mt)
         e = max(e, me)
     return t, e
@@ -406,20 +417,17 @@ def validate_placement(topology: Topology, dag: AppDag, placement: Placement,
     return violations
 
 
-def schedule_offsets(topology: Topology, dag: AppDag, placement: Placement,
-                     profile: DeviceEnergyProfile,
-                     costs: Optional[CostTable] = None) -> List[Tuple[float, float]]:
+def schedule_offsets(dag: AppDag, costs: CostTable) -> List[Tuple[float, float]]:
     """Running (time, energy) totals over the schedules, added left to right.
 
     Entry p sums the schedules before the p-th (counting from 0), so the
-    first entry is (0.0, 0.0) and the last is the whole application. Given
-    `costs`, every module's cost is read from it instead of priced.
+    first entry is (0.0, 0.0) and the last is the whole application.
     """
     total_t = 0.0
     total_e = 0.0
     out = [(total_t, total_e)]
     for modules in dag.schedules:
-        t, e = schedule_cost(topology, dag, placement, profile, modules, costs)
+        t, e = schedule_cost(costs, modules)
         total_t += t
         total_e += e
         out.append((total_t, total_e))
@@ -430,8 +438,10 @@ def app_cost_breakdown(topology: Topology, dag: AppDag, placement: Placement,
                        profile: DeviceEnergyProfile,
                        costs: Optional[CostTable] = None) -> Tuple[float, float]:
     """(total time, total energy) summed over all schedules: the last entry of
-    `schedule_offsets`."""
-    return schedule_offsets(topology, dag, placement, profile, costs)[-1]
+    `schedule_offsets`. Without `costs`, every module is priced first."""
+    if costs is None:
+        costs = reprice(topology, dag, placement, profile, {})
+    return schedule_offsets(dag, costs)[-1]
 
 
 def app_cost(topology: Topology, dag: AppDag, placement: Placement,
@@ -469,7 +479,7 @@ def module_migration_cost(topology: Topology, profile: DeviceEnergyProfile,
     e_exe = t_exe * (profile.p_cpu_w if to.level == 0 else profile.p_idle_w)
     energy_j = e_lat + e_tra + e_exe
     return MigrationCost(time_s=time_s, energy_j=energy_j,
-                         weighted=weights.w1 * time_s + weights.w2 * energy_j)
+                         weighted=weights.weigh(time_s, energy_j))
 
 
 def migration_admissible(old_app_cost: float, new_app_cost: float, epsilon: float) -> bool:

@@ -183,8 +183,8 @@ def handle_migration_req(topology: Topology, ledger: CapacityLedger,
     pricing. The working placement's per-module costs are `costs` when given
     (`cost_model.module_cost` of every module on entry; never written), or
     else priced once, when the first move is tried. A trial move re-prices
-    only the moved module and its successors, and an accepted move's costs
-    become the next module's old ones. The result equals pricing every
+    a copy with `cost_model.reprice`, and an accepted move's costs become
+    the next module's old ones. The result equals pricing every
     candidate with `cost_model.app_cost`.
     """
     skip = set(exclude)
@@ -210,14 +210,12 @@ def handle_migration_req(topology: Topology, ledger: CapacityLedger,
                 break
             if old_cost is None:
                 if costs is None:
-                    costs = {mid: cost_model.module_cost(topology, dag, working, profile, mid)
-                             for mid in dag.module_map}
+                    costs = cost_model.reprice(topology, dag, working, profile, {})
                 old_cost = weights.weigh(*cost_model.app_cost_breakdown(
                     topology, dag, working, profile, costs))
             working[module_id] = cand
-            trial = dict(costs)
-            for mid in (module_id, *(f.dst for f in dag.succs[module_id])):
-                trial[mid] = cost_model.module_cost(topology, dag, working, profile, mid)
+            trial = cost_model.reprice(topology, dag, working, profile, dict(costs),
+                                       [module_id])
             working[module_id] = frm
             new_cost = weights.weigh(*cost_model.app_cost_breakdown(
                 topology, dag, working, profile, trial))

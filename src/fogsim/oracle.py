@@ -77,19 +77,16 @@ class _ModuleCosts:
                  fixed: Placement) -> Dict[str, Tuple[int, List[str]]]:
         """Per module, its row id and its searched predecessors.
 
-        A row keys a device as (its parent, 0), as routes do, so a handover
+        A row keys a device by `Topology.held`, as routes do, so a handover
         stales no row; a pinned module's own row also keys on the device it
         runs on.
         """
-        def held(sid: ServerId):
-            return (topology.node(sid).parent, 0) if sid.level == 0 else sid
-
         out = {}
         for m in dag.modules:
             srcs = [flow.src for flow in dag.preds[m.id]]
             own = fixed.get(m.id)
-            pins = [held(fixed[src]) if src in fixed else None for src in srcs]
-            key = (tuple(dag.preds[m.id]), own, own and held(own), *pins)
+            pins = [topology.held(fixed[src]) if src in fixed else None for src in srcs]
+            key = (tuple(dag.preds[m.id]), own, own and topology.held(own), *pins)
             out[m.id] = (self.row_ids.setdefault(key, len(self.row_ids)),
                          [src for src in srcs if src not in fixed])
         return out
@@ -104,7 +101,6 @@ def _module_floor(topology: Topology, dag: AppDag, weights: CostWeights,
     places; a flow from one of them leaves its server there, and a flow from
     a searched module into a fixed one leaves the cheapest of `candidates`.
     """
-    w1, w2 = weights.w1, weights.w2
     mi = dag.incoming_mi(mid)
     known = []      # (payload, the servers it may leave) per flow with a known source
     for flow in dag.preds[mid]:
@@ -120,7 +116,7 @@ def _module_floor(topology: Topology, dag: AppDag, weights: CostWeights,
             for src in srcs:
                 lat = cost_model.internodal_latency(topology, src, sid)
                 t, e = cost_model.transmission_cost(topology, profile, bits, src, sid)
-                cheapest = min(cheapest, w1 * (lat + t) + w2 * (lat * profile.p_idle_w + e))
+                cheapest = min(cheapest, weights.weigh(lat + t, lat * profile.p_idle_w + e))
             hop = max(hop, cheapest)
         out.append(cost_model.exec_cost(topology, weights, profile, mi, sid) + hop)
     return out
@@ -189,7 +185,7 @@ def optimal_placement(topology: Topology, dag: AppDag, weights: CostWeights,
         row[slot[depth]] = max(row[slot[depth]], least)
 
     rows = memo.rows
-    w1, w2 = weights.w1, weights.w2
+    weigh = weights.weigh
 
     def memo_row(mid: str, sids: Sequence[ServerId]) -> List[tuple]:
         """`mid`'s row under its searched predecessors' servers."""
@@ -198,7 +194,7 @@ def optimal_placement(topology: Topology, dag: AppDag, weights: CostWeights,
         row = rows.get(key)
         if row is None:
             priced = cost_model.module_costs(topology, dag, assign, profile, mid, sids)
-            row = rows[key] = [(sid, t, e, w1 * t + w2 * e)
+            row = rows[key] = [(sid, t, e, weigh(t, e))
                                for sid, (t, e) in zip(sids, priced)]
             # `sids` come in server-id order and the sort is stable, so
             # equal costs keep that order.

@@ -111,8 +111,8 @@ def find_min_cost(topology: Topology, ledger: CapacityLedger,
     then by the tie order, and the first with room is taken. The order is
     kept in `topology.order_cache` under everything it reads: the
     candidates, `parent`, the module's incoming flows, weights, profile and
-    its predecessors' servers, a device held as (its parent, 0) as routes
-    hold it. An order over a device candidate is not kept, as that device's
+    its predecessors' servers, each by `Topology.held`, as routes hold
+    them. An order over a device candidate is not kept, as that device's
     routes move when it is handed over.
     """
     pending = pending or {}
@@ -124,11 +124,9 @@ def find_min_cost(topology: Topology, ledger: CapacityLedger,
             first = c
     else:
         return first
-    nodes = topology.nodes
     flows = dag.preds[module_id]
-    srcs = [placement[flow.src] for flow in flows]
     key = (tuple(candidates), parent, tuple(flows), weights, profile,
-           *[(nodes[s].parent, 0) if s.level == 0 else s for s in srcs])
+           *[topology.held(placement[flow.src]) for flow in flows])
     order = topology.order_cache.get(key)
     if order is None:
         cost = dict(zip(candidates, marginal_cost(topology, dag, placement, module_id,

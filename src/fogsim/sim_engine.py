@@ -223,8 +223,8 @@ class SimDevice:
     stale ones.
 
     From service start, `costs` holds every module's (time, energy) under
-    the current placement and parent, as `cost_model.module_cost` prices it,
-    and `offsets` the schedules' running time totals from 0.0;
+    the current placement and parent, as `cost_model.reprice` fills it, and
+    `offsets` the schedules' running time totals from 0.0;
     `Simulation._task_cost` keeps both current.
     """
     sid: ServerId
@@ -308,19 +308,16 @@ class Simulation:
         return cost_model.internodal_latency(self.topology, a, b)
 
     def _task_cost(self, dev: SimDevice,
-                   touched: Optional[Iterable[str]] = None) -> Tuple[float, float]:
+                   moved: Optional[Iterable[str]] = None) -> Tuple[float, float]:
         """(response time, energy) of one task under the device's current placement.
 
-        Re-prices the `touched` modules in `dev.costs` (every module when
-        None), then adds the table up and keeps the running times in
-        `dev.offsets`. A change must name every module whose cost it moves.
+        `cost_model.reprice` re-prices what the `moved` modules reach in
+        `dev.costs` (every module when None), then the table is added up and
+        the running times kept in `dev.offsets`.
         """
-        costs = dev.costs
-        for mid in dev.dag.module_map if touched is None else touched:
-            costs[mid] = cost_model.module_cost(self.topology, dev.dag, dev.placement,
-                                                self.profile, mid)
-        totals = cost_model.schedule_offsets(self.topology, dev.dag, dev.placement,
-                                             self.profile, costs)
+        cost_model.reprice(self.topology, dev.dag, dev.placement, self.profile,
+                           dev.costs, moved)
+        totals = cost_model.schedule_offsets(dev.dag, dev.costs)
         dev.offsets = tuple(t for t, _ in totals)
         t, e = totals[-1]
         return t + self.sensor_lat, e
@@ -525,12 +522,9 @@ class Simulation:
         now = self.kernel.now
         self.topology.set_parent(dev.sid, dest)
         self._arm(dev)
-        # The device's routes leave and enter through its parent: re-price the
-        # modules on it and those fed from it.
-        plc = dev.placement
-        touched = [mid for mid, flows in dev.dag.preds.items()
-                   if plc[mid] == dev.sid or any(plc[f.src] == dev.sid for f in flows)]
-        dev.acc.set_cost(now, *self._task_cost(dev, touched))
+        # The device's routes leave through its parent, so its modules move with it.
+        on_device = [mid for mid, sid in dev.placement.items() if sid == dev.sid]
+        dev.acc.set_cost(now, *self._task_cost(dev, on_device))
         central = self.central if self.policy == "urmila" else None
         rounds = migration.plan_rounds(self.topology, dest, dev.dag, dev.placement, central,
                                        exclude=sorted(dev.inflight | dev.claimed))
@@ -681,8 +675,7 @@ class Simulation:
             dev.inflight.discard(module_id)
             dev.placement[module_id] = to
             self.ledger.release(frm, dev.dag.template, module_id)
-            touched = [module_id, *(f.dst for f in dev.dag.succs[module_id])]
-            dev.acc.set_cost(self.kernel.now, *self._task_cost(dev, touched))
+            dev.acc.set_cost(self.kernel.now, *self._task_cost(dev, [module_id]))
 
         self.kernel.schedule(w_end, "migration_commit", commit)
         notify = w_end + self.lat(to, new_ctrl)
@@ -739,10 +732,10 @@ class Simulation:
                     "seed": self.config["seed"],
                     "pdt_s": _left_sum(pdts) / len(pdts) if pdts else 0.0,
                     "artt_s": artt, "aect_j": aect,
-                    "awct": self.weights.w1 * artt + self.weights.w2 * aect,
+                    "awct": self.weights.weigh(artt, aect),
                     "migrations": sum(r["migrations"] for r in sub),
                     "cmt_s": cmt, "cmec_j": cmec,
-                    "cmwc": self.weights.w1 * cmt + self.weights.w2 * cmec,
+                    "cmwc": self.weights.weigh(cmt, cmec),
                     "tit": sum(r["interrupted"] for r in sub),
                     "fr_mode": fr_mode,
                     "emitted": sum(r["emitted"] for r in sub),

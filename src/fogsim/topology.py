@@ -102,7 +102,7 @@ class Topology:
             raise TopologyError(f"missing cloud node {self.cloud_id}")
         links.validate(max_fog_level)
         # (src, dest) -> cost_model.Route (latency sum, bandwidths), a device
-        # endpoint keyed as (its parent, 0); filled by cost_model, emptied by bump().
+        # endpoint keyed by `held`; filled by cost_model, emptied by bump().
         self.route_cache: Dict[tuple, tuple] = {}
         # upward-rank memo of app_model.compute_rank, emptied likewise.
         self.rank_cache: Dict[tuple, Dict[str, float]] = {}
@@ -195,6 +195,11 @@ class Topology:
 
     def node(self, sid: ServerId) -> ServerNode:
         return self.nodes[sid]
+
+    def held(self, sid: ServerId):
+        """The key a server is cached under: a device as (its parent, 0), as
+        its routes leave through its parent, and a fog server as itself."""
+        return (self.nodes[sid].parent, 0) if sid.level == 0 else sid
 
     def omega(self, sid: ServerId) -> frozenset:
         """Descendant closure of a node: itself plus everything reachable downward.

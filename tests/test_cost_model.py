@@ -226,7 +226,9 @@ def test_schedule_cost_is_max_over_parallel_modules(topo_dev):
                  [DataFlow("s", "b", 700.0, 0.0), DataFlow("s", "c", 1050.0, 0.0)],
                  0.01)
     plc = {"s": S(1, 1), "b": S(1, 1), "c": S(1, 1)}
-    t, e = cost_model.schedule_cost(topo_dev, dag, plc, PROFILE, ["b", "c"])
+    costs = {mid: cost_model.module_cost(topo_dev, dag, plc, PROFILE, mid)
+             for mid in ("b", "c")}
+    t, e = cost_model.schedule_cost(costs, ["b", "c"])
     assert t == pytest.approx(0.3)  # max(0.2, 0.3)
     assert e == pytest.approx(0.3 * 0.3)
 
@@ -427,8 +429,8 @@ def test_module_costs_equal_a_per_server_reference_bit_for_bit():
             for server, cost in zip(servers, got):
                 want = reference_module_cost(topo, dag, placement, profile, mid, server)
                 assert [x.hex() for x in cost] == [x.hex() for x in want], (mid, server)
-                assert cost_model.module_cost(topo, dag, placement, profile, mid,
-                                              at=server) == cost
+                assert cost_model.module_costs(topo, dag, placement, profile, mid,
+                                               [server])[0] == cost
                 if mid == "m" and server.level == 0:
                     same_device += placement["p0"] == server
             if mid == "lone":

@@ -1,11 +1,14 @@
 """Each device's cost table, kept per change, against a fresh pricing.
 
-`Simulation._task_cost` re-prices only the modules a change names. These
-runs check, at every change the engine makes, that the table equals
-`cost_model.module_cost` of every module, that the running times equal the
-prefix sums `_remaining_mi` used to price itself, and that a table handed to
-`handle_migration_req` prices its working placement.
+`cost_model.reprice` re-prices only the modules a change moves and their
+successors. A random move in a random world must leave the table equal to a
+full pricing. The simulation runs check, at every change the engine makes,
+that the table equals `cost_model.module_cost` of every module, that the
+running times equal the prefix sums `_remaining_mi` used to price itself,
+and that a table handed to `handle_migration_req` prices its working
+placement.
 """
+import random
 from collections import Counter
 
 import pytest
@@ -13,8 +16,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fogsim import cli, cost_model, migration, scenario
+from fogsim.app_model import build_app
+from fogsim.cost_model import DeviceEnergyProfile
 from fogsim.scenario import POLICIES
 from fogsim.sim_engine import Simulation
+
+from test_rule_oracle import random_topology
+
+URBAN = scenario.load_scenario(cli.resolve_scenario("urban_80dev"))
 
 
 def _config(policy, failure_p, seed, devices, horizon):
@@ -32,13 +41,48 @@ def _fresh_table(topology, dag, placement, profile):
                        for mid in dag.module_map})
 
 
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_reprice_of_a_move_equals_a_full_pricing(seed):
+    """Modules change servers, or a device is handed over and the modules on
+    it are passed: after each move, re-pricing the old table for the moved
+    modules gives the same table, bit for bit, as pricing every module."""
+    rng = random.Random(seed)
+    topo = random_topology(rng, with_devices=True)
+    level1 = topo.fog_servers(1)
+    devices = sorted(sid for sid in topo.nodes if sid.level == 0)
+    everywhere = topo.fog_servers() + devices
+    dag = build_app(rng.choice(URBAN["devices"]["templates"]), "a:1")
+    placement = {mid: rng.choice(everywhere) for mid in dag.module_map}
+    profile = DeviceEnergyProfile(rng.uniform(0.1, 2.0), rng.uniform(0.1, 1.0),
+                                  rng.uniform(0.5, 3.0))
+
+    def reprice(costs, moved):
+        return cost_model.reprice(topo, dag, placement, profile, costs, moved)
+
+    costs = reprice({}, None)
+    for _ in range(rng.randint(1, 8)):
+        if rng.random() < 0.5:
+            moved = rng.sample(sorted(dag.module_map), rng.randint(1, 3))
+            for mid in moved:
+                placement[mid] = rng.choice(everywhere)
+        else:
+            device = rng.choice(sorted(set(placement.values()) & set(devices))
+                                or devices)
+            topo.set_parent(device, rng.choice(level1))
+            moved = [mid for mid, sid in placement.items() if sid == device]
+        assert reprice(costs, moved) is costs
+        assert _hex_table(costs) == _hex_table(reprice({}, None))
+
+
 def _prefix_times(sim, dev):
     """The schedules' running times as `_remaining_mi` summed them before the
     table: each schedule priced afresh, added left to right from 0.0."""
     out = [0.0]
     for group in dev.dag.schedules:
-        t, _ = cost_model.schedule_cost(sim.topology, dev.dag, dev.placement,
-                                        sim.profile, group)
+        t, _ = cost_model.schedule_cost(
+            {mid: cost_model.module_cost(sim.topology, dev.dag, dev.placement,
+                                         sim.profile, mid) for mid in group}, group)
         out.append(out[-1] + t)
     return out
 
@@ -50,12 +94,12 @@ def _checked_run(config) -> Counter:
     remaining_mi = Simulation._remaining_mi
     handle = migration.handle_migration_req
 
-    def checked_task_cost(sim, dev, touched=None):
-        out = task_cost(sim, dev, touched)
+    def checked_task_cost(sim, dev, moved=None):
+        out = task_cost(sim, dev, moved)
         assert _hex_table(dev.costs) == _fresh_table(sim.topology, dev.dag,
                                                      dev.placement, sim.profile)
         assert [t.hex() for t in dev.offsets] == [t.hex() for t in _prefix_times(sim, dev)]
-        seen["task_cost"] += touched is not None
+        seen["task_cost"] += moved is not None
         return out
 
     def checked_remaining_mi(sim, dev, module_id, at):

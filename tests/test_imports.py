@@ -1,7 +1,8 @@
 """Static gates: no module imports a name it never uses, no function in the
 package takes a parameter it never reads, no package module but cost_model
-names a private cost_model helper, and no module-level definition in the
-package goes unnamed by the rest of the code."""
+names a private cost_model helper, no module-level definition in the
+package goes unnamed by the rest of the code, and no package code but
+`Topology.held` builds a device's (parent, 0) cache key."""
 import ast
 from collections import Counter
 from pathlib import Path
@@ -160,3 +161,38 @@ def test_no_unreferenced_definitions():
     offenders = unreferenced_definitions(sources, package)
     assert not offenders, "definitions nothing names:\n" + "\n".join(
         f"{name}: {definition}" for name, definition in offenders)
+
+
+def held_key_builders(source: str):
+    """(line, enclosing qualified name) of each `(<x>.parent, 0)` tuple a module builds."""
+    out = []
+
+    def visit(node, scope):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            scope = f"{scope}.{node.name}" if scope else node.name
+        elif (isinstance(node, ast.Tuple) and len(node.elts) == 2
+              and isinstance(node.elts[0], ast.Attribute) and node.elts[0].attr == "parent"
+              and isinstance(node.elts[1], ast.Constant) and node.elts[1].value == 0):
+            out.append((node.lineno, scope))
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    visit(ast.parse(source), "")
+    return out
+
+
+def test_checker_flags_a_held_key():
+    sample = ("class T:\n    def held(self, n):\n        return (n.parent, 0)\n"
+              "def f(n):\n    return [(n.parent, 1), (n.node.parent, 0)]\n")
+    assert held_key_builders(sample) == [(3, "T.held"), (5, "f")]
+
+
+def test_only_topology_held_builds_a_device_cache_key():
+    # Routes, cost rows and cost orders key a device by its parent; one
+    # owner keeps those keys from drifting apart.
+    offenders = [f"{path.relative_to(ROOT)}:{line}: {scope}"
+                 for path in sorted((ROOT / "src" / "fogsim").glob("*.py"))
+                 for line, scope in held_key_builders(path.read_text())
+                 if (path.name, scope) != ("topology.py", "Topology.held")]
+    assert not offenders, "device cache keys built outside Topology.held:\n" + "\n".join(
+        offenders)

@@ -279,7 +279,7 @@ def test_pass_memo_floors_equal_floors_recomputed():
     (2024, random_dag), (2025, random_dag_with_sink), (2026, random_dag_with_heavy_sink),
 ], ids=["chain", "sink", "heavy_sink"])
 def test_module_cost_at_a_server_equals_writing_it_into_the_placement(seed, make_dag):
-    """`module_cost(..., at=s)` prices a module on s exactly as a placement
+    """`module_costs(..., [s])` prices a module on s exactly as a placement
     that holds it there does, and leaves the placement it reads as it was,
     whether or not that placement holds the module."""
     rng = random.Random(seed)
@@ -294,7 +294,7 @@ def test_module_cost_at_a_server_equals_writing_it_into_the_placement(seed, make
                                               PROFILE, mid)
                 for given in (placement, without):
                     before = dict(given)
-                    got = cost_model.module_cost(topo, dag, given, PROFILE, mid, at=sid)
+                    got = cost_model.module_costs(topo, dag, given, PROFILE, mid, [sid])[0]
                     assert [float.hex(x) for x in got] == [float.hex(x) for x in want]
                     assert given == before
 

@@ -164,8 +164,8 @@ def brute_force_pick(topo, ledger, candidates, dag, placement, module_id, weight
     if len(fits) < 2:
         return fits[0] if fits else None
     return min(fits, key=lambda c: (
-        weights.weigh(*cost_model.module_cost(topo, dag, placement, profile, module_id,
-                                              at=c)),
+        weights.weigh(*cost_model.module_costs(topo, dag, placement, profile, module_id,
+                                               [c])[0]),
         c == parent, c.level, c.index))
 
 
