@@ -1,11 +1,5 @@
-"""Baseline techniques: edgeward MAAS and centralized Urmila.
-
-Both baselines run without clustering. MAAS controllers place on themselves
-and push overflow straight up the hierarchy. Urmila funnels every placement
-and migration request to the top-level fog server, which decides with global
-knowledge and pays the hierarchy latency plus a FIFO service delay per
-request.
-"""
+"""Baseline planners, edgeward MAAS and centralized Urmila, and Urmila's request
+queue; `scenario.Policy` says how the engine runs each baseline."""
 from __future__ import annotations
 
 from typing import Sequence
@@ -14,11 +8,6 @@ from .app_model import AppDag
 from .cost_model import CostWeights, DeviceEnergyProfile, Placement
 from .placement import CapacityLedger, PlacementError, PlacementPlan, _greedy
 from .topology import ServerId, Topology
-
-
-def nearest_controller(sensed: Sequence[ServerId]) -> ServerId:
-    """Baselines pick the closest sensed fog server, no sojourn analysis."""
-    return sensed[0]
 
 
 def maas_place(topology: Topology, ledger: CapacityLedger, controller: ServerId,

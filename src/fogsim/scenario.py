@@ -19,7 +19,35 @@ from . import app_model
 from .cost_model import CostWeights, DeviceEnergyProfile, MigrationParams
 from .topology import LinkParams, ServerId, ServerNode, Topology
 
-POLICIES = ("proposed", "maas", "urmila")
+
+@dataclass(frozen=True)
+class Policy:
+    """What sets a technique apart; `Simulation` reads these fields, never the name.
+
+    `planner` names the placement function, a `placement` or `baselines` attribute
+    read when a simulation is built. `central`: the top-level fog server decides
+    every request behind a FIFO queue, ranks modules over all fog servers, moves
+    them one at a time along the new serving chain, commits the cheapest outright (the
+    admissibility handshake belongs to the distributed protocol), and releases a
+    handed-over device at attach. Otherwise the controller places, and each
+    level's server decides migrations, escalating whole subsets up at hop latency.
+    `clustered`: servers cluster at start, and sojourn analysis, not the nearest
+    sensed server, picks a departing device's next controller. `ranked`: modules
+    go in rank order over the decider's candidates, not schedule order (maas's
+    controllers fill themselves and push the rest straight up).
+    """
+    name: str
+    planner: str
+    central: bool
+    clustered: bool
+    ranked: bool
+
+
+POLICY_RECORDS = {p.name: p for p in (
+    Policy("proposed", "dapt_place", central=False, clustered=True, ranked=True),
+    Policy("maas", "maas_place", central=False, clustered=False, ranked=False),
+    Policy("urmila", "urmila_place", central=True, clustered=False, ranked=True))}
+POLICIES = tuple(POLICY_RECORDS)
 
 DEFAULTS: Dict = {
     "name": "scenario",

@@ -20,7 +20,7 @@ from .app_model import AppDag, rank_modules
 from .clustering import bootstrap_clusters
 from .cost_model import Placement
 from .placement import CapacityLedger, PlacementError
-from .scenario import POLICIES, build_world, stream
+from .scenario import POLICIES, POLICY_RECORDS, build_world, stream
 from .topology import ServerId, Topology
 
 # Metres a leg-aware departure check keeps clear of the quiet radius, on top
@@ -257,7 +257,7 @@ class Simulation:
         if config["policy"] not in POLICIES:
             raise ValueError(f"unknown policy {config['policy']!r}")
         self.config = config
-        self.policy = config["policy"]
+        self.policy = POLICY_RECORDS[config["policy"]]
         world = build_world(config)
         self.topology: Topology = world.topology
         self.weights = world.weights
@@ -276,9 +276,9 @@ class Simulation:
         self.central = ServerId(self.topology.max_fog_level, 1)
         self.queue = baselines.CentralQueue(float(config["urmila"]["service_time_s"]))
         # Read when the simulation is built, so a rebound module attribute counts.
-        self.planner = {"proposed": placement.dapt_place, "maas": baselines.maas_place,
-                        "urmila": baselines.urmila_place}[self.policy]
-        if self.policy == "proposed":
+        self.planner = getattr(placement, self.policy.planner, None) \
+            or getattr(baselines, self.policy.planner)
+        if self.policy.clustered:
             bootstrap_clusters(self.topology)
         mob = config["mobility"]
         self.tick_s = float(mob["tick_s"])
@@ -342,7 +342,7 @@ class Simulation:
         t0 = self.kernel.now
         last = self.place(dev, t0)
         dev.pdt_s = last - t0
-        self.kernel.schedule(last + self.topology.links.lat_up[0], "service_start",
+        self.kernel.schedule(last + self.topology.links.lat_down[0], "service_start",
                              self._start_service, dev)
 
     def _start_service(self, dev: SimDevice):
@@ -351,31 +351,24 @@ class Simulation:
         self.log("service_start", device=dev.sid.index)
 
     def _decide_at(self, frm: ServerId, decider: ServerId, t: float) -> Tuple[ServerId, float]:
-        """(decider, decision time) of a request sent from `frm` at t towards
-        `decider`; under urmila the central server decides, behind its queue."""
-        if self.policy == "urmila":
+        """(decider, decision time) of a request sent from `frm` at t towards `decider`."""
+        if self.policy.central:
             return self.central, self.queue.admit(t + self.lat(frm, self.central))
         return decider, t + self.lat(frm, decider)
 
     def place(self, dev: SimDevice, t0: float) -> float:
-        """Place the device's unpinned modules for a request sent at t0.
-
-        One path for every policy: only the decider, the module order and the
-        planner differ. Urmila's central server decides over all fog servers;
-        the other policies decide at the device's controller. MAAS places in
-        schedule order, the others in rank order over the decider's
-        candidates. Returns the time the controller hears back.
-        """
+        """Place the device's unpinned modules for a request sent at t0; returns
+        the time the controller hears back."""
         controller = self.topology.node(dev.sid).parent
         decider, arrival = self._decide_at(controller, controller,
                                            t0 + self.topology.links.lat_up[0])
-        if self.policy == "maas":
-            ordered = dev.dag.unpinned()
-        else:
-            servers = (self.topology.fog_servers() if self.policy == "urmila"
+        if self.policy.ranked:
+            servers = (self.topology.fog_servers() if self.policy.central
                        else placement.ready_servers(self.topology, controller))
             ordered = rank_modules(dev.dag, servers, self.weights, self.topology,
                                    self.profile)
+        else:
+            ordered = dev.dag.unpinned()
         return self._place_cascade(dev, decider, ordered, arrival) \
             + self.lat(decider, controller)
 
@@ -505,13 +498,13 @@ class Simulation:
         cands = [s for s in sensed if s != old]
         if not cands:
             return
-        if self.policy == "proposed":
+        if self.policy.clustered:
             required = sum(1 for sid in dev.placement.values() if sid == old)
             dest = migration.analyze_mobility(
                 self.topology, old, position, dev.velocity, cands,
                 required, self.ledger, self.rng_unreach)
         else:
-            dest = baselines.nearest_controller(cands)
+            dest = cands[0]
         dev.mmt_busy = True
         self.log("handover", device=dev.sid.index, frm=str(old), to=str(dest))
         decider, t_dec = self._decide_at(old, old, now)
@@ -525,16 +518,13 @@ class Simulation:
         # The device's routes leave through its parent, so its modules move with it.
         on_device = [mid for mid, sid in dev.placement.items() if sid == dev.sid]
         dev.acc.set_cost(now, *self._task_cost(dev, on_device))
-        central = self.central if self.policy == "urmila" else None
+        central = self.central if self.policy.central else None
         rounds = migration.plan_rounds(self.topology, dest, dev.dag, dev.placement, central,
                                        exclude=sorted(dev.inflight | dev.claimed))
         for rnd in rounds:
             for mods in rnd.values():
                 dev.claimed.update(mods)
-        if self.policy == "urmila":
-            # Centrally coordinated rounds run in the background: the device
-            # is released at attach while earlier plans finish whatever
-            # relocations they already own (the claim set keeps plans disjoint).
+        if self.policy.central:  # the claim set keeps the plans disjoint
             dev.mmt_busy = False
         self._run_round(dev, dest, rounds, 0, now)
 
@@ -576,10 +566,8 @@ class Simulation:
                            working: Placement, t: float):
         """Returns per-module (notify_time, window_len, energy, moved)."""
         decider, t_dec = self._decide_at(new_ctrl, decider, t)
-        if self.policy != "urmila":
-            # Distributed deciders escalate whole subsets up the chain.
+        if not self.policy.central:
             return self._escalate(dev, new_ctrl, decider, modules, working, t_dec)
-        # Central relocation along the new serving chain, one module at a time.
         outs = []
         for module_id in modules:
             prev = working[module_id]
@@ -594,28 +582,22 @@ class Simulation:
                   failed: Optional[ServerId] = None):
         """Decide the modules among `cur`'s ready servers, escalating misses upward.
 
-        Distributed deciders are the level's server itself, and each step up
-        costs the hop latency. Under urmila the central server decides every
-        level and commits the cheapest candidate outright: the admissibility
-        handshake is part of the distributed protocol, not the baseline.
-
         With `failed` set this is failure recovery: the modules' chosen target
         `failed` did not confirm, and `exclude` holds the targets that failed
         before it. The modules are re-decided at `cur` without all of them,
         and a module with no target left stays where it is instead of climbing.
         """
-        central = self.policy == "urmila"
         tried = [] if failed is None else [*exclude, failed]
         outs = []
         pending = list(modules)
         while True:
-            decider = self.central if central else cur
+            decider = self.central if self.policy.central else cur
             args = (self.topology, self.ledger, dev.dag, working, pending,
                     self.weights, self.profile, self.mig_params,
                     lambda m: self._dump_bits(dev, m),
                     lambda m: self._remaining_mi(dev, m, t_dec),
                     migration.migration_candidates(self.topology, cur))
-            kw = {"exclude": exclude, "check_admissibility": not central,
+            kw = {"exclude": exclude, "check_admissibility": not self.policy.central,
                   "costs": dev.costs if working == dev.placement else None}
             decisions = (migration.handle_migration_req(*args, **kw) if failed is None
                          else migration.mmt_failure_recovery(*args, failed, **kw))
@@ -635,7 +617,7 @@ class Simulation:
                     self.log("migration_stay", device=dev.sid.index, module=module_id)
                     outs.append((t_dec + self.lat(decider, new_ctrl), 0.0, 0.0, False))
                 return outs
-            if not central:
+            if not self.policy.central:
                 t_dec = t_dec + self.lat(cur, parent)
             cur = parent
 
@@ -728,7 +710,7 @@ class Simulation:
                 cmt = _left_sum(r["cmt_s"] for r in sub)
                 cmec = _left_sum(r["cmec_j"] for r in sub)
                 rows.append({
-                    "technique": self.policy, "app": template, "horizon_s": h,
+                    "technique": self.policy.name, "app": template, "horizon_s": h,
                     "seed": self.config["seed"],
                     "pdt_s": _left_sum(pdts) / len(pdts) if pdts else 0.0,
                     "artt_s": artt, "aect_j": aect,

@@ -3,7 +3,7 @@ import pytest
 
 from fogsim import scenario
 from fogsim.app_model import build_app, rank_modules
-from fogsim.baselines import CentralQueue, maas_place, nearest_controller, urmila_place
+from fogsim.baselines import CentralQueue, maas_place, urmila_place
 from fogsim.cost_model import CostWeights, DeviceEnergyProfile
 from fogsim.placement import (CapacityLedger, PlacementError, dapt_place,
                               handle_remote_placement, ready_servers)
@@ -18,10 +18,6 @@ PROFILE = DeviceEnergyProfile()
 def ecg_setup(topo):
     dag = build_app("ECGMH", "ecg:1")
     return dag, {m.id: S(0, 5) for m in dag.modules if m.pinned_to_device}
-
-
-def test_nearest_controller_takes_first_sensed():
-    assert nearest_controller([S(1, 2), S(1, 1)]) == S(1, 2)
 
 
 def test_maas_fills_controller_then_escalates_past_free_sibling():

@@ -1,11 +1,15 @@
 """Static gates: no module imports a name it never uses, no function in the
 package takes a parameter it never reads, no package module but cost_model
 names a private cost_model helper, no module-level definition in the
-package goes unnamed by the rest of the code, and no package code but
-`Topology.held` builds a device's (parent, 0) cache key."""
+package goes unnamed by the rest of the code, no package code but
+`Topology.held` builds a device's (parent, 0) cache key, and no package code
+but `scenario.py` and the CLI's `--optimality` guard tests or keys by a policy's
+name."""
 import ast
 from collections import Counter
 from pathlib import Path
+
+from fogsim.scenario import POLICIES
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -196,3 +200,46 @@ def test_only_topology_held_builds_a_device_cache_key():
                  if (path.name, scope) != ("topology.py", "Topology.held")]
     assert not offenders, "device cache keys built outside Topology.held:\n" + "\n".join(
         offenders)
+
+
+NAME_TESTS = (ast.Eq, ast.NotEq, ast.In, ast.NotIn)
+
+
+def policy_name_tests(source: str):
+    """(line, kind) of each comparison (==, !=, in, not in) with a policy-name
+    literal, each `case` on one, and each dict display keyed by one."""
+    def named(node):
+        elts = node.elts if isinstance(node, (ast.Tuple, ast.List, ast.Set)) else [node]
+        return any(isinstance(e, ast.Constant) and e.value in POLICIES for e in elts)
+
+    out = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Compare):
+            sides = [node.left, *node.comparators]
+            if any(isinstance(op, NAME_TESTS) and (named(a) or named(b))
+                   for op, a, b in zip(node.ops, sides, sides[1:])):
+                out.append((node.lineno, "comparison"))
+        elif isinstance(node, ast.MatchValue) and named(node.value):
+            out.append((node.lineno, "case"))
+        elif isinstance(node, ast.Dict) and any(k is not None and named(k) for k in node.keys):
+            out.append((node.lineno, "dict"))
+    return sorted(out)
+
+
+def test_checker_flags_a_policy_name_test():
+    sample = ("if p == 'urmila' or 'maas' != p or x < 1: pass\n"
+              "ok = p in ('proposed', 'maas') and p not in POLICIES\n"
+              "table = {'proposed': 1, **rest}\nkw = dict(policy='maas')\n"
+              "match p:\n    case 'maas': pass\n")
+    assert policy_name_tests(sample) == [(1, "comparison"), (1, "comparison"),
+                                         (2, "comparison"), (3, "dict"), (6, "case")]
+
+
+def test_only_scenario_names_a_policy_in_a_test():
+    # What sets a policy apart lives in its `scenario.Policy` record; the
+    # CLI's --optimality guard names the one policy that study measures.
+    offenders = [f"{path.relative_to(ROOT)}:{line}: {kind}"
+                 for path in sorted((ROOT / "src" / "fogsim").glob("*.py"))
+                 if path.name not in ("scenario.py", "cli.py")
+                 for line, kind in policy_name_tests(path.read_text())]
+    assert not offenders, "policy-name tests outside scenario:\n" + "\n".join(offenders)

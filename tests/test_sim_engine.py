@@ -435,6 +435,48 @@ def test_every_device_gets_service_and_full_placement(policy):
         assert 0 <= used <= sim.topology.node(sid).container_capacity
 
 
+@pytest.mark.parametrize("policy", POLICIES)
+def test_service_starts_once_the_notice_crosses_the_downlink(policy):
+    # The controller tells the device to start, so the notice rides the
+    # device's downlink; request i is sent at 0.001 * i.
+    config = scenario.load_scenario(cli.resolve_scenario("urban_80dev"), {
+        "policy": policy, "seed": 1, "horizon_s": 2.0, "devices": {"count": 3},
+        "links": {"lat_down_s": {0: 0.05}}})
+    sim = Simulation(config)
+    sim.run()
+    for i, dev in enumerate(sim.devices):
+        assert dev.acc.t0 - (0.001 * i + dev.pdt_s) == pytest.approx(0.05, abs=1e-9)
+
+
+def handover_returns(events, within_s):
+    """(handovers, returns, returns within `within_s`, most for one device); a
+    return is a device's handover A→B followed by its next one, B→A."""
+    last, per_device = {}, Counter()
+    returns = quick = 0
+    for ev in events:
+        if ev["kind"] != "handover":
+            continue
+        prev = last.get(ev["device"])
+        if prev is not None and (prev["frm"], prev["to"]) == (ev["to"], ev["frm"]):
+            returns += 1
+            quick += ev["t"] - prev["t"] <= within_s
+        last[ev["device"]] = ev
+        per_device[ev["device"]] += 1
+    return sum(per_device.values()), returns, quick, max(per_device.values(), default=0)
+
+
+@pytest.mark.parametrize("policy, expected", [
+    ("proposed", (53, 49, 49, 51)), ("maas", (3, 0, 0, 1)), ("urmila", (3, 0, 0, 1))])
+def test_handover_returns_as_measured(policy, expected):
+    # Pins today's ping-pong: under proposed, device 3 is handed between
+    # (1,22) and (1,16) once per tick from t = 7.4 s while it sits in both
+    # margin bands heading out, because the sojourn analysis does not check
+    # that it is not already leaving its pick. A fix re-pins these counts.
+    config = scenario.load_scenario(cli.resolve_scenario("urban_80dev"), {
+        "policy": policy, "seed": 3, "horizon_s": 60.0, "devices": {"count": 12}})
+    assert handover_returns(run_simulation(config).events, 2.0) == expected
+
+
 @settings(max_examples=100, deadline=None)
 @given(policy=st.sampled_from(POLICIES), seed=st.integers(1, 10_000),
        devices=st.integers(1, 4),
