@@ -17,13 +17,14 @@ CSV_COLUMNS = ["technique", "app", "horizon_s", "seed", "pdt_s", "artt_s",
                "tit", "fr_mode"]
 
 
-def resolve_scenario(name: str) -> Optional[str]:
-    """A scenario argument is a file path or the name of a bundled scenario."""
+def resolve_scenario(name: str) -> str | resources.abc.Traversable:
+    """A scenario argument is a file path or the name of a bundled scenario,
+    which comes back as the package resource itself, for `load_scenario`."""
     if os.path.exists(name):
         return name
     bundled = resources.files("fogsim").joinpath(f"scenarios/{name}.yaml")
     if bundled.is_file():
-        return str(bundled)
+        return bundled
     raise SystemExit(f"scenario not found: {name}")
 
 

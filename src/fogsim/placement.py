@@ -101,19 +101,18 @@ def marginal_cost(topology: Topology, dag: AppDag, placement: Placement,
 def find_min_cost(topology: Topology, ledger: CapacityLedger,
                   candidates: Sequence[ServerId], dag: AppDag, placement: Placement,
                   module_id: str, weights: CostWeights, profile: DeviceEnergyProfile,
-                  pending: Optional[Dict[ServerId, int]] = None,
-                  parent: Optional[ServerId] = None) -> Optional[ServerId]:
+                  pending: Optional[Dict[ServerId, int]] = None) -> Optional[ServerId]:
     """Cheapest capacity-holding candidate for the module, or None.
 
-    Ties go to non-parent candidates first, then lower level, then lower index.
     A lone candidate with room is taken without scoring. Otherwise every
-    candidate is priced, full or not, the candidates are sorted by cost and
-    then by the tie order, and the first with room is taken. The order is
-    kept in `topology.order_cache` under everything it reads: the
-    candidates, `parent`, the module's incoming flows, weights, profile and
-    its predecessors' servers, each by `Topology.held`, as routes hold
-    them. An order over a device candidate is not kept, as that device's
-    routes move when it is handed over.
+    candidate is priced, full or not, the candidates are sorted by (weighted
+    cost, server id), so ties go to the lower level, then the lower index,
+    and the first with room is taken. The order is kept in
+    `topology.order_cache` under everything it reads: the candidates, the
+    module's incoming flows, weights, profile and its predecessors' servers,
+    each by `Topology.held`, as routes hold them. An order over a device
+    candidate is not kept, as that device's routes move when it is handed
+    over.
     """
     pending = pending or {}
     first = None
@@ -125,13 +124,13 @@ def find_min_cost(topology: Topology, ledger: CapacityLedger,
     else:
         return first
     flows = dag.preds[module_id]
-    key = (tuple(candidates), parent, tuple(flows), weights, profile,
+    key = (tuple(candidates), tuple(flows), weights, profile,
            *[topology.held(placement[flow.src]) for flow in flows])
     order = topology.order_cache.get(key)
     if order is None:
         cost = dict(zip(candidates, marginal_cost(topology, dag, placement, module_id,
                                                   candidates, weights, profile)))
-        order = sorted(candidates, key=lambda c: (cost[c], c == parent, c.level, c.index))
+        order = sorted(candidates, key=lambda c: (cost[c], c))
         if all(c.level for c in candidates):
             topology.order_cache[key] = order
     # Two candidates have room, so the walk returns one.
@@ -164,7 +163,7 @@ def _greedy(topology: Topology, ledger: CapacityLedger, controller: ServerId,
     pending: Dict[ServerId, int] = {}
     for idx, module_id in enumerate(ordered):
         choice = find_min_cost(topology, ledger, candidates, dag, placement,
-                               module_id, weights, profile, pending, parent)
+                               module_id, weights, profile, pending)
         if choice is None:
             if parent is None:
                 raise PlacementError(

@@ -89,6 +89,8 @@ DEFAULTS: Dict = {
 
 # Keys every `levels` entry must set; `cols`, `rows` and `coverage_m` may be left out.
 LEVEL_KEYS = ("level", "count", "cpu_mips", "capacity")
+# The default `_leaves` gives a key that `DEFAULTS` does not know.
+_UNKNOWN = object()
 
 
 def _deep_merge(base: Dict, override: Dict) -> Dict:
@@ -101,47 +103,28 @@ def _deep_merge(base: Dict, override: Dict) -> Dict:
     return out
 
 
-def _stale_keys(mapping: Dict, defaults: Dict, path: Tuple = ()) -> List[Tuple]:
-    """Keys of `mapping`, at any depth of nested mappings, missing from `defaults`.
-
-    A defaults table keyed by level numbers (the `links.*` tables) accepts
-    any integer level. Each mapping in a list such as `levels` is checked
-    against the keys of the default list's entries, under `levels[i]`.
-    """
-    level_keyed = all(isinstance(k, int) for k in defaults)
-    out = []
-    for key, val in mapping.items():
-        if key not in defaults:
-            if not (level_keyed and isinstance(key, int)):
-                out.append(path + (key,))
-        elif isinstance(val, dict) and isinstance(defaults[key], dict):
-            out.extend(_stale_keys(val, defaults[key], path + (key,)))
-        elif isinstance(val, list) and isinstance(defaults[key], list):
-            known = {k: None for entry in defaults[key] if isinstance(entry, dict)
-                     for k in entry}
-            for i, entry in enumerate(val):
-                if isinstance(entry, dict):
-                    out.extend(_stale_keys(entry, known, path + (f"{key}[{i}]",)))
-    return out
+def _reject_unknown(leaves, source: str = ""):
+    unknown = [key for key, _, default in leaves if default is _UNKNOWN]
+    if unknown:
+        raise ValueError(f"{source}unknown scenario key(s) {', '.join(unknown)}")
 
 
 def _merge_known(config: Dict, extra: Dict, source: str) -> Dict:
-    stale = _stale_keys(extra, DEFAULTS)
-    if stale:
-        names = ", ".join(".".join(map(str, key)) for key in stale)
-        raise ValueError(f"{source}: unknown scenario key(s) {names}")
+    _reject_unknown(_leaves(extra, DEFAULTS, ""), f"{source}: ")
     return _deep_merge(config, extra)
 
 
-def load_scenario(path: Optional[str] = None, overrides: Optional[Dict] = None) -> Dict:
+def load_scenario(path=None, overrides: Optional[Dict] = None) -> Dict:
     """Load a scenario file (YAML) merged over the defaults, then overrides.
+
+    `path` is a file name or a resource with its own `open()` (a bundled scenario).
 
     A key that the defaults do not know raises ValueError naming its path,
     and so does every value that `check_config` rejects.
     """
     config = copy.deepcopy(DEFAULTS)
     if path is not None:
-        with open(path) as fh:
+        with (path.open() if hasattr(path, "open") else open(path)) as fh:
             user = yaml.safe_load(fh) or {}
         if not isinstance(user, dict):
             raise ValueError(f"scenario file {path} must hold a mapping")
@@ -153,14 +136,17 @@ def load_scenario(path: Optional[str] = None, overrides: Optional[Dict] = None) 
 
 def _leaves(value, default, path: str) -> List[Tuple[str, object, object]]:
     """(key path, value, `default` there) of each leaf under `value`; a `links`
-    level is typed as level 1, a list item as item 0, a misshapen value is a leaf."""
-    if path.endswith("cpu_mips"):  # any number, or a [lo, hi] pair in `levels`
+    level is typed as level 1, a list item as item 0, a misshapen value is a
+    leaf, and so is a key the defaults do not know, with default `_UNKNOWN`.
+    A known `cpu_mips` is any number, or a [lo, hi] pair in `levels`."""
+    if path.endswith("cpu_mips") and default is not _UNKNOWN:
         pair = path.startswith("levels") and isinstance(value, list) and len(value) == 2
         default = [0.0] if pair else 0.0
     if isinstance(default, dict) and isinstance(value, dict):
-        return [leaf for key, val in value.items()
-                for leaf in _leaves(val, default.get(key, default.get(1)),
-                                    f"{path}.{key}" if path else str(key))]
+        level = default.get(1, _UNKNOWN)  # the default of any level in `links`
+        return [leaf for key, val in value.items() for leaf in _leaves(
+            val, default.get(key, level if isinstance(key, int) else _UNKNOWN),
+            f"{path}.{key}" if path else str(key))]
     if isinstance(default, list) and isinstance(value, list):
         return [leaf for i, val in enumerate(value)
                 for leaf in _leaves(val, default[0], f"{path}[{i}]")]
@@ -170,15 +156,15 @@ def _leaves(value, default, path: str) -> List[Tuple[str, object, object]]:
 def check_config(config: Dict) -> Dict:
     """Returns `config` if its values are usable, else raises ValueError naming them.
 
-    Rejected: a value typed unlike its `DEFAULTS` leaf (an int may stand for a
-    float), an infinite or NaN number, a `levels` entry without one of
-    `LEVEL_KEYS`, a level without servers, levels not numbered 1 to n once each
-    (n >= 1, the fog depth), a non-positive `mobility.tick_s`, area side or
-    `cpu_mips` (of the cloud, or either end of a level's pair), a negative
-    `devices.count`, `horizon_s`, `container_startup_s`,
-    `sensor_attach_latency_s`, `urmila.service_time_s`, level or cloud
-    `capacity`, level `coverage_m`, `energy` power, `migration.i_mig_s` or
-    `migration.epsilon_frac`, a `weights` entry or
+    Rejected: a key that `DEFAULTS` does not know, a value typed unlike its
+    `DEFAULTS` leaf (an int may stand for a float), an infinite or NaN number,
+    a `levels` entry without one of `LEVEL_KEYS`, a level without servers,
+    levels not numbered 1 to n once each (n >= 1, the fog depth), a
+    non-positive `mobility.tick_s`, area side or `cpu_mips` (of the cloud, or
+    either end of a level's pair), a negative `devices.count`, `horizon_s`,
+    `container_startup_s`, `sensor_attach_latency_s`, `urmila.service_time_s`,
+    level or cloud `capacity`, level `coverage_m`, `energy` power,
+    `migration.i_mig_s` or `migration.epsilon_frac`, a `weights` entry or
     `failure.migration_failure_p` outside [0, 1], a `mobility.departure_margin`
     outside [0, 1), a `devices.ram_mb`, `migration.dump_fraction`, mobility
     speed or leg range that is not a [min, max] pair with 0 <= min <= max, a
@@ -190,6 +176,7 @@ def check_config(config: Dict) -> Dict:
     powers >= 0.
     """
     leaves = _leaves(config, DEFAULTS, "")
+    _reject_unknown(leaves)
     mistyped = [(key, val) for key, val, default in leaves if type(val) is not type(default)
                 and not (type(default) is float and type(val) is int)]
     nonfinite = [(key, val) for key, val, _ in leaves

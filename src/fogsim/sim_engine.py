@@ -675,47 +675,31 @@ class Simulation:
         for i, dev in enumerate(self.devices):
             self.kernel.schedule(0.001 * i, "placement_request", self._request_placement, dev)
         self.kernel.schedule(self.tick_s, "tick", self._tick)
-        snapshots: Dict[float, List[dict]] = {}
-
-        def checkpoint(h: float):
-            snap = []
-            for dev in self.devices:
-                row = dev.acc.snapshot(h)
-                row["template"] = dev.dag.template
-                row["pdt_s"] = dev.pdt_s
-                row["migrations"] = sum(m for ts, m, _, _ in dev.mig_events if ts <= h)
-                row["cmt_s"] = _left_sum(c for ts, _, c, _ in dev.mig_events if ts <= h)
-                row["cmec_j"] = _left_sum(c for ts, _, _, c in dev.mig_events if ts <= h)
-                snap.append(row)
-            snapshots[h] = snap
-
-        for h in horizons:
-            self.kernel.schedule(h, "checkpoint", checkpoint, h)
-        self.kernel.run(end)
-        for dev in self.devices:
-            self._walk(dev)
-
-        rows = []
+        rows: List[dict] = []
         templates = sorted({dev.dag.template for dev in self.devices})
         fr_mode = "fr" if self.failure_p > 0 else "none"
-        for h in horizons:
+
+        def checkpoint(h: float):
+            # One row per template; cmt and cmec add per device, then across devices.
             for template in templates:
-                sub = [r for r in snapshots[h] if r["template"] == template]
+                devs = [dev for dev in self.devices if dev.dag.template == template]
+                sub = [dev.acc.snapshot(h) for dev in devs]
+                migs = [[m for m in dev.mig_events if m[0] <= h] for dev in devs]
                 served = sum(r["emitted"] - r["dropped"] for r in sub)
                 resp = _left_sum(r["resp_sum"] for r in sub)
                 energy = _left_sum(r["energy_sum"] for r in sub)
                 artt = resp / served if served else 0.0
                 aect = energy / served if served else 0.0
-                pdts = [r["pdt_s"] for r in sub if r["pdt_s"] is not None]
-                cmt = _left_sum(r["cmt_s"] for r in sub)
-                cmec = _left_sum(r["cmec_j"] for r in sub)
+                pdts = [dev.pdt_s for dev in devs if dev.pdt_s is not None]
+                cmt = _left_sum(_left_sum(m[2] for m in ms) for ms in migs)
+                cmec = _left_sum(_left_sum(m[3] for m in ms) for ms in migs)
                 rows.append({
                     "technique": self.policy.name, "app": template, "horizon_s": h,
                     "seed": self.config["seed"],
                     "pdt_s": _left_sum(pdts) / len(pdts) if pdts else 0.0,
                     "artt_s": artt, "aect_j": aect,
                     "awct": self.weights.weigh(artt, aect),
-                    "migrations": sum(r["migrations"] for r in sub),
+                    "migrations": sum(m[1] for ms in migs for m in ms),
                     "cmt_s": cmt, "cmec_j": cmec,
                     "cmwc": self.weights.weigh(cmt, cmec),
                     "tit": sum(r["interrupted"] for r in sub),
@@ -725,6 +709,12 @@ class Simulation:
                     "inflight": sum(r["inflight"] for r in sub),
                     "dropped": sum(r["dropped"] for r in sub),
                 })
+
+        for h in horizons:
+            self.kernel.schedule(h, "checkpoint", checkpoint, h)
+        self.kernel.run(end)
+        for dev in self.devices:
+            self._walk(dev)
         return SimResult(rows=rows, events=self.events)
 
 

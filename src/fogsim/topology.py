@@ -114,7 +114,6 @@ class Topology:
         self._level1 = [n for n in self.nodes.values() if n.id.level == 1]
         self._fog = sorted(sid for sid in self.nodes if sid.level >= 1)
         self._wire_children()
-        self._check_levels()
         self._build_grid()
 
     def _build_grid(self):
@@ -144,23 +143,19 @@ class Topology:
         return (math.floor(point[0] / self._cell_m), math.floor(point[1] / self._cell_m))
 
     def _wire_children(self):
+        """Add each node to its parent's children, once the parent is known and one
+        level up; each fog server but the cloud needs a parent, a device does not."""
         for node in self.nodes.values():
-            if node.parent is not None:
-                if node.parent not in self.nodes:
-                    raise TopologyError(f"{node.id} references unknown parent {node.parent}")
-                self.nodes[node.parent].children.add(node.id)
-
-    def _check_levels(self):
-        for node in self.nodes.values():
-            if node.parent is not None:
-                par = self.nodes[node.parent]
-                if par.id.level != node.id.level + 1:
-                    raise TopologyError(
-                        f"parent of {node.id} must sit one level up, got {par.id}")
-            elif node.id != self.cloud_id and node.id.level <= self.max_fog_level:
-                # Every fog server needs a parent; a device may be built detached.
-                if node.id.level > 0:
+            if node.parent is None:
+                if 0 < node.id.level <= self.max_fog_level:
                     raise TopologyError(f"fog server {node.id} has no parent")
+            elif node.parent not in self.nodes:
+                raise TopologyError(f"{node.id} references unknown parent {node.parent}")
+            elif node.parent.level != node.id.level + 1:
+                raise TopologyError(
+                    f"parent of {node.id} must sit one level up, got {node.parent}")
+            else:
+                self.nodes[node.parent].children.add(node.id)
 
     # -- mutation ---------------------------------------------------------
 

@@ -1,7 +1,11 @@
 """Scenario loading, CLI entry points, CSV output and reproducibility."""
 import csv
 import os
+import subprocess
+import sys
+import zipfile
 from importlib import resources
+from pathlib import Path
 
 import pytest
 import yaml
@@ -56,13 +60,30 @@ def test_bundled_scenarios_hold_only_known_keys():
                    if f.name.endswith(".yaml"))
     assert len(files) >= 2
     for f in files:
-        stale = scenario._stale_keys(yaml.safe_load(f.read_text()), scenario.DEFAULTS)
-        assert stale == [], f.name
+        leaves = scenario._leaves(yaml.safe_load(f.read_text()), scenario.DEFAULTS, "")
+        assert [key for key, _, default in leaves if default is scenario._UNKNOWN] == [], f.name
 
 
 def test_stale_key_check_reports_nested_keys():
     stale = {"seed": 2, "migration": {"i_mig_s": 0.1, "gone_s": 1.0}, "bogus": [1]}
-    assert scenario._stale_keys(stale, scenario.DEFAULTS) == [("migration", "gone_s"), ("bogus",)]
+    with pytest.raises(ValueError,
+                       match=r"^overrides: unknown scenario key\(s\) migration\.gone_s, bogus$"):
+        load_scenario(None, stale)
+
+
+def test_check_config_names_unknown_keys(tiny_scenario):
+    # A hand-built config is checked for keys as a loaded one is, not read
+    # as a value of the wrong type.
+    config = load_scenario(tiny_scenario)
+    config["bogus"] = 1
+    with pytest.raises(ValueError, match=r"^unknown scenario key\(s\) bogus$"):
+        experiments.run_matrix(config, ["proposed"], [1], [1.0])
+    config = load_scenario(tiny_scenario)
+    config["migration"]["gone_s"] = 1.0
+    config["levels"][0]["cpu"] = 1
+    with pytest.raises(ValueError,
+                       match=r"^unknown scenario key\(s\) migration\.gone_s, levels\[0\]\.cpu$"):
+        scenario.check_config(config)
 
 
 def test_misspelled_scenario_key_raises(tmp_path):
@@ -213,6 +234,7 @@ def test_out_of_range_scenario_value_raises(overrides, match):
     ({"failure": {"migration_failure_p": "0.5"}}, r"failure\.migration_failure_p = '0\.5'"),
     ({"seed": 1.5}, r"seed = 1\.5"),
     ({"devices": {"templates": "ECGMH"}}, r"devices\.templates = 'ECGMH'"),
+    ({"devices": {"templates": [{"a": 1}]}}, r"devices\.templates\[0\] = \{'a': 1\}"),
     ({"links": {"lat_up_s": {4: "0.2"}}}, r"links\.lat_up_s\.4 = '0\.2'"),
     ({"levels": _levels(1, 2.0)}, r"levels\[1\]\.level = 2\.0"),
     ({"levels": [dict(TINY_SCENARIO["levels"][0], cpu_mips=[3000, "4000"])]},
@@ -221,7 +243,7 @@ def test_out_of_range_scenario_value_raises(overrides, match):
      r"levels\[0\]\.cpu_mips = \[1, 2, 3\]"),
     ({"cloud": {"cpu_mips": [1000, 2000]}}, r"cloud\.cpu_mips = \[1000, 2000\]"),
 ], ids=["count_str", "count_bool", "count_float", "horizon_str", "horizon_bool",
-        "failure_p_str", "seed_float", "templates_str", "link_level_str",
+        "failure_p_str", "seed_float", "templates_str", "template_mapping", "link_level_str",
         "level_float", "cpu_mips_pair_str", "cpu_mips_triple", "cloud_cpu_mips_pair"])
 def test_wrong_typed_scenario_value_raises(overrides, match):
     with pytest.raises(ValueError, match="wrong-typed scenario value.*" + match):
@@ -273,6 +295,28 @@ def test_extra_link_level_loads(tmp_path):
 def test_unknown_scenario_exits(tmp_path):
     with pytest.raises(SystemExit):
         cli.resolve_scenario("no_such_scenario")
+
+
+def test_bundled_scenarios_run_from_a_zipped_package(tmp_path):
+    # A zipped package's resources are no files: the run must open them itself.
+    package = Path(cli.__file__).parent
+    archive = tmp_path / "fogsim.zip"
+    with zipfile.ZipFile(archive, "w") as zf:
+        for f in sorted(package.rglob("*")):
+            if f.suffix in (".py", ".yaml"):
+                zf.write(f, Path("fogsim") / f.relative_to(package))
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); from fogsim import cli; "
+            "assert cli.__file__.startswith(sys.argv[1]), cli.__file__; "
+            "raise SystemExit(cli.main(sys.argv[2:]))")
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    for args in (["urban_80dev"], ["desk_optimality", "--optimality"]):
+        out = tmp_path / args[0]
+        done = subprocess.run(
+            [sys.executable, "-c", code, str(archive), "run", *args, "--devices", "2",
+             "--horizon", "1", "--out", str(out)],
+            cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert (out / "metrics.csv").read_text().count("\n") == 3  # header + 2 apps
 
 
 def test_effective_config_is_byte_stable(tiny_scenario):

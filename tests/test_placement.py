@@ -120,25 +120,12 @@ def test_find_min_cost_prefers_colocated_predecessor():
 def test_find_min_cost_tie_prefers_lower_level():
     topo, dag, plc, ledger, ordered = make_world()
     # A module with no placed predecessors costs the same everywhere, so the
-    # tie falls through to (not parent, level, index).
+    # tie falls through to the server id: (level, index).
     plc.pop("sensor")
     del dag.preds["filter"][:]
     choice = find_min_cost(topo, ledger, [S(2, 1), S(1, 2)], dag, plc,
                            "filter", WEIGHTS, PROFILE)
     assert choice == S(1, 2)
-    choice = find_min_cost(topo, ledger, [S(1, 2), S(2, 1)], dag, plc,
-                           "filter", WEIGHTS, PROFILE, parent=S(1, 2))
-    assert choice == S(2, 1)
-
-
-def test_a_decision_met_again_under_another_parent_is_sorted_again():
-    topo, dag, plc, ledger, ordered = make_world()
-    # The sensor has no flows in, so it costs nothing anywhere and the tie
-    # rule alone orders the same two candidates.
-    candidates = [S(1, 2), S(2, 1)]
-    picks = [find_min_cost(topo, ledger, candidates, dag, plc, "sensor", WEIGHTS,
-                           PROFILE, parent=parent) for parent in (None, S(1, 2), None)]
-    assert picks == [S(1, 2), S(2, 1), S(1, 2)]
 
 
 def test_a_device_candidate_is_priced_where_it_is_attached():
@@ -157,16 +144,16 @@ def test_a_device_candidate_is_priced_where_it_is_attached():
 
 
 def brute_force_pick(topo, ledger, candidates, dag, placement, module_id, weights,
-                     profile, pending, parent):
+                     profile, pending):
     """`find_min_cost`'s documented pick: `min` over the candidates with room,
-    each priced alone, by (weighted cost, is the parent, level, index)."""
+    each priced alone, by (weighted cost, level, index)."""
     fits = [c for c in candidates if ledger.free(c) - pending.get(c, 0) > 0]
     if len(fits) < 2:
         return fits[0] if fits else None
     return min(fits, key=lambda c: (
         weights.weigh(*cost_model.module_costs(topo, dag, placement, profile, module_id,
                                                [c])[0]),
-        c == parent, c.level, c.index))
+        c.level, c.index))
 
 
 @settings(max_examples=200, deadline=None)
@@ -192,21 +179,18 @@ def test_find_min_cost_equals_a_brute_force_min(seed):
     weights = CostWeights(rng.random(), rng.random())
     profile = DeviceEnergyProfile(rng.uniform(0.1, 2.0), rng.uniform(0.1, 1.0),
                                   rng.uniform(0.5, 3.0))
-    seen = []   # (candidates, parent, module) of earlier decisions, met again later
+    seen = []   # (candidates, module) of earlier decisions, met again later
     with mock.patch.object(cost_model, "module_costs",
                            wraps=cost_model.module_costs) as priced:
         for _ in range(rng.randint(1, 10)):
             if seen and rng.random() < 0.7:
-                candidates, parent, module_id = rng.choice(seen)
-                if rng.random() < 0.3:
-                    parent = rng.choice(candidates + [None])
+                candidates, module_id = rng.choice(seen)
             else:
                 candidates = rng.sample(fog, rng.randint(1, len(fog)))
                 if rng.random() < 0.3:
                     candidates.insert(rng.randint(0, len(candidates)), rng.choice(devices))
-                parent = rng.choice(candidates + [None, rng.choice(fog)])
                 module_id = rng.choice(list(dag.module_map))
-                seen.append((candidates, parent, module_id))
+                seen.append((candidates, module_id))
             # Edit the world this decision reads, or leave it as it was.
             step = rng.random()
             if step < 0.2:
@@ -226,7 +210,7 @@ def test_find_min_cost_equals_a_brute_force_min(seed):
             pending = {c: rng.randint(1, 2) for c in candidates if rng.random() < 0.3}
             for _ in range(rng.randint(1, 4)):
                 args = (topo, ledger, candidates, dag, placement, module_id, weights,
-                        profile, pending, parent)
+                        profile, pending)
                 want = brute_force_pick(*args)
                 assert find_min_cost(*args) == want
                 calls = priced.call_count
