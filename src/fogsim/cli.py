@@ -20,7 +20,7 @@ CSV_COLUMNS = ["technique", "app", "horizon_s", "seed", "pdt_s", "artt_s",
 def resolve_scenario(name: str) -> str | resources.abc.Traversable:
     """A scenario argument is a file path or the name of a bundled scenario,
     which comes back as the package resource itself, for `load_scenario`."""
-    if os.path.exists(name):
+    if os.path.isfile(name):
         return name
     bundled = resources.files("fogsim").joinpath(f"scenarios/{name}.yaml")
     if bundled.is_file():

@@ -435,13 +435,10 @@ def schedule_offsets(dag: AppDag, costs: CostTable) -> List[Tuple[float, float]]
 
 
 def app_cost_breakdown(topology: Topology, dag: AppDag, placement: Placement,
-                       profile: DeviceEnergyProfile,
-                       costs: Optional[CostTable] = None) -> Tuple[float, float]:
-    """(total time, total energy) summed over all schedules: the last entry of
-    `schedule_offsets`. Without `costs`, every module is priced first."""
-    if costs is None:
-        costs = reprice(topology, dag, placement, profile, {})
-    return schedule_offsets(dag, costs)[-1]
+                       profile: DeviceEnergyProfile) -> Tuple[float, float]:
+    """(total time, total energy) summed over all schedules: every module
+    priced, then the last entry of `schedule_offsets`."""
+    return schedule_offsets(dag, reprice(topology, dag, placement, profile, {}))[-1]
 
 
 def app_cost(topology: Topology, dag: AppDag, placement: Placement,

@@ -211,14 +211,12 @@ def handle_migration_req(topology: Topology, ledger: CapacityLedger,
             if old_cost is None:
                 if costs is None:
                     costs = cost_model.reprice(topology, dag, working, profile, {})
-                old_cost = weights.weigh(*cost_model.app_cost_breakdown(
-                    topology, dag, working, profile, costs))
+                old_cost = weights.weigh(*cost_model.schedule_offsets(dag, costs)[-1])
             working[module_id] = cand
             trial = cost_model.reprice(topology, dag, working, profile, dict(costs),
                                        [module_id])
             working[module_id] = frm
-            new_cost = weights.weigh(*cost_model.app_cost_breakdown(
-                topology, dag, working, profile, trial))
+            new_cost = weights.weigh(*cost_model.schedule_offsets(dag, trial)[-1])
             if cost_model.migration_admissible(old_cost, new_cost,
                                                params.epsilon_frac * old_cost):
                 chosen = (cand, mc)
@@ -233,26 +231,14 @@ def handle_migration_req(topology: Topology, ledger: CapacityLedger,
     return decisions
 
 
-def mmt_failure_recovery(topology: Topology, ledger: CapacityLedger,
-                         dag: AppDag, working: Placement, modules: Sequence[str],
-                         weights: CostWeights, profile: DeviceEnergyProfile,
-                         params: MigrationParams,
-                         dump_bits_of, remaining_mi_of,
-                         candidates: Sequence[ServerId], failed: ServerId,
-                         exclude: Sequence[ServerId] = (),
-                         check_admissibility: bool = True,
-                         costs: Optional[cost_model.CostTable] = None
-                         ) -> List[MigrationDecision]:
+def mmt_failure_recovery(*args, failed: ServerId, exclude: Sequence[ServerId] = (),
+                         **kw) -> List[MigrationDecision]:
     """Re-decide modules after their migration target `failed` did not confirm.
 
-    Same scoring as the original decision with `failed` and `exclude` (the
-    targets that failed before) removed. A module that finds no target here
-    comes back with `to` None and stays at its old server; recovery does
-    not escalate. The working placement must hold the modules at their old
-    servers on entry; `costs` is as in `handle_migration_req`.
+    `handle_migration_req` with `failed` added to `exclude` (the targets
+    that failed before); every other argument is passed on as given. A
+    module that finds no target here comes back with `to` None and stays at
+    its old server; recovery does not escalate. The working placement must
+    hold the modules at their old servers on entry.
     """
-    return handle_migration_req(
-        topology, ledger, dag, working, modules,
-        weights, profile, params, dump_bits_of, remaining_mi_of,
-        candidates, exclude=[*exclude, failed],
-        check_admissibility=check_admissibility, costs=costs)
+    return handle_migration_req(*args, exclude=[*exclude, failed], **kw)

@@ -217,8 +217,7 @@ def optimal_placement(topology: Topology, dag: AppDag, weights: CostWeights,
         if depth == n:
             for mid, own in fixed.items():
                 costs[mid] = memo_row(mid, (own,))[0][1:3]
-            cost = weights.weigh(*cost_model.app_cost_breakdown(
-                topology, dag, assign, profile, costs))
+            cost = weights.weigh(*cost_model.schedule_offsets(dag, costs)[-1])
             key = tuple(stack_assign)
             if cost < best_cost - _TIE_EPS or \
                     (abs(cost - best_cost) <= _TIE_EPS and

@@ -63,21 +63,9 @@ class CapacityLedger:
 
 
 @dataclass
-class PlacementDecision:
-    module: str
-    server: ServerId
-
-
-@dataclass
 class PlacementPlan:
-    decisions: List[PlacementDecision] = field(default_factory=list)
+    """The modules a planner escalates; each pick it made is in the placement."""
     escalated: List[str] = field(default_factory=list)
-
-    def by_server(self) -> Dict[ServerId, List[PlacementDecision]]:
-        grouped: Dict[ServerId, List[PlacementDecision]] = {}
-        for dec in self.decisions:
-            grouped.setdefault(dec.server, []).append(dec)
-        return grouped
 
 
 def ready_servers(topology: Topology, controller: ServerId) -> List[ServerId]:
@@ -151,7 +139,8 @@ def _greedy(topology: Topology, ledger: CapacityLedger, controller: ServerId,
             candidates: Sequence[ServerId], dag: AppDag, placement: Placement,
             ordered: Sequence[str], weights: CostWeights,
             profile: DeviceEnergyProfile) -> PlacementPlan:
-    """Put each module, in the given order, on its cheapest candidate.
+    """Put each module, in the given order, on its cheapest candidate, and
+    write the pick into `placement`.
 
     Reserves nothing: each pick, the controller's own included, counts against
     its target's free slots until `handle_remote_placement` confirms it.
@@ -172,7 +161,6 @@ def _greedy(topology: Topology, ledger: CapacityLedger, controller: ServerId,
             break
         placement[module_id] = choice
         pending[choice] = pending.get(choice, 0) + 1
-        plan.decisions.append(PlacementDecision(module_id, choice))
     return plan
 
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 import copy
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 import yaml
@@ -275,10 +275,10 @@ def stream(seed, label: str) -> random.Random:
 class World:
     topology: Topology
     # (device id, its application) per device
-    devices: List[Tuple[ServerId, app_model.AppDag]] = field(default_factory=list)
-    weights: CostWeights = field(default_factory=CostWeights)
-    profile: DeviceEnergyProfile = field(default_factory=DeviceEnergyProfile)
-    migration: MigrationParams = field(default_factory=MigrationParams)
+    devices: List[Tuple[ServerId, app_model.AppDag]]
+    weights: CostWeights
+    profile: DeviceEnergyProfile
+    migration: MigrationParams
 
 
 def _grid_shape(spec: Dict, width: float, height: float) -> Tuple[int, int]:

@@ -220,7 +220,8 @@ class SimDevice:
     The position on the topology node is current as of tick `walked`;
     `Simulation._walk` brings it up to the kernel's tick count.
     `check_version` tells the live entry of the departure-check heap from
-    stale ones.
+    stale ones. `busy` holds the modules a new migration plan skips: those
+    planned in a round not yet started, and those moving.
 
     From service start, `costs` holds every module's (time, energy) under
     the current placement and parent, as `cost_model.reprice` fills it, and
@@ -239,8 +240,7 @@ class SimDevice:
     pdt_s: Optional[float] = None
     mmt_busy: bool = False
     pending_departure: bool = False
-    inflight: set = field(default_factory=set)
-    claimed: set = field(default_factory=set)
+    busy: set = field(default_factory=set)
     mig_events: List[tuple] = field(default_factory=list)  # (ts, moves, cmt, cmec)
     costs: cost_model.CostTable = field(default_factory=dict)
     offsets: Tuple[float, ...] = ()
@@ -377,16 +377,21 @@ class Simulation:
         """Decide `ordered` at `controller` from time t; returns the last acknowledgement.
 
         Each server confirms its picks, the controller its own, and has the
-        slots the greedy loop counted for them. Modules that fit nowhere
-        escalate to the parent, in the same order.
+        slots the greedy loop counted for them. Servers confirm in sorted
+        order, each its modules in `ordered` order. Modules that fit nowhere
+        escalate to the parent, in the same order; they are the tail of
+        `ordered`, and every module before them is picked in `dev.placement`.
         """
         plan = self.planner(self.topology, self.ledger, controller, dev.dag, dev.placement,
                             ordered, self.weights, self.profile)
+        picks: Dict[ServerId, List[str]] = {}
+        for module_id in ordered[:len(ordered) - len(plan.escalated)]:
+            picks.setdefault(dev.placement[module_id], []).append(module_id)
         acks = [t]
-        for server, decs in sorted(plan.by_server().items()):
+        for server, modules in sorted(picks.items()):
             t_arr = t + self.lat(controller, server)
             for module_id, ok, warm in placement.handle_remote_placement(
-                    self.ledger, server, dev.dag, [d.module for d in decs]):
+                    self.ledger, server, dev.dag, modules):
                 if not ok:
                     raise PlacementError(f"{server} rejected module {module_id}")
                 start = t_arr + (0.0 if warm else self.startup_s)
@@ -520,11 +525,11 @@ class Simulation:
         dev.acc.set_cost(now, *self._task_cost(dev, on_device))
         central = self.central if self.policy.central else None
         rounds = migration.plan_rounds(self.topology, dest, dev.dag, dev.placement, central,
-                                       exclude=sorted(dev.inflight | dev.claimed))
+                                       exclude=sorted(dev.busy))
         for rnd in rounds:
             for mods in rnd.values():
-                dev.claimed.update(mods)
-        if self.policy.central:  # the claim set keeps the plans disjoint
+                dev.busy.update(mods)
+        if self.policy.central:  # the busy set keeps the plans disjoint
             dev.mmt_busy = False
         self._run_round(dev, dest, rounds, 0, now)
 
@@ -541,7 +546,7 @@ class Simulation:
             return
         rnd = rounds[k]
         for mods in rnd.values():
-            dev.claimed.difference_update(mods)
+            dev.busy.difference_update(mods)
         working = dev.placement.copy()
         completions = [t]
         moves = 0
@@ -600,7 +605,7 @@ class Simulation:
             kw = {"exclude": exclude, "check_admissibility": not self.policy.central,
                   "costs": dev.costs if working == dev.placement else None}
             decisions = (migration.handle_migration_req(*args, **kw) if failed is None
-                         else migration.mmt_failure_recovery(*args, failed, **kw))
+                         else migration.mmt_failure_recovery(*args, failed=failed, **kw))
             pending = []
             for dec in decisions:
                 if dec.to is None:
@@ -644,7 +649,7 @@ class Simulation:
             return self._escalate(dev, new_ctrl, decider, [module_id], working, t_dec,
                                   exclude=tried, failed=to)[0]
         coord = self.lat(decider, to) + self.lat(to, frm)
-        dev.inflight.add(module_id)
+        dev.busy.add(module_id)
         w_start = t_dec
         w_end = t_dec + coord + mc.time_s
         dev.acc.add_window(w_start, w_end)
@@ -654,7 +659,7 @@ class Simulation:
                  frm=str(frm), to=str(to), window_s=round(window_len, 9))
 
         def commit(_):
-            dev.inflight.discard(module_id)
+            dev.busy.discard(module_id)
             dev.placement[module_id] = to
             self.ledger.release(frm, dev.dag.template, module_id)
             dev.acc.set_cost(self.kernel.now, *self._task_cost(dev, [module_id]))

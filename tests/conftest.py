@@ -9,9 +9,26 @@ import math
 
 import pytest
 
+from fogsim.placement import handle_remote_placement
 from fogsim.topology import LinkParams, ServerId, ServerNode, Topology
 
 S = ServerId
+
+
+def picks(placement, ordered, plan):
+    """(module, server) of each module in `ordered` that the plan did not
+    escalate, in that order: a planner writes its picks into the placement."""
+    return [(m, placement[m]) for m in ordered if m not in plan.escalated]
+
+
+def confirm(ledger, dag, placement, ordered, plan):
+    """Every pick of the plan confirmed at its server, servers in sorted order
+    as the engine confirms them: (module, ok, warm) each."""
+    by_server = {}
+    for module_id, server in picks(placement, ordered, plan):
+        by_server.setdefault(server, []).append(module_id)
+    return [res for server, modules in sorted(by_server.items())
+            for res in handle_remote_placement(ledger, server, dag, modules)]
 
 
 def make_links() -> LinkParams:

@@ -5,11 +5,10 @@ from fogsim import scenario
 from fogsim.app_model import build_app, rank_modules
 from fogsim.baselines import CentralQueue, maas_place, urmila_place
 from fogsim.cost_model import CostWeights, DeviceEnergyProfile
-from fogsim.placement import (CapacityLedger, PlacementError, dapt_place,
-                              handle_remote_placement, ready_servers)
+from fogsim.placement import CapacityLedger, PlacementError, dapt_place, ready_servers
 from fogsim.sim_engine import run_simulation
 
-from conftest import S, make_small_topology
+from conftest import S, confirm, make_small_topology, picks
 
 WEIGHTS = CostWeights()
 PROFILE = DeviceEnergyProfile()
@@ -26,7 +25,7 @@ def test_maas_fills_controller_then_escalates_past_free_sibling():
     ledger = CapacityLedger(topo)
     plan = maas_place(topo, ledger, S(1, 1), dag, plc, dag.unpinned(),
                       WEIGHTS, PROFILE)
-    assert [d.server for d in plan.decisions] == [S(1, 1)]
+    assert [s for _, s in picks(plc, dag.unpinned(), plan)] == [S(1, 1)]
     # (1,2) has free slots but the edgeward rule never looks sideways.
     assert len(plan.escalated) == 3
     assert ledger.free(S(1, 2)) == 1
@@ -54,17 +53,11 @@ def test_urmila_central_greedy_places_globally_cheapest():
     ledger = CapacityLedger(topo)
     ordered = rank_modules(dag, topo.fog_servers(), WEIGHTS, topo, PROFILE)
     plan = urmila_place(topo, ledger, S(3, 1), dag, plc, ordered, WEIGHTS, PROFILE)
-    assert len(plan.decisions) == 4
+    servers = [s for _, s in picks(plc, ordered, plan)]
+    assert len(servers) == 4
     # The device hangs off (1,1): the per-module global argmin is local to it.
-    assert {d.server for d in plan.decisions} == {S(1, 1)}
-    assert all(d.server != S(3, 1) for d in plan.decisions)
-
-
-def _confirm(ledger, dag, plan):
-    """Every pick of the plan confirmed at its server: (module, ok, warm) each."""
-    return [res for server, decs in sorted(plan.by_server().items())
-            for res in handle_remote_placement(ledger, server, dag,
-                                               [d.module for d in decs])]
+    assert set(servers) == {S(1, 1)}
+    assert all(s != S(3, 1) for s in servers)
 
 
 def test_urmila_first_placement_is_cold_and_repeat_is_warm():
@@ -74,12 +67,13 @@ def test_urmila_first_placement_is_cold_and_repeat_is_warm():
     ordered = rank_modules(dag, topo.fog_servers(), WEIGHTS, topo, PROFILE)
     first = urmila_place(topo, ledger, S(3, 1), dag, plc, ordered, WEIGHTS, PROFILE)
     # No decision holds a slot until its target confirms it.
-    confirmed = _confirm(ledger, dag, first)
+    confirmed = confirm(ledger, dag, plc, ordered, first)
     assert confirmed and all(ok and not warm for _, ok, warm in confirmed)
-    again = urmila_place(topo, ledger, S(3, 1), dag, plc.copy(), ordered,
+    replc = plc.copy()
+    again = urmila_place(topo, ledger, S(3, 1), dag, replc, ordered,
                          WEIGHTS, PROFILE)
-    assert [d.server for d in again.decisions] == [d.server for d in first.decisions]
-    assert all(ok and warm for _, ok, warm in _confirm(ledger, dag, again))
+    assert picks(replc, ordered, again) == picks(plc, ordered, first)
+    assert all(ok and warm for _, ok, warm in confirm(ledger, dag, replc, ordered, again))
 
 
 @pytest.mark.parametrize("policy", ["proposed", "maas", "urmila"])
@@ -95,15 +89,16 @@ def test_deciding_writes_no_capacity_until_confirmed(policy):
     ledger.reserve(decider, "other", "pad")
     before = (dict(ledger.used), dict(ledger.active_types))
     if policy == "maas":
-        plan = maas_place(topo, ledger, decider, dag, plc, dag.unpinned(), WEIGHTS, PROFILE)
+        ordered = dag.unpinned()
+        plan = maas_place(topo, ledger, decider, dag, plc, ordered, WEIGHTS, PROFILE)
     else:
         servers = topo.fog_servers() if policy == "urmila" else ready_servers(topo, decider)
         ordered = rank_modules(dag, servers, WEIGHTS, topo, PROFILE)
         place = urmila_place if policy == "urmila" else dapt_place
         plan = place(topo, ledger, decider, dag, plc, ordered, WEIGHTS, PROFILE)
-    assert [d.server for d in plan.decisions] == [decider] * len(dag.unpinned())
+    assert [s for _, s in picks(plc, ordered, plan)] == [decider] * len(dag.unpinned())
     assert (ledger.used, ledger.active_types) == before
-    assert all(ok for _, ok, _ in _confirm(ledger, dag, plan))
+    assert all(ok for _, ok, _ in confirm(ledger, dag, plc, ordered, plan))
     assert ledger.used == {decider: 1 + len(dag.unpinned())}
 
 

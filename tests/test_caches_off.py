@@ -1,16 +1,21 @@
 """Differential gate: the engine with every shortcut switched off gives the
-same rows and events, byte for byte, as a normal run.
+same rows and events, byte for byte, as a normal run, and the oracle with
+its memo switched off searches the same.
 
-All switches live in `caches_off`, so a new cache adds its line there.
+All the engine's switches live in `caches_off`, so a new cache adds its line
+there; the oracle's memo is switched off in its own test.
 """
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from fogsim import cli, cost_model, migration, scenario
+from fogsim import cli, cost_model, migration, oracle, scenario
 from fogsim.scenario import POLICIES
 from fogsim.sim_engine import Simulation
 
+from test_oracle import _desk_pass, _desk_world
 from test_topology import _scan_sensed_by
 
 
@@ -19,6 +24,14 @@ class _NeverStore(dict):
 
     def __setitem__(self, key, value):
         pass
+
+
+class _NeverFound(dict):
+    """A cache whose entries are never found, so each one is computed again;
+    `update` still stores them for the reads that follow."""
+
+    def __contains__(self, key):
+        return False
 
 
 def caches_off(sim, monkeypatch):
@@ -59,3 +72,43 @@ def test_caches_off_gives_the_same_bytes(monkeypatch, policy, failure_p, seed):
     caches_off(sim, monkeypatch)
     assert _output(sim) == normal
     assert json.loads(normal)[1], "a run without events checks nothing"
+
+
+@settings(max_examples=30, deadline=None)
+@given(policy=st.sampled_from(POLICIES), seed=st.integers(1, 10_000),
+       devices=st.integers(0, 12), failure_p=st.sampled_from([0.0, 0.5, 1.0]),
+       tick_s=st.sampled_from([0.05, 0.1, 0.5, 1.0]),
+       margin=st.sampled_from([0.0, 0.05, 0.3, 0.9]),
+       speed_min=st.sampled_from([0.0, 0.5, 5.0]),
+       speed_span=st.sampled_from([0.0, 4.0, 30.0]),
+       mode=st.sampled_from(["delay", "drop"]))
+def test_caches_off_gives_the_same_bytes_on_generated_scenarios(
+        policy, seed, devices, failure_p, tick_s, margin, speed_min, speed_span, mode):
+    """Tiny `urban_80dev` runs, standing devices (zero speed) included."""
+    config = scenario.load_scenario(cli.resolve_scenario("urban_80dev"), {
+        "policy": policy, "seed": seed, "horizon_s": 30.0, "devices": {"count": devices},
+        "failure": {"migration_failure_p": failure_p}, "interrupted_mode": mode,
+        "mobility": {"tick_s": tick_s, "departure_margin": margin,
+                     "speed_min_mps": speed_min, "speed_max_mps": speed_min + speed_span}})
+    normal = _output(Simulation(config))
+    sim = Simulation(config)
+    with pytest.MonkeyPatch.context() as mp:
+        caches_off(sim, mp)
+        assert _output(sim) == normal
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_oracle_without_its_memo_searches_the_same(seed):
+    """The desk_optimality oracle pass, its memo rows never stored and its
+    floors never found, so every row and floor is computed where it is read,
+    gives the same costs, placements, node counts and completeness."""
+    sim, candidates, free = _desk_world(seed)
+    apps = [(dev.dag, dev.placement) for dev in sim.devices]
+    normal = oracle.sequential_placement(sim.topology, apps, sim.weights, sim.profile,
+                                         candidates, free)
+    sim, candidates, free = _desk_world(seed)
+    memo = oracle._ModuleCosts()
+    memo.rows, memo.floors = _NeverStore(), _NeverFound()
+    off = _desk_pass(sim, candidates, free, memo)
+    assert [(float.hex(r.cost), r.placement, r.nodes_explored, r.complete) for r in off] \
+        == [(float.hex(r.cost), r.placement, r.nodes_explored, r.complete) for r in normal]

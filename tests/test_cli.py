@@ -297,6 +297,21 @@ def test_unknown_scenario_exits(tmp_path):
         cli.resolve_scenario("no_such_scenario")
 
 
+def test_a_directory_named_like_a_bundled_scenario_does_not_shadow_it(
+        tmp_path, monkeypatch):
+    # A run's --out directory often takes the scenario's name.
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "urban_80dev").mkdir()
+    assert cli.resolve_scenario("urban_80dev").is_file()
+    argv = ["run", "urban_80dev", "--devices", "2", "--horizon", "1",
+            "--out", "urban_80dev"]
+    assert cli.main(argv) == 0
+    assert cli.main(argv) == 0
+    assert (tmp_path / "urban_80dev" / "metrics.csv").stat().st_size > 0
+    with pytest.raises(SystemExit, match="scenario not found: urban_80dev/"):
+        cli.resolve_scenario("urban_80dev/")
+
+
 def test_bundled_scenarios_run_from_a_zipped_package(tmp_path):
     # A zipped package's resources are no files: the run must open them itself.
     package = Path(cli.__file__).parent

@@ -13,7 +13,7 @@ from fogsim.placement import (CapacityLedger, PlacementError, dapt_place,
                               dapt_failure_recovery, find_min_cost,
                               handle_remote_placement, ready_servers)
 
-from conftest import S, make_small_topology
+from conftest import S, confirm, make_small_topology, picks
 from test_rule_oracle import random_topology
 
 WEIGHTS = CostWeights()
@@ -60,7 +60,7 @@ def test_all_modules_fit_on_controller():
     plan = dapt_place(topo, ledger, S(1, 1), dag, plc, ordered,
                       WEIGHTS, PROFILE)
     assert plan.escalated == []
-    assert {d.server for d in plan.decisions} == {S(1, 1)}
+    assert {s for _, s in picks(plc, ordered, plan)} == {S(1, 1)}
     assert cost_model.validate_placement(topo, dag, plc, ledger.used) == []
 
 
@@ -72,8 +72,9 @@ def test_full_controller_prefers_cluster_member_over_parent():
     plan = dapt_place(topo, ledger, S(1, 1), dag, plc, ordered,
                       WEIGHTS, PROFILE)
     assert plan.escalated == []
-    assert {d.server for d in plan.decisions} == {S(1, 2)}
-    assert all(d.server != S(1, 1) for d in plan.decisions)
+    servers = [s for _, s in picks(plc, ordered, plan)]
+    assert set(servers) == {S(1, 2)}
+    assert all(s != S(1, 1) for s in servers)
 
 
 def test_exhausted_ready_servers_escalate_everything():
@@ -83,7 +84,7 @@ def test_exhausted_ready_servers_escalate_everything():
             ledger.reserve(sid, "other", "pad")
     plan = dapt_place(topo, ledger, S(1, 1), dag, plc, ordered,
                       WEIGHTS, PROFILE)
-    assert plan.decisions == []
+    assert all(m not in plc for m in ordered)  # nothing picked
     assert sorted(plan.escalated) == sorted(dag.unpinned())
 
 
@@ -241,7 +242,7 @@ def test_warm_container_detected_on_repeat_placement():
     topo, dag, plc, ledger, ordered = make_world()
     assert handle_remote_placement(ledger, S(1, 1), dag, ["filter"]) == [("filter", True, False)]
     plan = dapt_place(topo, ledger, S(1, 1), dag, plc, ["filter"], WEIGHTS, PROFILE)
-    assert [d.server for d in plan.decisions] == [S(1, 1)]
+    assert picks(plc, ["filter"], plan) == [("filter", S(1, 1))]
     # Warmth is read at the confirmation, before its slot is reserved.
     assert handle_remote_placement(ledger, S(1, 1), dag, ["filter"]) == [("filter", True, True)]
 
@@ -250,8 +251,8 @@ def test_failure_recovery_rehomes_to_survivor():
     topo, dag, plc, ledger, ordered = make_world()
     plan = dapt_failure_recovery(topo, ledger, S(1, 1), S(1, 2), dag, plc,
                                  ["filter"], WEIGHTS, PROFILE)
-    assert plan.decisions[0].server != S(1, 2)
     assert plan.escalated == []
+    assert plc["filter"] != S(1, 2)
 
 
 def test_failure_recovery_escalates_when_survivors_full():
@@ -272,14 +273,23 @@ def test_failure_recovery_keeps_caller_order_and_skips_failed_server():
     modules = ["hr_analyzer", "arrhythmia_detector"]
     assert ordered.index(modules[0]) > ordered.index(modules[1])
     # With the controller full, the failed peer (1,2) is the cheapest server.
-    first = dapt_place(topo, ledger, S(1, 1), dag, plc.copy(),
-                       [m for m in ordered if m in modules], WEIGHTS, PROFILE)
-    assert [d.server for d in first.decisions] == [S(1, 2), S(1, 2)]
-    plan = dapt_failure_recovery(topo, ledger, S(1, 1), S(1, 2), dag, plc,
+    trial = plc.copy()
+    dapt_place(topo, ledger, S(1, 1), dag, trial,
+               [m for m in ordered if m in modules], WEIGHTS, PROFILE)
+    assert [trial[m] for m in modules] == [S(1, 2), S(1, 2)]
+    trial = plc.copy()
+    plan = dapt_failure_recovery(topo, ledger, S(1, 1), S(1, 2), dag, trial,
                                  modules, WEIGHTS, PROFILE)
-    assert [d.module for d in plan.decisions] == modules
-    assert all(d.server != S(1, 2) for d in plan.decisions)
+    assert all(s != S(1, 2) for _, s in picks(trial, modules, plan))
     assert plan.escalated == []
+    # With one slot left on the controller, the first module in the caller's
+    # order takes it and the next goes on to the parent, in either order.
+    ledger.release(S(1, 1), "other", "pad")
+    for caller in (modules, modules[::-1]):
+        trial = plc.copy()
+        plan = dapt_failure_recovery(topo, ledger, S(1, 1), S(1, 2), dag, trial,
+                                     caller, WEIGHTS, PROFILE)
+        assert picks(trial, caller, plan) == [(caller[0], S(1, 1)), (caller[1], S(2, 1))]
 
 
 def test_constraints_hold_after_full_cascade():
@@ -288,8 +298,7 @@ def test_constraints_hold_after_full_cascade():
     todo = ordered
     while todo:
         plan = dapt_place(topo, ledger, controller, dag, plc, todo, WEIGHTS, PROFILE)
-        for server, decs in plan.by_server().items():
-            handle_remote_placement(ledger, server, dag, [d.module for d in decs])
+        confirm(ledger, dag, plc, todo, plan)
         todo = plan.escalated
         if todo:
             controller = topo.node(controller).parent
