@@ -1,8 +1,10 @@
 """Application DAGs with their topological schedules, and weighted upward ranks."""
 from __future__ import annotations
 
-from collections import deque
-from dataclasses import dataclass, field
+import graphlib
+import weakref
+from dataclasses import dataclass
+from types import MappingProxyType
 from typing import Dict, List, Sequence
 
 from .topology import ServerId, Topology
@@ -32,56 +34,75 @@ class Module:
     container_ram_mb: float = 64.0
 
 
+class DagShape:
+    """What a DAG's modules (id, pinned) and flows fix, built once and shared
+    by every `AppDag` with equal ones: each module's incoming and outgoing
+    flows, the modules grouped by topological order value, lowest first, each
+    module's order value and the unpinned modules in schedule order.
+    Its parts are tuples and read-only maps; it hashes and compares by
+    identity, so a cache key names it in one step.
+    """
+    __slots__ = ("preds", "succs", "schedules", "order_of", "unpinned", "__weakref__")
+
+    def __init__(self, app_id: str, modules: Sequence[Module], flows: Sequence[DataFlow]):
+        pinned = {m.id: m.pinned_to_device for m in modules}
+        if len(pinned) != len(modules):
+            raise ValueError(f"module ids of {app_id} repeat")
+        preds: Dict[str, list] = {mid: [] for mid in pinned}
+        succs: Dict[str, list] = {mid: [] for mid in pinned}
+        for flow in flows:
+            if flow.src not in pinned or flow.dst not in pinned:
+                raise ValueError(f"flow {flow.src}->{flow.dst} references unknown module")
+            preds[flow.dst].append(flow)
+            succs[flow.src].append(flow)
+        # A module's order is 1 + the max order of its predecessors.
+        order: Dict[str, int] = {}
+        graph = {mid: [f.src for f in fs] for mid, fs in preds.items()}
+        try:
+            for mid in graphlib.TopologicalSorter(graph).static_order():
+                order[mid] = 1 + max((order[f.src] for f in preds[mid]), default=0)
+        except graphlib.CycleError:
+            raise CycleError(f"module graph of {app_id} contains a cycle") from None
+        by_order: Dict[int, List[str]] = {}
+        for mid in pinned:
+            by_order.setdefault(order[mid], []).append(mid)
+        self.preds = MappingProxyType({mid: tuple(fs) for mid, fs in preds.items()})
+        self.succs = MappingProxyType({mid: tuple(fs) for mid, fs in succs.items()})
+        self.schedules = tuple(tuple(sorted(by_order[val])) for val in sorted(by_order))
+        self.order_of = MappingProxyType({mid: order[mid] for mid in pinned})
+        self.unpinned = tuple(mid for group in self.schedules for mid in group
+                              if not pinned[mid])
+
+
+# Every live shape under its (modules' (id, pinned), flows) key; a shape goes
+# when the last DAG holding it does.
+_SHAPES = weakref.WeakValueDictionary()
+
+
 @dataclass
 class AppDag:
-    """One application instance: modules plus data flows, emitting every sensor_interval_s."""
+    """One application instance: modules plus data flows, emitting every sensor_interval_s.
+
+    The modules, with their drawn container RAM, and `module_map` are its own;
+    `preds`, `succs`, `schedules` and `order_of` are those of its `shape`.
+    """
     app_id: str
     template: str
     modules: List[Module]
     flows: List[DataFlow]
     sensor_interval_s: float
-    preds: Dict[str, List[DataFlow]] = field(default_factory=dict, repr=False)
-    succs: Dict[str, List[DataFlow]] = field(default_factory=dict, repr=False)
-    module_map: Dict[str, Module] = field(default_factory=dict, repr=False)
-    # Modules grouped by topological order value, lowest first, and each
-    # module's order value; computed once, when the DAG is built.
-    schedules: List[List[str]] = field(init=False, repr=False)
-    order_of: Dict[str, int] = field(init=False, repr=False)
 
     def __post_init__(self):
         self.module_map = {m.id: m for m in self.modules}
-        self.preds = {m.id: [] for m in self.modules}
-        self.succs = {m.id: [] for m in self.modules}
-        for flow in self.flows:
-            if flow.src not in self.module_map or flow.dst not in self.module_map:
-                raise ValueError(f"flow {flow.src}->{flow.dst} references unknown module")
-            self.preds[flow.dst].append(flow)
-            self.succs[flow.src].append(flow)
-        # BFS topological grouping: a module's order is 1 + max order of its
-        # predecessors.
-        indeg = {m.id: len(self.preds[m.id]) for m in self.modules}
-        order = self.order_of = {m.id: 1 for m in self.modules}
-        queue = deque(sorted(mid for mid, d in indeg.items() if d == 0))
-        seen = 0
-        while queue:
-            cur = queue.popleft()
-            seen += 1
-            for flow in self.succs[cur]:
-                order[flow.dst] = max(order[flow.dst], order[cur] + 1)
-                indeg[flow.dst] -= 1
-                if indeg[flow.dst] == 0:
-                    queue.append(flow.dst)
-        if seen != len(self.modules):
-            raise CycleError(f"module graph of {self.app_id} contains a cycle")
-        by_order: Dict[int, List[str]] = {}
-        for mid, val in order.items():
-            by_order.setdefault(val, []).append(mid)
-        self.schedules = [sorted(by_order[val]) for val in sorted(by_order)]
+        key = (tuple((m.id, m.pinned_to_device) for m in self.modules), tuple(self.flows))
+        shape = self.shape = _SHAPES.get(key) or _SHAPES.setdefault(
+            key, DagShape(self.app_id, self.modules, self.flows))
+        self.preds, self.succs, self.schedules, self.order_of = (
+            shape.preds, shape.succs, shape.schedules, shape.order_of)
 
     def unpinned(self) -> List[str]:
         """Modules not pinned to the device, in schedule order."""
-        return [mid for group in self.schedules for mid in group
-                if not self.module_map[mid].pinned_to_device]
+        return list(self.shape.unpinned)
 
     def incoming_mi(self, module_id: str) -> float:
         return sum(f.instructions_mi for f in self.preds[module_id])
@@ -98,15 +119,15 @@ def compute_rank(dag: AppDag, ready_servers: Sequence[ServerId], weights,
 
     Candidates must be fog servers (a ValueError names any device): the
     rank is memoized in `topology.rank_cache`, and a device's routes move
-    with its handovers.
+    with its handovers. The memo key is everything the rank reads: the
+    candidates, the DAG's shape (its modules and flows), weights and profile.
     """
     from . import cost_model  # local import: cost_model imports AppDag from here
 
     servers = list(ready_servers)
     if not servers:
         raise ValueError("rank needs at least one candidate server")
-    key = (tuple(servers), tuple(m.id for m in dag.modules), tuple(dag.flows),
-           weights, profile)
+    key = (tuple(servers), dag.shape, weights, profile)
     cached = topology.rank_cache.get(key)
     if cached is not None:
         return dict(cached)

@@ -97,10 +97,10 @@ def find_min_cost(topology: Topology, ledger: CapacityLedger,
     cost, server id), so ties go to the lower level, then the lower index,
     and the first with room is taken. The order is kept in
     `topology.order_cache` under everything it reads: the candidates, the
-    module's incoming flows, weights, profile and its predecessors' servers,
-    each by `Topology.held`, as routes hold them. An order over a device
-    candidate is not kept, as that device's routes move when it is handed
-    over.
+    DAG's shape and the module's id (which fix its incoming flows), weights,
+    profile and its predecessors' servers, each by `Topology.held`, as routes
+    hold them. An order over a device candidate is not kept, as that
+    device's routes move when it is handed over.
     """
     pending = pending or {}
     first = None
@@ -111,9 +111,8 @@ def find_min_cost(topology: Topology, ledger: CapacityLedger,
             first = c
     else:
         return first
-    flows = dag.preds[module_id]
-    key = (tuple(candidates), tuple(flows), weights, profile,
-           *[topology.held(placement[flow.src]) for flow in flows])
+    key = (tuple(candidates), dag.shape, module_id, weights, profile,
+           *[topology.held(placement[flow.src]) for flow in dag.preds[module_id]])
     order = topology.order_cache.get(key)
     if order is None:
         cost = dict(zip(candidates, marginal_cost(topology, dag, placement, module_id,

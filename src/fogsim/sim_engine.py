@@ -226,7 +226,8 @@ class SimDevice:
     From service start, `costs` holds every module's (time, energy) under
     the current placement and parent, as `cost_model.reprice` fills it, and
     `offsets` the schedules' running time totals from 0.0;
-    `Simulation._task_cost` keeps both current.
+    `Simulation._task_cost` keeps both current. Both may be shared with
+    other devices through `Topology.table_cache`, so they are only read.
     """
     sid: ServerId
     dag: AppDag
@@ -311,15 +312,23 @@ class Simulation:
                    moved: Optional[Iterable[str]] = None) -> Tuple[float, float]:
         """(response time, energy) of one task under the device's current placement.
 
-        `cost_model.reprice` re-prices what the `moved` modules reach in
-        `dev.costs` (every module when None), then the table is added up and
-        the running times kept in `dev.offsets`.
+        The table, its running times and total come from `topology.table_cache`,
+        keyed by all `cost_model.module_cost` reads: the DAG's shape, profile,
+        device speed and each module's `Topology.held` server (one-to-one, as
+        only the device sits at level 0). A miss re-prices what the `moved`
+        modules reach (all when None) in a copy of `dev.costs`, adds it up and
+        stores it; a stored table is shared, so never written again.
         """
-        cost_model.reprice(self.topology, dev.dag, dev.placement, self.profile,
-                           dev.costs, moved)
-        totals = cost_model.schedule_offsets(dev.dag, dev.costs)
-        dev.offsets = tuple(t for t, _ in totals)
-        t, e = totals[-1]
+        topo = self.topology
+        key = (dev.dag.shape, self.profile, topo.nodes[dev.sid].cpu_mips,
+               *[topo.held(dev.placement[m.id]) for m in dev.dag.modules])
+        hit = topo.table_cache.get(key)
+        if hit is None:
+            costs = cost_model.reprice(topo, dev.dag, dev.placement, self.profile,
+                                       dict(dev.costs), moved)
+            totals = cost_model.schedule_offsets(dev.dag, costs)
+            hit = topo.table_cache[key] = (costs, tuple(t for t, _ in totals), totals[-1])
+        dev.costs, dev.offsets, (t, e) = hit
         return t + self.sensor_lat, e
 
     def _dump_bits(self, dev: SimDevice, module_id: str) -> float:

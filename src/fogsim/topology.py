@@ -77,16 +77,17 @@ class Topology:
     radius that is not finite is rejected.
     The only structural mutations are cluster edges between fog servers
     (`link_cluster`, which calls `bump()`) and device handovers
-    (`set_parent`). `bump()` empties its three caches: `route_cache`,
-    `rank_cache` and `order_cache`. A handover empties nothing: a device (a
-    level-0 node) relays nothing and has no cluster edge, so `cost_model`
-    caches its routes, and `placement` its cost orders, under its parent.
+    (`set_parent`). `bump()` empties its four caches: `route_cache`,
+    `rank_cache`, `order_cache` and `table_cache`. A handover empties
+    nothing: a device (a level-0 node) relays nothing and has no cluster
+    edge, so `cost_model` caches its routes, `placement` its cost orders and
+    the simulation its cost tables under its parent.
 
     Direct edits of node state that routing or costs read (`cpu_mips`) must
-    be followed by `bump()`, or cached routes, ranks and orders go stale. A
-    cached route holds only its hops' latency and bandwidth constants, read
-    from `links` when it was built, so editing a link table after the first
-    cost query needs `bump()` too.
+    be followed by `bump()`, or cached routes, ranks, orders and tables go
+    stale. A cached route holds only its hops' latency and bandwidth
+    constants, read from `links` when it was built, so editing a link table
+    after the first cost query needs `bump()` too.
     """
 
     def __init__(self, nodes: Iterable[ServerNode], links: LinkParams, max_fog_level: int):
@@ -109,6 +110,10 @@ class Topology:
         # placement.find_min_cost's candidates in cost order, per distinct
         # decision, emptied likewise.
         self.order_cache: Dict[tuple, list] = {}
+        # sim_engine's device cost tables with their running times and total,
+        # per (shape, profile, device speed, held server of each module);
+        # a stored table is never written again. Emptied likewise.
+        self.table_cache: Dict[tuple, tuple] = {}
         # level-1 nodes, which the sensed_by grid indexes, and every fog server
         # sorted by id, for fog_servers; the node set is fixed from here on.
         self._level1 = [n for n in self.nodes.values() if n.id.level == 1]
@@ -160,10 +165,11 @@ class Topology:
     # -- mutation ---------------------------------------------------------
 
     def bump(self):
-        """Record a fog mutation: empty the route, rank and cost-order caches."""
+        """Record a fog mutation: empty the route, rank, cost-order and table caches."""
         self.route_cache.clear()
         self.rank_cache.clear()
         self.order_cache.clear()
+        self.table_cache.clear()
 
     def set_parent(self, child: ServerId, parent: Optional[ServerId]):
         """Hand a device over to a level-1 `parent`, or detach it with None."""

@@ -1,4 +1,6 @@
 """Application DAGs: schedule grouping, upward ranks, bundled templates."""
+import random
+
 import pytest
 
 from fogsim import cli, scenario
@@ -6,7 +8,7 @@ from fogsim.app_model import (AppDag, CycleError, DataFlow, Module, build_app,
                               compute_rank, rank_modules)
 from fogsim.clustering import bootstrap_clusters
 from fogsim.cost_model import CostWeights, DeviceEnergyProfile
-from fogsim.placement import ready_servers
+from fogsim.placement import CapacityLedger, find_min_cost, ready_servers
 
 from conftest import S, make_small_topology
 
@@ -19,11 +21,11 @@ def chain_dag(k: int) -> AppDag:
 
 def test_single_module_single_schedule():
     dag = AppDag("one", "one", [Module("m1")], [], 0.01)
-    assert dag.schedules == [["m1"]]
+    assert dag.schedules == (("m1",),)
 
 
 def test_chain_gives_singleton_schedules():
-    assert chain_dag(5).schedules == [["m1"], ["m2"], ["m3"], ["m4"], ["m5"]]
+    assert chain_dag(5).schedules == (("m1",), ("m2",), ("m3",), ("m4",), ("m5",))
 
 
 def test_diamond_groups_parallel_branches():
@@ -31,7 +33,7 @@ def test_diamond_groups_parallel_branches():
                  [DataFlow("m1", "m2", 1, 1), DataFlow("m1", "m3", 1, 1),
                   DataFlow("m2", "m4", 1, 1), DataFlow("m3", "m4", 1, 1),
                   DataFlow("m4", "m5", 1, 1)], 0.01)
-    assert dag.schedules == [["m1"], ["m2", "m3"], ["m4"], ["m5"]]
+    assert dag.schedules == (("m1",), ("m2", "m3"), ("m4",), ("m5",))
 
 
 def test_cycle_raises():
@@ -87,17 +89,17 @@ def test_lighter_branch_ordered_first_when_it_ranks_higher():
 
 def test_ecg_template_schedule_grouping():
     dag = build_app("ECGMH", "ecg:1")
-    assert dag.schedules == [
-        ["sensor"], ["filter"], ["arrhythmia_detector", "hr_analyzer"],
-        ["aggregator"], ["display"]]
+    assert dag.schedules == (
+        ("sensor",), ("filter",), ("arrhythmia_detector", "hr_analyzer"),
+        ("aggregator",), ("display",))
     assert dag.sensor_interval_s == pytest.approx(0.010)
 
 
 def test_eeg_template_schedule_grouping():
     dag = build_app("EEGTBG", "eeg:1")
-    assert dag.schedules == [
-        ["sensor"], ["client_filter"], ["concentration_calculator"],
-        ["game_state"], ["display"]]
+    assert dag.schedules == (
+        ("sensor",), ("client_filter",), ("concentration_calculator",),
+        ("game_state",), ("display",))
     assert dag.sensor_interval_s == pytest.approx(0.015)
 
 
@@ -117,6 +119,11 @@ def test_flow_referencing_unknown_module_rejected():
         AppDag("b", "b", [Module("m1")], [DataFlow("m1", "ghost", 1, 1)], 0.01)
 
 
+def test_repeated_module_id_rejected():
+    with pytest.raises(ValueError, match="repeat"):
+        AppDag("b", "b", [Module("m1"), Module("m1")], [], 0.01)
+
+
 def test_incoming_mi_sums_predecessor_flows():
     dag = build_app("ECGMH", "ecg:1")
     assert dag.incoming_mi("aggregator") == pytest.approx(20.0)
@@ -128,6 +135,47 @@ def test_incoming_mi_sums_predecessor_flows():
 def test_unpinned_modules_come_in_schedule_order():
     dag = build_app("ECGMH", "ecg:1")
     assert dag.unpinned() == ["filter", "arrhythmia_detector", "hr_analyzer", "aggregator"]
+
+
+def test_dags_of_one_template_share_one_read_only_shape():
+    # The shape is shared; what each device draws stays its own.
+    a = build_app("ECGMH", "ecg:1", rng=random.Random(1))
+    b = build_app("ECGMH", "ecg:2", rng=random.Random(2))
+    assert a.shape is b.shape
+    assert a.preds is b.preds and a.schedules is b.schedules
+    assert a.module_map["filter"].container_ram_mb != b.module_map["filter"].container_ram_mb
+    assert build_app("EEGTBG", "eeg:1").shape is not a.shape
+    with pytest.raises(TypeError):
+        del a.preds["filter"][:]
+    with pytest.raises(TypeError):
+        a.order_of["filter"] = 7
+
+
+def test_a_hand_built_dag_under_a_template_name_gets_its_own_shape_and_prices():
+    # Same template name and modules, heavier hr_analyzer input: another
+    # shape, so neither the rank memo nor the cost-order memo hands it the
+    # template's prices.
+    weights, profile = CostWeights(), DeviceEnergyProfile()
+    servers = [S(1, 1), S(1, 2), S(2, 1)]
+    dag = build_app("ECGMH", "ecg:1")
+    other = AppDag("ecg:2", "ECGMH", dag.modules,
+                   [DataFlow(f.src, f.dst, 900.0 if f.dst == "hr_analyzer" else
+                             f.instructions_mi, f.payload_bits) for f in dag.flows], 0.01)
+    assert other.shape is not dag.shape
+    topo = make_small_topology(with_device=True)
+    plc = {m.id: S(0, 5) for m in dag.modules if m.pinned_to_device}
+    plc.update(filter=S(1, 1), arrhythmia_detector=S(1, 1))
+    ledger = CapacityLedger(topo)
+    memo = [(compute_rank(d, servers, weights, topo, profile),
+             find_min_cost(topo, ledger, servers, d, plc, "hr_analyzer", weights, profile))
+            for d in (dag, other)]
+    fresh = [(compute_rank(d, servers, weights, make_small_topology(), profile),
+              find_min_cost(make_small_topology(with_device=True), ledger, servers, d, plc,
+                            "hr_analyzer", weights, profile))
+             for d in (dag, other)]
+    assert memo == fresh
+    assert memo[0][0] != memo[1][0]
+    assert len(topo.order_cache) == 2
 
 
 def test_rank_memo_follows_cluster_changes():

@@ -36,15 +36,15 @@ class _NeverFound(dict):
 
 def caches_off(sim, monkeypatch):
     """Switch off every shortcut `sim` would take, once it is built:
-    - the topology's route, rank and cost-order memos never store
+    - the topology's route, rank, cost-order and cost-table memos never store
     - `cost_model.reprice` re-prices every module, not what a move reaches
     - MMT prices the working placement itself, not from the device's table
     - every device is checked for departure on every tick
     - `sensed_by` scans every level-1 server instead of its grid cell
     """
     topo = sim.topology
-    topo.route_cache, topo.rank_cache, topo.order_cache = (
-        _NeverStore(), _NeverStore(), _NeverStore())
+    topo.route_cache, topo.rank_cache, topo.order_cache, topo.table_cache = (
+        _NeverStore(), _NeverStore(), _NeverStore(), _NeverStore())
     reprice = cost_model.reprice
     monkeypatch.setattr(cost_model, "reprice", lambda topology, dag, placement, profile,
                         costs, moved=None: reprice(topology, dag, placement, profile, costs))
@@ -72,6 +72,26 @@ def test_caches_off_gives_the_same_bytes(monkeypatch, policy, failure_p, seed):
     caches_off(sim, monkeypatch)
     assert _output(sim) == normal
     assert json.loads(normal)[1], "a run without events checks nothing"
+
+
+@pytest.mark.parametrize("policy", POLICIES)
+def test_caches_off_gives_the_same_bytes_with_devices_of_mixed_speeds(monkeypatch, policy):
+    """Devices computing at one of three speeds, so that cost tables priced
+    for one device are wrong for another of the same template and servers."""
+    config = scenario.load_scenario(cli.resolve_scenario("urban_80dev"), {
+        "policy": policy, "seed": 3, "horizon_s": 120.0, "devices": {"count": 20}})
+
+    def build():
+        sim = Simulation(config)
+        for dev in sim.devices:
+            sim.topology.node(dev.sid).cpu_mips = (250.0, 500.0, 1000.0)[dev.sid.index % 3]
+        sim.topology.bump()
+        return sim
+
+    normal = _output(build())
+    sim = build()
+    caches_off(sim, monkeypatch)
+    assert _output(sim) == normal
 
 
 @settings(max_examples=30, deadline=None)

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fogsim import cost_model
-from fogsim.app_model import TEMPLATES, build_app, rank_modules
+from fogsim.app_model import TEMPLATES, AppDag, build_app, rank_modules
 from fogsim.cost_model import CostWeights, DeviceEnergyProfile
 from fogsim.placement import (CapacityLedger, PlacementError, dapt_place,
                               dapt_failure_recovery, find_min_cost,
@@ -120,10 +120,13 @@ def test_find_min_cost_prefers_colocated_predecessor():
 
 def test_find_min_cost_tie_prefers_lower_level():
     topo, dag, plc, ledger, ordered = make_world()
-    # A module with no placed predecessors costs the same everywhere, so the
-    # tie falls through to the server id: (level, index).
+    # Without its sensor->filter flow the filter has no predecessors and costs
+    # the same everywhere, so the tie falls through to the server id:
+    # (level, index).
     plc.pop("sensor")
-    del dag.preds["filter"][:]
+    dag = AppDag(dag.app_id, dag.template, dag.modules,
+                 [flow for flow in dag.flows if flow.dst != "filter"], dag.sensor_interval_s)
+    assert dag.preds["filter"] == ()
     choice = find_min_cost(topo, ledger, [S(2, 1), S(1, 2)], dag, plc,
                            "filter", WEIGHTS, PROFILE)
     assert choice == S(1, 2)
