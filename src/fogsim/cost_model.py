@@ -388,8 +388,11 @@ def schedule_cost(costs: CostTable, modules: List[str]) -> Tuple[float, float]:
     e = 0.0
     for mid in modules:
         mt, me = costs[mid]
-        t = max(t, mt)
-        e = max(e, me)
+        # Each `if` keeps the larger value exactly as `max(old, new)` does.
+        if mt > t:
+            t = mt
+        if me > e:
+            e = me
     return t, e
 
 
@@ -451,6 +454,7 @@ def app_cost(topology: Topology, dag: AppDag, placement: Placement,
 
 @dataclass(frozen=True)
 class MigrationCost:
+    """A decided move's cost: the terms of `module_migration_cost`."""
     time_s: float
     energy_j: float
     weighted: float
@@ -459,8 +463,9 @@ class MigrationCost:
 def module_migration_cost(topology: Topology, profile: DeviceEnergyProfile,
                           params: MigrationParams, weights: CostWeights,
                           dump_bits: float, frm: ServerId, to: ServerId,
-                          remaining_mi: float) -> MigrationCost:
-    """Cost of moving one container from `frm` to `to`.
+                          remaining_mi: float) -> Tuple[float, float, float]:
+    """(time, energy, weighted) cost of moving one container from `frm` to `to`,
+    as a plain tuple so that scoring many candidates builds no record.
 
     Time: route latency + stop/resume overhead + dump transfer + catching up
     the interrupted execution on the new server. Moving in place reads the
@@ -475,8 +480,7 @@ def module_migration_cost(topology: Topology, profile: DeviceEnergyProfile,
     time_s = t_lat + params.i_mig_s + t_tra + t_exe
     e_exe = t_exe * (profile.p_cpu_w if to.level == 0 else profile.p_idle_w)
     energy_j = e_lat + e_tra + e_exe
-    return MigrationCost(time_s=time_s, energy_j=energy_j,
-                         weighted=weights.weigh(time_s, energy_j))
+    return time_s, energy_j, weights.weigh(time_s, energy_j)
 
 
 def migration_admissible(old_app_cost: float, new_app_cost: float, epsilon: float) -> bool:

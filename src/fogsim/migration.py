@@ -70,19 +70,19 @@ def cluster_reachable(topology: Topology, controller: ServerId) -> set:
     return members | second
 
 
-def analyze_mobility(topology: Topology, controller: ServerId,
+def analyze_mobility(topology: Topology, reachable: set,
                      device_position: Tuple[float, float],
                      velocity: Tuple[float, float], candidates: Sequence[ServerId],
                      required_slots: int, ledger: CapacityLedger, rng) -> ServerId:
     """Choose a departing device's next controller among `candidates` (at least one).
 
-    Preference order: cluster-reachable candidate with the longest sojourn
-    and enough free slots; then longest-sojourn reachable regardless of
-    slots; then a seeded-random unreachable candidate.
+    Preference order: candidate in `reachable` (the old controller's
+    `cluster_reachable`) with the longest sojourn and enough free slots;
+    then longest-sojourn reachable regardless of slots; then a seeded-random
+    unreachable candidate.
     """
-    reachable_set = cluster_reachable(topology, controller)
-    reach = [s for s in candidates if s in reachable_set]
-    unreach = [s for s in candidates if s not in reachable_set]
+    reach = [s for s in candidates if s in reachable]
+    unreach = [s for s in candidates if s not in reachable]
 
     def sojourn(sid: ServerId) -> float:
         node = topology.node(sid)
@@ -172,12 +172,12 @@ def handle_migration_req(topology: Topology, ledger: CapacityLedger,
                          ) -> List[MigrationDecision]:
     """Decide destinations for the given modules at one decider.
 
-    Candidates are scored by migration cost ascending; the cheapest one whose
-    resulting application cost stays admissible wins. Staying put is a valid
-    outcome when the old server is among the candidates. Modules with no
-    admissible capacity-holding candidate come back with `to` None. With the
-    admissibility check off, the cheapest capacity-holding candidate is
-    committed outright.
+    Candidates are scored by weighted migration cost, then level and index,
+    ascending; the first whose resulting application cost stays admissible
+    wins. Staying put is a valid outcome when the old server is among the
+    candidates. Modules with no admissible capacity-holding candidate come
+    back with `to` None. With the admissibility check off, the cheapest
+    capacity-holding candidate is committed outright.
 
     Staying leaves the application cost as it is, so it is admissible without
     pricing. The working placement's per-module costs are `costs` when given
@@ -199,14 +199,15 @@ def handle_migration_req(topology: Topology, ledger: CapacityLedger,
         for cand in candidates:
             if cand != frm and ledger.free(cand) <= 0:
                 continue
-            mc = cost_model.module_migration_cost(
+            terms = cost_model.module_migration_cost(
                 topology, profile, params, weights, dump_bits, frm, cand, remaining)
-            scored.append((mc.weighted, cand.level, cand.index, cand, mc))
-        scored.sort(key=lambda item: item[:3])
+            # Ties go to the lower ServerId; candidates are distinct, so no terms compare.
+            scored.append((terms[2], cand, terms))
+        scored.sort()
         chosen = None
-        for _, _, _, cand, mc in scored:
+        for _, cand, terms in scored:
             if not check_admissibility or cand == frm:
-                chosen = (cand, mc)
+                chosen = (cand, terms)
                 break
             if old_cost is None:
                 if costs is None:
@@ -219,15 +220,15 @@ def handle_migration_req(topology: Topology, ledger: CapacityLedger,
             new_cost = weights.weigh(*cost_model.schedule_offsets(dag, trial)[-1])
             if cost_model.migration_admissible(old_cost, new_cost,
                                                params.epsilon_frac * old_cost):
-                chosen = (cand, mc)
+                chosen = (cand, terms)
                 costs, old_cost = trial, new_cost
                 break
         if chosen is None:
             decisions.append(MigrationDecision(module_id, frm, None, None))
             continue
-        cand, mc = chosen
+        cand, terms = chosen
         working[module_id] = cand
-        decisions.append(MigrationDecision(module_id, frm, cand, mc))
+        decisions.append(MigrationDecision(module_id, frm, cand, MigrationCost(*terms)))
     return decisions
 
 

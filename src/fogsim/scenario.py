@@ -20,6 +20,10 @@ from .cost_model import CostWeights, DeviceEnergyProfile, MigrationParams
 from .topology import LinkParams, ServerId, ServerNode, Topology
 
 
+# libyaml's parser where it is built in; both share SafeLoader's constructor and resolver.
+SCENARIO_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+
+
 @dataclass(frozen=True)
 class Policy:
     """What sets a technique apart; `Simulation` reads these fields, never the name.
@@ -125,7 +129,7 @@ def load_scenario(path=None, overrides: Optional[Dict] = None) -> Dict:
     config = copy.deepcopy(DEFAULTS)
     if path is not None:
         with (path.open() if hasattr(path, "open") else open(path)) as fh:
-            user = yaml.safe_load(fh) or {}
+            user = yaml.load(fh, Loader=SCENARIO_LOADER) or {}
         if not isinstance(user, dict):
             raise ValueError(f"scenario file {path} must hold a mapping")
         config = _merge_known(config, user, f"scenario file {path}")

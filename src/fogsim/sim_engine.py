@@ -23,9 +23,9 @@ from .placement import CapacityLedger, PlacementError
 from .scenario import POLICIES, POLICY_RECORDS, build_world, stream
 from .topology import ServerId, Topology
 
-# Metres a leg-aware departure check keeps clear of the quiet radius, on top
-# of its one tick: positions and crossings carry float error, and a very slow
-# leg's tick is too short to cover it.
+# Metres the ticks a departure check skips keep clear of where a test fires:
+# positions and crossings carry float error, and a very slow leg's tick is
+# too short to cover it.
 _SLACK_M = 1e-6
 
 
@@ -281,6 +281,11 @@ class Simulation:
             or getattr(baselines, self.policy.planner)
         if self.policy.clustered:
             bootstrap_clusters(self.topology)
+        # Cluster edges are fixed from here on, so each fog server's migration
+        # candidates and cluster-reachable set are built once.
+        fog = self.topology.fog_servers()
+        self.candidates = {s: tuple(migration.migration_candidates(self.topology, s)) for s in fog}
+        self.reachable = {s: migration.cluster_reachable(self.topology, s) for s in fog}
         mob = config["mobility"]
         self.tick_s = float(mob["tick_s"])
         self.speed_range = (float(mob["speed_min_mps"]), float(mob["speed_max_mps"]))
@@ -463,46 +468,54 @@ class Simulation:
             heapq.heappush(self.due, (self.ticks + ahead, dev.sid.index, dev.check_version))
 
     def _ticks_ahead(self, dev: SimDevice, position, ctrl) -> Optional[int]:
-        """Ticks from now until the device's next departure check; None for never.
+        """Ticks from now to the first at which a departure test can fire (the
+        next check), each tick before it `_SLACK_M` metres clear; None for never.
 
-        Neither departure test fires inside the quiet radius Q. After k more
-        ticks a device is at most k * reach farther from its controller, so
-        it stays inside while that sum does (the max-speed bound). Along its
-        leg it moves in a straight line: it stays inside until it crosses Q
-        or, if the leg ends first, until its target's room runs out at full
-        reach. Each bound keeps one tick of slack, and the leg bound also
-        `_SLACK_M` metres, against float error. A device that cannot move
-        and sits inside gets no check until it is re-armed.
+        Neither test fires inside the quiet radius Q. After k more ticks a
+        device is at most k * reach farther from its controller, so it stays
+        inside while that sum does (the max-speed bound). Along its leg it
+        moves in a straight line: it stays inside until it crosses Q or, if
+        the leg ends first, until its target's room runs out at full reach.
+        In the margin band, heading inward along u (w · u < 0, w its offset
+        from the controller), its distance falls and w · u stays negative up
+        to the closest approach at -(w · u), so neither test fires before
+        that or the leg's end. A device that cannot move and sits inside
+        gets no check until it is re-armed.
         """
         quiet = self.quiet * ctrl.coverage_radius
-        room = quiet - ctrl.distance_to(position)
+        dist = ctrl.distance_to(position)
+        room = quiet - dist
         if self.reach <= 0.0:
             return None if room > 0.0 else 1
-        ahead = max(1, math.floor(room / self.reach) - 1)
-        if dev.leg is None or room <= 0.0:
+        ahead = max(1, math.floor((room - _SLACK_M) / self.reach) + 1)
+        if dev.leg is None:
             return ahead
         (ox, oy), (tx, ty), speed, done = dev.leg
         step = speed * self.tick_s
         if step <= 0.0:
             return ahead
-        limit = quiet - _SLACK_M
+        length = math.hypot(tx - ox, ty - oy)
+        ux, uy = (tx - ox) / length, (ty - oy) / length
         cx, cy = ctrl.position
         wx, wy = position[0] - cx, position[1] - cy
+        b = wx * ux + wy * uy
+        left = _leg_ticks(length, step) - done
+        if room <= 0.0:
+            if b >= 0.0 or dist > ctrl.coverage_radius - _SLACK_M:
+                return ahead
+            return max(ahead, min(math.floor((-b - _SLACK_M) / step), left) + 1)
+        limit = quiet - _SLACK_M
         inside = limit * limit - (wx * wx + wy * wy)
         if inside <= 0.0:
             return ahead
         # Distance s along u to the crossing |w + u s| = limit, in the form
         # that does not cancel when heading outward.
-        length = math.hypot(tx - ox, ty - oy)
-        ux, uy = (tx - ox) / length, (ty - oy) / length
-        b = wx * ux + wy * uy
         root = math.sqrt(b * b + inside)
         s = inside / (b + root) if b > 0.0 else root - b
         if s < length - step * done:
-            return max(ahead, math.floor(s / step) - 1)
+            return max(ahead, math.floor(s / step) + 1)
         end_room = limit - math.hypot(tx - cx, ty - cy)
-        return max(ahead, _leg_ticks(length, step) - done
-                   + math.floor(end_room / self.reach) - 1)
+        return max(ahead, left + math.floor(end_room / self.reach) + 1)
 
     def _start_departure(self, dev: SimDevice):
         now = self.kernel.now
@@ -515,7 +528,7 @@ class Simulation:
         if self.policy.clustered:
             required = sum(1 for sid in dev.placement.values() if sid == old)
             dest = migration.analyze_mobility(
-                self.topology, old, position, dev.velocity, cands,
+                self.topology, self.reachable[old], position, dev.velocity, cands,
                 required, self.ledger, self.rng_unreach)
         else:
             dest = cands[0]
@@ -610,7 +623,7 @@ class Simulation:
                     self.weights, self.profile, self.mig_params,
                     lambda m: self._dump_bits(dev, m),
                     lambda m: self._remaining_mi(dev, m, t_dec),
-                    migration.migration_candidates(self.topology, cur))
+                    self.candidates[cur])
             kw = {"exclude": exclude, "check_admissibility": not self.policy.central,
                   "costs": dev.costs if working == dev.placement else None}
             decisions = (migration.handle_migration_req(*args, **kw) if failed is None

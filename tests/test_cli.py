@@ -64,6 +64,21 @@ def test_bundled_scenarios_hold_only_known_keys():
         assert [key for key, _, default in leaves if default is scenario._UNKNOWN] == [], f.name
 
 
+def test_both_yaml_loaders_give_equal_configs_on_every_bundled_scenario(monkeypatch):
+    # Scenarios parse with libyaml where it is built in, else in pure Python.
+    assert scenario.SCENARIO_LOADER is getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+    files = sorted(f for f in resources.files("fogsim").joinpath("scenarios").iterdir()
+                   if f.name.endswith(".yaml"))
+    assert len(files) >= 2
+    for f in files:
+        text = f.read_text()
+        assert yaml.load(text, Loader=scenario.SCENARIO_LOADER) \
+            == yaml.load(text, Loader=yaml.SafeLoader), f.name
+    loaded = [load_scenario(f) for f in files]
+    monkeypatch.setattr(scenario, "SCENARIO_LOADER", yaml.SafeLoader)
+    assert [load_scenario(f) for f in files] == loaded
+
+
 def test_stale_key_check_reports_nested_keys():
     stale = {"seed": 2, "migration": {"i_mig_s": 0.1, "gone_s": 1.0}, "bogus": [1]}
     with pytest.raises(ValueError,

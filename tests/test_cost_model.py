@@ -286,11 +286,11 @@ def test_migration_in_place_costs_only_overhead(topo_dev):
     params = MigrationParams(i_mig_s=0.05)
     for dump_bits, remaining_mi, sid in [(0.0, 0.0, S(1, 1)), (40e6, 100.0, S(1, 1)),
                                          (40e6, 100.0, S(4, 1))]:
-        mc = module_migration_cost(topo_dev, PROFILE, params, CostWeights(),
-                                   dump_bits, sid, sid, remaining_mi)
+        time_s, energy_j, _ = module_migration_cost(topo_dev, PROFILE, params, CostWeights(),
+                                                    dump_bits, sid, sid, remaining_mi)
         t_exe = remaining_mi / topo_dev.node(sid).cpu_mips
-        assert mc.time_s == params.i_mig_s + t_exe
-        assert mc.energy_j == t_exe * PROFILE.p_idle_w
+        assert time_s == params.i_mig_s + t_exe
+        assert energy_j == t_exe * PROFILE.p_idle_w
 
 
 def test_migration_to_cluster_neighbor_term_by_term(topo_dev):
@@ -298,9 +298,9 @@ def test_migration_to_cluster_neighbor_term_by_term(topo_dev):
     # 10 Gbps + 25 ms to re-run 100 MI on the 4000 MIPS target = 83 ms.
     topo_dev.link_cluster(S(1, 1), S(1, 2))
     params = MigrationParams(i_mig_s=0.05)
-    mc = module_migration_cost(topo_dev, PROFILE, params, CostWeights(),
-                               40e6, S(1, 1), S(1, 2), 100.0)
-    assert mc.time_s == pytest.approx(0.083)
+    time_s, _, _ = module_migration_cost(topo_dev, PROFILE, params, CostWeights(),
+                                         40e6, S(1, 1), S(1, 2), 100.0)
+    assert time_s == pytest.approx(0.083)
 
 
 def test_migration_weighted_combination():
@@ -308,9 +308,9 @@ def test_migration_weighted_combination():
     topo.link_cluster(S(1, 1), S(1, 2))
     params = MigrationParams(i_mig_s=0.05)
     w = CostWeights(0.7, 0.2)
-    mc = module_migration_cost(topo, PROFILE, params, w, 40e6,
-                               S(1, 1), S(1, 2), 100.0)
-    assert mc.weighted == pytest.approx(0.7 * mc.time_s + 0.2 * mc.energy_j)
+    time_s, energy_j, weighted = module_migration_cost(topo, PROFILE, params, w, 40e6,
+                                                       S(1, 1), S(1, 2), 100.0)
+    assert weighted == pytest.approx(0.7 * time_s + 0.2 * energy_j)
 
 
 def test_admissibility_boundary_inclusive():

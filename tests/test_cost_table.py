@@ -149,6 +149,16 @@ def test_cost_table_stays_current_over_seeds(policy, failure_p, seed):
     _checked_run(_config(policy, failure_p, seed, devices=10, horizon=60.0))
 
 
+def _count(monkeypatch, calls, owner, name):
+    """Count each call of `owner.name` in `calls[name]`."""
+    real = getattr(owner, name)
+
+    def counted(*args, **kw):
+        calls[name] += 1
+        return real(*args, **kw)
+    monkeypatch.setattr(owner, name, counted)
+
+
 def test_pricing_work_on_a_proposed_cell_is_pinned(monkeypatch):
     """Calls of `cost_model.module_costs` and `cost_model.reprice` over one
     `urban_80dev` proposed cell, 320 devices for 60 s at seed 1, pinned so a
@@ -156,17 +166,30 @@ def test_pricing_work_on_a_proposed_cell_is_pinned(monkeypatch):
     template, device speed and held servers share one cost table; pricing
     each device's table alone took 2470 and 508 calls on this cell."""
     calls = Counter()
-
-    def counting(name):
-        real = getattr(cost_model, name)
-
-        def counted(*args, **kw):
-            calls[name] += 1
-            return real(*args, **kw)
-        return counted
-
     for name in ("module_costs", "reprice"):
-        monkeypatch.setattr(cost_model, name, counting(name))
+        _count(monkeypatch, calls, cost_model, name)
     events = Simulation(_config("proposed", 0.0, seed=1, devices=320, horizon=60.0)).run().events
     assert len(events) == 1628
     assert calls == {"module_costs": 1269, "reprice": 240}
+
+
+def test_handover_work_on_a_proposed_cell_is_pinned(monkeypatch):
+    """Departure-check and MMT scoring work over one `urban_80dev` proposed
+    cell, 80 devices for 120 s at seed 1, pinned so a change in it shows
+    without wall time: arms of a departure check, departure tests run
+    (`migration.departure_imminent`) and fired, migration prices, the cost
+    records of decided moves, and candidate-list builds. Arming each device
+    in the margin band for the next tick, a record per priced candidate and
+    candidate lists built per decision took 664 arms, 489 tests, 971
+    records and 285 + 79 builds on this cell."""
+    calls = Counter()
+    for owner, name in ((Simulation, "_arm"), (Simulation, "_start_departure"),
+                        (migration, "departure_imminent"), (cost_model, "module_migration_cost"),
+                        (migration, "MigrationCost"), (migration, "migration_candidates"),
+                        (migration, "cluster_reachable")):
+        _count(monkeypatch, calls, owner, name)
+    events = Simulation(_config("proposed", 0.0, seed=1, devices=80, horizon=120.0)).run().events
+    assert len(events) == 525
+    assert calls == {"_arm": 329, "departure_imminent": 170, "_start_departure": 121,
+                     "module_migration_cost": 971, "MigrationCost": 248,
+                     "migration_candidates": 37, "cluster_reachable": 37}

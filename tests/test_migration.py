@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 
 from fogsim import cost_model
 from fogsim.app_model import TEMPLATES, AppDag, DataFlow, Module, build_app
-from fogsim.cost_model import (CostWeights, DeviceEnergyProfile, MigrationParams,
-                               module_migration_cost)
+from fogsim.cost_model import (CostWeights, DeviceEnergyProfile, MigrationCost,
+                               MigrationParams, module_migration_cost)
 from fogsim.migration import (analyze_mobility, cluster_reachable,
                               departure_imminent, estimate_sojourn,
                               handle_migration_req, migration_candidates,
@@ -87,7 +87,7 @@ def test_analyze_mobility_prefers_longest_sojourn_with_capacity():
     ledger = CapacityLedger(topo)
     # Device between (1,2) at x=150 and (1,3) at x=300, moving toward (1,3):
     # the sojourn inside (1,3)'s circle is longer.
-    dest = analyze_mobility(topo, S(1, 1), (140.0, 0.0), (2.0, 0.0),
+    dest = analyze_mobility(topo, cluster_reachable(topo, S(1, 1)), (140.0, 0.0), (2.0, 0.0),
                             [S(1, 2), S(1, 3)], 1, ledger, random.Random(0))
     assert dest == S(1, 3)
 
@@ -98,7 +98,7 @@ def test_analyze_mobility_falls_back_when_no_capacity():
     for sid in (S(1, 2), S(1, 3)):
         while ledger.free(sid) > 0:
             ledger.reserve(sid, "pad", "pad")
-    dest = analyze_mobility(topo, S(1, 1), (140.0, 0.0), (2.0, 0.0),
+    dest = analyze_mobility(topo, cluster_reachable(topo, S(1, 1)), (140.0, 0.0), (2.0, 0.0),
                             [S(1, 2), S(1, 3)], 1, ledger, random.Random(0))
     assert dest == S(1, 3)  # max sojourn even though full
 
@@ -106,7 +106,7 @@ def test_analyze_mobility_falls_back_when_no_capacity():
 def test_analyze_mobility_random_pick_among_unreachable_is_seeded():
     topo = make_small_topology()  # no clusters: nothing is reachable
     ledger = CapacityLedger(topo)
-    picks = {analyze_mobility(topo, S(1, 1), (140.0, 0.0), (2.0, 0.0),
+    picks = {analyze_mobility(topo, cluster_reachable(topo, S(1, 1)), (140.0, 0.0), (2.0, 0.0),
                               [S(1, 2), S(1, 3)], 1, ledger,
                               random.Random(42)) for _ in range(5)}
     assert len(picks) == 1
@@ -224,7 +224,7 @@ def test_equal_migration_costs_go_to_the_lower_level():
     tied = 0.041315000000000004
     for to in (S(3, 1), S(1, 1)):
         assert module_migration_cost(topo, PROFILE, PARAMS, WEIGHTS, 1e6,
-                                     S(2, 1), to, 0.0).weighted == tied
+                                     S(2, 1), to, 0.0)[2] == tied
     decisions = handle_migration_req(
         topo, CapacityLedger(topo), dag, plc, ["m"], WEIGHTS, PROFILE,
         PARAMS, lambda m: 1e6, lambda m: 0.0,
@@ -331,8 +331,8 @@ def _reference_decisions(topology, ledger, dag, working, modules, params,
         for cand in candidates:
             if cand != frm and ledger.free(cand) <= 0:
                 continue
-            mc = module_migration_cost(topology, PROFILE, params, WEIGHTS,
-                                       dump_bits, frm, cand, remaining)
+            mc = MigrationCost(*module_migration_cost(topology, PROFILE, params, WEIGHTS,
+                                                      dump_bits, frm, cand, remaining))
             scored.append((mc.weighted, cand.level, cand.index, cand, mc))
         scored.sort(key=lambda item: item[:3])
         chosen = (None, None)

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fogsim import cli, placement, scenario, sim_engine
+from fogsim import cli, migration, placement, scenario, sim_engine
 from fogsim.placement import PlacementError
 from fogsim.scenario import POLICIES
 from fogsim.sim_engine import (Kernel, Simulation, TaskAccumulator, random_walk_step,
@@ -331,12 +331,14 @@ def test_pending_departure_starts_from_the_current_position(monkeypatch):
 
 
 @pytest.mark.parametrize("target_off,first_check", [
-    (40.0, 19),  # reaches the band on tick 21: the last tick inside, less 1
-    (-5.0, 17),  # stops 5 m short of it on tick 16, then 2 ticks at full reach, less 1
+    (40.0, 21),  # reaches the band on tick 21
+    (-5.0, 19),  # stops 5 m short of it on tick 16, then 2 ticks at full reach
+    (-4.0, 19),  # stops 4 m short on tick 17: 2 m a tick can put it on the edge on tick 19
 ])
 def test_leg_aware_check_stops_short_of_the_band(target_off, first_check):
     # At 1 m a tick along its leg, from 21 m inside the band, the device is
-    # first checked later than the 2 m-a-tick bound (tick 9) allows.
+    # first checked later than the 2 m-a-tick bound (tick 11) allows: on the
+    # first tick at which it can be in the band.
     sim, dev, ctrl, _ = _mover("maas")
     band = (1.0 - sim.margin) * ctrl.coverage_radius
     x, y = ctrl.position
@@ -346,6 +348,67 @@ def test_leg_aware_check_stops_short_of_the_band(target_off, first_check):
     dev.acc.start_service(0.0, 0.01, 0.0)
     sim._arm(dev)
     assert [tick for tick, _, _ in sim.due] == [first_check]
+
+
+@pytest.mark.parametrize("walk", ["scripted", "leg"])
+def test_a_device_reaching_the_band_edge_exactly_is_checked_on_that_tick(monkeypatch, walk):
+    # 20 m inside the band at the full 2 m a tick, the device sits exactly on
+    # the band's edge on tick 10, where the outward test fires: the bounds'
+    # metres of slack must not move that check to tick 11.
+    sim, dev, ctrl, _ = _mover("maas")
+    band = (1.0 - sim.margin) * ctrl.coverage_radius
+    x, y = ctrl.position
+    origin = (x + band - 20.0, y)
+    sim.topology.node(dev.sid).position = origin
+    if walk == "scripted":
+        _script_walk(monkeypatch, [(origin[0] + 2.0 * k, y) for k in range(1, 13)])
+    else:
+        dev.leg = (origin, (x + band + 40.0, y), 2.0 / sim.tick_s, 0)
+    dev.acc.start_service(0.0, 0.01, 0.0)
+    sim._arm(dev)
+    for k in range(1, 13):
+        sim._tick(None)
+        assert any(ev["kind"] == "handover" for ev in sim.events) == (k >= 10), k
+
+
+def test_no_departure_test_fires_on_a_tick_the_check_skips():
+    # Devices walked tick by tick from where `_ticks_ahead` was asked, idle
+    # or mid-migration: legs whose closest approach inside the band falls on
+    # a tick, very slow legs grazing inward from the coverage edge, and legs
+    # around the quiet radius. None fires its test before the tick it names.
+    # Rounding decides the first two kinds, which the 1 um of slack is for.
+    sim, dev, ctrl, _ = _mover("maas")
+    draws, walk = random.Random(5), random.Random(6)
+    (cx, cy), radius = ctrl.position, ctrl.coverage_radius
+    quiet = sim.quiet * radius
+    for case in range(1500):
+        phi = draws.uniform(0.0, 2.0 * math.pi)
+        rx, ry = math.cos(phi), math.sin(phi)
+        if case % 3 == 0:  # closest approach at h from the controller, on tick k
+            speed, h, k = draws.uniform(0.5, 20.0), draws.uniform(quiet, radius), draws.randint(2, 20)
+            ux, uy = -ry, rx
+            back = k * speed * sim.tick_s
+            origin = (cx + rx * h - ux * back, cy + ry * h - uy * back)
+        elif case % 3 == 1:  # from just inside the edge, turned slightly inward
+            speed, turn = 10.0 ** draws.uniform(-7.0, -3.0), 10.0 ** draws.uniform(-9.0, -2.0)
+            ux, uy = -ry * math.cos(turn) - rx * math.sin(turn), rx * math.cos(turn) - ry * math.sin(turn)
+            edge = radius - 10.0 ** draws.uniform(-14.0, -5.0)
+            origin = (cx + rx * edge, cy + ry * edge)
+        else:
+            speed, edge = draws.uniform(0.0, 20.0), draws.uniform(quiet - 10.0, radius)
+            theta = draws.uniform(0.0, 2.0 * math.pi)
+            ux, uy = math.cos(theta), math.sin(theta)
+            origin = (cx + rx * edge, cy + ry * edge)
+        dev.leg = (origin, (origin[0] + ux * 100.0, origin[1] + uy * 100.0), speed, 0)
+        dev.mmt_busy = draws.random() < 0.5
+        ahead = sim._ticks_ahead(dev, origin, ctrl)
+        position, leg = origin, dev.leg
+        for tick in range(1, min(ahead, 300)):
+            position, leg, velocity = random_walk_step(
+                position, leg, sim.area, walk, sim.tick_s, sim.speed_range, sim.leg_range)
+            fired = ctrl.distance_to(position) > radius if dev.mmt_busy else \
+                migration.departure_imminent(ctrl.position, radius, position, velocity, sim.margin)
+            assert not fired, (case, tick, ahead)
 
 
 def _near_the_band(sim):
@@ -361,12 +424,33 @@ def _near_the_band(sim):
         node.position = (cx + (x - cx) / dist * to, cy + (y - cy) / dist * to)
 
 
+def _inward_in_the_band(sim):
+    """Put each device in its controller's margin band on a leg heading inward,
+    to a target across the controller, so that it leaves on the far side."""
+    draws = random.Random(11)
+    width, height = sim.area
+    for dev in sim.devices:
+        node = sim.topology.node(dev.sid)
+        ctrl = sim.topology.node(node.parent)
+        (cx, cy), (x, y) = ctrl.position, node.position
+        dist = math.hypot(x - cx, y - cy) or 1.0
+        ux, uy = (x - cx) / dist, (y - cy) / dist
+        to = ctrl.coverage_radius * draws.uniform(sim.quiet, 1.0)
+        node.position = (cx + ux * to, cy + uy * to)
+        target = (min(max(cx - ux * to + draws.uniform(-0.5, 0.5) * to, 0.0), width),
+                  min(max(cy - uy * to + draws.uniform(-0.5, 0.5) * to, 0.0), height))
+        dev.leg = (node.position, target, draws.uniform(*sim.speed_range), 0)
+
+
 SETTINGS = {
     "fast": ({"devices": {"count": 40}, "horizon_s": 120.0,
               "mobility": {"speed_min_mps": 0.5, "speed_max_mps": 15.0,
                            "departure_margin": 0.2}}, None),
     "slow": ({"devices": {"count": 40}, "horizon_s": 60.0,
               "mobility": {"speed_min_mps": 0.001, "speed_max_mps": 0.01}}, _near_the_band),
+    "inward": ({"devices": {"count": 40}, "horizon_s": 60.0,
+                "mobility": {"speed_min_mps": 2.0, "speed_max_mps": 12.0,
+                             "departure_margin": 0.3}}, _inward_in_the_band),
 }
 
 
@@ -378,6 +462,14 @@ def test_leg_aware_arming_misses_no_check(monkeypatch, setting, policy):
     overrides, prepare = SETTINGS[setting]
     config = scenario.load_scenario(cli.resolve_scenario("urban_80dev"), {
         "policy": policy, "seed": 3, **overrides})
+    ticks_ahead = Simulation._ticks_ahead
+    band_skips = Counter()  # arms in the margin band that skip a tick, by mmt_busy
+
+    def counted(self, dev, position, ctrl):
+        ahead = ticks_ahead(self, dev, position, ctrl)
+        if ahead > 1 and ctrl.distance_to(position) > self.quiet * ctrl.coverage_radius:
+            band_skips[dev.mmt_busy] += 1
+        return ahead
 
     def run():
         sim = Simulation(config)
@@ -385,12 +477,16 @@ def test_leg_aware_arming_misses_no_check(monkeypatch, setting, policy):
             prepare(sim)
         return sim.run()
 
+    monkeypatch.setattr(Simulation, "_ticks_ahead", counted)
     lazy = run()
     monkeypatch.setattr(Simulation, "_ticks_ahead", lambda self, dev, position, ctrl: 1)
     eager = run()
     assert lazy.rows == eager.rows
     assert lazy.events == eager.events
     assert sum(ev["kind"] == "handover" for ev in lazy.events) >= 5
+    if setting == "inward":
+        # Only the inward-leg bound skips a tick in the band, idle or busy.
+        assert band_skips[False] >= 20 and band_skips[True] >= 10, band_skips
 
 
 # -- end-to-end runs ---------------------------------------------------------------
