@@ -437,6 +437,30 @@ def schedule_offsets(dag: AppDag, costs: CostTable) -> List[Tuple[float, float]]
     return out
 
 
+def priced(topology: Topology, dag: AppDag, placement: Placement,
+           profile: DeviceEnergyProfile, costs: Optional[CostTable] = None,
+           moved: Optional[Iterable[str]] = None) -> Tuple[CostTable, tuple, tuple]:
+    """(table, running times, total) of `placement`: every module's `module_cost`,
+    then the time column and the last entry of `schedule_offsets` over it.
+
+    Only this reads and fills `topology.table_cache`, keyed by all that
+    `module_cost` reads: the shape, the profile, each module's `Topology.held`
+    server and each level-0 server's speed (one DAG sits on one device). A
+    miss re-prices what `moved` reaches in a copy of `costs` (every module
+    when `costs` is None) and stores it; a stored table is never written.
+    """
+    servers = [placement[mid] for mid in dag.module_map]
+    key = (dag.shape, profile, *map(topology.held, servers),
+           *[topology.nodes[sid].cpu_mips for sid in servers if sid.level == 0])
+    hit = topology.table_cache.get(key)
+    if hit is None:
+        table = reprice(topology, dag, placement, profile, dict(costs or {}),
+                        None if costs is None else moved)
+        totals = schedule_offsets(dag, table)
+        hit = topology.table_cache[key] = (table, tuple(t for t, _ in totals), totals[-1])
+    return hit
+
+
 def app_cost_breakdown(topology: Topology, dag: AppDag, placement: Placement,
                        profile: DeviceEnergyProfile) -> Tuple[float, float]:
     """(total time, total energy) summed over all schedules: every module

@@ -167,9 +167,7 @@ def handle_migration_req(topology: Topology, ledger: CapacityLedger,
                          dump_bits_of, remaining_mi_of,
                          candidates: Sequence[ServerId],
                          exclude: Sequence[ServerId] = (),
-                         check_admissibility: bool = True,
-                         costs: Optional[cost_model.CostTable] = None
-                         ) -> List[MigrationDecision]:
+                         check_admissibility: bool = True) -> List[MigrationDecision]:
     """Decide destinations for the given modules at one decider.
 
     Candidates are scored by weighted migration cost, then level and index,
@@ -180,17 +178,15 @@ def handle_migration_req(topology: Topology, ledger: CapacityLedger,
     capacity-holding candidate is committed outright.
 
     Staying leaves the application cost as it is, so it is admissible without
-    pricing. The working placement's per-module costs are `costs` when given
-    (`cost_model.module_cost` of every module on entry; never written), or
-    else priced once, when the first move is tried. A trial move re-prices
-    a copy with `cost_model.reprice`, and an accepted move's costs become
-    the next module's old ones. The result equals pricing every
-    candidate with `cost_model.app_cost`.
+    pricing. The working placement's table comes from `cost_model.priced` when
+    the first move is tried, and each trial's from `priced` of that table; an
+    accepted trial's table is the next module's old one. The result equals
+    pricing every candidate with `cost_model.app_cost`.
     """
     skip = set(exclude)
     candidates = [c for c in candidates if c not in skip]
     decisions = []
-    old_cost = None  # the working placement's weighted cost, on first need
+    costs = None  # the working placement's table, on first need
     for module_id in modules:
         frm = working[module_id]
         dump_bits = dump_bits_of(module_id)
@@ -209,15 +205,13 @@ def handle_migration_req(topology: Topology, ledger: CapacityLedger,
             if not check_admissibility or cand == frm:
                 chosen = (cand, terms)
                 break
-            if old_cost is None:
-                if costs is None:
-                    costs = cost_model.reprice(topology, dag, working, profile, {})
-                old_cost = weights.weigh(*cost_model.schedule_offsets(dag, costs)[-1])
+            if costs is None:
+                costs, _, total = cost_model.priced(topology, dag, working, profile)
+                old_cost = weights.weigh(*total)
             working[module_id] = cand
-            trial = cost_model.reprice(topology, dag, working, profile, dict(costs),
-                                       [module_id])
+            trial, _, total = cost_model.priced(topology, dag, working, profile, costs, [module_id])
             working[module_id] = frm
-            new_cost = weights.weigh(*cost_model.schedule_offsets(dag, trial)[-1])
+            new_cost = weights.weigh(*total)
             if cost_model.migration_admissible(old_cost, new_cost,
                                                params.epsilon_frac * old_cost):
                 chosen = (cand, terms)

@@ -223,11 +223,10 @@ class SimDevice:
     stale ones. `busy` holds the modules a new migration plan skips: those
     planned in a round not yet started, and those moving.
 
-    From service start, `costs` holds every module's (time, energy) under
-    the current placement and parent, as `cost_model.reprice` fills it, and
-    `offsets` the schedules' running time totals from 0.0;
-    `Simulation._task_cost` keeps both current. Both may be shared with
-    other devices through `Topology.table_cache`, so they are only read.
+    From service start, `costs` and `offsets` are the table and running
+    times (from 0.0) `cost_model.priced` returns for the current placement
+    and parent; `Simulation._task_cost` keeps both current. `priced` shares
+    them with other devices and MMT's trial moves, so they are only read.
     """
     sid: ServerId
     dag: AppDag
@@ -243,7 +242,7 @@ class SimDevice:
     pending_departure: bool = False
     busy: set = field(default_factory=set)
     mig_events: List[tuple] = field(default_factory=list)  # (ts, moves, cmt, cmec)
-    costs: cost_model.CostTable = field(default_factory=dict)
+    costs: Optional[cost_model.CostTable] = None
     offsets: Tuple[float, ...] = ()
 
 
@@ -315,25 +314,10 @@ class Simulation:
 
     def _task_cost(self, dev: SimDevice,
                    moved: Optional[Iterable[str]] = None) -> Tuple[float, float]:
-        """(response time, energy) of one task under the device's current placement.
-
-        The table, its running times and total come from `topology.table_cache`,
-        keyed by all `cost_model.module_cost` reads: the DAG's shape, profile,
-        device speed and each module's `Topology.held` server (one-to-one, as
-        only the device sits at level 0). A miss re-prices what the `moved`
-        modules reach (all when None) in a copy of `dev.costs`, adds it up and
-        stores it; a stored table is shared, so never written again.
-        """
-        topo = self.topology
-        key = (dev.dag.shape, self.profile, topo.nodes[dev.sid].cpu_mips,
-               *[topo.held(dev.placement[m.id]) for m in dev.dag.modules])
-        hit = topo.table_cache.get(key)
-        if hit is None:
-            costs = cost_model.reprice(topo, dev.dag, dev.placement, self.profile,
-                                       dict(dev.costs), moved)
-            totals = cost_model.schedule_offsets(dev.dag, costs)
-            hit = topo.table_cache[key] = (costs, tuple(t for t, _ in totals), totals[-1])
-        dev.costs, dev.offsets, (t, e) = hit
+        """(response time, energy) of one task under the device's placement, from
+        `cost_model.priced`: a miss re-prices what `moved` reaches from `dev.costs`."""
+        dev.costs, dev.offsets, (t, e) = cost_model.priced(
+            self.topology, dev.dag, dev.placement, self.profile, dev.costs, moved)
         return t + self.sensor_lat, e
 
     def _dump_bits(self, dev: SimDevice, module_id: str) -> float:
@@ -624,8 +608,7 @@ class Simulation:
                     lambda m: self._dump_bits(dev, m),
                     lambda m: self._remaining_mi(dev, m, t_dec),
                     self.candidates[cur])
-            kw = {"exclude": exclude, "check_admissibility": not self.policy.central,
-                  "costs": dev.costs if working == dev.placement else None}
+            kw = {"exclude": exclude, "check_admissibility": not self.policy.central}
             decisions = (migration.handle_migration_req(*args, **kw) if failed is None
                          else migration.mmt_failure_recovery(*args, failed=failed, **kw))
             pending = []

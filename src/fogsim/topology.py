@@ -81,7 +81,7 @@ class Topology:
     `rank_cache`, `order_cache` and `table_cache`. A handover empties
     nothing: a device (a level-0 node) relays nothing and has no cluster
     edge, so `cost_model` caches its routes, `placement` its cost orders and
-    the simulation its cost tables under its parent.
+    `cost_model.priced` its placements' cost tables under its parent.
 
     Direct edits of node state that routing or costs read (`cpu_mips`) must
     be followed by `bump()`, or cached routes, ranks, orders and tables go
@@ -110,8 +110,8 @@ class Topology:
         # placement.find_min_cost's candidates in cost order, per distinct
         # decision, emptied likewise.
         self.order_cache: Dict[tuple, list] = {}
-        # sim_engine's device cost tables with their running times and total,
-        # per (shape, profile, device speed, held server of each module);
+        # placement cost tables with their running times and total, read and
+        # filled only by cost_model.priced, for devices and MMT's trial moves;
         # a stored table is never written again. Emptied likewise.
         self.table_cache: Dict[tuple, tuple] = {}
         # level-1 nodes, which the sensed_by grid indexes, and every fog server

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fogsim import cli, cost_model, migration, oracle, scenario
+from fogsim import cli, cost_model, oracle, scenario
 from fogsim.scenario import POLICIES
 from fogsim.sim_engine import Simulation
 
@@ -36,9 +36,9 @@ class _NeverFound(dict):
 
 def caches_off(sim, monkeypatch):
     """Switch off every shortcut `sim` would take, once it is built:
-    - the topology's route, rank, cost-order and cost-table memos never store
+    - the topology's route, rank, cost-order and cost-table memos never store,
+      so each device table and each MMT trial move is priced afresh
     - `cost_model.reprice` re-prices every module, not what a move reaches
-    - MMT prices the working placement itself, not from the device's table
     - every device is checked for departure on every tick
     - `sensed_by` scans every level-1 server instead of its grid cell
     """
@@ -48,9 +48,6 @@ def caches_off(sim, monkeypatch):
     reprice = cost_model.reprice
     monkeypatch.setattr(cost_model, "reprice", lambda topology, dag, placement, profile,
                         costs, moved=None: reprice(topology, dag, placement, profile, costs))
-    handle = migration.handle_migration_req
-    monkeypatch.setattr(migration, "handle_migration_req",
-                        lambda *args, costs=None, **kw: handle(*args, **kw))
     monkeypatch.setattr(sim, "_ticks_ahead", lambda dev, position, ctrl: 1)
     monkeypatch.setattr(topo, "sensed_by", lambda point: _scan_sensed_by(topo, point))
 

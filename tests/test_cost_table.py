@@ -1,12 +1,13 @@
-"""Each device's cost table, kept per change, against a fresh pricing.
+"""Each priced placement, kept per change, against a fresh pricing.
 
 `cost_model.reprice` re-prices only the modules a change moves and their
 successors. A random move in a random world must leave the table equal to a
-full pricing. The simulation runs check, at every change the engine makes,
-that the table equals `cost_model.module_cost` of every module, that the
-running times equal the prefix sums `_remaining_mi` used to price itself,
-and that a table handed to `handle_migration_req` prices its working
-placement.
+full pricing. The simulation runs check every table `cost_model.priced`
+returns, a device's or an MMT trial move's, found in the world's memo or
+priced on a miss: it equals `cost_model.module_cost` of every module of the
+placement it was asked for, and its running times equal the prefix sums
+`_remaining_mi` used to price itself. They check the device's own table and
+running times at every change the engine makes, too.
 """
 import random
 from collections import Counter
@@ -18,7 +19,7 @@ from hypothesis import strategies as st
 from fogsim import cli, cost_model, migration, scenario
 from fogsim.app_model import build_app
 from fogsim.cost_model import DeviceEnergyProfile
-from fogsim.scenario import POLICIES
+from fogsim.scenario import POLICIES, POLICY_RECORDS
 from fogsim.sim_engine import Simulation
 
 from test_rule_oracle import random_topology
@@ -75,16 +76,20 @@ def test_reprice_of_a_move_equals_a_full_pricing(seed):
         assert _hex_table(costs) == _hex_table(reprice({}, None))
 
 
-def _prefix_times(sim, dev):
+def _prefix_times(topology, dag, placement, profile):
     """The schedules' running times as `_remaining_mi` summed them before the
     table: each schedule priced afresh, added left to right from 0.0."""
     out = [0.0]
-    for group in dev.dag.schedules:
+    for group in dag.schedules:
         t, _ = cost_model.schedule_cost(
-            {mid: cost_model.module_cost(sim.topology, dev.dag, dev.placement,
-                                         sim.profile, mid) for mid in group}, group)
+            {mid: cost_model.module_cost(topology, dag, placement, profile, mid)
+             for mid in group}, group)
         out.append(out[-1] + t)
     return out
+
+
+def _hex_times(times):
+    return [t.hex() for t in times]
 
 
 def _checked_run(config) -> Counter:
@@ -92,18 +97,28 @@ def _checked_run(config) -> Counter:
     seen = Counter()
     task_cost = Simulation._task_cost
     remaining_mi = Simulation._remaining_mi
-    handle = migration.handle_migration_req
+    priced = cost_model.priced
 
     def checked_task_cost(sim, dev, moved=None):
         out = task_cost(sim, dev, moved)
         assert _hex_table(dev.costs) == _fresh_table(sim.topology, dev.dag,
                                                      dev.placement, sim.profile)
-        assert [t.hex() for t in dev.offsets] == [t.hex() for t in _prefix_times(sim, dev)]
+        assert _hex_times(dev.offsets) == _hex_times(
+            _prefix_times(sim.topology, dev.dag, dev.placement, sim.profile))
         seen["task_cost"] += moved is not None
         return out
 
+    def checked_priced(topology, dag, placement, profile, costs=None, moved=None):
+        out = table, times, _ = priced(topology, dag, placement, profile, costs, moved)
+        assert _hex_table(table) == _fresh_table(topology, dag, placement, profile)
+        assert _hex_times(times) == _hex_times(
+            _prefix_times(topology, dag, placement, profile))
+        seen["moved_lookups"] += moved is not None
+        return out
+
     def checked_remaining_mi(sim, dev, module_id, at):
-        offset = _prefix_times(sim, dev)[dev.dag.order_of[module_id] - 1]
+        offset = _prefix_times(sim.topology, dev.dag, dev.placement,
+                               sim.profile)[dev.dag.order_of[module_id] - 1]
         want = migration.remaining_instructions(
             dev.dag.incoming_mi(module_id),
             sim.topology.node(dev.placement[module_id]).cpu_mips,
@@ -113,20 +128,15 @@ def _checked_run(config) -> Counter:
         seen["remaining_mi"] += 1
         return got
 
-    def checked_handle(topology, ledger, dag, working, modules, weights, profile,
-                       *args, costs=None, **kw):
-        if costs is not None:
-            assert _hex_table(costs) == _fresh_table(topology, dag, working, profile)
-            seen["seeded"] += 1
-        return handle(topology, ledger, dag, working, modules, weights, profile,
-                      *args, costs=costs, **kw)
-
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(Simulation, "_task_cost", checked_task_cost)
         mp.setattr(Simulation, "_remaining_mi", checked_remaining_mi)
-        mp.setattr(migration, "handle_migration_req", checked_handle)
+        mp.setattr(cost_model, "priced", checked_priced)
         events = Simulation(config).run().events
     seen.update(ev["kind"] for ev in events)
+    # Lookups naming moved modules are a device's partial re-pricings or
+    # MMT's trial moves.
+    seen["trial_lookups"] = seen.pop("moved_lookups", 0) - seen["task_cost"]
     return seen
 
 
@@ -134,11 +144,11 @@ def _checked_run(config) -> Counter:
 @pytest.mark.parametrize("policy", POLICIES)
 def test_cost_table_equals_a_fresh_pricing_at_every_change(policy, failure_p):
     seen = _checked_run(_config(policy, failure_p, seed=3, devices=20, horizon=100.0))
-    # Partial re-pricings ran at attaches and commits, and the table seeded
-    # decisions; each check above saw them.
+    # Partial re-pricings ran at attaches and commits, and MMT looked up
+    # trial moves wherever it checks admissibility; each check above saw them.
     assert seen["task_cost"] > 0 and seen["handover"] > 0 and seen["migration"] > 0
     assert seen["remaining_mi"] > 0
-    assert seen["seeded"] > 0
+    assert (seen["trial_lookups"] > 0) == (not POLICY_RECORDS[policy].central)
     assert (seen["migration_failure"] > 0) == (failure_p > 0)
 
 
@@ -171,6 +181,22 @@ def test_pricing_work_on_a_proposed_cell_is_pinned(monkeypatch):
     events = Simulation(_config("proposed", 0.0, seed=1, devices=320, horizon=60.0)).run().events
     assert len(events) == 1628
     assert calls == {"module_costs": 1269, "reprice": 240}
+
+
+def test_pricing_work_on_a_migration_heavy_cell_is_pinned(monkeypatch):
+    """Calls of `cost_model.module_costs`, `cost_model.reprice` and
+    `cost_model.priced` over one `urban_80dev` proposed cell, 80 devices for
+    60 s at seed 1, where 41 handovers lead to 27 moves, pinned so a change
+    in pricing work shows without wall time. MMT's trial moves look their
+    tables up in the world's memo, as devices do; pricing each trial in a
+    private copy took 792 `module_costs` and 210 `reprice` calls on this
+    cell."""
+    calls = Counter()
+    for name in ("module_costs", "reprice", "priced"):
+        _count(monkeypatch, calls, cost_model, name)
+    events = Simulation(_config("proposed", 0.0, seed=1, devices=80, horizon=60.0)).run().events
+    assert len(events) == 434
+    assert calls == {"module_costs": 690, "reprice": 161, "priced": 295}
 
 
 def test_handover_work_on_a_proposed_cell_is_pinned(monkeypatch):

@@ -2,9 +2,10 @@
 package takes a parameter it never reads, no package module but cost_model
 names a private cost_model helper, no module-level definition in the
 package goes unnamed by the rest of the code, no package code but
-`Topology.held` builds a device's (parent, 0) cache key, and no package code
-but `scenario.py` and the CLI's `--optimality` guard tests or keys by a policy's
-name."""
+`Topology.held` builds a device's (parent, 0) cache key, no package code but
+`cost_model.priced`, `Topology.__init__` and `Topology.bump` names the
+cost-table memo, and no package code but `scenario.py` and the CLI's
+`--optimality` guard tests or keys by a policy's name."""
 import ast
 from collections import Counter
 from pathlib import Path
@@ -167,22 +168,28 @@ def test_no_unreferenced_definitions():
         f"{name}: {definition}" for name, definition in offenders)
 
 
-def held_key_builders(source: str):
-    """(line, enclosing qualified name) of each `(<x>.parent, 0)` tuple a module builds."""
+def scoped_matches(source: str, match):
+    """(line, enclosing qualified name) of each node of a module that `match` accepts."""
     out = []
 
     def visit(node, scope):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
             scope = f"{scope}.{node.name}" if scope else node.name
-        elif (isinstance(node, ast.Tuple) and len(node.elts) == 2
-              and isinstance(node.elts[0], ast.Attribute) and node.elts[0].attr == "parent"
-              and isinstance(node.elts[1], ast.Constant) and node.elts[1].value == 0):
+        elif match(node):
             out.append((node.lineno, scope))
         for child in ast.iter_child_nodes(node):
             visit(child, scope)
 
     visit(ast.parse(source), "")
     return out
+
+
+def held_key_builders(source: str):
+    """(line, enclosing qualified name) of each `(<x>.parent, 0)` tuple a module builds."""
+    return scoped_matches(source, lambda node: (
+        isinstance(node, ast.Tuple) and len(node.elts) == 2
+        and isinstance(node.elts[0], ast.Attribute) and node.elts[0].attr == "parent"
+        and isinstance(node.elts[1], ast.Constant) and node.elts[1].value == 0))
 
 
 def test_checker_flags_a_held_key():
@@ -199,6 +206,35 @@ def test_only_topology_held_builds_a_device_cache_key():
                  for line, scope in held_key_builders(path.read_text())
                  if (path.name, scope) != ("topology.py", "Topology.held")]
     assert not offenders, "device cache keys built outside Topology.held:\n" + "\n".join(
+        offenders)
+
+
+def table_cache_names(source: str):
+    """(line, enclosing qualified name) of each attribute, variable or string
+    a module names `table_cache` by."""
+    return scoped_matches(source, lambda node: (
+        (isinstance(node, ast.Attribute) and node.attr == "table_cache")
+        or (isinstance(node, ast.Name) and node.id == "table_cache")
+        or (isinstance(node, ast.Constant) and node.value == "table_cache")))
+
+
+def test_checker_flags_a_table_cache_name():
+    sample = ("class T:\n    def __init__(self):\n        self.table_cache = {}\n"
+              "def f(t, table_cache):\n    t.route_cache, t.table_caches = 1, 2\n"
+              "    return t.table_cache.get(1), getattr(t, 'table_cache'), table_cache\n")
+    assert table_cache_names(sample) == [(3, "T.__init__"), (6, "f"), (6, "f"), (6, "f")]
+
+
+def test_only_cost_model_priced_names_the_table_memo():
+    # A placement's cost table is read and stored by one function, so its
+    # key names everything `module_cost` reads in one place.
+    owners = {("cost_model.py", "priced"), ("topology.py", "Topology.__init__"),
+              ("topology.py", "Topology.bump")}
+    offenders = [f"{path.relative_to(ROOT)}:{line}: {scope}"
+                 for path in sorted((ROOT / "src" / "fogsim").glob("*.py"))
+                 for line, scope in table_cache_names(path.read_text())
+                 if (path.name, scope) not in owners]
+    assert not offenders, "table_cache named outside cost_model.priced:\n" + "\n".join(
         offenders)
 
 

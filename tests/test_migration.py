@@ -412,55 +412,63 @@ def test_decisions_equal_pricing_every_candidate_with_app_cost(case):
     assert working == expected_working
 
 
-def _decide(case, costs):
-    """One `handle_migration_req` call on a fresh world of `case`, seeded with
-    `costs` if given; returns (decisions, final working, module_cost calls)."""
-    (specs, cluster, dag, working, modules, candidates, exclude, sizes, params,
-     check) = case
-    topo = _decision_world(specs, cluster)
+def _decide(case, topo):
+    """One `handle_migration_req` call of `case` on `topo`; returns (decisions,
+    final working, module_cost calls)."""
+    (_, _, dag, working, modules, candidates, exclude, sizes, params, check) = case
     working = dict(working)
     with pytest.MonkeyPatch.context() as mp:
         calls = _count_module_costs(mp)
         decisions = handle_migration_req(
             topo, CapacityLedger(topo), dag, working, modules, WEIGHTS, PROFILE, params,
             sizes.__getitem__, lambda m: sizes[m] / 10.0, candidates, exclude=exclude,
-            check_admissibility=check, costs=costs)
+            check_admissibility=check)
     return [(d.module, d.frm, d.to, d.cost) for d in decisions], working, len(calls)
 
 
-def _entry_table(case):
-    (specs, cluster, dag, working, *_) = case
-    topo = _decision_world(specs, cluster)
-    return {mid: cost_model.module_cost(topo, dag, working, PROFILE, mid)
-            for mid in dag.module_map}
+def _stored(topo):
+    """A copy of every table in `topo`'s memo, with its running times and total."""
+    return {key: (dict(table), times, total)
+            for key, (table, times, total) in topo.table_cache.items()}
+
+
+def _kept(topo, stored):
+    """Whether each table of a `_stored` copy is still in `topo`'s memo as it was."""
+    return {key: entry for key, entry in _stored(topo).items() if key in stored} == stored
 
 
 @settings(max_examples=200, deadline=None)
 @given(decision_cases())
 def test_a_seeded_table_decides_as_lazy_pricing_does(case):
-    table = _entry_table(case)
-    passed = dict(table)
-    unseeded, unseeded_working, unseeded_calls = _decide(case, None)
-    seeded, seeded_working, seeded_calls = _decide(case, passed)
-    assert seeded == unseeded
-    assert seeded_working == unseeded_working
-    assert passed == table  # the caller's table is only read
-    # The lazy call prices the whole table before its first trial move; the
-    # seeded one skips exactly that.
-    dag = case[2]
-    assert seeded_calls == unseeded_calls - (len(dag.module_map) if unseeded_calls else 0)
+    """A world whose table memo already holds the working placement's table
+    (warm) decides as a world with an empty memo (cold), and prices less."""
+    (specs, cluster, dag, working, *_) = case
+    cold, cold_working, cold_calls = _decide(case, _decision_world(specs, cluster))
+    topo = _decision_world(specs, cluster)
+    cost_model.priced(topo, dag, dict(working), PROFILE)
+    stored = _stored(topo)
+    warm, warm_working, warm_calls = _decide(case, topo)
+    assert warm == cold
+    assert warm_working == cold_working
+    # The cold call prices the whole table before its first trial move; the
+    # warm one finds it stored and skips exactly that.
+    assert warm_calls == cold_calls - (len(dag.module_map) if cold_calls else 0)
+    # Stored tables are only read, by this call and by a second one.
+    assert _kept(topo, stored)
+    stored = _stored(topo)
+    _decide(case, topo)
+    assert _kept(topo, stored)
 
 
 def test_a_seeded_table_saves_the_entry_pricing(monkeypatch):
     topo, dag, plc, ledger = decision_world()
-    table = {mid: cost_model.module_cost(topo, dag, plc, PROFILE, mid)
-             for mid in dag.module_map}
-    passed = dict(table)
+    cost_model.priced(topo, dag, dict(plc), PROFILE)
+    stored = _stored(topo)
     calls = _count_module_costs(monkeypatch)
     decisions = handle_migration_req(
         topo, ledger, dag, dict(plc), ["m"], WEIGHTS, PROFILE,
         PARAMS, lambda m: 1e6, lambda m: 0.0,
-        candidates=[S(1, 3), S(1, 2)], exclude=[S(1, 1)], costs=passed)
+        candidates=[S(1, 3), S(1, 2)], exclude=[S(1, 1)])
     assert decisions[0].to == S(1, 2)
     assert calls == ["m", "m"]  # the two trial moves only
-    assert passed == table
+    assert _kept(topo, stored)
